@@ -332,7 +332,7 @@ impl<'a> FlowBuilder<'a> {
     /// run golden checks and triage sweeps at. Cycle *measurements*
     /// always use the cycle-accurate engine; [`Fidelity::Fast`] is
     /// rejected at [`FlowBuilder::build`] when a fault plan is armed
-    /// (fault sites live in the pipeline model).
+    /// (a fault campaign targets those measurements).
     pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
         self.fidelity = fidelity;
         self
@@ -345,17 +345,21 @@ impl<'a> FlowBuilder<'a> {
     /// Returns [`Error::Conflict`] (code
     /// [`codes::FLOW_CONFLICT`]) when:
     ///
-    /// - `Fast` fidelity is combined with an armed fault plan — the
-    ///   fast path has no fault ports, so the combination would
-    ///   silently measure something other than what was asked;
+    /// - `Fast` fidelity is combined with an armed fault plan — a
+    ///   fault campaign exercises the resilience policy of cycle
+    ///   measurements (retries, fault-free fallbacks, quarantine), and
+    ///   those never run on the fast path, so the combination asks for
+    ///   something the context would not do. `JobSpec` clients see
+    ///   this rule as code 5001, so it is part of the wire contract;
     /// - a resilience policy quarantines (`quarantine_after > 0`) but
     ///   allows zero measurement attempts (`max_retries` underflowed to
     ///   `u32::MAX`), which can never converge.
     pub fn build(self) -> Result<FlowCtx<'a>, Error> {
         if self.fidelity == Fidelity::Fast && self.policy.injecting() {
             return Err(Error::Conflict {
-                detail: "Fast fidelity cannot host a fault campaign: fault sites live in the \
-                         cycle-accurate pipeline model"
+                detail: "Fast fidelity cannot host a fault campaign: the campaign's retries, \
+                         fallbacks and quarantine act on cycle measurements, which never run on \
+                         the fast path"
                     .to_owned(),
             });
         }
@@ -393,78 +397,6 @@ const FIG4_STREAMS: u64 = 0x0400_0000;
 const ADHOC_STREAMS: u64 = 0x0500_0000;
 
 impl<'a> FlowCtx<'a> {
-    /// A context over `config` with the defaults: base kernels, an
-    /// environment-sized pool, no cache, no metrics, no injection.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through `FlowBuilder::new(..).build()`"
-    )]
-    pub fn new(config: &'a CpuConfig) -> Self {
-        FlowBuilder::new(config)
-            .build()
-            .expect("default flow configuration has no conflicts")
-    }
-
-    /// As `FlowCtx::new`, additionally arming the fault campaign from
-    /// the `WSP_FAULTS` environment spec when one is set (see
-    /// [`xfault::PlanSpec::parse`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct through `FlowBuilder::from_env(..).build()`"
-    )]
-    pub fn from_env(config: &'a CpuConfig) -> Self {
-        FlowBuilder::from_env(config)
-            .build()
-            .expect("environment flow configuration has no conflicts")
-    }
-
-    /// Selects the kernel variant measured by the ISS-backed phases.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::variant`")]
-    pub fn with_variant(mut self, variant: KernelVariant) -> Self {
-        self.variant = variant;
-        self
-    }
-
-    /// Runs the phases on a borrowed pool (e.g. a bench harness's).
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::pool`")]
-    pub fn with_pool(mut self, pool: &'a Pool) -> Self {
-        self.pool = PoolHandle::Borrowed(pool);
-        self
-    }
-
-    /// Serves ISS measurements from a kernel-cycle memo cache.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::cache`")]
-    pub fn with_cache(mut self, cache: &'a KCache) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Publishes per-phase progress metrics into a registry.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::metrics`")]
-    pub fn with_metrics(mut self, metrics: &'a xobs::Registry) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Records the phases into a hierarchical span tree: one span per
-    /// phase, one closed leaf per measurement unit (published in
-    /// submission order, so the tree's deterministic fields are
-    /// identical for any thread count), degradations as span events,
-    /// and — since the pool's job tracing is enabled alongside —
-    /// `wall_only` per-worker execution spans.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::spans`")]
-    pub fn with_spans(mut self, spans: &'a Spans) -> Self {
-        self.spans = Some(spans);
-        self
-    }
-
-    /// Sets the fault-injection and resilience policy.
-    #[deprecated(since = "0.1.0", note = "use `FlowBuilder::fault_policy`")]
-    pub fn with_fault_policy(mut self, policy: FaultPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The core configuration the phases simulate.
     pub fn config(&self) -> &CpuConfig {
         self.config

@@ -530,7 +530,7 @@ mod tests {
         // the structural property: to_json holds at most one shard's
         // read lock at a time, so a reader's own read lock can always
         // be acquired concurrently.
-        use std::sync::atomic::{AtomicBool, Ordering as AO};
+        use std::sync::atomic::{AtomicBool, AtomicU32, Ordering as AO};
         let cache = KCache::new();
         let keys: Vec<String> = (0..256u64)
             .map(|s| key(0xC0FFEE, "base", kreg::opname::MUL_1, 16, s))
@@ -539,18 +539,22 @@ mod tests {
             cache.insert(k, vec![i as f64]);
         }
         let stop = AtomicBool::new(false);
+        let docs = AtomicU32::new(0);
         std::thread::scope(|scope| {
             let persister = scope.spawn(|| {
-                let mut docs = 0u32;
                 while !stop.load(AO::Relaxed) {
                     let json = cache.to_json();
                     assert!(json.get("entries").and_then(Json::as_arr).is_some());
-                    docs += 1;
+                    docs.fetch_add(1, AO::Relaxed);
                 }
-                docs
             });
             let mut reader_hits = 0u64;
-            for round in 0..50 {
+            // Read for 50 rounds and then until the persister has
+            // finished a document (bounded), so both sides provably
+            // made progress at the same time however the two threads
+            // are scheduled.
+            let mut round = 0u64;
+            while round < 50 || (docs.load(AO::Relaxed) == 0 && round < 100_000) {
                 for (i, k) in keys.iter().enumerate() {
                     let got = cache.get(k).expect("entry present");
                     assert_eq!(got[0], i as f64);
@@ -563,11 +567,12 @@ mod tests {
                         vec![1.0],
                     );
                 }
+                round += 1;
             }
             stop.store(true, AO::Relaxed);
-            let docs = persister.join().unwrap();
-            assert!(docs >= 1, "persister made progress");
-            assert_eq!(reader_hits, 50 * 256);
+            persister.join().unwrap();
+            assert!(docs.load(AO::Relaxed) >= 1, "persister made progress");
+            assert_eq!(reader_hits, round * 256);
         });
     }
 

@@ -1,33 +1,31 @@
-//! The cycle-accurate XR32 executor.
+//! The XR32 core: one functional executor driving a pluggable timing
+//! model.
 //!
-//! `Cpu` owns the architectural state — registers, carry, memory, user
-//! registers, caches, the cycle counter — and delegates the pipeline
-//! (decode/issue/retire timing, trace-event emission, fault-plan hook
-//! points) to a pluggable [`CoreModel`](crate::xcore::CoreModel)
-//! selected by [`CpuConfig::core`]:
+//! `Cpu` owns a core's architectural state — registers, carry, memory,
+//! user registers — and its timing state — cycle counter, caches,
+//! ready times, predictor. A run pre-decodes the program once per core
+//! and executes it on the one functional executor ([`crate::xjit`]),
+//! which streams each op to the timing model selected by
+//! [`CpuConfig::core`] and [`Cpu::set_fidelity`]:
 //!
-//! - [`InOrderCore`](crate::xcore::InOrderCore): the paper's baseline
-//!   single-issue in-order 5-stage pipeline abstraction (the timing
-//!   model is documented in [`crate::xcore::inorder`]);
-//! - [`OooCore`](crate::xcore::OooCore): a scoreboarded out-of-order
-//!   family with parameterized structure widths (documented in
-//!   [`crate::xcore::ooo`]).
+//! - the in-order model ([`crate::xcore::inorder`]): the paper's
+//!   baseline single-issue in-order 5-stage pipeline abstraction;
+//! - the out-of-order model ([`crate::xcore::ooo`]): a scoreboarded
+//!   family with parameterized structure widths;
+//! - no model at all under [`Fidelity::Fast`].
 //!
-//! Both models run identical functional semantics, so the architectural
-//! state after a run is bit-identical across core models and the
-//! pre-decoded [`crate::xjit`] fast path; only cycle accounting
-//! differs.
+//! The architectural state after a run is therefore bit-identical
+//! across core models and fidelities; only cycle accounting differs.
 
 use crate::asm::Program;
-use crate::cache::{Cache, CacheStats};
+use crate::cache::CacheStats;
 use crate::config::CpuConfig;
 use crate::ext::{CustomInsnError, ExtensionSet, UserRegFile};
 use crate::isa::Reg;
 use crate::mem::{AccessError, Memory};
-use crate::xcore::{CoreEnv, CoreModel};
-use crate::xjit::{self, FastProgram, Fidelity};
+use crate::xcore::{CoreSpec, InOrderCore, OooCore, Timing, Tracer};
+use crate::xjit::{self, Arch, FastProgram, Fidelity, Untimed};
 use std::fmt;
-use std::sync::Arc;
 use xfault::FaultPlan;
 use xobs::trace::TraceSink;
 
@@ -151,15 +149,9 @@ impl RunSummary {
 /// A simulated XR32 core.
 pub struct Cpu {
     config: CpuConfig,
-    regs: [u32; 16],
-    carry: bool,
-    mem: Memory,
-    uregs: UserRegFile,
+    arch: Arch,
     ext: ExtensionSet,
-    icache: Cache,
-    dcache: Cache,
-    cycles: u64,
-    reg_ready: [u64; 16],
+    timing: Timing,
     fuel: u64,
     fault: Option<FaultPlan>,
     fidelity: Fidelity,
@@ -167,21 +159,18 @@ pub struct Cpu {
     /// engines) — part of the architectural state the dual-fidelity
     /// co-simulation checks compare.
     retired: u64,
-    /// Pre-decoded fast-path programs, keyed by content fingerprint.
-    /// Safe per-core: the configuration and extension set are fixed at
+    /// Pre-decoded programs, keyed by content fingerprint. Safe
+    /// per-core: the configuration and extension set are fixed at
     /// construction.
-    fast_cache: Vec<(u64, Arc<FastProgram>)>,
-    /// The pipeline model executing cycle-accurate runs, built from
-    /// [`CpuConfig::core`] at construction.
-    core: Box<dyn CoreModel + Send>,
+    decoded: Vec<(u64, FastProgram)>,
 }
 
 impl fmt::Debug for Cpu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Cpu")
-            .field("cycles", &self.cycles)
-            .field("regs", &self.regs)
-            .field("carry", &self.carry)
+            .field("cycles", &self.timing.cycles)
+            .field("regs", &self.arch.regs)
+            .field("carry", &self.arch.carry)
             .finish_non_exhaustive()
     }
 }
@@ -198,23 +187,20 @@ impl Cpu {
     pub fn with_extensions(config: CpuConfig, ext: ExtensionSet) -> Self {
         let mut regs = [0; 16];
         regs[Reg::SP.index()] = config.mem_size as u32;
-        let core = config.core.build();
         Cpu {
-            core,
-            regs,
-            carry: false,
-            mem: Memory::new(config.mem_size),
-            uregs: UserRegFile::new(config.user_regs, config.user_reg_words),
+            arch: Arch {
+                regs,
+                carry: false,
+                mem: Memory::new(config.mem_size),
+                uregs: UserRegFile::new(config.user_regs, config.user_reg_words),
+            },
             ext,
-            icache: Cache::new(config.icache),
-            dcache: Cache::new(config.dcache),
-            cycles: 0,
-            reg_ready: [0; 16],
+            timing: Timing::new(&config),
             fuel: 200_000_000,
             fault: None,
             fidelity: Fidelity::CycleAccurate,
             retired: 0,
-            fast_cache: Vec::new(),
+            decoded: Vec::new(),
             config,
         }
     }
@@ -235,7 +221,7 @@ impl Cpu {
     ///
     /// Panics if `i > 15`.
     pub fn reg(&self, i: usize) -> u32 {
-        self.regs[i]
+        self.arch.regs[i]
     }
 
     /// Writes general register `i`.
@@ -244,27 +230,27 @@ impl Cpu {
     ///
     /// Panics if `i > 15`.
     pub fn set_reg(&mut self, i: usize, v: u32) {
-        self.regs[i] = v;
+        self.arch.regs[i] = v;
     }
 
     /// The data memory.
     pub fn mem(&self) -> &Memory {
-        &self.mem
+        &self.arch.mem
     }
 
     /// Mutable access to data memory (for setting up kernel inputs).
     pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
+        &mut self.arch.mem
     }
 
     /// The user (wide) register file.
     pub fn uregs(&self) -> &UserRegFile {
-        &self.uregs
+        &self.arch.uregs
     }
 
     /// Cycles elapsed since construction or [`Cpu::reset_timing`].
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.timing.cycles
     }
 
     /// Sets the maximum number of instructions a run may execute before
@@ -275,13 +261,11 @@ impl Cpu {
 
     /// Selects the execution engine for subsequent runs. The default is
     /// [`Fidelity::CycleAccurate`]. With [`Fidelity::Fast`] selected,
-    /// runs execute on the pre-decoded functional engine
-    /// ([`crate::xjit`]): architectural state (registers, carry,
-    /// memory, user registers, retired count) is bit-identical, but
-    /// summaries report zero cycles and zero cache activity, trace
-    /// sinks are **not** invoked, and an armed fault plan forces a
-    /// silent fallback to the cycle-accurate engine (every fault site
-    /// lives in the pipeline model).
+    /// runs drive no timing model: architectural state (registers,
+    /// carry, memory, user registers, retired count) and the draws of
+    /// an armed fault plan are bit-identical, but summaries report zero
+    /// cycles and zero cache activity, the core's timing state is left
+    /// untouched, and trace sinks are **not** invoked.
     pub fn set_fidelity(&mut self, fidelity: Fidelity) {
         self.fidelity = fidelity;
     }
@@ -323,15 +307,11 @@ impl Cpu {
     /// model's internal timing state such as branch-predictor counters
     /// (memory is preserved).
     pub fn reset_timing(&mut self) {
-        self.core.reset_timing();
-        self.cycles = 0;
-        self.reg_ready = [0; 16];
-        self.regs = [0; 16];
-        self.regs[Reg::SP.index()] = self.config.mem_size as u32;
-        self.carry = false;
-        self.icache.reset();
-        self.dcache.reset();
-        self.uregs.clear();
+        self.timing.reset();
+        self.arch.regs = [0; 16];
+        self.arch.regs[Reg::SP.index()] = self.config.mem_size as u32;
+        self.arch.carry = false;
+        self.arch.uregs.clear();
     }
 
     /// Runs `program` from its `main` label (or instruction 0 when no
@@ -431,10 +411,8 @@ impl Cpu {
             pc: 0,
             reason: format!("undefined entry label {label:?}"),
         })?;
-        for (i, &a) in args.iter().enumerate() {
-            self.regs[i] = a;
-        }
-        self.regs[Reg::RA.index()] = RETURN_SENTINEL;
+        self.arch.regs[..args.len()].copy_from_slice(args);
+        self.arch.regs[Reg::RA.index()] = RETURN_SENTINEL;
         self.execute(program, entry, label, sink)
     }
 
@@ -445,103 +423,48 @@ impl Cpu {
         entry_name: &str,
         sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> Result<RunSummary, SimError> {
-        if matches!(self.fidelity, Fidelity::Fast) && self.fault.is_none() {
-            // Functional fast path: pre-decoded micro-ops, architectural
-            // state only. Trace sinks see nothing (there are no cycles
-            // to attribute); an armed fault plan keeps the accurate
-            // engine (hook points live in the pipeline model).
-            return self.execute_fast(program, entry);
-        }
-        let start_cycles = self.cycles;
-        let icache_before = self.icache.stats();
-        let dcache_before = self.dcache.stats();
-        let out = self.core.execute(
-            CoreEnv {
-                config: &self.config,
-                regs: &mut self.regs,
-                carry: &mut self.carry,
-                mem: &mut self.mem,
-                uregs: &mut self.uregs,
-                ext: &self.ext,
-                icache: &mut self.icache,
-                dcache: &mut self.dcache,
-                cycles: &mut self.cycles,
-                reg_ready: &mut self.reg_ready,
-                fuel: self.fuel,
-                fault: &mut self.fault,
-            },
-            program,
-            entry,
-            entry_name,
-            sink,
-        )?;
-        self.retired += out.executed;
-        Ok(self.summarize(
-            start_cycles,
-            icache_before,
-            dcache_before,
-            out.executed,
-            out.classes,
-        ))
-    }
-
-    /// Runs `program` on the pre-decoded functional engine, decoding
-    /// (and caching the decode of) the program on first sight. Timing
-    /// state — cycle counter, caches, ready times — is untouched, so a
-    /// later cycle-accurate run on the same core is unaffected.
-    fn execute_fast(&mut self, program: &Program, entry: usize) -> Result<RunSummary, SimError> {
         let fp = program.fingerprint();
-        let decoded = match self.fast_cache.iter().find(|(key, _)| *key == fp) {
-            Some((_, d)) => Arc::clone(d),
+        let ix = match self.decoded.iter().position(|(key, _)| *key == fp) {
+            Some(ix) => ix,
             None => {
-                let d = Arc::new(FastProgram::decode(program, &self.config, &self.ext));
-                self.fast_cache.push((fp, Arc::clone(&d)));
-                d
+                let decoded = FastProgram::decode(program, &self.config, &self.ext);
+                self.decoded.push((fp, decoded));
+                self.decoded.len() - 1
             }
         };
-        let out = xjit::run(
-            &decoded,
-            entry,
-            &mut self.regs,
-            &mut self.carry,
-            &mut self.mem,
-            &mut self.uregs,
-            self.fuel,
-        )?;
-        self.retired += out.executed;
+        let prog = &self.decoded[ix].1;
+        let start = self.timing.cycles;
+        let (icache, dcache) = (self.timing.icache.stats(), self.timing.dcache.stats());
+        let (arch, fuel, fault) = (&mut self.arch, self.fuel, self.fault.as_mut());
+        let classes = match (self.fidelity, self.config.core) {
+            (Fidelity::Fast, _) => xjit::run(prog, entry, arch, fuel, fault, Untimed),
+            (Fidelity::CycleAccurate, core) => {
+                let trace = Tracer::new(sink, program, entry, entry_name, start);
+                let (timing, config) = (&mut self.timing, &self.config);
+                match core {
+                    CoreSpec::InOrder => {
+                        let model = InOrderCore::new(timing, config, trace);
+                        xjit::run(prog, entry, arch, fuel, fault, model)
+                    }
+                    CoreSpec::OutOfOrder(p) => {
+                        let model = OooCore::new(timing, config, p, trace);
+                        xjit::run(prog, entry, arch, fuel, fault, model)
+                    }
+                }
+            }
+        }?;
+        self.retired += classes.total();
+        let since = |now: CacheStats, before: CacheStats| CacheStats {
+            hits: now.hits - before.hits,
+            misses: now.misses - before.misses,
+        };
         Ok(RunSummary {
-            cycles: 0,
-            instructions: out.executed,
-            classes: out.classes,
-            icache: CacheStats::default(),
-            dcache: CacheStats::default(),
-        })
-    }
-
-    fn summarize(
-        &self,
-        start_cycles: u64,
-        icache_before: CacheStats,
-        dcache_before: CacheStats,
-        executed: u64,
-        classes: ClassCounts,
-    ) -> RunSummary {
-        let cycles = self.cycles - start_cycles;
-        let ic = self.icache.stats();
-        let dc = self.dcache.stats();
-        RunSummary {
-            cycles,
-            instructions: executed,
+            cycles: self.timing.cycles - start,
+            instructions: classes.total(),
             classes,
-            icache: CacheStats {
-                hits: ic.hits - icache_before.hits,
-                misses: ic.misses - icache_before.misses,
-            },
-            dcache: CacheStats {
-                hits: dc.hits - dcache_before.hits,
-                misses: dc.misses - dcache_before.misses,
-            },
-        }
+            icache: since(self.timing.icache.stats(), icache),
+            dcache: since(self.timing.dcache.stats(), dcache),
+        })
     }
 }
 

@@ -8,12 +8,18 @@
 //! - a **32-bit RISC base ISA** (16 general registers, load/store,
 //!   single-cycle ALU, optional hardware multiplier) — see [`isa`];
 //! - a **two-pass assembler** for writing library kernels — see [`asm`];
-//! - **pluggable cycle-accurate core models** behind one pipeline seam:
-//!   the in-order baseline (load-use interlocks, branch penalty) and a
-//!   scoreboarded out-of-order family (ROB, renaming, reservation
-//!   stations, load-store queue, 2-bit branch predictor), both over
-//!   I/D caches with configurable geometry — see [`xcore`], [`cpu`]
-//!   and [`cache`];
+//! - **one functional executor** ([`xjit`]): every run pre-decodes its
+//!   program once per core into basic blocks of resolved micro-ops and
+//!   interprets those; the ISA semantics, error paths and fault hooks
+//!   live there and nowhere else;
+//! - **pluggable cycle-accurate timing models** fed by the executor's
+//!   per-op stream: the in-order baseline (load-use interlocks, branch
+//!   penalty) and a scoreboarded out-of-order family (ROB, renaming,
+//!   reservation stations, load-store queue, 2-bit branch predictor),
+//!   both over I/D caches with configurable geometry — see [`xcore`],
+//!   [`cpu`] and [`cache`];
+//! - **page-lazy data memory** ([`mem`]): 4 KiB pages allocated on first
+//!   store, so residency follows what a kernel touches;
 //! - a **TIE-like extension interface**: designer-specified custom
 //!   instructions with semantics, latency, and a structural gate-count
 //!   area model, plus wide *user registers* and custom load/stores — see
@@ -26,9 +32,9 @@
 //! - **call-tree cycle attribution** producing the annotated call graphs
 //!   the paper's global custom-instruction selection consumes — attach an
 //!   `xobs::Attribution` sink to any traced run;
-//! - a **dual-fidelity execution choice**: the cycle-accurate pipeline
-//!   above for measurement, or a pre-decoded functional fast path for
-//!   golden-reference checks and stimulus triage — see [`xjit`] and
+//! - a **dual-fidelity execution choice**: the executor driving a
+//!   timing model for measurement, or driving none for golden-reference
+//!   checks and stimulus triage — see [`xjit::Fidelity`] and
 //!   [`Cpu::set_fidelity`](cpu::Cpu::set_fidelity).
 //!
 //! # Examples
@@ -70,5 +76,5 @@ pub use config::{CacheConfig, CpuConfig};
 pub use cpu::{Cpu, RunSummary, SimError};
 pub use ext::{CustomInsnDef, ExtensionSet};
 pub use isa::{Insn, Reg};
-pub use xcore::{CoreKind, CoreModel, CoreSpec, OooParams};
+pub use xcore::{CoreSpec, OooParams};
 pub use xjit::Fidelity;

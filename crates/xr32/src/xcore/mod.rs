@@ -1,61 +1,54 @@
-//! Pluggable core microarchitecture models.
+//! Core microarchitecture timing models.
 //!
-//! [`Cpu`](crate::cpu::Cpu) owns the architectural state (registers,
-//! carry flag, memory, user registers, caches) and delegates the
-//! *pipeline* — decode/issue/retire timing, trace-event emission, and
-//! the fault-plan hook points — to a [`CoreModel`]. Two models ship:
+//! The ISA semantics live in one place, the functional executor of
+//! [`crate::xjit`]. A core model here never touches registers, carry,
+//! memory or user registers: it is a *timing model* that consumes the
+//! executor's per-op `Retired` records (pc, class, source and
+//! destination registers, memory address, cache-tag fault, branch
+//! outcome, custom latency) and owns everything microarchitectural —
+//! the cycle counter, per-register ready times, the I/D caches, the
+//! branch predictor and scoreboard, and trace-event emission. Two
+//! models ship:
 //!
-//! - [`InOrderCore`]: the original single-issue in-order 5-stage
-//!   pipeline abstraction (per-register ready-time interlocks, taken
-//!   branches pay the refill penalty, loads incur a load-use delay);
-//! - [`OooCore`]: a scoreboarded out-of-order family (reorder buffer,
+//! - [`inorder`]: the single-issue in-order 5-stage pipeline
+//!   abstraction (per-register ready-time interlocks, taken branches pay
+//!   the refill penalty, loads incur a load-use delay);
+//! - [`ooo`]: a scoreboarded out-of-order family (reorder buffer,
 //!   register renaming, reservation stations, a load-store queue and a
-//!   2-bit branch predictor, all width-parameterized by
-//!   [`OooParams`]).
+//!   2-bit branch predictor, all width-parameterized by [`OooParams`]).
 //!
-//! Both models run the **same functional semantics in program order**
-//! — every instruction's architectural effects, fault-plan
-//! consultations and error paths are identical — so the final
-//! architectural state is bit-identical across core models (and the
-//! pre-decoded [`crate::xjit`] fast path). Only the *cycle* accounting
-//! differs: the in-order core charges a single global clock as it
-//! goes, while the out-of-order core books each instruction through a
-//! dataflow scoreboard and reports the in-order *commit* time of the
-//! last instruction. This is what makes cross-core co-simulation (the
-//! `xooo_gate` CI bin) a pure equality check.
+//! Because both observe the same executor, the architectural state
+//! after a run is bit-identical across core models and the fast path
+//! ([`Fidelity::Fast`](crate::xjit::Fidelity) runs the executor with no
+//! timing model) by construction; only the cycle accounting differs.
+//! The in-order core charges a single global clock as it goes, while
+//! the out-of-order core books each op through a dataflow scoreboard
+//! and reports the in-order *commit* time of the last one. This is what
+//! makes cross-core co-simulation (the `xooo_gate` CI bin) a pure
+//! equality check.
 //!
-//! Which model a [`Cpu`](crate::cpu::Cpu) builds is selected by
-//! [`CoreSpec`] on [`CpuConfig`](crate::config::CpuConfig); the spec's
-//! [`id()`](CoreSpec::id) string (`"io"`, `"ooo-…"`) is the
-//! *CoreConfigId* stamped into cache keys, measurement-unit names,
-//! span attributes and run reports by the layers above.
+//! Which model a [`Cpu`](crate::cpu::Cpu) drives is selected by
+//! [`CoreSpec`] on [`CpuConfig`]; the spec's [`id()`](CoreSpec::id)
+//! string (`"io"`, `"ooo-…"`) is the *CoreConfigId* stamped into cache
+//! keys, measurement-unit names, span attributes and run reports by the
+//! layers above.
 
 pub mod inorder;
 pub mod ooo;
 
-pub use inorder::InOrderCore;
-pub use ooo::{OooCore, OooParams};
+pub(crate) use inorder::InOrderCore;
+pub(crate) use ooo::OooCore;
+pub use ooo::OooParams;
 
 use crate::asm::Program;
 use crate::cache::Cache;
 use crate::config::CpuConfig;
-use crate::cpu::{ClassCounts, SimError};
-use crate::ext::{ExtensionSet, UserRegFile};
-use crate::mem::Memory;
-use xfault::FaultPlan;
-use xobs::trace::{CacheSide, TraceSink};
-
-/// Which microarchitecture family a core model implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoreKind {
-    /// Single-issue in-order pipeline (the paper's baseline).
-    InOrder,
-    /// Scoreboarded out-of-order pipeline.
-    OutOfOrder,
-}
+use crate::isa::Insn;
+use crate::xjit::{OpClass, Retired};
+use xobs::trace::{CacheSide, TraceEvent, TraceSink};
 
 /// Core microarchitecture selection, carried by
-/// [`CpuConfig`](crate::config::CpuConfig).
+/// [`CpuConfig`].
 ///
 /// The spec is part of a configuration's identity: it is mixed into
 /// [`CpuConfig::fingerprint`](crate::config::CpuConfig::fingerprint)
@@ -72,14 +65,6 @@ pub enum CoreSpec {
 }
 
 impl CoreSpec {
-    /// The microarchitecture family this spec selects.
-    pub fn kind(&self) -> CoreKind {
-        match self {
-            CoreSpec::InOrder => CoreKind::InOrder,
-            CoreSpec::OutOfOrder(_) => CoreKind::OutOfOrder,
-        }
-    }
-
     /// The short core-configuration identifier (*CoreConfigId*) used in
     /// cache keys, measurement-unit names, span attributes and report
     /// fields: `"io"` for the in-order core, `"ooo-…"` (widths
@@ -126,110 +111,190 @@ impl CoreSpec {
             predictor_entries: pred.parse().ok()?,
         }))
     }
+}
 
-    /// Builds the executable model for this spec.
-    pub fn build(&self) -> Box<dyn CoreModel + Send> {
-        match self {
-            CoreSpec::InOrder => Box::new(InOrderCore),
-            CoreSpec::OutOfOrder(p) => Box::new(OooCore::new(*p)),
+/// The timing state a core keeps across runs: the cycle counter,
+/// per-register result-ready times, the I/D caches and (out-of-order
+/// cores only) the branch-predictor counters. The reorder buffer,
+/// reservation stations and load-store queue drain between runs, so
+/// they live in the per-run model.
+#[derive(Debug)]
+pub(crate) struct Timing {
+    /// The global cycle counter (monotone across runs on one core).
+    pub cycles: u64,
+    /// Per-register result-ready times (the RAW interlock/completion
+    /// table).
+    pub reg_ready: [u64; 16],
+    pub icache: Cache,
+    pub dcache: Cache,
+    /// 2-bit saturating counters, direct-mapped by pc; `>= 2` predicts
+    /// taken.
+    pub counters: Vec<u8>,
+}
+
+impl Timing {
+    /// Cold timing state for `config`'s core: all caches invalid and
+    /// every predictor counter strongly-not-taken.
+    pub fn new(config: &CpuConfig) -> Self {
+        let entries = match config.core {
+            CoreSpec::InOrder => 0,
+            CoreSpec::OutOfOrder(p) => p.predictor_entries.max(1) as usize,
+        };
+        Timing {
+            cycles: 0,
+            reg_ready: [0; 16],
+            icache: Cache::new(config.icache),
+            dcache: Cache::new(config.dcache),
+            counters: vec![0; entries],
         }
+    }
+
+    /// Returns to the cold state.
+    pub fn reset(&mut self) {
+        self.cycles = 0;
+        self.reg_ready = [0; 16];
+        self.icache.reset();
+        self.dcache.reset();
+        self.counters.fill(0);
     }
 }
 
-/// Everything a core model needs from the owning
-/// [`Cpu`](crate::cpu::Cpu), as disjoint borrows so the model can hold
-/// them simultaneously.
-pub struct CoreEnv<'a> {
-    /// The core configuration (latencies, cache geometry, options).
-    pub config: &'a CpuConfig,
-    /// General registers.
-    pub regs: &'a mut [u32; 16],
-    /// The carry flag.
-    pub carry: &'a mut bool,
-    /// Data memory.
-    pub mem: &'a mut Memory,
-    /// Wide user registers (custom-instruction state).
-    pub uregs: &'a mut UserRegFile,
-    /// Registered custom instructions.
-    pub ext: &'a ExtensionSet,
-    /// The instruction cache.
-    pub icache: &'a mut Cache,
-    /// The data cache.
-    pub dcache: &'a mut Cache,
-    /// The global cycle counter (monotone across runs on one core).
-    pub cycles: &'a mut u64,
-    /// Per-register result-ready times (RAW interlock/completion
-    /// table; persists across runs like the cycle counter).
-    pub reg_ready: &'a mut [u64; 16],
-    /// Maximum instructions this run may execute.
-    pub fuel: u64,
-    /// The armed fault-injection plan, if any.
-    pub fault: &'a mut Option<FaultPlan>,
+/// Trace-event emission shared by the core models: the synthetic entry
+/// frame, call/return frames and their balanced close when a run ends,
+/// so cycle attribution over the stream always accounts for every
+/// cycle. Every method is a no-op without a sink.
+pub(crate) struct Tracer<'a> {
+    sink: Option<&'a mut (dyn TraceSink + 'a)>,
+    program: &'a Program,
+    /// Frames currently open: the entry frame plus executed calls minus
+    /// executed returns.
+    depth: u64,
 }
 
-/// What a core model reports back from one run (the `Cpu` wraps this
-/// into a [`RunSummary`](crate::cpu::RunSummary) with cache-stat
-/// deltas).
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOutcome {
-    /// Instructions executed (= retired: both models commit in order).
-    pub executed: u64,
-    /// Executed instructions by class.
-    pub classes: ClassCounts,
-}
-
-/// A pluggable pipeline model: executes a program on borrowed
-/// architectural state, charging cycles according to its own
-/// microarchitecture while keeping functional semantics, trace-sink
-/// events and fault-plan hook points contract-identical.
-pub trait CoreModel {
-    /// The model's microarchitecture family.
-    fn kind(&self) -> CoreKind;
-
-    /// Runs `program` from `entry` until halt or a sentinel return.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] on faults or fuel exhaustion, exactly as
-    /// the monolithic `Cpu` did.
-    fn execute(
-        &mut self,
-        env: CoreEnv<'_>,
-        program: &Program,
+impl<'a> Tracer<'a> {
+    /// Opens the synthetic entry frame at `cycle`.
+    pub fn new(
+        sink: Option<&'a mut (dyn TraceSink + '_)>,
+        program: &'a Program,
         entry: usize,
         entry_name: &str,
-        sink: Option<&mut (dyn TraceSink + '_)>,
-    ) -> Result<ExecOutcome, SimError>;
-
-    /// Clears model-internal timing state (e.g. branch-predictor
-    /// counters). Architectural and cache state is reset by the `Cpu`.
-    fn reset_timing(&mut self) {}
-}
-
-/// One cache access on the hot path: the untraced branch is the
-/// original two-line hit test, the traced branch delegates to
-/// [`Cache::access_traced`]. Takes fields, not a context struct, so
-/// callers can hold disjoint borrows.
-pub(crate) fn cache_access(
-    cache: &mut Cache,
-    addr: u64,
-    side: CacheSide,
-    cycles: &mut u64,
-    miss_latency: u32,
-    sink: &mut Option<&mut (dyn TraceSink + '_)>,
-) -> bool {
-    match sink {
-        None => {
-            let hit = cache.access(addr);
-            if !hit {
-                *cycles += miss_latency as u64;
-            }
-            hit
+        cycle: u64,
+    ) -> Self {
+        let mut sink = sink.map(|s| -> &'a mut (dyn TraceSink + 'a) { s });
+        if let Some(s) = sink.as_deref_mut() {
+            s.on_event(&TraceEvent::Call {
+                pc: entry as u32,
+                callee: entry_name,
+                cycle,
+            });
         }
-        Some(s) => {
-            let (hit, after) = cache.access_traced(addr, side, *cycles, miss_latency, &mut **s);
-            *cycles = after;
-            hit
+        let depth = sink.is_some() as u64;
+        Tracer {
+            sink,
+            program,
+            depth,
+        }
+    }
+
+    /// One cache access: a miss adds `miss_latency` to `cycles`, and a
+    /// traced access emits its `Cache` event. Returns whether it hit.
+    pub fn access(
+        &mut self,
+        cache: &mut Cache,
+        side: CacheSide,
+        addr: u64,
+        cycles: &mut u64,
+        miss_latency: u32,
+    ) -> bool {
+        match self.sink.as_deref_mut() {
+            None => {
+                let hit = cache.access(addr);
+                if !hit {
+                    *cycles += miss_latency as u64;
+                }
+                hit
+            }
+            Some(s) => {
+                let (hit, after) = cache.access_traced(addr, side, *cycles, miss_latency, s);
+                *cycles = after;
+                hit
+            }
+        }
+    }
+
+    /// Emits a `Stall` event for `op`.
+    pub fn stall(&mut self, op: &Retired<'_>, cycles: u64, cycle: u64) {
+        if let Some(s) = self.sink.as_deref_mut() {
+            s.on_event(&TraceEvent::Stall {
+                pc: op.pc as u32,
+                cycles: cycles as u32,
+                cycle,
+            });
+        }
+    }
+
+    /// Opens a frame if `op` is a call, and emits a `Custom` event if
+    /// it is a custom instruction.
+    pub fn call_or_custom(&mut self, op: &Retired<'_>, cycle: u64) {
+        let Some(s) = self.sink.as_deref_mut() else {
+            return;
+        };
+        let pc = op.pc as u32;
+        match op.class {
+            OpClass::Call => {
+                let callee = self.program.label_at(op.next_pc).unwrap_or("<anon>");
+                s.on_event(&TraceEvent::Call { pc, callee, cycle });
+                self.depth += 1;
+            }
+            OpClass::Custom => {
+                if let Some(Insn::Custom(c)) = self.program.insns().get(op.pc) {
+                    s.on_event(&TraceEvent::Custom {
+                        pc,
+                        name: &c.name,
+                        latency: op.latency,
+                        cycle,
+                    });
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Emits a `TakenBranch` event charging `penalty` refill cycles.
+    pub fn branch(&mut self, op: &Retired<'_>, penalty: u32, cycle: u64) {
+        if let Some(s) = self.sink.as_deref_mut() {
+            s.on_event(&TraceEvent::TakenBranch {
+                pc: op.pc as u32,
+                target: op.next_pc as u32,
+                penalty,
+                cycle,
+            });
+        }
+    }
+
+    /// Closes a frame if `op` is a return, then emits its `Retire`.
+    pub fn retire(&mut self, op: &Retired<'_>, cycle: u64) {
+        if let Some(s) = self.sink.as_deref_mut() {
+            let pc = op.pc as u32;
+            if op.class == OpClass::Ret && self.depth > 0 {
+                s.on_event(&TraceEvent::Ret { pc, cycle });
+                self.depth -= 1;
+            }
+            s.on_event(&TraceEvent::Retire { pc, cycle });
+        }
+    }
+
+    /// Ends a completed run at `pc`: closes the frames left open (the
+    /// entry frame, plus any callees a `halt` ended inside) and flushes.
+    pub fn finish(mut self, pc: usize, cycle: u64) {
+        if let Some(s) = self.sink.as_deref_mut() {
+            for _ in 0..self.depth {
+                s.on_event(&TraceEvent::Ret {
+                    pc: pc as u32,
+                    cycle,
+                });
+            }
+            s.flush();
         }
     }
 }
@@ -282,6 +347,5 @@ mod tests {
     #[test]
     fn default_spec_is_in_order() {
         assert_eq!(CoreSpec::default(), CoreSpec::InOrder);
-        assert_eq!(CoreSpec::default().kind(), CoreKind::InOrder);
     }
 }

@@ -1,26 +1,29 @@
-//! xjit: the functional fast-execution engine (dual-fidelity ISS).
+//! xjit: the functional executor — the one place the XR32 ISA
+//! semantics live.
 //!
-//! The cycle-accurate interpreter in [`crate::cpu`] re-decodes every
-//! instruction on every step and pays for pipeline bookkeeping
-//! (interlocks, cache simulation, trace hooks) that pure-correctness
-//! consumers — golden-reference sweeps, divergence verification,
-//! variant admission gates, recovery-proof replays — never read. This
-//! module pre-decodes a [`crate::asm::Program`] once into a basic-block
-//! cache of resolved micro-ops:
+//! Every run, at every fidelity, executes here. A
+//! [`crate::asm::Program`] is pre-decoded once per core into a
+//! basic-block cache of resolved micro-ops:
 //!
 //! - immediates folded to `u32` operands,
 //! - register operands narrowed to raw indices,
-//! - custom-instruction handlers resolved to their [`CustomFn`] at
-//!   decode time (no per-step `BTreeMap` lookup),
+//! - custom-instruction handlers and latencies resolved at decode time
+//!   (no per-step `BTreeMap` lookup),
+//! - each op's class and its source and destination registers
+//!   resolved once (no per-step allocation),
 //! - branch targets linked, and blocks tiling the program contiguously
 //!   so *any* entry pc (labels, `jr`/`ret` targets) maps to a block
 //!   suffix,
 //!
 //! and executes them with threaded dispatch over straight-line block
-//! slices — architectural state only: registers, carry, memory, user
-//! registers and the retired-instruction count are bit-identical to
-//! the cycle-accurate engine; cycles, cache statistics and pipeline
-//! stalls are not modeled and report as zero.
+//! slices. The executor owns the architectural state (registers, carry,
+//! memory, user registers), the retired-instruction count, fuel, and
+//! every fault-plan hook point. Timing is someone else's job: after
+//! each op the executor streams one `Retired` record to a
+//! `TimingModel`, which owns cycles, caches and trace events. The
+//! cycle-accurate core models of [`crate::xcore`] are timing models;
+//! [`Fidelity::Fast`] runs the same loop with the zero-sized
+//! `Untimed` model, for which no record is ever built.
 //!
 //! Select the engine per-core with [`crate::cpu::Cpu::set_fidelity`];
 //! the default everywhere is [`Fidelity::CycleAccurate`] so cycle
@@ -32,28 +35,31 @@ use crate::cpu::{ClassCounts, SimError, RETURN_SENTINEL};
 use crate::ext::{CustomFn, ExecCtx, ExtensionSet, UserRegFile};
 use crate::isa::{CustomOp, Insn};
 use crate::mem::Memory;
+use std::ops::Range;
+use xfault::FaultPlan;
 
 /// Which execution engine a [`crate::cpu::Cpu`] run uses.
 ///
-/// `CycleAccurate` is the default: the in-order pipeline model with
-/// caches, interlocks and fault hooks — the only engine cycle
-/// measurements may come from. `Fast` is the pre-decoded functional
-/// engine in [`crate::xjit`]: identical architectural results, no
-/// timing (summaries report zero cycles), trace sinks are not invoked,
-/// and an armed fault plan forces a silent fallback to the
-/// cycle-accurate engine (fault sites live in the pipeline model).
+/// Both run the one functional executor in [`crate::xjit`], so
+/// architectural results — registers, memory, retired counts, errors
+/// and the draws of an armed fault plan — are identical.
+/// `CycleAccurate` is the default: the executor drives the configured
+/// core's timing model (caches, interlocks or scoreboard), the only
+/// source cycle measurements may come from. `Fast` drives no timing
+/// model: summaries report zero cycles and zero cache activity, and
+/// trace sinks are not invoked.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Fidelity {
     /// Full pipeline/cache timing model (the measurement engine).
     #[default]
     CycleAccurate,
-    /// Pre-decoded functional execution (architectural state only).
+    /// Functional execution only (architectural state, no timing).
     Fast,
 }
 
-/// One resolved micro-op. Register operands are raw indices, immediates
-/// are pre-folded to the `u32` the ALU consumes, memory/custom ops
-/// carry their original instruction index for error reporting.
+/// One resolved micro-op, 1:1 with the source instructions (the
+/// executor knows each op's pc). Register operands are raw indices and
+/// immediates are pre-folded to the `u32` the ALU consumes.
 enum FastOp {
     Add(u8, u8, u8),
     Addc(u8, u8, u8),
@@ -70,10 +76,8 @@ enum FastOp {
     Mul(u8, u8, u8),
     Mulhu(u8, u8, u8),
     /// `mul`/`mulhu` decoded on a core without the multiplier option:
-    /// only an error if actually executed, like the accurate engine.
-    MulIllegal {
-        pc: u32,
-    },
+    /// an error only if executed.
+    MulIllegal,
     Addi(u8, u8, u32),
     Andi(u8, u8, u32),
     Ori(u8, u8, u32),
@@ -83,104 +87,139 @@ enum FastOp {
     Srai(u8, u8, u32),
     Movi(u8, u32),
     Mov(u8, u8),
-    Lw {
-        d: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Lbu {
-        d: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Lhu {
-        d: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Sw {
-        v: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Sb {
-        v: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Sh {
-        v: u8,
-        base: u8,
-        off: u32,
-        pc: u32,
-    },
-    Beq {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bne {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bltu {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bgeu {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Blt {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
-    Bge {
-        a: u8,
-        b: u8,
-        t: u32,
-    },
+    /// Loads `(d, base, off)` and stores `(v, base, off)`.
+    Lw(u8, u8, u32),
+    Lbu(u8, u8, u32),
+    Lhu(u8, u8, u32),
+    Sw(u8, u8, u32),
+    Sb(u8, u8, u32),
+    Sh(u8, u8, u32),
+    /// Conditional branches `(a, b, target)`.
+    Beq(u8, u8, u32),
+    Bne(u8, u8, u32),
+    Bltu(u8, u8, u32),
+    Bgeu(u8, u8, u32),
+    Blt(u8, u8, u32),
+    Bge(u8, u8, u32),
     J(u32),
-    Call {
-        t: u32,
-        link: u32,
-    },
+    Call(u32),
     Jr(u8),
     Ret,
     Clc,
     Nop,
     Halt,
-    /// Custom instruction with its handler resolved at decode time.
+    /// Custom instruction with its handler and latency resolved at
+    /// decode time.
     Custom {
         exec: CustomFn,
         op: Box<CustomOp>,
-        pc: u32,
+        latency: u32,
     },
-    /// Custom instruction whose name was unknown at decode time: only
-    /// an error if actually executed (matching the accurate engine's
-    /// lazy lookup semantics).
-    CustomUnknown {
-        name: Box<str>,
-        pc: u32,
-    },
+    /// Custom instruction whose name was unknown at decode time: an
+    /// error only if executed.
+    CustomUnknown(Box<str>),
 }
 
-/// Instruction-class tags for the parallel `cls` array (indices into
-/// the run's `[u64; 5]` class counters).
-const CLS_ALU: u8 = 0;
-const CLS_MEM: u8 = 1;
-const CLS_CTL: u8 = 2;
-const CLS_MUL: u8 = 3;
-const CLS_CUST: u8 = 4;
+/// What an op is, as far as class counts and timing models care.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpClass {
+    /// ALU, move, `clc`, `nop` and `halt`.
+    Alu,
+    /// `mul`/`mulhu`.
+    Mul,
+    /// `lw`/`lbu`/`lhu`.
+    Load,
+    /// `sw`/`sb`/`sh`.
+    Store,
+    /// Conditional branches.
+    Branch,
+    /// `j` and `jr`.
+    Jump,
+    /// `call`.
+    Call,
+    /// `ret`.
+    Ret,
+    /// Custom instructions.
+    Custom,
+}
+
+impl OpClass {
+    const COUNT: usize = 9;
+
+    /// Loads and stores.
+    pub(crate) fn is_mem(self) -> bool {
+        matches!(self, OpClass::Load | OpClass::Store)
+    }
+}
+
+/// Per-op facts resolved at decode for the timing models.
+struct OpInfo {
+    class: OpClass,
+    /// Register written, if any (custom ops: their first register).
+    dest: Option<u8>,
+    /// The op's source registers, as a range of `FastProgram::srcs`.
+    srcs: Range<u32>,
+}
+
+/// The timing facts of one op, streamed by the executor to the
+/// [`TimingModel`] after the op's functional effects.
+pub(crate) struct Retired<'a> {
+    /// Instruction index.
+    pub pc: usize,
+    /// The op's class.
+    pub class: OpClass,
+    /// Registers read (true dependences).
+    pub srcs: &'a [u8],
+    /// Register written, if any.
+    pub dest: Option<u8>,
+    /// Effective address of a load or store.
+    pub addr: u32,
+    /// Whether the cache-tag fault hook fired on this load or store.
+    pub tag_fault: bool,
+    /// Whether control transferred (taken branch, jump, call, return).
+    pub taken: bool,
+    /// The pc that executes next.
+    pub next_pc: usize,
+    /// Registered latency of a custom op (0 otherwise).
+    pub latency: u32,
+    /// The op raised the run's error after issuing: a model charges
+    /// what the hardware did up to the fault and nothing after it.
+    pub faulted: bool,
+}
+
+/// A consumer of the executor's per-op stream: a core's timing model.
+pub(crate) trait TimingModel {
+    /// `false` only for [`Untimed`]: the executor then builds no
+    /// records at all.
+    const TIMED: bool = true;
+
+    /// Accounts one op.
+    fn retire(&mut self, op: &Retired<'_>);
+
+    /// Closes the run: `Some(pc)` after a halt or a sentinel return
+    /// (`pc` is the final pc), `None` after an error.
+    fn finish(self, end: Option<usize>);
+}
+
+/// The fast path's timing model: none at all.
+pub(crate) struct Untimed;
+
+impl TimingModel for Untimed {
+    const TIMED: bool = false;
+
+    fn retire(&mut self, _: &Retired<'_>) {}
+
+    fn finish(self, _: Option<usize>) {}
+}
+
+/// A core's architectural state: everything the ISA semantics read or
+/// write.
+pub(crate) struct Arch {
+    pub regs: [u32; 16],
+    pub carry: bool,
+    pub mem: Memory,
+    pub uregs: UserRegFile,
+}
 
 /// A pre-decoded program: micro-ops 1:1 with the source instructions,
 /// tiled into basic blocks. `block_end[pc]` is the exclusive end of the
@@ -189,193 +228,95 @@ const CLS_CUST: u8 = 4;
 /// per-step control checks until the block boundary.
 pub(crate) struct FastProgram {
     ops: Vec<FastOp>,
-    /// Class tag per op (parallel to `ops`).
-    cls: Vec<u8>,
+    /// Timing facts per op (parallel to `ops`).
+    info: Vec<OpInfo>,
+    /// Source registers of all ops, concatenated.
+    srcs: Vec<u8>,
     /// Exclusive end of the basic block containing each pc.
     block_end: Vec<u32>,
-}
-
-/// Architectural outcome of a fast run (no timing fields).
-pub(crate) struct FastRun {
-    pub executed: u64,
-    pub classes: ClassCounts,
 }
 
 impl FastProgram {
     /// Pre-decodes `program` for the given core configuration and
     /// extension set. Decode never fails: configuration errors (missing
-    /// multiplier, unknown custom name) become error-on-execute ops so
-    /// semantics match the accurate engine's lazy checks exactly.
+    /// multiplier, unknown custom name) become error-on-execute ops.
     pub(crate) fn decode(program: &Program, config: &CpuConfig, ext: &ExtensionSet) -> Self {
+        use OpClass as C;
         let insns = program.insns();
         let n = insns.len();
         let mut ops = Vec::with_capacity(n);
-        let mut cls = Vec::with_capacity(n);
-        for (pc, insn) in insns.iter().enumerate() {
+        let mut info = Vec::with_capacity(n);
+        let mut srcs = Vec::new();
+        for insn in insns {
             let r = |r: &crate::isa::Reg| r.index() as u8;
-            let pc32 = pc as u32;
             let (op, class) = match insn {
-                Insn::Add(d, a, b) => (FastOp::Add(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Addc(d, a, b) => (FastOp::Addc(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sub(d, a, b) => (FastOp::Sub(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Subc(d, a, b) => (FastOp::Subc(r(d), r(a), r(b)), CLS_ALU),
-                Insn::And(d, a, b) => (FastOp::And(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Or(d, a, b) => (FastOp::Or(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Xor(d, a, b) => (FastOp::Xor(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sll(d, a, b) => (FastOp::Sll(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Srl(d, a, b) => (FastOp::Srl(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sra(d, a, b) => (FastOp::Sra(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Sltu(d, a, b) => (FastOp::Sltu(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Slt(d, a, b) => (FastOp::Slt(r(d), r(a), r(b)), CLS_ALU),
-                Insn::Mul(d, a, b) if config.has_mul => (FastOp::Mul(r(d), r(a), r(b)), CLS_MUL),
-                Insn::Mulhu(d, a, b) if config.has_mul => {
-                    (FastOp::Mulhu(r(d), r(a), r(b)), CLS_MUL)
-                }
-                Insn::Mul(..) | Insn::Mulhu(..) => (FastOp::MulIllegal { pc: pc32 }, CLS_MUL),
-                Insn::Addi(d, a, imm) => (FastOp::Addi(r(d), r(a), *imm as u32), CLS_ALU),
-                Insn::Andi(d, a, imm) => (FastOp::Andi(r(d), r(a), *imm), CLS_ALU),
-                Insn::Ori(d, a, imm) => (FastOp::Ori(r(d), r(a), *imm), CLS_ALU),
-                Insn::Xori(d, a, imm) => (FastOp::Xori(r(d), r(a), *imm), CLS_ALU),
-                Insn::Slli(d, a, sh) => (FastOp::Slli(r(d), r(a), *sh), CLS_ALU),
-                Insn::Srli(d, a, sh) => (FastOp::Srli(r(d), r(a), *sh), CLS_ALU),
-                Insn::Srai(d, a, sh) => (FastOp::Srai(r(d), r(a), *sh), CLS_ALU),
-                Insn::Movi(d, imm) => (FastOp::Movi(r(d), *imm as u32), CLS_ALU),
-                Insn::Mov(d, a) => (FastOp::Mov(r(d), r(a)), CLS_ALU),
-                Insn::Lw(d, base, off) => (
-                    FastOp::Lw {
-                        d: r(d),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Lbu(d, base, off) => (
-                    FastOp::Lbu {
-                        d: r(d),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Lhu(d, base, off) => (
-                    FastOp::Lhu {
-                        d: r(d),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Sw(v, base, off) => (
-                    FastOp::Sw {
-                        v: r(v),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Sb(v, base, off) => (
-                    FastOp::Sb {
-                        v: r(v),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Sh(v, base, off) => (
-                    FastOp::Sh {
-                        v: r(v),
-                        base: r(base),
-                        off: *off as u32,
-                        pc: pc32,
-                    },
-                    CLS_MEM,
-                ),
-                Insn::Beq(a, b, t) => (
-                    FastOp::Beq {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bne(a, b, t) => (
-                    FastOp::Bne {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bltu(a, b, t) => (
-                    FastOp::Bltu {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bgeu(a, b, t) => (
-                    FastOp::Bgeu {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Blt(a, b, t) => (
-                    FastOp::Blt {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Bge(a, b, t) => (
-                    FastOp::Bge {
-                        a: r(a),
-                        b: r(b),
-                        t: *t as u32,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::J(t) => (FastOp::J(*t as u32), CLS_CTL),
-                Insn::Call(t) => (
-                    FastOp::Call {
-                        t: *t as u32,
-                        link: pc32 + 1,
-                    },
-                    CLS_CTL,
-                ),
-                Insn::Jr(a) => (FastOp::Jr(r(a)), CLS_CTL),
-                Insn::Ret => (FastOp::Ret, CLS_CTL),
-                Insn::Clc => (FastOp::Clc, CLS_ALU),
-                Insn::Nop => (FastOp::Nop, CLS_ALU),
-                Insn::Halt => (FastOp::Halt, CLS_ALU),
+                Insn::Add(d, a, b) => (FastOp::Add(r(d), r(a), r(b)), C::Alu),
+                Insn::Addc(d, a, b) => (FastOp::Addc(r(d), r(a), r(b)), C::Alu),
+                Insn::Sub(d, a, b) => (FastOp::Sub(r(d), r(a), r(b)), C::Alu),
+                Insn::Subc(d, a, b) => (FastOp::Subc(r(d), r(a), r(b)), C::Alu),
+                Insn::And(d, a, b) => (FastOp::And(r(d), r(a), r(b)), C::Alu),
+                Insn::Or(d, a, b) => (FastOp::Or(r(d), r(a), r(b)), C::Alu),
+                Insn::Xor(d, a, b) => (FastOp::Xor(r(d), r(a), r(b)), C::Alu),
+                Insn::Sll(d, a, b) => (FastOp::Sll(r(d), r(a), r(b)), C::Alu),
+                Insn::Srl(d, a, b) => (FastOp::Srl(r(d), r(a), r(b)), C::Alu),
+                Insn::Sra(d, a, b) => (FastOp::Sra(r(d), r(a), r(b)), C::Alu),
+                Insn::Sltu(d, a, b) => (FastOp::Sltu(r(d), r(a), r(b)), C::Alu),
+                Insn::Slt(d, a, b) => (FastOp::Slt(r(d), r(a), r(b)), C::Alu),
+                Insn::Mul(d, a, b) if config.has_mul => (FastOp::Mul(r(d), r(a), r(b)), C::Mul),
+                Insn::Mulhu(d, a, b) if config.has_mul => (FastOp::Mulhu(r(d), r(a), r(b)), C::Mul),
+                Insn::Mul(..) | Insn::Mulhu(..) => (FastOp::MulIllegal, C::Mul),
+                Insn::Addi(d, a, imm) => (FastOp::Addi(r(d), r(a), *imm as u32), C::Alu),
+                Insn::Andi(d, a, imm) => (FastOp::Andi(r(d), r(a), *imm), C::Alu),
+                Insn::Ori(d, a, imm) => (FastOp::Ori(r(d), r(a), *imm), C::Alu),
+                Insn::Xori(d, a, imm) => (FastOp::Xori(r(d), r(a), *imm), C::Alu),
+                Insn::Slli(d, a, sh) => (FastOp::Slli(r(d), r(a), *sh), C::Alu),
+                Insn::Srli(d, a, sh) => (FastOp::Srli(r(d), r(a), *sh), C::Alu),
+                Insn::Srai(d, a, sh) => (FastOp::Srai(r(d), r(a), *sh), C::Alu),
+                Insn::Movi(d, imm) => (FastOp::Movi(r(d), *imm as u32), C::Alu),
+                Insn::Mov(d, a) => (FastOp::Mov(r(d), r(a)), C::Alu),
+                Insn::Lw(d, b, off) => (FastOp::Lw(r(d), r(b), *off as u32), C::Load),
+                Insn::Lbu(d, b, off) => (FastOp::Lbu(r(d), r(b), *off as u32), C::Load),
+                Insn::Lhu(d, b, off) => (FastOp::Lhu(r(d), r(b), *off as u32), C::Load),
+                Insn::Sw(v, b, off) => (FastOp::Sw(r(v), r(b), *off as u32), C::Store),
+                Insn::Sb(v, b, off) => (FastOp::Sb(r(v), r(b), *off as u32), C::Store),
+                Insn::Sh(v, b, off) => (FastOp::Sh(r(v), r(b), *off as u32), C::Store),
+                Insn::Beq(a, b, t) => (FastOp::Beq(r(a), r(b), *t as u32), C::Branch),
+                Insn::Bne(a, b, t) => (FastOp::Bne(r(a), r(b), *t as u32), C::Branch),
+                Insn::Bltu(a, b, t) => (FastOp::Bltu(r(a), r(b), *t as u32), C::Branch),
+                Insn::Bgeu(a, b, t) => (FastOp::Bgeu(r(a), r(b), *t as u32), C::Branch),
+                Insn::Blt(a, b, t) => (FastOp::Blt(r(a), r(b), *t as u32), C::Branch),
+                Insn::Bge(a, b, t) => (FastOp::Bge(r(a), r(b), *t as u32), C::Branch),
+                Insn::J(t) => (FastOp::J(*t as u32), C::Jump),
+                Insn::Jr(a) => (FastOp::Jr(r(a)), C::Jump),
+                Insn::Call(t) => (FastOp::Call(*t as u32), C::Call),
+                Insn::Ret => (FastOp::Ret, C::Ret),
+                Insn::Clc => (FastOp::Clc, C::Alu),
+                Insn::Nop => (FastOp::Nop, C::Alu),
+                Insn::Halt => (FastOp::Halt, C::Alu),
                 Insn::Custom(op) => match ext.get(&op.name) {
                     Some(def) => (
                         FastOp::Custom {
                             exec: def.exec.clone(),
                             op: Box::new(op.clone()),
-                            pc: pc32,
+                            latency: def.latency,
                         },
-                        CLS_CUST,
+                        C::Custom,
                     ),
-                    None => (
-                        FastOp::CustomUnknown {
-                            name: op.name.clone().into_boxed_str(),
-                            pc: pc32,
-                        },
-                        CLS_CUST,
-                    ),
+                    None => (FastOp::CustomUnknown(op.name.as_str().into()), C::Custom),
                 },
             };
+            let dest = match insn {
+                Insn::Custom(op) => op.regs.first().copied(),
+                _ => insn.dest(),
+            };
+            let at = srcs.len() as u32;
+            srcs.extend(insn.sources().iter().map(r));
             ops.push(op);
-            cls.push(class);
+            info.push(OpInfo {
+                class,
+                dest: dest.as_ref().map(r),
+                srcs: at..srcs.len() as u32,
+            });
         }
 
         // Basic-block leaders: pc 0, every label, every branch target,
@@ -412,31 +353,84 @@ impl FastProgram {
 
         FastProgram {
             ops,
-            cls,
+            info,
+            srcs,
             block_end,
         }
     }
 }
 
-/// Executes a pre-decoded program on the given architectural state.
-/// Mirrors the cycle-accurate engine's observable semantics exactly
-/// (same results, same errors including the `executed` count at fuel
-/// exhaustion, same class counts) while modeling no timing.
-pub(crate) fn run(
+/// Executes `prog` from `entry` on `arch`, streaming every op to
+/// `model` and consulting `fault` (when armed) at each hook point, then
+/// closes the model. Returns the executed ops' class counts.
+pub(crate) fn run<M: TimingModel>(
     prog: &FastProgram,
     entry: usize,
-    regs: &mut [u32; 16],
-    carry: &mut bool,
-    mem: &mut Memory,
-    uregs: &mut UserRegFile,
+    arch: &mut Arch,
     fuel: u64,
-) -> Result<FastRun, SimError> {
+    fault: Option<&mut FaultPlan>,
+    mut model: M,
+) -> Result<ClassCounts, SimError> {
+    // Two instantiations per model, so a run without a plan pays
+    // nothing for the hook points.
+    let out = match fault {
+        Some(_) => execute::<M, true>(prog, entry, arch, fuel, fault, &mut model),
+        None => execute::<M, false>(prog, entry, arch, fuel, None, &mut model),
+    };
+    model.finish(out.as_ref().ok().map(|&(_, pc)| pc));
+    out.map(|(counts, _)| {
+        let c = |class: OpClass| counts[class as usize];
+        ClassCounts {
+            alu: c(OpClass::Alu),
+            mem: c(OpClass::Load) + c(OpClass::Store),
+            control: c(OpClass::Branch) + c(OpClass::Jump) + c(OpClass::Call) + c(OpClass::Ret),
+            mul: c(OpClass::Mul),
+            custom: c(OpClass::Custom),
+        }
+    })
+}
+
+/// The executor loop. Returns per-class op counts and the final pc (the
+/// `halt`, or [`RETURN_SENTINEL`]). Fault hooks draw in a fixed order:
+/// `cache_tag` then `data` on a load, `cache_tag` on a store,
+/// `custom_result` after a custom op, and `regfile` after every retired
+/// op.
+fn execute<M: TimingModel, const FAULTS: bool>(
+    prog: &FastProgram,
+    entry: usize,
+    arch: &mut Arch,
+    fuel: u64,
+    mut fault: Option<&mut FaultPlan>,
+    model: &mut M,
+) -> Result<([u64; OpClass::COUNT], usize), SimError> {
     const RA: usize = 15;
+    let Arch {
+        regs,
+        carry,
+        mem,
+        uregs,
+    } = arch;
     let mut executed: u64 = 0;
-    let mut counts = [0u64; 5];
+    let mut counts = [0u64; OpClass::COUNT];
     let mut pc = entry;
     let ops = &prog.ops[..];
-    let cls = &prog.cls[..];
+    let info = &prog.info[..];
+
+    macro_rules! rr {
+        ($r:expr) => {
+            regs[$r as usize]
+        };
+    }
+    // Runs `$e` with the armed plan as `$f`; compiled out without one.
+    macro_rules! hook {
+        (|$f:ident| $e:expr) => {
+            if FAULTS {
+                if let Some($f) = fault.as_deref_mut() {
+                    $e
+                }
+            }
+        };
+    }
 
     'outer: loop {
         if pc == RETURN_SENTINEL as usize {
@@ -452,12 +446,74 @@ pub(crate) fn run(
                 return Err(SimError::OutOfFuel { executed });
             }
             executed += 1;
-            counts[cls[i] as usize] += 1;
-            macro_rules! rr {
-                ($r:expr) => {
-                    regs[$r as usize]
+            counts[info[i].class as usize] += 1;
+            // Timing facts the op discovers, read only by timed models.
+            let mut addr = 0u32;
+            let mut tag_fault = false;
+            let mut latency = 0u32;
+
+            // Streams the op to the model; a retired (not faulted) op
+            // then gets its register-file upset opportunity.
+            macro_rules! retire {
+                ($taken:expr, $next:expr, $faulted:expr) => {
+                    if M::TIMED {
+                        let op = &info[i];
+                        model.retire(&Retired {
+                            pc: i,
+                            class: op.class,
+                            srcs: &prog.srcs[op.srcs.start as usize..op.srcs.end as usize],
+                            dest: op.dest,
+                            addr,
+                            tag_fault,
+                            taken: $taken,
+                            next_pc: $next,
+                            latency,
+                            faulted: $faulted,
+                        });
+                    }
+                    if !$faulted {
+                        hook!(|f| if let Some((r, mask)) = f.regfile(regs.len()) {
+                            regs[r] ^= mask;
+                        });
+                    }
                 };
             }
+            macro_rules! fail {
+                ($e:expr) => {{
+                    retire!(false, i + 1, true);
+                    return Err($e);
+                }};
+            }
+            macro_rules! jump {
+                ($t:expr) => {{
+                    let t = $t as usize;
+                    retire!(true, t, false);
+                    pc = t;
+                    continue 'outer;
+                }};
+            }
+            macro_rules! load {
+                ($d:expr, $base:expr, $off:expr, $load:ident) => {{
+                    addr = rr!(*$base).wrapping_add(*$off);
+                    hook!(|f| tag_fault = f.cache_tag());
+                    let mut v = match mem.$load(addr) {
+                        Ok(v) => u32::from(v),
+                        Err(source) => fail!(SimError::Mem { pc: i, source }),
+                    };
+                    hook!(|f| v = f.data(v));
+                    regs[*$d as usize] = v;
+                }};
+            }
+            macro_rules! store {
+                ($v:expr, $base:expr, $off:expr, $store:ident, $ty:ty) => {{
+                    addr = rr!(*$base).wrapping_add(*$off);
+                    hook!(|f| tag_fault = f.cache_tag());
+                    if let Err(source) = mem.$store(addr, rr!(*$v) as $ty) {
+                        fail!(SimError::Mem { pc: i, source });
+                    }
+                }};
+            }
+
             match &ops[i] {
                 FastOp::Add(d, a, b) => regs[*d as usize] = rr!(*a).wrapping_add(rr!(*b)),
                 FastOp::Addc(d, a, b) => {
@@ -491,12 +547,10 @@ pub(crate) fn run(
                 FastOp::Mulhu(d, a, b) => {
                     regs[*d as usize] = ((rr!(*a) as u64 * rr!(*b) as u64) >> 32) as u32
                 }
-                FastOp::MulIllegal { pc } => {
-                    return Err(SimError::Illegal {
-                        pc: *pc as usize,
-                        reason: "mul requires the hardware-multiplier option".into(),
-                    });
-                }
+                FastOp::MulIllegal => fail!(SimError::Illegal {
+                    pc: i,
+                    reason: "mul requires the hardware-multiplier option".into(),
+                }),
                 FastOp::Addi(d, a, imm) => regs[*d as usize] = rr!(*a).wrapping_add(*imm),
                 FastOp::Andi(d, a, imm) => regs[*d as usize] = rr!(*a) & imm,
                 FastOp::Ori(d, a, imm) => regs[*d as usize] = rr!(*a) | imm,
@@ -506,147 +560,90 @@ pub(crate) fn run(
                 FastOp::Srai(d, a, sh) => regs[*d as usize] = ((rr!(*a) as i32) >> sh) as u32,
                 FastOp::Movi(d, imm) => regs[*d as usize] = *imm,
                 FastOp::Mov(d, a) => regs[*d as usize] = rr!(*a),
-                FastOp::Lw { d, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    regs[*d as usize] = mem.load_u32(addr).map_err(|source| SimError::Mem {
-                        pc: *pc as usize,
-                        source,
-                    })?;
-                }
-                FastOp::Lbu { d, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    regs[*d as usize] =
-                        mem.load_u8(addr)
-                            .map(u32::from)
-                            .map_err(|source| SimError::Mem {
-                                pc: *pc as usize,
-                                source,
-                            })?;
-                }
-                FastOp::Lhu { d, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    regs[*d as usize] =
-                        mem.load_u16(addr)
-                            .map(u32::from)
-                            .map_err(|source| SimError::Mem {
-                                pc: *pc as usize,
-                                source,
-                            })?;
-                }
-                FastOp::Sw { v, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    mem.store_u32(addr, rr!(*v))
-                        .map_err(|source| SimError::Mem {
-                            pc: *pc as usize,
-                            source,
-                        })?;
-                }
-                FastOp::Sb { v, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    mem.store_u8(addr, rr!(*v) as u8)
-                        .map_err(|source| SimError::Mem {
-                            pc: *pc as usize,
-                            source,
-                        })?;
-                }
-                FastOp::Sh { v, base, off, pc } => {
-                    let addr = rr!(*base).wrapping_add(*off);
-                    mem.store_u16(addr, rr!(*v) as u16)
-                        .map_err(|source| SimError::Mem {
-                            pc: *pc as usize,
-                            source,
-                        })?;
-                }
-                FastOp::Beq { a, b, t } => {
+                FastOp::Lw(d, base, off) => load!(d, base, off, load_u32),
+                FastOp::Lbu(d, base, off) => load!(d, base, off, load_u8),
+                FastOp::Lhu(d, base, off) => load!(d, base, off, load_u16),
+                FastOp::Sw(v, base, off) => store!(v, base, off, store_u32, u32),
+                FastOp::Sb(v, base, off) => store!(v, base, off, store_u8, u8),
+                FastOp::Sh(v, base, off) => store!(v, base, off, store_u16, u16),
+                FastOp::Beq(a, b, t) => {
                     if rr!(*a) == rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
+                        jump!(*t)
                     }
                 }
-                FastOp::Bne { a, b, t } => {
+                FastOp::Bne(a, b, t) => {
                     if rr!(*a) != rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
+                        jump!(*t)
                     }
                 }
-                FastOp::Bltu { a, b, t } => {
+                FastOp::Bltu(a, b, t) => {
                     if rr!(*a) < rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
+                        jump!(*t)
                     }
                 }
-                FastOp::Bgeu { a, b, t } => {
+                FastOp::Bgeu(a, b, t) => {
                     if rr!(*a) >= rr!(*b) {
-                        pc = *t as usize;
-                        continue 'outer;
+                        jump!(*t)
                     }
                 }
-                FastOp::Blt { a, b, t } => {
+                FastOp::Blt(a, b, t) => {
                     if (rr!(*a) as i32) < (rr!(*b) as i32) {
-                        pc = *t as usize;
-                        continue 'outer;
+                        jump!(*t)
                     }
                 }
-                FastOp::Bge { a, b, t } => {
+                FastOp::Bge(a, b, t) => {
                     if (rr!(*a) as i32) >= (rr!(*b) as i32) {
-                        pc = *t as usize;
-                        continue 'outer;
+                        jump!(*t)
                     }
                 }
-                FastOp::J(t) => {
-                    pc = *t as usize;
-                    continue 'outer;
+                FastOp::J(t) => jump!(*t),
+                FastOp::Call(t) => {
+                    regs[RA] = i as u32 + 1;
+                    jump!(*t)
                 }
-                FastOp::Call { t, link } => {
-                    regs[RA] = *link;
-                    pc = *t as usize;
-                    continue 'outer;
-                }
-                FastOp::Jr(a) => {
-                    pc = rr!(*a) as usize;
-                    continue 'outer;
-                }
-                FastOp::Ret => {
-                    pc = regs[RA] as usize;
-                    continue 'outer;
-                }
+                FastOp::Jr(a) => jump!(rr!(*a)),
+                FastOp::Ret => jump!(regs[RA]),
                 FastOp::Clc => *carry = false,
                 FastOp::Nop => {}
-                FastOp::Halt => break 'outer,
-                FastOp::Custom { exec, op, pc } => {
+                FastOp::Halt => {
+                    retire!(false, i + 1, false);
+                    pc = i;
+                    break 'outer;
+                }
+                FastOp::Custom {
+                    exec,
+                    op,
+                    latency: l,
+                } => {
+                    latency = *l;
                     let mut ctx = ExecCtx {
                         regs,
                         uregs,
                         mem,
                         carry,
                     };
-                    exec(&mut ctx, op).map_err(|source| SimError::Custom {
-                        pc: *pc as usize,
-                        source,
-                    })?;
-                }
-                FastOp::CustomUnknown { name, pc } => {
-                    return Err(SimError::Illegal {
-                        pc: *pc as usize,
-                        reason: format!("unknown custom instruction `{name}`"),
+                    if let Err(source) = exec(&mut ctx, op) {
+                        fail!(SimError::Custom { pc: i, source });
+                    }
+                    hook!(|f| if let Some(mask) = f.custom_result() {
+                        // Stuck-at-one fault on one line of the result
+                        // bus (the destination register).
+                        if let Some(d) = op.regs.first() {
+                            regs[d.index()] |= mask;
+                        }
                     });
                 }
+                FastOp::CustomUnknown(name) => fail!(SimError::Illegal {
+                    pc: i,
+                    reason: format!("unknown custom instruction `{name}`"),
+                }),
             }
+            retire!(false, i + 1, false);
             i += 1;
         }
         pc = end; // fell through to the next block's leader
     }
-
-    Ok(FastRun {
-        executed,
-        classes: ClassCounts {
-            alu: counts[CLS_ALU as usize],
-            mem: counts[CLS_MEM as usize],
-            control: counts[CLS_CTL as usize],
-            mul: counts[CLS_MUL as usize],
-            custom: counts[CLS_CUST as usize],
-        },
-    })
+    Ok((counts, pc))
 }
 
 #[cfg(test)]
@@ -789,15 +786,50 @@ mod tests {
     }
 
     #[test]
-    fn armed_fault_plan_falls_back_to_cycle_accurate() {
-        let p = assemble("movi a0, 0x100\n lw a1, a0, 0\n halt").unwrap();
-        let mut c = Cpu::new(CpuConfig::default());
-        c.set_fidelity(Fidelity::Fast);
-        c.mem_mut().write_words(0x100, &[42]).unwrap();
-        let spec = xfault::PlanSpec::new(7, 1_000_000, &[xfault::FaultSite::DataMem]);
-        c.set_fault_plan(spec.plan(0));
-        let s = c.run(&p).unwrap();
-        assert!(s.cycles > 0, "fault runs use the cycle-accurate engine");
-        assert_ne!(c.reg(1), 42, "the fault site must still fire");
+    fn armed_fault_plan_runs_on_every_engine_alike() {
+        let mut ext = ExtensionSet::new();
+        ext.register(CustomInsnDef::new("addimm", 3, 50, |ctx, op| {
+            let d = op.regs[0].index();
+            ctx.regs[d] = ctx.regs[d].wrapping_add(op.imm as u32);
+            Ok(())
+        }));
+        let p = assemble(
+            "main:
+                movi a0, 0x100
+                movi a1, 6
+            loop:
+                lw   a2, a0, 0
+                cust addimm a2, 1
+                sw   a2, a0, 4
+                addi a0, a0, 4
+                addi a1, a1, -1
+                movi a3, 0
+                bne  a1, a3, loop
+                halt",
+        )
+        .unwrap();
+        let run = |config: CpuConfig, fidelity: Fidelity| {
+            let mut c = Cpu::with_extensions(config, ext.clone());
+            c.set_fidelity(fidelity);
+            c.mem_mut().write_words(0x100, &[42]).unwrap();
+            c.set_fault_plan(xfault::PlanSpec::all_sites(3, 250_000).plan(0));
+            let s = c.run(&p).unwrap();
+            let regs: Vec<u32> = (0..16).map(|i| c.reg(i)).collect();
+            let plan = c.take_fault_plan().unwrap();
+            let fired = xfault::FaultSite::ALL.map(|site| plan.fired(site));
+            (s.cycles, (regs, c.mem().digest(), c.retired(), fired))
+        };
+        let (fast_cycles, fast) = run(CpuConfig::default(), Fidelity::Fast);
+        assert_eq!(fast_cycles, 0, "the fast path models no timing");
+        assert!(
+            fast.3.iter().all(|&n| n > 0),
+            "every fault site must still fire: {:?}",
+            fast.3
+        );
+        for config in [CpuConfig::default(), CpuConfig::ooo()] {
+            let (cycles, accurate) = run(config, Fidelity::CycleAccurate);
+            assert!(cycles > 0);
+            assert_eq!(accurate, fast, "same plan, same outcome");
+        }
     }
 }
