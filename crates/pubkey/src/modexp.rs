@@ -493,7 +493,7 @@ mod tests {
             cfg.mul = MulAlgo::Montgomery;
             cfg.window = w;
             mod_exp(&mut ops, &b, &e, &m, &cfg, &mut cache).unwrap();
-            counts.push(MpnOps::<u32>::call_counts(&ops)[crate::ops::opname::ADDMUL_1]);
+            counts.push(MpnOps::<u32>::call_count(&ops, kreg::id::ADDMUL_1));
         }
         assert!(
             counts[1] < counts[0],

@@ -15,6 +15,7 @@
 //!   runs the XR32 assembly kernel on the cycle-accurate simulator —
 //!   the paper's slow reference.
 
+use kreg::{id, KernelId};
 use macromodel::model::MacroModel;
 use mpint::limb::Limb;
 use mpint::mpn;
@@ -24,6 +25,57 @@ use std::collections::BTreeMap;
 /// registry keys and kernel names). These are the kernel-registry names:
 /// the typed ids live in [`kreg::id`].
 pub use kreg::opname;
+
+/// Number of metered basic operations: the length of [`kreg::id::MPN`].
+const N_OPS: usize = id::MPN.len();
+
+/// Array slot of each metered basic operation in the per-op count and
+/// model arrays: its position in [`kreg::id::MPN`].
+pub mod slot {
+    /// `mpn_add_n`
+    pub const ADD_N: usize = 0;
+    /// `mpn_sub_n`
+    pub const SUB_N: usize = 1;
+    /// `mpn_mul_1`
+    pub const MUL_1: usize = 2;
+    /// `mpn_addmul_1`
+    pub const ADDMUL_1: usize = 3;
+    /// `mpn_submul_1`
+    pub const SUBMUL_1: usize = 4;
+    /// `mpn_lshift`
+    pub const LSHIFT: usize = 5;
+    /// `mpn_rshift`
+    pub const RSHIFT: usize = 6;
+    /// `div_qhat`
+    pub const DIV_QHAT: usize = 7;
+}
+
+/// The array slot of `op`, or `None` for a kernel that is not a metered
+/// basic operation (e.g. `sha1_compress`).
+fn slot_of(op: KernelId) -> Option<usize> {
+    id::MPN.iter().position(|&k| k == op)
+}
+
+/// Per-op call counters, one per [`slot`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CallCounts([u64; N_OPS]);
+
+impl CallCounts {
+    /// Counts one call of the op in `slot`.
+    pub fn bump(&mut self, slot: usize) {
+        self.0[slot] += 1;
+    }
+
+    /// Calls recorded for `op` (0 for a non-metered kernel).
+    pub fn get(&self, op: KernelId) -> u64 {
+        slot_of(op).map_or(0, |s| self.0[s])
+    }
+
+    /// Zeroes every counter.
+    pub fn clear(&mut self) {
+        self.0 = [0; N_OPS];
+    }
+}
 
 /// The basic-operations provider: computes limb-level results and
 /// accounts their cost.
@@ -53,8 +105,9 @@ pub trait MpnOps<L: Limb> {
     fn cycles(&self) -> f64;
     /// Resets the cycle and call counters.
     fn reset(&mut self);
-    /// Calls recorded per op name.
-    fn call_counts(&self) -> &BTreeMap<&'static str, u64>;
+    /// Calls recorded for `op` since the last reset (0 for a kernel
+    /// that is not a metered basic operation).
+    fn call_count(&self, op: KernelId) -> u64;
 }
 
 /// Reference implementation of the 3-by-2 quotient estimate shared by
@@ -65,7 +118,7 @@ pub use mpint::mpn::div_qhat_reference;
 /// Pure computation with call counting (zero cycle cost).
 #[derive(Debug, Clone, Default)]
 pub struct NativeMpn {
-    counts: BTreeMap<&'static str, u64>,
+    counts: CallCounts,
 }
 
 impl NativeMpn {
@@ -75,50 +128,44 @@ impl NativeMpn {
     }
 }
 
-macro_rules! bump {
-    ($self:ident, $name:expr) => {
-        *$self.counts.entry($name).or_insert(0) += 1;
-    };
-}
-
 impl<L: Limb> MpnOps<L> for NativeMpn {
     fn add_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        bump!(self, opname::ADD_N);
+        self.counts.bump(slot::ADD_N);
         mpn::add_n(r, a, b)
     }
 
     fn sub_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        bump!(self, opname::SUB_N);
+        self.counts.bump(slot::SUB_N);
         mpn::sub_n(r, a, b)
     }
 
     fn mul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        bump!(self, opname::MUL_1);
+        self.counts.bump(slot::MUL_1);
         mpn::mul_1(r, a, b)
     }
 
     fn addmul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        bump!(self, opname::ADDMUL_1);
+        self.counts.bump(slot::ADDMUL_1);
         mpn::addmul_1(r, a, b)
     }
 
     fn submul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        bump!(self, opname::SUBMUL_1);
+        self.counts.bump(slot::SUBMUL_1);
         mpn::submul_1(r, a, b)
     }
 
     fn lshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        bump!(self, opname::LSHIFT);
+        self.counts.bump(slot::LSHIFT);
         mpn::lshift(r, a, cnt)
     }
 
     fn rshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        bump!(self, opname::RSHIFT);
+        self.counts.bump(slot::RSHIFT);
         mpn::rshift(r, a, cnt)
     }
 
     fn div_qhat(&mut self, n2: L, n1: L, n0: L, d1: L, d0: L) -> L {
-        bump!(self, opname::DIV_QHAT);
+        self.counts.bump(slot::DIV_QHAT);
         div_qhat_reference(n2, n1, n0, d1, d0)
     }
 
@@ -132,9 +179,17 @@ impl<L: Limb> MpnOps<L> for NativeMpn {
         self.counts.clear();
     }
 
-    fn call_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
+    fn call_count(&self, op: KernelId) -> u64 {
+        self.counts.get(op)
     }
+}
+
+/// One macro-model registry laid out by [`slot`]; a name that is not a
+/// metered basic operation has no slot and is dropped.
+type ModelSlots = [Option<MacroModel>; N_OPS];
+
+fn model_slots(models: &BTreeMap<&'static str, MacroModel>) -> ModelSlots {
+    id::MPN.map(|op| models.get(op.name()).cloned())
 }
 
 /// Computation plus macro-model cycle accrual: the paper's fast
@@ -145,11 +200,12 @@ impl<L: Limb> MpnOps<L> for NativeMpn {
 /// models.
 #[derive(Debug, Clone)]
 pub struct ModeledMpn {
-    models32: BTreeMap<&'static str, MacroModel>,
-    models16: BTreeMap<&'static str, MacroModel>,
+    /// Models indexed by radix (0: 32-bit limbs, 1: 16-bit limbs) and
+    /// [`slot`].
+    models: [ModelSlots; 2],
     glue_cost: f64,
     cycles: f64,
-    counts: BTreeMap<&'static str, u64>,
+    counts: CallCounts,
 }
 
 impl ModeledMpn {
@@ -160,42 +216,31 @@ impl ModeledMpn {
     ///
     /// Ops without a model cost zero cycles (call counting still
     /// happens), so partial registries degrade gracefully during
-    /// bring-up.
+    /// bring-up. Models under names that are not basic operations are
+    /// ignored.
     pub fn new(models: BTreeMap<&'static str, MacroModel>, glue_cost: f64) -> Self {
-        ModeledMpn {
-            models32: models.clone(),
-            models16: models,
-            glue_cost,
-            cycles: 0.0,
-            counts: BTreeMap::new(),
-        }
+        Self::with_radix_models(&models, &models, glue_cost)
     }
 
     /// Builds a provider with distinct model registries per limb width
     /// (radix 2^32 vs. radix 2^16 kernels have different cycle
     /// profiles).
     pub fn with_radix_models(
-        models32: BTreeMap<&'static str, MacroModel>,
-        models16: BTreeMap<&'static str, MacroModel>,
+        models32: &BTreeMap<&'static str, MacroModel>,
+        models16: &BTreeMap<&'static str, MacroModel>,
         glue_cost: f64,
     ) -> Self {
         ModeledMpn {
-            models32,
-            models16,
+            models: [model_slots(models32), model_slots(models16)],
             glue_cost,
             cycles: 0.0,
-            counts: BTreeMap::new(),
+            counts: CallCounts::default(),
         }
     }
 
-    fn charge(&mut self, width: u32, name: &'static str, len: usize) {
-        *self.counts.entry(name).or_insert(0) += 1;
-        let models = if width == 16 {
-            &self.models16
-        } else {
-            &self.models32
-        };
-        if let Some(m) = models.get(name) {
+    fn charge(&mut self, width: u32, slot: usize, len: usize) {
+        self.counts.bump(slot);
+        if let Some(m) = &self.models[usize::from(width == 16)][slot] {
             self.cycles += m.predict(&[len as u64]);
         }
     }
@@ -203,42 +248,42 @@ impl ModeledMpn {
 
 impl<L: Limb> MpnOps<L> for ModeledMpn {
     fn add_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        self.charge(L::BITS, opname::ADD_N, a.len());
+        self.charge(L::BITS, slot::ADD_N, a.len());
         mpn::add_n(r, a, b)
     }
 
     fn sub_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
-        self.charge(L::BITS, opname::SUB_N, a.len());
+        self.charge(L::BITS, slot::SUB_N, a.len());
         mpn::sub_n(r, a, b)
     }
 
     fn mul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        self.charge(L::BITS, opname::MUL_1, a.len());
+        self.charge(L::BITS, slot::MUL_1, a.len());
         mpn::mul_1(r, a, b)
     }
 
     fn addmul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        self.charge(L::BITS, opname::ADDMUL_1, a.len());
+        self.charge(L::BITS, slot::ADDMUL_1, a.len());
         mpn::addmul_1(r, a, b)
     }
 
     fn submul_1(&mut self, r: &mut [L], a: &[L], b: L) -> L {
-        self.charge(L::BITS, opname::SUBMUL_1, a.len());
+        self.charge(L::BITS, slot::SUBMUL_1, a.len());
         mpn::submul_1(r, a, b)
     }
 
     fn lshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        self.charge(L::BITS, opname::LSHIFT, a.len());
+        self.charge(L::BITS, slot::LSHIFT, a.len());
         mpn::lshift(r, a, cnt)
     }
 
     fn rshift(&mut self, r: &mut [L], a: &[L], cnt: u32) -> L {
-        self.charge(L::BITS, opname::RSHIFT, a.len());
+        self.charge(L::BITS, slot::RSHIFT, a.len());
         mpn::rshift(r, a, cnt)
     }
 
     fn div_qhat(&mut self, n2: L, n1: L, n0: L, d1: L, d0: L) -> L {
-        self.charge(L::BITS, opname::DIV_QHAT, 1);
+        self.charge(L::BITS, slot::DIV_QHAT, 1);
         div_qhat_reference(n2, n1, n0, d1, d0)
     }
 
@@ -255,8 +300,8 @@ impl<L: Limb> MpnOps<L> for ModeledMpn {
         self.counts.clear();
     }
 
-    fn call_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
+    fn call_count(&self, op: KernelId) -> u64 {
+        self.counts.get(op)
     }
 }
 
@@ -283,8 +328,106 @@ mod tests {
         MpnOps::add_n(&mut ops, &mut r, &a, &b);
         MpnOps::addmul_1(&mut ops, &mut r, &a, 7);
         assert_eq!(<NativeMpn as MpnOps<u32>>::cycles(&ops), 0.0);
-        assert_eq!(ops.counts[opname::ADD_N], 2);
-        assert_eq!(ops.counts[opname::ADDMUL_1], 1);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::ADD_N), 2);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::ADDMUL_1), 1);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::SUB_N), 0);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::SHA1), 0);
+    }
+
+    #[test]
+    fn slots_follow_the_registry_order() {
+        let slots = [
+            (slot::ADD_N, id::ADD_N),
+            (slot::SUB_N, id::SUB_N),
+            (slot::MUL_1, id::MUL_1),
+            (slot::ADDMUL_1, id::ADDMUL_1),
+            (slot::SUBMUL_1, id::SUBMUL_1),
+            (slot::LSHIFT, id::LSHIFT),
+            (slot::RSHIFT, id::RSHIFT),
+            (slot::DIV_QHAT, id::DIV_QHAT),
+        ];
+        for (s, op) in slots {
+            assert_eq!(id::MPN[s], op);
+            assert_eq!(slot_of(op), Some(s));
+        }
+        assert_eq!(slot_of(id::SHA1), None);
+    }
+
+    #[test]
+    fn modeled_op_without_a_model_costs_nothing_but_counts() {
+        let mut models = BTreeMap::new();
+        models.insert(opname::ADD_N, linear_model(opname::ADD_N, 12.0, 6.0));
+        let mut ops = ModeledMpn::new(models, 0.0);
+        let a = [1u32; 4];
+        let mut r = [0u32; 4];
+        MpnOps::mul_1(&mut ops, &mut r, &a, 3);
+        MpnOps::lshift(&mut ops, &mut r, &a, 5);
+        assert_eq!(<ModeledMpn as MpnOps<u32>>::cycles(&ops), 0.0);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::MUL_1), 1);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::LSHIFT), 1);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::ADD_N), 0);
+    }
+
+    #[test]
+    fn modeled_limb_widths_pick_their_own_registry() {
+        let mut models32 = BTreeMap::new();
+        models32.insert(opname::ADD_N, linear_model(opname::ADD_N, 10.0, 1.0));
+        let mut models16 = BTreeMap::new();
+        models16.insert(opname::ADD_N, linear_model(opname::ADD_N, 100.0, 2.0));
+        models16.insert(opname::DIV_QHAT, linear_model(opname::DIV_QHAT, 7.0, 0.0));
+        let mut ops = ModeledMpn::with_radix_models(&models32, &models16, 0.0);
+        let mut r32 = [0u32; 3];
+        MpnOps::add_n(&mut ops, &mut r32, &[1, 2, 3], &[4, 5, 6]);
+        assert_eq!(<ModeledMpn as MpnOps<u32>>::cycles(&ops), 10.0 + 3.0);
+        let mut r16 = [0u16; 3];
+        MpnOps::add_n(&mut ops, &mut r16, &[1, 2, 3], &[4, 5, 6]);
+        assert_eq!(
+            <ModeledMpn as MpnOps<u16>>::cycles(&ops),
+            13.0 + 100.0 + 6.0
+        );
+        // div_qhat has a 16-bit model only: the 32-bit call is free.
+        MpnOps::<u32>::div_qhat(&mut ops, 1, 2, 3, 0x8000_0000, 0);
+        assert_eq!(<ModeledMpn as MpnOps<u32>>::cycles(&ops), 119.0);
+        MpnOps::<u16>::div_qhat(&mut ops, 1, 2, 3, 0x8000, 0);
+        assert_eq!(<ModeledMpn as MpnOps<u16>>::cycles(&ops), 126.0);
+        // One counter set serves both widths.
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::ADD_N), 2);
+        assert_eq!(MpnOps::<u16>::call_count(&ops, id::DIV_QHAT), 2);
+    }
+
+    #[test]
+    fn modeled_ignores_models_of_non_mpn_kernels() {
+        let mut models = BTreeMap::new();
+        models.insert(opname::SHA1, linear_model(opname::SHA1, 1000.0, 1000.0));
+        let mut ops = ModeledMpn::new(models, 0.0);
+        let a = [1u32; 4];
+        let mut r = [0u32; 4];
+        MpnOps::add_n(&mut ops, &mut r, &a, &a);
+        MpnOps::addmul_1(&mut ops, &mut r, &a, 9);
+        assert_eq!(<ModeledMpn as MpnOps<u32>>::cycles(&ops), 0.0);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::SHA1), 0);
+    }
+
+    #[test]
+    fn modeled_reset_clears_cycles_and_counts() {
+        let mut models = BTreeMap::new();
+        models.insert(opname::SUB_N, linear_model(opname::SUB_N, 5.0, 1.0));
+        let mut ops = ModeledMpn::new(models, 2.0);
+        let a = [7u32; 2];
+        let mut r = [0u32; 2];
+        MpnOps::sub_n(&mut ops, &mut r, &a, &a);
+        MpnOps::rshift(&mut ops, &mut r, &a, 1);
+        MpnOps::<u32>::glue(&mut ops, 3);
+        assert_eq!(<ModeledMpn as MpnOps<u32>>::cycles(&ops), 7.0 + 6.0);
+        MpnOps::<u32>::reset(&mut ops);
+        assert_eq!(<ModeledMpn as MpnOps<u32>>::cycles(&ops), 0.0);
+        for op in id::MPN {
+            assert_eq!(MpnOps::<u32>::call_count(&ops, op), 0, "{op}");
+        }
+        // The models survive a reset.
+        MpnOps::sub_n(&mut ops, &mut r, &a, &a);
+        assert_eq!(<ModeledMpn as MpnOps<u32>>::cycles(&ops), 7.0);
+        assert_eq!(MpnOps::<u32>::call_count(&ops, id::SUB_N), 1);
     }
 
     #[test]

@@ -138,7 +138,7 @@ proptest! {
             let mut ops = NativeMpn::new();
             let mut cache = ExpCache::new();
             mod_exp(&mut ops, &b, &e, &m, &cfg, &mut cache).expect("runs");
-            MpnOps::<u32>::call_counts(&ops)[pubkey::ops::opname::ADDMUL_1]
+            MpnOps::<u32>::call_count(&ops, kreg::id::ADDMUL_1)
         };
         prop_assert!(count(5) < count(1));
     }

@@ -49,7 +49,7 @@ use macromodel::model::{MacroModel, ModelQuality, Monomial};
 use mpint::Natural;
 use pubkey::modexp::{mod_exp, ExpCache, ModExpError};
 use pubkey::ops::{ModeledMpn, MpnOps};
-use pubkey::space::{ModExpConfig, ParetoFront};
+use pubkey::space::{CacheMode, CrtMode, ModExpConfig, ParetoFront};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -81,7 +81,7 @@ pub struct KernelModels {
 impl KernelModels {
     /// Builds the macro-model-metered ops provider from these models.
     pub fn modeled_ops(&self, glue_cost: f64) -> ModeledMpn {
-        ModeledMpn::with_radix_models(self.models32.clone(), self.models16.clone(), glue_cost)
+        ModeledMpn::with_radix_models(&self.models32, &self.models16, glue_cost)
     }
 
     /// Mean absolute percentage error across all fitted models (the
@@ -765,7 +765,10 @@ impl<'a> FlowCtx<'a> {
     /// Phase 2: evaluates every candidate of the design space with
     /// macro-model metering on a fixed RSA-decrypt-like workload
     /// (`base^exp mod m` with `bits`-bit operands). Purely native —
-    /// no ISS runs, so the fault policy does not apply.
+    /// no ISS runs, so the fault policy does not apply. The workload is
+    /// a plain exponentiation, so a candidate's CRT mode does not change
+    /// the program that runs: each distinct program is costed once and
+    /// CRT moves only the memory axis.
     ///
     /// When a metrics registry is attached, publishes
     /// `flow.phase2.candidates_evaluated`, a
@@ -879,7 +882,7 @@ impl<'a> FlowCtx<'a> {
             candidate.to_string(),
             "modexp",
             stream_base,
-            0xE4B0,
+            WORKLOAD_SEED,
             |_seed, arm| cosim_once(config, variant, candidate, bits, glue_cost, arm, policy),
         );
         self.absorb(report)
@@ -1860,10 +1863,11 @@ pub fn mark_pareto_front(points: &mut [CrossPoint]) -> usize {
     size
 }
 
-/// Phase 2 implementation: the 450-candidate lattice is evaluated in
-/// parallel (each candidate owns its modeled-ops provider and cache),
-/// then ranked and offered to the Pareto front in enumeration order, so
-/// the result is bit-identical to the serial run for any thread count.
+/// Phase 2 implementation: the 150 distinct programs of the
+/// 450-candidate lattice are costed in parallel (each owns its
+/// modeled-ops provider and cache), then every candidate is ranked and
+/// offered to the Pareto front in enumeration order, so the result is
+/// bit-identical to the serial run for any thread count.
 fn explore_impl(
     models: &KernelModels,
     bits: usize,
@@ -1891,38 +1895,35 @@ fn explore_impl(
     let evaluated = reg.counter("flow.phase2.candidates_evaluated");
     let cycles_hist = reg.histogram("flow.phase2.candidate_cycles");
     let mut front = ParetoFront::new();
-    let mut rng = StdRng::seed_from_u64(0xE4B0);
-    let m = {
-        // An odd modulus with the top bit set.
-        let mut m = Natural::random_bits(&mut rng, bits);
-        if m.is_even() {
-            m = &m + &Natural::one();
-        }
-        m
-    };
-    let base = Natural::random_below(&mut rng, &m);
-    let exp = Natural::random_bits(&mut rng, bits);
-    let expect = base.pow_mod(&exp, &m);
+    let work = Workload::new(bits);
+    let expect = work.base.pow_mod(&work.exp, &work.m);
 
     let start = Instant::now();
     let configs = ModExpConfig::enumerate();
-    let estimates = pool.par_map(&configs, |_, config| {
-        let mut ops = models.modeled_ops(glue_cost);
-        let mut cache = ExpCache::new();
-        // Caching benefits repeat calls: run twice, cost the second.
-        let r1 = mod_exp(&mut ops, &base, &exp, &m, config, &mut cache)?;
-        debug_assert_eq!(r1, expect);
-        MpnOps::<u32>::reset(&mut ops);
-        let r2 = mod_exp(&mut ops, &base, &exp, &m, config, &mut cache)?;
-        assert_eq!(r2, expect, "config {config} computed a wrong result");
-        Ok(MpnOps::<u32>::cycles(&ops))
+    // `mod_exp` never reads `crt`, so each distinct (mul, window, radix,
+    // cache) program is costed once and shared by its CRT siblings.
+    let programs: Vec<ModExpConfig> = configs
+        .iter()
+        .filter(|c| c.crt == CrtMode::None)
+        .copied()
+        .collect();
+    let estimates = pool.par_map(&programs, |_, program| {
+        let (result, cycles) = estimate(models, &work, program, glue_cost)?;
+        assert_eq!(result, expect, "program {program} computed a wrong result");
+        Ok(cycles)
     });
+    let by_program: BTreeMap<ModExpConfig, Result<f64, ModExpError>> =
+        programs.into_iter().zip(estimates).collect();
 
     // Serial merge in enumeration order: metric observation order and
     // Pareto tie-breaking match the serial loop exactly.
     let mut ranked = Vec::with_capacity(configs.len());
-    for (config, estimate) in configs.into_iter().zip(estimates) {
-        let cycles = estimate?;
+    for config in configs {
+        let program = ModExpConfig {
+            crt: CrtMode::None,
+            ..config
+        };
+        let cycles = by_program[&program].clone()?;
         evaluated.inc();
         cycles_hist.observe(cycles);
         front.offer(config, cycles, config.table_bytes(bits));
@@ -1947,6 +1948,50 @@ fn explore_impl(
     })
 }
 
+/// Seed of the fixed phase-2 workload.
+const WORKLOAD_SEED: u64 = 0xE4B0;
+
+/// The fixed workload every phase-2 estimate and co-simulation
+/// exponentiates: `base^exp mod m` for an odd `bits`-bit modulus.
+struct Workload {
+    m: Natural,
+    base: Natural,
+    exp: Natural,
+}
+
+impl Workload {
+    fn new(bits: usize) -> Self {
+        let mut rng = StdRng::seed_from_u64(WORKLOAD_SEED);
+        let mut m = Natural::random_bits(&mut rng, bits);
+        if m.is_even() {
+            m = &m + &Natural::one();
+        }
+        let base = Natural::random_below(&mut rng, &m);
+        let exp = Natural::random_bits(&mut rng, bits);
+        Workload { m, base, exp }
+    }
+}
+
+/// Macro-model estimate of one program on `work`, with its result.
+/// Caching benefits repeat calls, so a first run fills the cross-call
+/// cache and the second is costed; under [`CacheMode::None`] the first
+/// run fills nothing and is skipped.
+fn estimate(
+    models: &KernelModels,
+    work: &Workload,
+    config: &ModExpConfig,
+    glue_cost: f64,
+) -> Result<(Natural, f64), ModExpError> {
+    let mut ops = models.modeled_ops(glue_cost);
+    let mut cache = ExpCache::new();
+    if config.cache != CacheMode::None {
+        mod_exp(&mut ops, &work.base, &work.exp, &work.m, config, &mut cache)?;
+        MpnOps::<u32>::reset(&mut ops);
+    }
+    let result = mod_exp(&mut ops, &work.base, &work.exp, &work.m, config, &mut cache)?;
+    Ok((result, MpnOps::<u32>::cycles(&ops)))
+}
+
 /// Evaluates a single candidate with macro-model metering on the same
 /// fixed workload as [`FlowCtx::explore`], returning estimated cycles.
 ///
@@ -1959,19 +2004,7 @@ pub fn explore_single(
     bits: usize,
     glue_cost: f64,
 ) -> Result<f64, ModExpError> {
-    let mut rng = StdRng::seed_from_u64(0xE4B0);
-    let mut m = Natural::random_bits(&mut rng, bits);
-    if m.is_even() {
-        m = &m + &Natural::one();
-    }
-    let base = Natural::random_below(&mut rng, &m);
-    let exp = Natural::random_bits(&mut rng, bits);
-    let mut ops = models.modeled_ops(glue_cost);
-    let mut cache = ExpCache::new();
-    mod_exp(&mut ops, &base, &exp, &m, candidate, &mut cache)?;
-    MpnOps::<u32>::reset(&mut ops);
-    mod_exp(&mut ops, &base, &exp, &m, candidate, &mut cache)?;
-    Ok(MpnOps::<u32>::cycles(&ops))
+    estimate(models, &Workload::new(bits), candidate, glue_cost).map(|(_, cycles)| cycles)
 }
 
 /// One ISS co-simulation pass, optionally with a fault arm. Kernel-level
@@ -1987,14 +2020,7 @@ fn cosim_once(
     arm: Option<(PlanSpec, u64)>,
     policy: FaultPolicy,
 ) -> Result<Result<f64, ModExpError>, Error> {
-    let mut rng = StdRng::seed_from_u64(0xE4B0);
-    let mut m = Natural::random_bits(&mut rng, bits);
-    if m.is_even() {
-        m = &m + &Natural::one();
-    }
-    let base = Natural::random_below(&mut rng, &m);
-    let exp = Natural::random_bits(&mut rng, bits);
-
+    let Workload { m, base, exp } = Workload::new(bits);
     let mut iss = IssMpn::with_variant(config.clone(), variant);
     iss.set_verify(arm.is_some());
     iss.set_cycle_budget(policy.cycle_budget);

@@ -20,8 +20,7 @@ use crate::insns;
 use kreg::kernels::mpn as kmpn;
 use kreg::{id, CallConv, KernelError, KernelId};
 use mpint::limb::Limb;
-use pubkey::ops::{opname, MpnOps};
-use std::collections::BTreeMap;
+use pubkey::ops::{slot, CallCounts, MpnOps};
 use xfault::{FaultPlan, PlanSpec};
 use xobs::trace::TraceSink;
 use xr32::asm::{assemble, Program};
@@ -72,7 +71,7 @@ pub struct IssMpn {
     cpu16: Cpu,
     prog16: Program,
     cycles: f64,
-    counts: BTreeMap<&'static str, u64>,
+    counts: CallCounts,
     glue_cost: f64,
     verify: bool,
     errors: Vec<KernelError>,
@@ -145,7 +144,7 @@ impl IssMpn {
             cpu16,
             prog16,
             cycles: 0.0,
-            counts: BTreeMap::new(),
+            counts: CallCounts::default(),
             glue_cost: 4.0,
             verify: true,
             errors: Vec::new(),
@@ -475,10 +474,6 @@ impl IssMpn {
         Ok(())
     }
 
-    fn bump(&mut self, name: &'static str) {
-        *self.counts.entry(name).or_insert(0) += 1;
-    }
-
     /// Records a simulator error as the matching typed kernel error.
     /// The degraded in-band result is 0 — callers on the measurement
     /// path must check [`IssMpn::kernel_errors`] (or use
@@ -581,7 +576,7 @@ macro_rules! impl_iss_mpnops {
     ($limb:ty, $call:ident, $golden:ident) => {
         impl MpnOps<$limb> for IssMpn {
             fn add_n(&mut self, r: &mut [$limb], a: &[$limb], b: &[$limb]) -> bool {
-                self.bump(opname::ADD_N);
+                self.counts.bump(slot::ADD_N);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -609,7 +604,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn sub_n(&mut self, r: &mut [$limb], a: &[$limb], b: &[$limb]) -> bool {
-                self.bump(opname::SUB_N);
+                self.counts.bump(slot::SUB_N);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -637,7 +632,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn mul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.bump(opname::MUL_1);
+                self.counts.bump(slot::MUL_1);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -667,7 +662,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn addmul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.bump(opname::ADDMUL_1);
+                self.counts.bump(slot::ADDMUL_1);
                 let expect_pair = if self.verify {
                     let g = golden!(id::ADDMUL_1, VecScalar, $golden);
                     let mut expect = r[..a.len()].to_vec();
@@ -703,7 +698,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn submul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.bump(opname::SUBMUL_1);
+                self.counts.bump(slot::SUBMUL_1);
                 let expect_pair = if self.verify {
                     let g = golden!(id::SUBMUL_1, VecScalar, $golden);
                     let mut expect = r[..a.len()].to_vec();
@@ -739,7 +734,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn lshift(&mut self, r: &mut [$limb], a: &[$limb], cnt: u32) -> $limb {
-                self.bump(opname::LSHIFT);
+                self.counts.bump(slot::LSHIFT);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -766,7 +761,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn rshift(&mut self, r: &mut [$limb], a: &[$limb], cnt: u32) -> $limb {
-                self.bump(opname::RSHIFT);
+                self.counts.bump(slot::RSHIFT);
                 let cpu = if <$limb>::BITS == 32 {
                     &mut self.cpu32
                 } else {
@@ -793,7 +788,7 @@ macro_rules! impl_iss_mpnops {
             }
 
             fn div_qhat(&mut self, n2: $limb, n1: $limb, n0: $limb, d1: $limb, d0: $limb) -> $limb {
-                self.bump(opname::DIV_QHAT);
+                self.counts.bump(slot::DIV_QHAT);
                 let q = self.$call(
                     id::DIV_QHAT,
                     &[
@@ -831,8 +826,8 @@ macro_rules! impl_iss_mpnops {
                 self.counts.clear();
             }
 
-            fn call_counts(&self) -> &BTreeMap<&'static str, u64> {
-                &self.counts
+            fn call_count(&self, op: KernelId) -> u64 {
+                self.counts.get(op)
             }
         }
     };
