@@ -2,12 +2,12 @@
 //!
 //! Runs the kreg golden-reference verification workload (every
 //! register-convention kernel, both radices, a deterministic size ×
-//! seed lattice) twice: once on the pre-decoded fast path and once on
-//! the cycle-accurate pipeline. For every kernel sweep it compares the
-//! end-of-sweep architectural state (final registers, whole-memory
-//! digest, retired-instruction count) between the two engines, then
-//! checks that the fast path beat the cycle-accurate engine by at
-//! least the required wall-clock factor.
+//! seed lattice) on the pre-decoded fast path and on the cycle-accurate
+//! pipeline. For every kernel sweep it compares the end-of-sweep
+//! architectural state (final registers, whole-memory digest,
+//! retired-instruction count) between the two engines, then checks
+//! that the fast path beat the cycle-accurate engine by at least the
+//! required wall-clock factor.
 //!
 //! ```text
 //! fastpath_gate [--json] [min_speedup] [passes]
@@ -15,7 +15,10 @@
 //!
 //! `min_speedup` (default 3) is the gate bound — pass `0` to skip the
 //! timing check (co-simulation agreement is always enforced). `passes`
-//! (default 3) repeats the workload to stabilize the timing.
+//! (default 3) is how many passes over the workload one timing sample
+//! covers. The gate takes [`PAIRS`] interleaved (fast, accurate)
+//! samples and reads the median of their per-pair ratios, so a burst
+//! of host noise during one sample cannot fail or pass it alone.
 //!
 //! Exits non-zero on any architectural divergence between the engines,
 //! on any kernel error, or when the measured speedup falls below the
@@ -37,64 +40,96 @@ use xr32::Fidelity;
 /// the interpreter overhead dominates.
 const SIZES: [usize; 10] = [1, 2, 3, 4, 8, 16, 64, 128, 256, 512];
 
-/// One engine's pass over the whole workload.
-struct EngineRun {
+/// Interleaved (fast, accurate) timing samples per gate run.
+const PAIRS: usize = 9;
+
+/// One engine's provider and what one repetition of the workload —
+/// the co-simulation pass plus the first timing sample — saw.
+struct Engine {
+    iss: IssMpn,
     /// `(kernel, arch32, arch16)` captured after each kernel's sweep.
     states: Vec<(&'static str, ArchState, ArchState)>,
     /// Kernel sweeps executed (kernel × radix × size).
     sweeps: u64,
     /// Retired instructions across both cores.
     insns: u64,
-    /// Rendered kernel errors (must be empty).
+    /// Rendered kernel errors over every sample (must be empty).
     errors: Vec<String>,
-    wall_ms: f64,
+    /// Wall time of each timing sample.
+    wall_ms: Vec<f64>,
 }
 
-/// Runs the golden-verification workload `passes` times on `fidelity`.
-/// The stimulus stream is fixed, so both engines and every pass see
-/// byte-identical inputs.
-fn run_workload(config: &CpuConfig, fidelity: Fidelity, passes: usize) -> EngineRun {
-    // One provider per engine run: library assembly and core setup are
-    // paid once, so the timing compares execution engines, not setup.
-    let mut iss = IssMpn::base(config.clone());
-    iss.set_fidelity(fidelity);
-    let mut states = Vec::new();
-    let mut sweeps = 0u64;
-    let mut errors = Vec::new();
-    let mut sweep_once = |iss: &mut IssMpn, pass: usize, states: Option<&mut Vec<_>>| {
-        let mut captured = states;
+impl Engine {
+    /// A provider on `fidelity` that has run the untimed co-simulation
+    /// pass. The stimulus stream is fixed, so both engines and every
+    /// pass see byte-identical inputs.
+    fn new(config: &CpuConfig, fidelity: Fidelity, passes: usize) -> Self {
+        // One provider per engine: library assembly and core setup are
+        // paid once, so the timing compares execution engines, not
+        // setup.
+        let mut iss = IssMpn::base(config.clone());
+        iss.set_fidelity(fidelity);
+        let mut engine = Engine {
+            iss,
+            states: Vec::new(),
+            sweeps: 0,
+            insns: 0,
+            errors: Vec::new(),
+            wall_ms: Vec::new(),
+        };
+        // The per-kernel architectural-state digests are host hashing
+        // work common to both engines, and would otherwise drown the
+        // execution-engine difference being measured: capture them on
+        // a pass of their own.
+        engine.sweeps = engine.sweep(passes, true);
+        engine
+    }
+
+    /// One sweep over the workload with the stimulus of `pass`,
+    /// capturing per-kernel states when asked. Returns the kernel
+    /// sweeps that succeeded.
+    fn sweep(&mut self, pass: usize, capture: bool) -> u64 {
+        let iss = &mut self.iss;
+        let mut sweeps = 0;
         for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
             for (i, &n) in SIZES.iter().enumerate() {
                 let seed = 0x600D_5EED ^ ((pass as u64) << 32) ^ (i as u64);
-                if iss.verify32(desc.id, n, seed).is_ok() {
-                    sweeps += 1;
-                }
-                if iss.verify16(desc.id, n, seed).is_ok() {
-                    sweeps += 1;
-                }
+                sweeps += iss.verify32(desc.id, n, seed).is_ok() as u64;
+                sweeps += iss.verify16(desc.id, n, seed).is_ok() as u64;
             }
-            errors.extend(iss.take_kernel_errors().iter().map(|e| e.to_string()));
-            if let Some(states) = captured.as_deref_mut() {
-                states.push((desc.id.name(), iss.arch_state32(), iss.arch_state16()));
+            self.errors
+                .extend(iss.take_kernel_errors().iter().map(|e| e.to_string()));
+            if capture {
+                self.states
+                    .push((desc.id.name(), iss.arch_state32(), iss.arch_state16()));
             }
         }
-    };
-    // Untimed co-simulation pass: the per-kernel architectural-state
-    // digests are host hashing work common to both engines, and would
-    // otherwise drown the execution-engine difference being measured.
-    sweep_once(&mut iss, passes, Some(&mut states));
-    let t0 = Instant::now();
-    for pass in 0..passes {
-        sweep_once(&mut iss, pass, None);
+        sweeps
     }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let insns = iss.arch_state32().retired + iss.arch_state16().retired;
-    EngineRun {
-        states,
-        sweeps,
-        insns,
-        errors,
-        wall_ms,
+
+    /// Takes one timing sample of `passes` passes. The first completes
+    /// the repetition the work counts describe.
+    fn sample(&mut self, passes: usize) -> f64 {
+        let t0 = Instant::now();
+        let sweeps: u64 = (0..passes).map(|pass| self.sweep(pass, false)).sum();
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        if self.wall_ms.is_empty() {
+            self.sweeps += sweeps;
+            self.insns = self.iss.arch_state32().retired + self.iss.arch_state16().retired;
+        }
+        self.wall_ms.push(ms);
+        ms
+    }
+}
+
+/// The median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
+    } else {
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
@@ -105,8 +140,21 @@ fn main() -> ExitCode {
     let min_speedup = cli.pos_usize(0, 3);
     let passes = cli.pos_usize(1, 3).max(1);
 
-    let fast = run_workload(&config, Fidelity::Fast, passes);
-    let accurate = run_workload(&config, Fidelity::CycleAccurate, passes);
+    let mut fast = Engine::new(&config, Fidelity::Fast, passes);
+    let mut accurate = Engine::new(&config, Fidelity::CycleAccurate, passes);
+    // Without a bound one sample completes the repetition.
+    let pairs = if min_speedup > 0 { PAIRS } else { 1 };
+    let ratios: Vec<f64> = (0..pairs)
+        .map(|_| {
+            let fast_ms = fast.sample(passes);
+            accurate.sample(passes) / fast_ms
+        })
+        .collect();
+    let speedup = median(ratios);
+    let (fast_ms, accurate_ms) = (
+        median(fast.wall_ms.clone()),
+        median(accurate.wall_ms.clone()),
+    );
 
     // Co-simulation: every kernel sweep's architectural state must be
     // bit-identical between the engines.
@@ -133,16 +181,10 @@ fn main() -> ExitCode {
     for e in fast.errors.iter().chain(&accurate.errors) {
         violations.push(format!("kernel error: {e}"));
     }
-    let speedup = if fast.wall_ms > 0.0 {
-        accurate.wall_ms / fast.wall_ms
-    } else {
-        f64::INFINITY
-    };
     if min_speedup > 0 && speedup < min_speedup as f64 {
         violations.push(format!(
-            "fast path speedup {speedup:.2}x below required {min_speedup}x \
-             (fast {:.2}ms vs accurate {:.2}ms)",
-            fast.wall_ms, accurate.wall_ms
+            "fast path median speedup {speedup:.2}x over {pairs} pairs below required \
+             {min_speedup}x (median fast {fast_ms:.2}ms vs accurate {accurate_ms:.2}ms)"
         ));
     }
 
@@ -150,10 +192,8 @@ fn main() -> ExitCode {
         let metrics = Registry::new();
         metrics.counter("verify.fast_path.sweeps").add(fast.sweeps);
         metrics.counter("verify.fast_path.insns").add(fast.insns);
-        metrics.gauge("verify.fast_path.wall_ms").set(fast.wall_ms);
-        metrics
-            .gauge("verify.accurate.wall_ms")
-            .set(accurate.wall_ms);
+        metrics.gauge("verify.fast_path.wall_ms").set(fast_ms);
+        metrics.gauge("verify.accurate.wall_ms").set(accurate_ms);
         harness.record_metrics(&metrics);
         let report = RunReport::new("fastpath_gate")
             .with_fingerprint(config.fingerprint())
@@ -163,8 +203,8 @@ fn main() -> ExitCode {
             .result("sweeps", fast.sweeps)
             .result("insns", fast.insns)
             .result("cosim_mismatches", mismatches.len() as u64)
-            .result("fast_wall_ms", fast.wall_ms)
-            .result("accurate_wall_ms", accurate.wall_ms)
+            .result("fast_wall_ms", fast_ms)
+            .result("accurate_wall_ms", accurate_ms)
             .result("fast_path_speedup", speedup)
             .result(
                 "violations",
@@ -199,14 +239,16 @@ fn main() -> ExitCode {
             fast.states.len()
         );
         println!(
-            "  fast     {:8.2}ms  {:>10} insns  {} sweeps",
-            fast.wall_ms, fast.insns, fast.sweeps
+            "  fast     {fast_ms:8.2}ms  {:>10} insns  {} sweeps",
+            fast.insns, fast.sweeps
         );
         println!(
-            "  accurate {:8.2}ms  {:>10} insns  {} sweeps",
-            accurate.wall_ms, accurate.insns, accurate.sweeps
+            "  accurate {accurate_ms:8.2}ms  {:>10} insns  {} sweeps",
+            accurate.insns, accurate.sweeps
         );
-        println!("  speedup  {speedup:8.2}x  (required >= {min_speedup}x)");
+        println!(
+            "  speedup  {speedup:8.2}x  (median of {pairs} pairs, required >= {min_speedup}x)"
+        );
         for v in &violations {
             eprintln!("fastpath_gate: VIOLATION: {v}");
         }

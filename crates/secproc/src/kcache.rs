@@ -26,7 +26,8 @@
 //! inside the key, so stale entries simply miss.
 
 use std::collections::HashMap;
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -299,13 +300,39 @@ impl KCache {
             .set("entries", entries)
     }
 
-    /// Writes the cache to `path`.
+    /// Writes the cache to `path` crash-safely: the document goes to a
+    /// temporary file in the same directory, which is then renamed over
+    /// `path`. A crash mid-write or a concurrent save (CLI and daemon)
+    /// never leaves a truncated file: readers see the old document or
+    /// a new one.
     ///
     /// # Errors
     ///
-    /// Returns any filesystem error from the write.
+    /// Returns any filesystem error from the write or the rename; the
+    /// temporary file is removed and `path` is left as it was.
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json().to_string_compact() + "\n")
+        static SAVES: AtomicU64 = AtomicU64::new(0);
+        let mut tmp = path.as_os_str().to_owned();
+        let save = SAVES.fetch_add(1, Ordering::Relaxed);
+        tmp.push(format!(".{}.{save}.tmp", std::process::id()));
+        let tmp = PathBuf::from(tmp);
+        let doc = self.to_json().to_string_compact() + "\n";
+        let saved = File::create(&tmp)
+            .and_then(|mut f| f.write_all(doc.as_bytes()).and_then(|()| f.sync_all()))
+            .and_then(|()| std::fs::rename(&tmp, path));
+        match saved {
+            // Make the rename itself durable; a platform that cannot
+            // open a directory for syncing still has an intact file.
+            Ok(()) => {
+                if let Some(dir) = path.parent() {
+                    let _ = File::open(dir).and_then(|d| d.sync_all());
+                }
+            }
+            Err(_) => {
+                let _ = std::fs::remove_file(&tmp);
+            }
+        }
+        saved
     }
 
     /// Writes the cache back to the path it was opened from, if any.
@@ -348,6 +375,32 @@ mod tests {
         assert_ne!(base, key(0xA, "base", kreg::opname::SUB_N, 8, 1), "op");
         assert_ne!(base, key(0xA, "base", kreg::opname::ADD_N, 9, 1), "size");
         assert_ne!(base, key(0xA, "base", kreg::opname::ADD_N, 8, 2), "seed");
+    }
+
+    #[test]
+    fn save_replaces_the_file_without_leaving_a_temporary() {
+        let dir = tmpfile("atomic");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("kcache.json");
+        std::fs::write(&path, "stale, not even json").unwrap();
+
+        let cache = KCache::new();
+        let k = key(0x77, "base", kreg::opname::MUL_1, 4, 9);
+        cache.insert(&k, vec![31.0, 33.5]);
+        cache.save_to(&path).unwrap();
+        cache.save_to(&path).unwrap();
+
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["kcache.json"], "only the cache file remains");
+        let reopened = KCache::open(&path);
+        assert_eq!(reopened.len(), 1);
+        assert_eq!(reopened.get(&k), Some(vec![31.0, 33.5]));
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

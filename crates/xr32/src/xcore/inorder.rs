@@ -45,6 +45,7 @@ impl<'a> InOrderCore<'a> {
 }
 
 impl TimingModel for InOrderCore<'_> {
+    #[inline(always)]
     fn retire(&mut self, op: &Retired<'_>) {
         let t = &mut *self.timing;
         let cfg = self.config;

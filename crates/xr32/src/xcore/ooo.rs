@@ -159,6 +159,7 @@ impl<'a> OooCore<'a> {
 }
 
 impl TimingModel for OooCore<'_> {
+    #[inline(always)]
     fn retire(&mut self, op: &Retired<'_>) {
         let (t, cfg, p) = (&mut *self.timing, self.config, self.p);
         // Front end: fetch through the I-cache; a miss delays the

@@ -441,7 +441,7 @@ fn execute<M: TimingModel, const FAULTS: bool>(
             None => return Err(SimError::PcOutOfRange { pc }),
         };
         let mut i = pc;
-        while i < end {
+        'block: while i < end {
             if executed >= fuel {
                 return Err(SimError::OutOfFuel { executed });
             }
@@ -484,14 +484,6 @@ fn execute<M: TimingModel, const FAULTS: bool>(
                     return Err($e);
                 }};
             }
-            macro_rules! jump {
-                ($t:expr) => {{
-                    let t = $t as usize;
-                    retire!(true, t, false);
-                    pc = t;
-                    continue 'outer;
-                }};
-            }
             macro_rules! load {
                 ($d:expr, $base:expr, $off:expr, $load:ident) => {{
                     addr = rr!(*$base).wrapping_add(*$off);
@@ -514,132 +506,155 @@ fn execute<M: TimingModel, const FAULTS: bool>(
                 }};
             }
 
-            match &ops[i] {
-                FastOp::Add(d, a, b) => regs[*d as usize] = rr!(*a).wrapping_add(rr!(*b)),
-                FastOp::Addc(d, a, b) => {
-                    let t = rr!(*a) as u64 + rr!(*b) as u64 + *carry as u64;
-                    regs[*d as usize] = t as u32;
-                    *carry = t >> 32 != 0;
-                }
-                FastOp::Sub(d, a, b) => regs[*d as usize] = rr!(*a).wrapping_sub(rr!(*b)),
-                FastOp::Subc(d, a, b) => {
-                    let t = (rr!(*a) as u64)
-                        .wrapping_sub(rr!(*b) as u64)
-                        .wrapping_sub(*carry as u64);
-                    regs[*d as usize] = t as u32;
-                    *carry = t >> 32 != 0;
-                }
-                FastOp::And(d, a, b) => regs[*d as usize] = rr!(*a) & rr!(*b),
-                FastOp::Or(d, a, b) => regs[*d as usize] = rr!(*a) | rr!(*b),
-                FastOp::Xor(d, a, b) => regs[*d as usize] = rr!(*a) ^ rr!(*b),
-                FastOp::Sll(d, a, b) => regs[*d as usize] = rr!(*a) << (rr!(*b) & 31),
-                FastOp::Srl(d, a, b) => regs[*d as usize] = rr!(*a) >> (rr!(*b) & 31),
-                FastOp::Sra(d, a, b) => {
-                    regs[*d as usize] = ((rr!(*a) as i32) >> (rr!(*b) & 31)) as u32
-                }
-                FastOp::Sltu(d, a, b) => regs[*d as usize] = (rr!(*a) < rr!(*b)) as u32,
-                FastOp::Slt(d, a, b) => {
-                    regs[*d as usize] = ((rr!(*a) as i32) < (rr!(*b) as i32)) as u32
-                }
-                FastOp::Mul(d, a, b) => {
-                    regs[*d as usize] = (rr!(*a) as u64 * rr!(*b) as u64) as u32
-                }
-                FastOp::Mulhu(d, a, b) => {
-                    regs[*d as usize] = ((rr!(*a) as u64 * rr!(*b) as u64) >> 32) as u32
-                }
-                FastOp::MulIllegal => fail!(SimError::Illegal {
-                    pc: i,
-                    reason: "mul requires the hardware-multiplier option".into(),
-                }),
-                FastOp::Addi(d, a, imm) => regs[*d as usize] = rr!(*a).wrapping_add(*imm),
-                FastOp::Andi(d, a, imm) => regs[*d as usize] = rr!(*a) & imm,
-                FastOp::Ori(d, a, imm) => regs[*d as usize] = rr!(*a) | imm,
-                FastOp::Xori(d, a, imm) => regs[*d as usize] = rr!(*a) ^ imm,
-                FastOp::Slli(d, a, sh) => regs[*d as usize] = rr!(*a) << sh,
-                FastOp::Srli(d, a, sh) => regs[*d as usize] = rr!(*a) >> sh,
-                FastOp::Srai(d, a, sh) => regs[*d as usize] = ((rr!(*a) as i32) >> sh) as u32,
-                FastOp::Movi(d, imm) => regs[*d as usize] = *imm,
-                FastOp::Mov(d, a) => regs[*d as usize] = rr!(*a),
-                FastOp::Lw(d, base, off) => load!(d, base, off, load_u32),
-                FastOp::Lbu(d, base, off) => load!(d, base, off, load_u8),
-                FastOp::Lhu(d, base, off) => load!(d, base, off, load_u16),
-                FastOp::Sw(v, base, off) => store!(v, base, off, store_u32, u32),
-                FastOp::Sb(v, base, off) => store!(v, base, off, store_u8, u8),
-                FastOp::Sh(v, base, off) => store!(v, base, off, store_u16, u16),
-                FastOp::Beq(a, b, t) => {
-                    if rr!(*a) == rr!(*b) {
-                        jump!(*t)
-                    }
-                }
-                FastOp::Bne(a, b, t) => {
-                    if rr!(*a) != rr!(*b) {
-                        jump!(*t)
-                    }
-                }
-                FastOp::Bltu(a, b, t) => {
-                    if rr!(*a) < rr!(*b) {
-                        jump!(*t)
-                    }
-                }
-                FastOp::Bgeu(a, b, t) => {
-                    if rr!(*a) >= rr!(*b) {
-                        jump!(*t)
-                    }
-                }
-                FastOp::Blt(a, b, t) => {
-                    if (rr!(*a) as i32) < (rr!(*b) as i32) {
-                        jump!(*t)
-                    }
-                }
-                FastOp::Bge(a, b, t) => {
-                    if (rr!(*a) as i32) >= (rr!(*b) as i32) {
-                        jump!(*t)
-                    }
-                }
-                FastOp::J(t) => jump!(*t),
-                FastOp::Call(t) => {
-                    regs[RA] = i as u32 + 1;
-                    jump!(*t)
-                }
-                FastOp::Jr(a) => jump!(rr!(*a)),
-                FastOp::Ret => jump!(regs[RA]),
-                FastOp::Clc => *carry = false,
-                FastOp::Nop => {}
-                FastOp::Halt => {
-                    retire!(false, i + 1, false);
-                    pc = i;
-                    break 'outer;
-                }
-                FastOp::Custom {
-                    exec,
-                    op,
-                    latency: l,
-                } => {
-                    latency = *l;
-                    let mut ctx = ExecCtx {
-                        regs,
-                        uregs,
-                        mem,
-                        carry,
-                    };
-                    if let Err(source) = exec(&mut ctx, op) {
-                        fail!(SimError::Custom { pc: i, source });
-                    }
-                    hook!(|f| if let Some(mask) = f.custom_result() {
-                        // Stuck-at-one fault on one line of the result
-                        // bus (the destination register).
-                        if let Some(d) = op.regs.first() {
-                            regs[d.index()] |= mask;
+            // A timed run's taken transfer leaves the `'op` block for
+            // the retire site after it, and a fall-through reaches the
+            // one at the block's end: the model's `retire` is inlined at
+            // these two sites, each with a constant `taken`, not at
+            // every jump. Without a model a jump retires in place.
+            let next;
+            'op: {
+                macro_rules! jump {
+                    ($t:expr) => {{
+                        next = $t as usize;
+                        if !M::TIMED {
+                            retire!(true, next, false);
+                            pc = next;
+                            continue 'outer;
                         }
-                    });
+                        break 'op;
+                    }};
                 }
-                FastOp::CustomUnknown(name) => fail!(SimError::Illegal {
-                    pc: i,
-                    reason: format!("unknown custom instruction `{name}`"),
-                }),
+                match &ops[i] {
+                    FastOp::Add(d, a, b) => regs[*d as usize] = rr!(*a).wrapping_add(rr!(*b)),
+                    FastOp::Addc(d, a, b) => {
+                        let t = rr!(*a) as u64 + rr!(*b) as u64 + *carry as u64;
+                        regs[*d as usize] = t as u32;
+                        *carry = t >> 32 != 0;
+                    }
+                    FastOp::Sub(d, a, b) => regs[*d as usize] = rr!(*a).wrapping_sub(rr!(*b)),
+                    FastOp::Subc(d, a, b) => {
+                        let t = (rr!(*a) as u64)
+                            .wrapping_sub(rr!(*b) as u64)
+                            .wrapping_sub(*carry as u64);
+                        regs[*d as usize] = t as u32;
+                        *carry = t >> 32 != 0;
+                    }
+                    FastOp::And(d, a, b) => regs[*d as usize] = rr!(*a) & rr!(*b),
+                    FastOp::Or(d, a, b) => regs[*d as usize] = rr!(*a) | rr!(*b),
+                    FastOp::Xor(d, a, b) => regs[*d as usize] = rr!(*a) ^ rr!(*b),
+                    FastOp::Sll(d, a, b) => regs[*d as usize] = rr!(*a) << (rr!(*b) & 31),
+                    FastOp::Srl(d, a, b) => regs[*d as usize] = rr!(*a) >> (rr!(*b) & 31),
+                    FastOp::Sra(d, a, b) => {
+                        regs[*d as usize] = ((rr!(*a) as i32) >> (rr!(*b) & 31)) as u32
+                    }
+                    FastOp::Sltu(d, a, b) => regs[*d as usize] = (rr!(*a) < rr!(*b)) as u32,
+                    FastOp::Slt(d, a, b) => {
+                        regs[*d as usize] = ((rr!(*a) as i32) < (rr!(*b) as i32)) as u32
+                    }
+                    FastOp::Mul(d, a, b) => {
+                        regs[*d as usize] = (rr!(*a) as u64 * rr!(*b) as u64) as u32
+                    }
+                    FastOp::Mulhu(d, a, b) => {
+                        regs[*d as usize] = ((rr!(*a) as u64 * rr!(*b) as u64) >> 32) as u32
+                    }
+                    FastOp::MulIllegal => fail!(SimError::Illegal {
+                        pc: i,
+                        reason: "mul requires the hardware-multiplier option".into(),
+                    }),
+                    FastOp::Addi(d, a, imm) => regs[*d as usize] = rr!(*a).wrapping_add(*imm),
+                    FastOp::Andi(d, a, imm) => regs[*d as usize] = rr!(*a) & imm,
+                    FastOp::Ori(d, a, imm) => regs[*d as usize] = rr!(*a) | imm,
+                    FastOp::Xori(d, a, imm) => regs[*d as usize] = rr!(*a) ^ imm,
+                    FastOp::Slli(d, a, sh) => regs[*d as usize] = rr!(*a) << sh,
+                    FastOp::Srli(d, a, sh) => regs[*d as usize] = rr!(*a) >> sh,
+                    FastOp::Srai(d, a, sh) => regs[*d as usize] = ((rr!(*a) as i32) >> sh) as u32,
+                    FastOp::Movi(d, imm) => regs[*d as usize] = *imm,
+                    FastOp::Mov(d, a) => regs[*d as usize] = rr!(*a),
+                    FastOp::Lw(d, base, off) => load!(d, base, off, load_u32),
+                    FastOp::Lbu(d, base, off) => load!(d, base, off, load_u8),
+                    FastOp::Lhu(d, base, off) => load!(d, base, off, load_u16),
+                    FastOp::Sw(v, base, off) => store!(v, base, off, store_u32, u32),
+                    FastOp::Sb(v, base, off) => store!(v, base, off, store_u8, u8),
+                    FastOp::Sh(v, base, off) => store!(v, base, off, store_u16, u16),
+                    FastOp::Beq(a, b, t) => {
+                        if rr!(*a) == rr!(*b) {
+                            jump!(*t)
+                        }
+                    }
+                    FastOp::Bne(a, b, t) => {
+                        if rr!(*a) != rr!(*b) {
+                            jump!(*t)
+                        }
+                    }
+                    FastOp::Bltu(a, b, t) => {
+                        if rr!(*a) < rr!(*b) {
+                            jump!(*t)
+                        }
+                    }
+                    FastOp::Bgeu(a, b, t) => {
+                        if rr!(*a) >= rr!(*b) {
+                            jump!(*t)
+                        }
+                    }
+                    FastOp::Blt(a, b, t) => {
+                        if (rr!(*a) as i32) < (rr!(*b) as i32) {
+                            jump!(*t)
+                        }
+                    }
+                    FastOp::Bge(a, b, t) => {
+                        if (rr!(*a) as i32) >= (rr!(*b) as i32) {
+                            jump!(*t)
+                        }
+                    }
+                    FastOp::J(t) => jump!(*t),
+                    FastOp::Call(t) => {
+                        regs[RA] = i as u32 + 1;
+                        jump!(*t)
+                    }
+                    FastOp::Jr(a) => jump!(rr!(*a)),
+                    FastOp::Ret => jump!(regs[RA]),
+                    FastOp::Clc => *carry = false,
+                    FastOp::Nop => {}
+                    FastOp::Halt => {
+                        retire!(false, i + 1, false);
+                        pc = i;
+                        break 'outer;
+                    }
+                    FastOp::Custom {
+                        exec,
+                        op,
+                        latency: l,
+                    } => {
+                        latency = *l;
+                        let mut ctx = ExecCtx {
+                            regs,
+                            uregs,
+                            mem,
+                            carry,
+                        };
+                        if let Err(source) = exec(&mut ctx, op) {
+                            fail!(SimError::Custom { pc: i, source });
+                        }
+                        hook!(|f| if let Some(mask) = f.custom_result() {
+                            // Stuck-at-one fault on one line of the result
+                            // bus (the destination register).
+                            if let Some(d) = op.regs.first() {
+                                regs[d.index()] |= mask;
+                            }
+                        });
+                    }
+                    FastOp::CustomUnknown(name) => fail!(SimError::Illegal {
+                        pc: i,
+                        reason: format!("unknown custom instruction `{name}`"),
+                    }),
+                }
+                retire!(false, i + 1, false);
+                i += 1;
+                continue 'block;
             }
-            retire!(false, i + 1, false);
-            i += 1;
+            retire!(true, next, false);
+            pc = next;
+            continue 'outer;
         }
         pc = end; // fell through to the next block's leader
     }

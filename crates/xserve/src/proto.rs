@@ -409,5 +409,8 @@ mod tests {
             5002
         );
         assert_eq!(Response::parse("{}").unwrap_err().code(), 4001);
+        // A hostile nesting depth is a bad request, not a stack overflow.
+        let deep = format!(r#"{{"op":"stats","x":{}}}"#, "[".repeat(100_000));
+        assert_eq!(Request::parse(&deep).unwrap_err().code(), 4001);
     }
 }
