@@ -18,15 +18,21 @@ pub const KARATSUBA_THRESHOLD: usize = 16;
 /// Schoolbook product `a × b` (lengths may differ).
 pub fn mul_schoolbook<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, a: &[L], b: &[L]) -> Vec<L> {
     let mut r = vec![L::ZERO; a.len() + b.len()];
+    schoolbook_into(ops, &mut r, a, b);
+    r
+}
+
+/// Schoolbook product `a × b` into the zeroed prefix
+/// `r[..a.len() + b.len()]`.
+fn schoolbook_into<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, r: &mut [L], a: &[L], b: &[L]) {
     if a.is_empty() || b.is_empty() {
-        return r;
+        return;
     }
     for (j, &bj) in b.iter().enumerate() {
         let carry = ops.addmul_1(&mut r[j..j + a.len()], a, bj);
         r[j + a.len()] = carry;
     }
     ops.glue(b.len() as u64);
-    r
 }
 
 /// Karatsuba product with the given basecase threshold.
@@ -294,8 +300,8 @@ impl<L: Limb> MontyState<L> {
         let k = self.n.len();
         debug_assert_eq!(a.len(), k);
         debug_assert_eq!(b.len(), k);
-        let mut t = mul_schoolbook(ops, a, b);
-        t.push(L::ZERO);
+        let mut t = vec![L::ZERO; 2 * k + 1];
+        schoolbook_into(ops, &mut t, a, b);
         self.reduce(ops, &mut t)
     }
 
@@ -316,19 +322,19 @@ impl<L: Limb> MontyState<L> {
             }
             ops.glue(1);
         }
-        let mut r = t[k..2 * k].to_vec();
-        let extra = t[2 * k];
-        if extra != L::ZERO || mpn::cmp_n(&r, &self.n) != Ordering::Less {
-            let tmp = r.clone();
-            ops.sub_n(&mut r, &tmp, &self.n);
+        let hi = &t[k..2 * k];
+        if t[2 * k] != L::ZERO || mpn::cmp_n(hi, &self.n) != Ordering::Less {
+            let mut r = vec![L::ZERO; k];
+            ops.sub_n(&mut r, hi, &self.n);
+            r
+        } else {
+            hi.to_vec()
         }
-        r
     }
 
     /// Converts a `k`-limb value into the Montgomery domain.
     pub fn to_monty<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, a: &[L]) -> Vec<L> {
-        let rr = self.rr.clone();
-        self.mul(ops, a, &rr)
+        self.mul(ops, a, &self.rr)
     }
 
     /// Converts a Montgomery-domain value back to plain representation.

@@ -13,6 +13,8 @@ use crate::space::{CacheMode, ModExpConfig, MulAlgo, Radix};
 use mpint::limb::Limb;
 use mpint::mpn;
 use mpint::Natural;
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -78,7 +80,8 @@ impl ExpCache {
 }
 
 /// Computes `base^exp mod modulus` under the given design-space
-/// configuration.
+/// configuration: the setup stage (reduction context and window table,
+/// cache-aware) followed by the MSB-first window scan.
 ///
 /// # Errors
 ///
@@ -119,6 +122,32 @@ where
     }
 }
 
+/// Runs only the setup stage of [`mod_exp`]: fills `cache` exactly as a
+/// full `mod_exp` call with the same arguments would, metering the same
+/// setup work through `ops`, without the window scan. The window table
+/// is built only under [`CacheMode::ContextAndTable`], the one mode
+/// that keeps it.
+///
+/// # Errors
+///
+/// Returns the same [`ModExpError`] as [`mod_exp`].
+pub fn prime<O>(
+    ops: &mut O,
+    base: &Natural,
+    exp: &Natural,
+    modulus: &Natural,
+    cfg: &ModExpConfig,
+    cache: &mut ExpCache,
+) -> Result<(), ModExpError>
+where
+    O: MpnOps<u16> + MpnOps<u32> + ?Sized,
+{
+    match cfg.radix {
+        Radix::R16 => prime_radix::<u16, O>(ops, base, exp, modulus, cfg, &mut cache.r16),
+        Radix::R32 => prime_radix::<u32, O>(ops, base, exp, modulus, cfg, &mut cache.r32),
+    }
+}
+
 fn mod_exp_radix<L: Limb, O: MpnOps<L> + ?Sized>(
     ops: &mut O,
     base: &Natural,
@@ -127,152 +156,232 @@ fn mod_exp_radix<L: Limb, O: MpnOps<L> + ?Sized>(
     cfg: &ModExpConfig,
     cache: &mut RadixCache<L>,
 ) -> Result<Natural, ModExpError> {
-    if modulus.is_zero() {
-        return Err(ModExpError::ZeroModulus);
+    let RadixCache {
+        monty,
+        barrett,
+        tables,
+    } = cache;
+    match Setup::new(ops, base, exp, modulus, cfg, monty, barrett)? {
+        Setup::Trivial(out) => Ok(out),
+        Setup::Ready(ctx) => {
+            let table = ctx.table(ops, tables);
+            Ok(ctx.scan(ops, exp, &table))
+        }
     }
-    if modulus.is_one() {
-        return Ok(Natural::zero());
-    }
-    let m_limbs: Vec<L> = modulus.to_radix_limbs();
-    let k = m_limbs.len();
-    if matches!(cfg.mul, MulAlgo::Montgomery) && modulus.is_even() {
-        return Err(ModExpError::EvenModulusMontgomery);
-    }
+}
 
-    // Reduce the base.
-    let base_red = base % modulus;
-    if exp.is_zero() {
-        return Ok(Natural::one());
+fn prime_radix<L: Limb, O: MpnOps<L> + ?Sized>(
+    ops: &mut O,
+    base: &Natural,
+    exp: &Natural,
+    modulus: &Natural,
+    cfg: &ModExpConfig,
+    cache: &mut RadixCache<L>,
+) -> Result<(), ModExpError> {
+    let RadixCache {
+        monty,
+        barrett,
+        tables,
+    } = cache;
+    if let Setup::Ready(ctx) = Setup::new(ops, base, exp, modulus, cfg, monty, barrett)? {
+        if cfg.cache == CacheMode::ContextAndTable {
+            ctx.table(ops, tables);
+        }
     }
+    Ok(())
+}
 
-    // Set up the reduction context per strategy and cache mode.
-    let monty: Option<MontyState<L>> = if matches!(cfg.mul, MulAlgo::Montgomery) {
-        Some(match cfg.cache {
-            CacheMode::None => MontyState::new(ops, &m_limbs),
-            _ => cache
-                .monty
-                .entry(m_limbs.clone())
-                .or_insert_with(|| MontyState::new(ops, &m_limbs))
-                .clone(),
-        })
-    } else {
-        None
-    };
-    let barrett: Option<BarrettState<L>> =
-        if matches!(cfg.mul, MulAlgo::Barrett | MulAlgo::KaratsubaBarrett) {
-            Some(match cfg.cache {
-                CacheMode::None => BarrettState::new(ops, &m_limbs),
-                _ => cache
-                    .barrett
-                    .entry(m_limbs.clone())
-                    .or_insert_with(|| BarrettState::new(ops, &m_limbs))
-                    .clone(),
-            })
-        } else {
-            None
+/// The reduction context of one exponentiation: built for the call
+/// under [`CacheMode::None`], borrowed from the cache otherwise.
+enum Reducer<'c, L: Limb> {
+    /// Full division by the modulus; nothing to precompute.
+    Div,
+    Monty(Cow<'c, MontyState<L>>),
+    Barrett(Cow<'c, BarrettState<L>>),
+}
+
+/// The outcome of the setup stage.
+enum Setup<'c, L: Limb> {
+    /// The answer needs no scan (unit modulus or zero exponent).
+    Trivial(Natural),
+    /// The scan's operands, in the reduction domain.
+    Ready(Context<'c, L>),
+}
+
+/// Everything the window table and the scan read.
+struct Context<'c, L: Limb> {
+    cfg: ModExpConfig,
+    /// Modulus limbs (`k` of them).
+    m: Vec<L>,
+    reducer: Reducer<'c, L>,
+    /// The reduced base, `k` limbs, in the domain.
+    base: Vec<L>,
+    /// One, `k` limbs, in the domain.
+    one: Vec<L>,
+}
+
+impl<'c, L: Limb> Setup<'c, L> {
+    /// Validates the operands and sets up the reduction context (cached
+    /// per modulus unless [`CacheMode::None`]) and the domain operands.
+    fn new<O: MpnOps<L> + ?Sized>(
+        ops: &mut O,
+        base: &Natural,
+        exp: &Natural,
+        modulus: &Natural,
+        cfg: &ModExpConfig,
+        monty: &'c mut BTreeMap<Vec<L>, MontyState<L>>,
+        barrett: &'c mut BTreeMap<Vec<L>, BarrettState<L>>,
+    ) -> Result<Self, ModExpError> {
+        if modulus.is_zero() {
+            return Err(ModExpError::ZeroModulus);
+        }
+        if modulus.is_one() {
+            return Ok(Setup::Trivial(Natural::zero()));
+        }
+        let m: Vec<L> = modulus.to_radix_limbs();
+        let k = m.len();
+        if matches!(cfg.mul, MulAlgo::Montgomery) && modulus.is_even() {
+            return Err(ModExpError::EvenModulusMontgomery);
+        }
+        let base_red = base % modulus;
+        if exp.is_zero() {
+            return Ok(Setup::Trivial(Natural::one()));
+        }
+
+        let cached = cfg.cache != CacheMode::None;
+        let reducer = match cfg.mul {
+            MulAlgo::Montgomery if cached => Reducer::Monty(Cow::Borrowed(
+                monty
+                    .entry(m.clone())
+                    .or_insert_with(|| MontyState::new(ops, &m)),
+            )),
+            MulAlgo::Montgomery => Reducer::Monty(Cow::Owned(MontyState::new(ops, &m))),
+            MulAlgo::Barrett | MulAlgo::KaratsubaBarrett if cached => {
+                Reducer::Barrett(Cow::Borrowed(
+                    barrett
+                        .entry(m.clone())
+                        .or_insert_with(|| BarrettState::new(ops, &m)),
+                ))
+            }
+            MulAlgo::Barrett | MulAlgo::KaratsubaBarrett => {
+                Reducer::Barrett(Cow::Owned(BarrettState::new(ops, &m)))
+            }
+            MulAlgo::MulDiv | MulAlgo::KaratsubaDiv => Reducer::Div,
         };
 
-    // Domain representation: k-limb vectors, Montgomery domain when
-    // applicable.
-    let mut base_dom: Vec<L> = base_red.to_radix_limbs();
-    base_dom.resize(k, L::ZERO);
-    let one_dom: Vec<L>;
-    if let Some(st) = &monty {
-        base_dom = st.to_monty(ops, &base_dom);
+        // Domain representation: k-limb vectors, Montgomery domain when
+        // applicable.
+        let mut base_dom: Vec<L> = base_red.to_radix_limbs();
+        base_dom.resize(k, L::ZERO);
         let mut one = vec![L::ZERO; k];
         one[0] = L::ONE;
-        one_dom = st.to_monty(ops, &one);
-    } else {
-        let mut one = vec![L::ZERO; k];
-        one[0] = L::ONE;
-        one_dom = one;
+        let (base, one) = match &reducer {
+            Reducer::Monty(st) => (st.to_monty(ops, &base_dom), st.to_monty(ops, &one)),
+            _ => (base_dom, one),
+        };
+        Ok(Setup::Ready(Context {
+            cfg: *cfg,
+            m,
+            reducer,
+            base,
+            one,
+        }))
+    }
+}
+
+impl<L: Limb> Context<'_, L> {
+    /// Modular product `a·b` of `k`-limb domain operands.
+    fn modmul<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, a: &[L], b: &[L]) -> Vec<L> {
+        let product = |ops: &mut O| match self.cfg.mul {
+            MulAlgo::KaratsubaDiv | MulAlgo::KaratsubaBarrett => {
+                algo::mul_karatsuba(ops, a, b, algo::KARATSUBA_THRESHOLD)
+            }
+            _ => algo::mul_schoolbook(ops, a, b),
+        };
+        match &self.reducer {
+            Reducer::Monty(st) => st.mul(ops, a, b),
+            Reducer::Barrett(st) => {
+                let t = product(ops);
+                pad(st.reduce(ops, &t), self.m.len())
+            }
+            Reducer::Div => {
+                let t = product(ops);
+                let (_, r) = algo::divrem(ops, &t, &self.m);
+                pad(r, self.m.len())
+            }
+        }
     }
 
-    let modmul = |ops: &mut O, a: &[L], b: &[L]| -> Vec<L> {
-        match cfg.mul {
-            MulAlgo::Montgomery => monty.as_ref().expect("set above").mul(ops, a, b),
-            MulAlgo::MulDiv => {
-                let t = algo::mul_schoolbook(ops, a, b);
-                let (_, r) = algo::divrem(ops, &t, &m_limbs);
-                pad(r, k)
-            }
-            MulAlgo::KaratsubaDiv => {
-                let t = algo::mul_karatsuba(ops, a, b, algo::KARATSUBA_THRESHOLD);
-                let (_, r) = algo::divrem(ops, &t, &m_limbs);
-                pad(r, k)
-            }
-            MulAlgo::Barrett => {
-                let t = algo::mul_schoolbook(ops, a, b);
-                pad(barrett.as_ref().expect("set above").reduce(ops, &t), k)
-            }
-            MulAlgo::KaratsubaBarrett => {
-                let t = algo::mul_karatsuba(ops, a, b, algo::KARATSUBA_THRESHOLD);
-                pad(barrett.as_ref().expect("set above").reduce(ops, &t), k)
-            }
+    /// The window table `table[i] = base^i` (domain), `i < 2^w`: looked
+    /// up in or added to `tables` under [`CacheMode::ContextAndTable`],
+    /// built for the call otherwise.
+    fn table<'t, O: MpnOps<L> + ?Sized>(
+        &self,
+        ops: &mut O,
+        tables: &'t mut BTreeMap<TableKey<L>, Vec<Vec<L>>>,
+    ) -> Cow<'t, [Vec<L>]> {
+        if self.cfg.cache != CacheMode::ContextAndTable {
+            return Cow::Owned(self.build_table(ops));
         }
-    };
-
-    // Window precomputation table: table[i] = base^i (domain), i < 2^w.
-    let w = cfg.window;
-    let table_key = (m_limbs.clone(), base_dom.clone(), w, cfg.mul);
-    let table: Vec<Vec<L>> = match cfg.cache {
-        CacheMode::ContextAndTable if cache.tables.contains_key(&table_key) => {
-            ops.glue(1); // hash lookup
-            cache.tables[&table_key].clone()
-        }
-        _ => {
-            let entries = 1usize << w;
-            let mut t: Vec<Vec<L>> = Vec::with_capacity(entries);
-            t.push(one_dom.clone());
-            if entries > 1 {
-                t.push(base_dom.clone());
+        let key = (
+            self.m.clone(),
+            self.base.clone(),
+            self.cfg.window,
+            self.cfg.mul,
+        );
+        match tables.entry(key) {
+            Entry::Occupied(hit) => {
+                ops.glue(1); // hash lookup
+                Cow::Borrowed(hit.into_mut())
             }
-            for i in 2..entries {
-                let prev = t[i - 1].clone();
-                t.push(modmul(ops, &prev, &base_dom));
-            }
-            if matches!(cfg.cache, CacheMode::ContextAndTable) {
-                cache.tables.insert(table_key, t.clone());
-            }
-            t
+            Entry::Vacant(slot) => Cow::Borrowed(slot.insert(self.build_table(ops))),
         }
-    };
-
-    // MSB-first fixed-window scan.
-    let bits = exp.bit_length();
-    let digits = bits.div_ceil(w as usize);
-    let mut acc = one_dom.clone();
-    let mut started = false;
-    for d in (0..digits).rev() {
-        if started {
-            for _ in 0..w {
-                acc = modmul(ops, &acc.clone(), &acc);
-            }
-        }
-        let digit = exp.bits(d * w as usize, w);
-        if digit != 0 {
-            acc = if started {
-                modmul(ops, &acc, &table[digit as usize])
-            } else {
-                table[digit as usize].clone()
-            };
-            started = true;
-        } else if started {
-            // nothing to multiply
-        }
-        ops.glue(1);
-    }
-    if !started {
-        // exp was zero (handled earlier), defensive.
-        acc = one_dom;
     }
 
-    let out = if let Some(st) = &monty {
-        st.from_monty(ops, &acc)
-    } else {
-        acc
-    };
-    Ok(Natural::from_radix_limbs(mpn::normalized(&out)))
+    fn build_table<O: MpnOps<L> + ?Sized>(&self, ops: &mut O) -> Vec<Vec<L>> {
+        let entries = 1usize << self.cfg.window;
+        let mut t: Vec<Vec<L>> = Vec::with_capacity(entries);
+        t.push(self.one.clone());
+        if entries > 1 {
+            t.push(self.base.clone());
+        }
+        for i in 2..entries {
+            let next = self.modmul(ops, &t[i - 1], &self.base);
+            t.push(next);
+        }
+        t
+    }
+
+    /// The MSB-first fixed-window scan of `exp` over `table`, converted
+    /// back out of the domain.
+    fn scan<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, exp: &Natural, table: &[Vec<L>]) -> Natural {
+        let w = self.cfg.window;
+        let digits = exp.bit_length().div_ceil(w as usize);
+        // `None` until the first nonzero digit.
+        let mut acc: Option<Vec<L>> = None;
+        for d in (0..digits).rev() {
+            if let Some(a) = &mut acc {
+                for _ in 0..w {
+                    *a = self.modmul(ops, a, a);
+                }
+            }
+            let digit = exp.bits(d * w as usize, w) as usize;
+            if digit != 0 {
+                acc = Some(match acc {
+                    Some(a) => self.modmul(ops, &a, &table[digit]),
+                    None => table[digit].clone(),
+                });
+            }
+            ops.glue(1);
+        }
+        // A zero exponent never reaches the scan; defensive.
+        let acc = acc.unwrap_or_else(|| self.one.clone());
+        let out = match &self.reducer {
+            Reducer::Monty(st) => st.from_monty(ops, &acc),
+            _ => acc,
+        };
+        Natural::from_radix_limbs(mpn::normalized(&out))
+    }
 }
 
 fn pad<L: Limb>(mut v: Vec<L>, k: usize) -> Vec<L> {

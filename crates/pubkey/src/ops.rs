@@ -197,12 +197,16 @@ fn model_slots(models: &BTreeMap<&'static str, MacroModel>) -> ModelSlots {
 ///
 /// Each basic op's cycles come from a fitted [`MacroModel`] evaluated at
 /// the operand length (in limbs); `div_qhat` and `glue` use constant
-/// models.
+/// models. A model's prediction depends only on the length, so each
+/// (radix, slot, length) is predicted once and then read from a table.
 #[derive(Debug, Clone)]
 pub struct ModeledMpn {
     /// Models indexed by radix (0: 32-bit limbs, 1: 16-bit limbs) and
     /// [`slot`].
     models: [ModelSlots; 2],
+    /// `models[radix][slot]`'s prediction at each length, indexed like
+    /// `models`; NaN until first used.
+    predicted: [[Vec<f64>; N_OPS]; 2],
     glue_cost: f64,
     cycles: f64,
     counts: CallCounts,
@@ -232,6 +236,7 @@ impl ModeledMpn {
     ) -> Self {
         ModeledMpn {
             models: [model_slots(models32), model_slots(models16)],
+            predicted: Default::default(),
             glue_cost,
             cycles: 0.0,
             counts: CallCounts::default(),
@@ -240,8 +245,16 @@ impl ModeledMpn {
 
     fn charge(&mut self, width: u32, slot: usize, len: usize) {
         self.counts.bump(slot);
-        if let Some(m) = &self.models[usize::from(width == 16)][slot] {
-            self.cycles += m.predict(&[len as u64]);
+        let radix = usize::from(width == 16);
+        if let Some(m) = &self.models[radix][slot] {
+            let row = &mut self.predicted[radix][slot];
+            if len >= row.len() {
+                row.resize(len + 1, f64::NAN);
+            }
+            if row[len].is_nan() {
+                row[len] = m.predict(&[len as u64]);
+            }
+            self.cycles += row[len];
         }
     }
 }

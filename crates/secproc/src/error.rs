@@ -24,7 +24,7 @@
 //! | 2000s | public-key layer ([`RsaError`])         |
 //! | 3000s | report validation                       |
 //! | 4000s | wire protocol (`xserve`)                |
-//! | 5000s | flow configuration / job specs          |
+//! | 5000s | flow configuration / job specs / jobs   |
 
 use std::fmt;
 
@@ -76,6 +76,8 @@ pub mod codes {
     pub const FLOW_CONFLICT: u32 = 5001;
     /// A `JobSpec` failed to parse or referenced unknown ids.
     pub const JOB_SPEC: u32 = 5002;
+    /// A job's body panicked; the daemon contained it to that job.
+    pub const JOB_PANICKED: u32 = 5003;
 }
 
 /// A failure anywhere in the platform, tagged with a stable numeric
@@ -114,6 +116,11 @@ pub enum Error {
         /// What was malformed.
         detail: String,
     },
+    /// A job's body panicked and was contained to that job.
+    JobPanicked {
+        /// The panic message.
+        detail: String,
+    },
 }
 
 impl Error {
@@ -146,6 +153,7 @@ impl Error {
             Error::Flow { .. } => codes::FLOW,
             Error::Conflict { .. } => codes::FLOW_CONFLICT,
             Error::JobSpec { .. } => codes::JOB_SPEC,
+            Error::JobPanicked { .. } => codes::JOB_PANICKED,
         }
     }
 }
@@ -160,6 +168,7 @@ impl fmt::Display for Error {
             Error::Flow { detail } => write!(f, "{detail}"),
             Error::Conflict { detail } => write!(f, "conflicting flow configuration: {detail}"),
             Error::JobSpec { detail } => write!(f, "bad job spec: {detail}"),
+            Error::JobPanicked { detail } => write!(f, "job panicked: {detail}"),
         }
     }
 }
@@ -210,6 +219,13 @@ mod tests {
             }
             .code(),
             5002
+        );
+        assert_eq!(
+            Error::JobPanicked {
+                detail: String::new()
+            }
+            .code(),
+            5003
         );
         assert_eq!(
             Error::Report {

@@ -47,7 +47,7 @@ use kreg::{CallConv, KernelDescriptor, KernelError, KernelId, LibKind};
 use macromodel::charact::{fit_planned, plan_stimuli, with_name, CharactOptions, StimulusPlan};
 use macromodel::model::{MacroModel, ModelQuality, Monomial};
 use mpint::Natural;
-use pubkey::modexp::{mod_exp, ExpCache, ModExpError};
+use pubkey::modexp::{mod_exp, prime, ExpCache, ModExpError};
 use pubkey::ops::{ModeledMpn, MpnOps};
 use pubkey::space::{CacheMode, CrtMode, ModExpConfig, ParetoFront};
 use rand::rngs::StdRng;
@@ -1865,9 +1865,11 @@ pub fn mark_pareto_front(points: &mut [CrossPoint]) -> usize {
 
 /// Phase 2 implementation: the 150 distinct programs of the
 /// 450-candidate lattice are costed in parallel (each owns its
-/// modeled-ops provider and cache), then every candidate is ranked and
-/// offered to the Pareto front in enumeration order, so the result is
-/// bit-identical to the serial run for any thread count.
+/// modeled-ops provider and cache; one metered exponentiation per
+/// program, after a setup-only [`prime`] for the 100 that cache), then
+/// every candidate is ranked and offered to the Pareto front in
+/// enumeration order, so the result is bit-identical to the serial run
+/// for any thread count.
 fn explore_impl(
     models: &KernelModels,
     bits: usize,
@@ -1973,9 +1975,12 @@ impl Workload {
 }
 
 /// Macro-model estimate of one program on `work`, with its result.
-/// Caching benefits repeat calls, so a first run fills the cross-call
-/// cache and the second is costed; under [`CacheMode::None`] the first
-/// run fills nothing and is skipped.
+/// Caching benefits repeat calls, so the costed run sees a warm
+/// cross-call cache. A warm-up run would leave only the setup stage's
+/// entries in it, so [`prime`] runs just that stage and its cost is
+/// discarded; under [`CacheMode::None`] nothing is cached and priming
+/// is skipped. The estimate equals the cost of the second of two full
+/// runs, bit for bit.
 fn estimate(
     models: &KernelModels,
     work: &Workload,
@@ -1985,7 +1990,7 @@ fn estimate(
     let mut ops = models.modeled_ops(glue_cost);
     let mut cache = ExpCache::new();
     if config.cache != CacheMode::None {
-        mod_exp(&mut ops, &work.base, &work.exp, &work.m, config, &mut cache)?;
+        prime(&mut ops, &work.base, &work.exp, &work.m, config, &mut cache)?;
         MpnOps::<u32>::reset(&mut ops);
     }
     let result = mod_exp(&mut ops, &work.base, &work.exp, &work.m, config, &mut cache)?;
@@ -2029,6 +2034,8 @@ fn cosim_once(
     }
     iss.set_glue_cost(glue_cost);
     let mut cache = ExpCache::new();
+    // A full warm-up run, not `prime`: it also warms the simulated I- and
+    // D-caches, which are part of the measured state.
     let run: Result<f64, ModExpError> = (|| {
         mod_exp(&mut iss, &base, &exp, &m, candidate, &mut cache)?;
         MpnOps::<u32>::reset(&mut iss);

@@ -14,6 +14,11 @@
 //! connection's other responses, each line written under the
 //! connection's writer lock.
 //!
+//! Failures stay inside their job or connection: a panicking job ends
+//! as a `5003 JOB_PANICKED` job error and its executor serves the next
+//! job; a request line longer than 1 MiB is answered with `4001` and
+//! its connection closed; the daemon's locks recover from poisoning.
+//!
 //! Shutdown is graceful: the flag flips, queued jobs drain as `4005
 //! PROTO_SHUTDOWN` job errors, executors finish their in-flight jobs,
 //! the cache is persisted, and [`Server::run`] returns (no process
@@ -23,17 +28,26 @@ use crate::proto::{Request, Response, StatsBody};
 use secproc::error::{codes, Error};
 use secproc::job::{cached_kernel_cycles, JobEnv, JobKind, JobSpec};
 use secproc::kcache::KCache;
+use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use xobs::frames;
+use xobs::{frames, RunReport};
 use xpar::{CancelToken, Pool};
+
+/// Longest request line the daemon buffers, in bytes (far above any
+/// [`JobSpec`]).
+const MAX_LINE: usize = 1 << 20;
+
+/// What an executor runs a job's spec with: [`JobSpec::run`].
+type Runner = fn(&JobSpec, &JobEnv<'_>) -> Result<RunReport, Error>;
 
 /// Where the daemon listens.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,6 +134,7 @@ impl Server {
                 next_id: AtomicU64::new(0),
                 jobs: Mutex::new(HashMap::new()),
                 stats: Counters::default(),
+                runner: JobSpec::run,
             }),
         })
     }
@@ -214,7 +229,7 @@ struct SharedWriter(Arc<Mutex<Box<dyn Write + Send>>>);
 
 impl SharedWriter {
     fn send(&self, resp: &Response) -> io::Result<()> {
-        let mut w = self.0.lock().expect("connection writer poisoned");
+        let mut w = lock(&self.0);
         writeln!(w, "{}", resp.to_json().to_string_compact())?;
         w.flush()
     }
@@ -241,6 +256,14 @@ struct Shared {
     next_id: AtomicU64,
     jobs: Mutex<HashMap<String, Arc<CancelToken>>>,
     stats: Counters,
+    runner: Runner,
+}
+
+/// Locks `m` even if a thread panicked while holding it: every
+/// structure guarded here is consistent between statements, and one
+/// failed job must not take the daemon down with it.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 struct QueuedJob {
@@ -275,7 +298,7 @@ impl Ord for QueuedJob {
 fn executor_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut q = shared.queue.lock().expect("job queue poisoned");
+            let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.pop() {
                     break Some(job);
@@ -283,7 +306,10 @@ fn executor_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                q = shared.queue_cv.wait(q).expect("job queue poisoned");
+                q = shared
+                    .queue_cv
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let Some(job) = job else { return };
@@ -307,7 +333,15 @@ fn run_one(shared: &Shared, job: QueuedJob) {
             detail: "job cancelled".into(),
         })
     } else {
-        job.spec.run(&env)
+        // A panic ends this job only: the executor survives it and the
+        // client gets a terminal job error.
+        panic::catch_unwind(AssertUnwindSafe(|| (shared.runner)(&job.spec, &env))).unwrap_or_else(
+            |payload| {
+                Err(Error::JobPanicked {
+                    detail: panic_message(payload.as_ref()),
+                })
+            },
+        )
     };
     match result {
         Ok(report) => {
@@ -327,11 +361,7 @@ fn run_one(shared: &Shared, job: QueuedJob) {
                 }
             }
             shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-            shared
-                .jobs
-                .lock()
-                .expect("job registry poisoned")
-                .remove(&job.id);
+            lock(&shared.jobs).remove(&job.id);
         }
         Err(e) => finish(shared, &job, e.code(), &e.to_string()),
     }
@@ -350,29 +380,81 @@ fn finish(shared: &Shared, job: &QueuedJob, code: u32, detail: &str) {
         code,
         detail: detail.to_owned(),
     });
-    shared
-        .jobs
-        .lock()
-        .expect("job registry poisoned")
-        .remove(&job.id);
+    lock(&shared.jobs).remove(&job.id);
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => (*s).to_owned(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".into()),
+    }
 }
 
 fn handle_conn(shared: &Shared, conn: Conn) {
-    let Ok((reader, writer)) = conn.split() else {
+    let Ok((mut reader, writer)) = conn.split() else {
         return;
     };
     let out = SharedWriter(Arc::new(Mutex::new(writer)));
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut buf = Vec::new();
+    loop {
+        let line = match read_line(&mut reader, &mut buf) {
+            Ok(Line::Text(line)) => line,
+            Ok(Line::TooLong) => {
+                let _ = out.send(&Response::Error {
+                    code: codes::PROTO_BAD_REQUEST,
+                    detail: format!("request line exceeds {MAX_LINE} bytes"),
+                });
+                // Consume the rest of the line so the close is orderly
+                // and the client can read the error.
+                let _ = reader.skip_until(b'\n');
+                break;
+            }
+            Ok(Line::Eof) | Err(_) => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match handle_request(shared, &out, &line) {
+        match handle_request(shared, &out, line) {
             Flow::Continue => {}
             Flow::Shutdown => break,
             Flow::Disconnect => break,
         }
     }
+}
+
+/// One request line read by [`read_line`].
+enum Line<'b> {
+    /// A line, terminator stripped.
+    Text(&'b str),
+    /// More than [`MAX_LINE`] bytes without a newline.
+    TooLong,
+    /// The peer closed the connection.
+    Eof,
+}
+
+/// Reads one line into `buf`, buffering at most [`MAX_LINE`] bytes of
+/// it. A line that is not UTF-8 is an `InvalidData` error.
+fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> io::Result<Line<'b>> {
+    buf.clear();
+    let limit = MAX_LINE as u64 + 1; // the line plus its newline
+    if reader.take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE {
+        return Ok(Line::TooLong);
+    }
+    std::str::from_utf8(buf)
+        .map(Line::Text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 enum Flow {
@@ -400,7 +482,7 @@ fn handle_request(shared: &Shared, out: &SharedWriter, line: &str) -> Flow {
             respond(out, &resp)
         }
         Request::Cancel { id } => {
-            let resp = match shared.jobs.lock().expect("job registry poisoned").get(&id) {
+            let resp = match lock(&shared.jobs).get(&id) {
                 Some(token) => {
                     token.cancel();
                     Response::Ok
@@ -432,7 +514,7 @@ fn handle_request(shared: &Shared, out: &SharedWriter, line: &str) -> Flow {
             respond(out, &resp)
         }
         Request::Stats => {
-            let queue_depth = shared.queue.lock().expect("job queue poisoned").len() as u64;
+            let queue_depth = lock(&shared.queue).len() as u64;
             let s = &shared.stats;
             respond(
                 out,
@@ -490,7 +572,7 @@ fn submit(
         id.unwrap_or_else(|| format!("job-{}", shared.next_id.fetch_add(1, Ordering::Relaxed)));
     let cancel = Arc::new(CancelToken::new());
     {
-        let mut jobs = shared.jobs.lock().expect("job registry poisoned");
+        let mut jobs = lock(&shared.jobs);
         if jobs.contains_key(&id) {
             return Response::Error {
                 code: codes::PROTO_BAD_REQUEST,
@@ -508,11 +590,7 @@ fn submit(
         cancel,
         out: out.clone(),
     };
-    shared
-        .queue
-        .lock()
-        .expect("job queue poisoned")
-        .push(queued);
+    lock(&shared.queue).push(queued);
     shared.queue_cv.notify_one();
     shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
     Response::Accepted { id, digest }
@@ -535,4 +613,72 @@ fn query(
     let var = probe.kernel_variant()?;
     let kernel = kreg::KernelId::parse(kernel)?;
     cached_kernel_cycles(&config, var, kernel, n, seed, Some(&shared.kcache))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// Runs specs like [`JobSpec::run`], except that seed 666 panics.
+    fn panics_on_666(spec: &JobSpec, env: &JobEnv<'_>) -> Result<RunReport, Error> {
+        assert_ne!(spec.seed, 666, "job body blew up");
+        spec.run(env)
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_its_executor_serves_on() {
+        let mut config = ServerConfig::new(Bind::Tcp("127.0.0.1:0".into()));
+        config.executors = 1;
+        let mut server = Server::bind(config).expect("bind loopback");
+        Arc::get_mut(&mut server.shared)
+            .expect("not serving yet")
+            .runner = panics_on_666;
+        let addr = server.local_addr().expect("tcp server has an address");
+        let serve = thread::spawn(move || server.run());
+
+        let mut spec = JobSpec::new(JobKind::Measure);
+        spec.kernels = vec![kreg::id::ADD_N];
+        spec.limbs = 4;
+        let mut client = Client::connect_tcp(addr).expect("connect");
+        let doomed = JobSpec {
+            seed: 666,
+            ..spec.clone()
+        };
+        let err = client.run_job(&doomed, 0).expect_err("the job panics");
+        assert_eq!(err.code(), codes::JOB_PANICKED);
+        assert!(err.to_string().contains("job body blew up"), "{err}");
+
+        // The one executor survived and runs the next job.
+        client.run_job(&spec, 0).expect("next job runs");
+        let stats = client.stats().expect("stats");
+        assert_eq!((stats.failed, stats.completed), (1, 1));
+
+        client.shutdown().expect("shutdown");
+        serve.join().expect("serve thread").expect("serve loop");
+    }
+
+    #[test]
+    fn read_line_bounds_what_it_buffers() {
+        let exact = "y".repeat(MAX_LINE);
+        let input = format!("ab\r\n{exact}\n{}\ntail", "x".repeat(MAX_LINE + 1));
+        let mut reader = io::Cursor::new(input.into_bytes());
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_line(&mut reader, &mut buf),
+            Ok(Line::Text("ab"))
+        ));
+        assert!(matches!(read_line(&mut reader, &mut buf), Ok(Line::Text(l)) if l == exact));
+        assert!(matches!(
+            read_line(&mut reader, &mut buf),
+            Ok(Line::TooLong)
+        ));
+        assert!(buf.len() <= MAX_LINE + 1);
+        reader.skip_until(b'\n').expect("in-memory");
+        assert!(matches!(
+            read_line(&mut reader, &mut buf),
+            Ok(Line::Text("tail"))
+        ));
+        assert!(matches!(read_line(&mut reader, &mut buf), Ok(Line::Eof)));
+    }
 }

@@ -45,6 +45,41 @@ fn daemon_and_direct_runs_agree_byte_for_byte_after_normalization() {
     serve.join().expect("serve thread").expect("serve loop");
 }
 
+#[test]
+fn an_over_long_request_line_is_refused_and_the_daemon_serves_on() {
+    use std::io::{BufRead, BufReader, Write};
+    use xserve::proto::Response;
+
+    let server =
+        Server::bind(ServerConfig::new(Bind::Tcp("127.0.0.1:0".into()))).expect("bind loopback");
+    let addr = server.local_addr().expect("tcp server has an address");
+    let serve = thread::spawn(move || server.run());
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut line = vec![b'x'; 2 << 20];
+    line.push(b'\n');
+    (&stream)
+        .write_all(&line)
+        .expect("the server reads the whole line");
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    match Response::parse(reply.trim_end()).expect("a protocol line") {
+        Response::Error { code, detail } => {
+            assert_eq!(code, secproc::error::codes::PROTO_BAD_REQUEST);
+            assert_eq!(detail, "request line exceeds 1048576 bytes");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    reply.clear();
+    assert_eq!(reader.read_line(&mut reply).expect("orderly close"), 0);
+
+    let mut client = Client::connect_tcp(addr).expect("a fresh connection");
+    client.stats().expect("stats still answers");
+    client.shutdown().expect("shutdown");
+    serve.join().expect("serve thread").expect("serve loop");
+}
+
 /// A generated-but-valid spec: every field the wire encoding carries,
 /// drawn from the vocabulary the parsers accept.
 #[allow(clippy::too_many_arguments)] // one argument per proptest-drawn field

@@ -164,17 +164,17 @@ target/release/xooo_gate
 echo "ci: core-model gate ok (three-engine co-sim bit-identical, OoO wins)"
 
 # Benchmark gate: the wsp-bench package's own tests, then a one-second
-# run of each cycle-accurate engine workload and of the cold and warm
-# exploration. A run checks its results against the digests pinned in
-# wspbench/expected.json, which fold in every engine's cycle counts and
-# every phase-2 estimate, and exits non-zero on any mismatch — so a
-# change to a single simulated cycle or estimated bit fails CI.
+# run of every workload. A run checks its results against the digests
+# pinned in wspbench/expected.json, which fold in every engine's cycle
+# counts, every phase-2 estimate and the values the daemon serves, and
+# exits non-zero on any mismatch — so a change to a single simulated
+# cycle, estimated bit or served value fails CI.
 cargo test -q --manifest-path wspbench/Cargo.toml
-for workload in iss-inorder iss-ooo explore-cold explore-warm; do
+for workload in explore-cold explore-warm iss-fast iss-inorder iss-ooo serve-mixed; do
   cargo run --release --offline -q --manifest-path wspbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -1
 done
-echo "ci: benchmark gate ok (wsp-bench tests; iss-inorder, iss-ooo, explore-cold and explore-warm match expected.json)"
+echo "ci: benchmark gate ok (wsp-bench tests; all six workloads match expected.json)"
 
 # Bench-envelope regression gates. First the historical diff: the
 # committed BENCH_10 envelope must not regress any deterministic metric
