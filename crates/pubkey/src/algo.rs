@@ -6,6 +6,12 @@
 //! execution, macro-model estimation, and ISS co-simulation. Limb-vector
 //! conventions match [`mpint::mpn`] (little-endian, `Vec<L>` results
 //! sized exactly).
+//!
+//! Each routine exists once, in a workspace form that writes into
+//! caller buffers and takes its temporaries from a `Work`; the
+//! `Vec`-returning functions wrap those forms. An exponentiation runs
+//! every modular product through one `Work`, so once its buffers have
+//! grown to the operand size no product allocates.
 
 use crate::ops::MpnOps;
 use mpint::limb::Limb;
@@ -15,11 +21,113 @@ use std::cmp::Ordering;
 /// Default operand size (limbs) above which Karatsuba recursion is used.
 pub const KARATSUBA_THRESHOLD: usize = 16;
 
+/// Reusable limb buffers for the workspace forms. A routine clears and
+/// resizes the buffers it uses; none is reallocated once it has grown
+/// to the operand size.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Work<L: Limb> {
+    /// The unreduced product of a modular multiplication.
+    pub(crate) prod: Vec<L>,
+    /// Division: the shifted numerator, reduced in place.
+    num: Vec<L>,
+    /// Division: the shifted divisor.
+    div: Vec<L>,
+    /// Division: the quotient, normalized.
+    quot: Vec<L>,
+    /// Division and Barrett reduction: the remainder, normalized.
+    pub(crate) rem: Vec<L>,
+    /// Barrett reduction: `q2 = q1·mu` (its tail is `q3`).
+    q2: Vec<L>,
+    /// Barrett reduction: `r2 = q3·m`.
+    r2: Vec<L>,
+    /// Copy and padding temporaries of the in-place ops.
+    tmp: Temps<L>,
+    /// Karatsuba partial products, one frame per recursion depth.
+    kara: Vec<KaraFrame<L>>,
+}
+
+impl<L: Limb> Work<L> {
+    /// A workspace for modular products of `k`-limb operands: every
+    /// buffer a product below the Karatsuba threshold uses starts with
+    /// room for its largest length (`2k + 2` limbs).
+    pub(crate) fn new(k: usize) -> Self {
+        let buf = || Vec::with_capacity(2 * k + 2);
+        Work {
+            prod: buf(),
+            num: buf(),
+            div: buf(),
+            quot: buf(),
+            rem: buf(),
+            q2: buf(),
+            r2: buf(),
+            tmp: Temps {
+                copy: buf(),
+                pad: buf(),
+            },
+            kara: Vec::new(),
+        }
+    }
+}
+
+/// The temporaries of [`sub_in_place`], [`add_at`] and [`add_full`]:
+/// the metered ops take no aliased destination, so an operand is copied
+/// or zero-padded first.
+#[derive(Debug, Clone, Default)]
+struct Temps<L: Limb> {
+    copy: Vec<L>,
+    pad: Vec<L>,
+}
+
+/// One Karatsuba recursion level's partial products and operand sums.
+#[derive(Debug, Clone, Default)]
+struct KaraFrame<L: Limb> {
+    z0: Vec<L>,
+    z1: Vec<L>,
+    z2: Vec<L>,
+    asum: Vec<L>,
+    bsum: Vec<L>,
+}
+
+/// Sets `v` to `n` zero limbs.
+fn zeroed<L: Limb>(v: &mut Vec<L>, n: usize) {
+    v.clear();
+    v.resize(n, L::ZERO);
+}
+
+/// Sets `v` to a copy of `src`.
+fn copied<L: Limb>(v: &mut Vec<L>, src: &[L]) {
+    v.clear();
+    v.extend_from_slice(src);
+}
+
+/// Sets `v` to `src` zero-extended to `n` limbs.
+fn padded<L: Limb>(v: &mut Vec<L>, src: &[L], n: usize) {
+    copied(v, src);
+    v.resize(n, L::ZERO);
+}
+
+/// Drops `v`'s high zero limbs.
+fn trim<L: Limb>(v: &mut Vec<L>) {
+    let n = mpn::normalized(v).len();
+    v.truncate(n);
+}
+
 /// Schoolbook product `a × b` (lengths may differ).
 pub fn mul_schoolbook<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, a: &[L], b: &[L]) -> Vec<L> {
-    let mut r = vec![L::ZERO; a.len() + b.len()];
-    schoolbook_into(ops, &mut r, a, b);
+    let mut r = Vec::new();
+    mul_schoolbook_into(ops, &mut r, a, b);
     r
+}
+
+/// Schoolbook product `a × b` into `r`, sized `a.len() + b.len()`.
+pub(crate) fn mul_schoolbook_into<L: Limb, O: MpnOps<L> + ?Sized>(
+    ops: &mut O,
+    r: &mut Vec<L>,
+    a: &[L],
+    b: &[L],
+) {
+    zeroed(r, a.len() + b.len());
+    schoolbook_into(ops, r, a, b);
 }
 
 /// Schoolbook product `a × b` into the zeroed prefix
@@ -42,58 +150,96 @@ pub fn mul_karatsuba<L: Limb, O: MpnOps<L> + ?Sized>(
     b: &[L],
     threshold: usize,
 ) -> Vec<L> {
-    let an = mpn::normalized(a);
-    let bn = mpn::normalized(b);
-    let mut r = vec![L::ZERO; a.len() + b.len()];
-    if an.is_empty() || bn.is_empty() {
-        return r;
-    }
-    let prod = kara_rec(ops, an, bn, threshold.max(2));
-    r[..prod.len()].copy_from_slice(&prod);
+    let mut r = Vec::new();
+    mul_karatsuba_into(ops, &mut Work::default(), &mut r, a, b, threshold);
     r
 }
 
-fn kara_rec<L: Limb, O: MpnOps<L> + ?Sized>(
+/// Karatsuba product `a × b` into `r`, sized `a.len() + b.len()`; the
+/// recursion runs over the normalized operands.
+pub(crate) fn mul_karatsuba_into<L: Limb, O: MpnOps<L> + ?Sized>(
     ops: &mut O,
+    w: &mut Work<L>,
+    r: &mut Vec<L>,
     a: &[L],
     b: &[L],
     threshold: usize,
-) -> Vec<L> {
+) {
+    zeroed(r, a.len() + b.len());
+    let an = mpn::normalized(a);
+    let bn = mpn::normalized(b);
+    if an.is_empty() || bn.is_empty() {
+        return;
+    }
+    kara_rec(
+        ops,
+        w,
+        0,
+        &mut r[..an.len() + bn.len()],
+        an,
+        bn,
+        threshold.max(2),
+    );
+}
+
+/// Karatsuba product of the normalized `a`, `b` into the zeroed `r`
+/// (`a.len() + b.len()` limbs), keeping its partial products in frame
+/// `depth` of `w`.
+fn kara_rec<L: Limb, O: MpnOps<L> + ?Sized>(
+    ops: &mut O,
+    w: &mut Work<L>,
+    depth: usize,
+    r: &mut [L],
+    a: &[L],
+    b: &[L],
+    threshold: usize,
+) {
     if a.len().min(b.len()) <= threshold {
-        return mul_schoolbook(ops, a, b);
+        schoolbook_into(ops, r, a, b);
+        return;
     }
     let m = a.len().max(b.len()) / 2;
     let (a0, a1) = split_at_limb(a, m);
     let (b0, b1) = split_at_limb(b, m);
 
-    let z0 = mul_nonempty(ops, a0, b0, threshold);
-    let z2 = mul_nonempty(ops, a1, b1, threshold);
-    let asum = add_full(ops, a0, a1);
-    let bsum = add_full(ops, b0, b1);
-    let mut z1 = mul_nonempty(ops, &asum, &bsum, threshold);
-    sub_in_place(ops, &mut z1, &z0);
-    sub_in_place(ops, &mut z1, &z2);
+    if w.kara.len() <= depth {
+        w.kara.resize_with(depth + 1, KaraFrame::default);
+    }
+    // Taken out for the recursion below, which uses the deeper frames.
+    let mut f = std::mem::take(&mut w.kara[depth]);
+    mul_nonempty(ops, w, depth + 1, &mut f.z0, a0, b0, threshold);
+    mul_nonempty(ops, w, depth + 1, &mut f.z2, a1, b1, threshold);
+    add_full_into(ops, &mut w.tmp, &mut f.asum, a0, a1);
+    add_full_into(ops, &mut w.tmp, &mut f.bsum, b0, b1);
+    mul_nonempty(ops, w, depth + 1, &mut f.z1, &f.asum, &f.bsum, threshold);
+    sub_in_place(ops, &mut w.tmp, &mut f.z1, &f.z0);
+    sub_in_place(ops, &mut w.tmp, &mut f.z1, &f.z2);
 
-    let mut r = vec![L::ZERO; a.len() + b.len()];
-    add_at(ops, &mut r, &z0, 0);
-    add_at(ops, &mut r, &z1, m);
-    add_at(ops, &mut r, &z2, 2 * m);
+    add_at(ops, &mut w.tmp, r, &f.z0, 0);
+    add_at(ops, &mut w.tmp, r, &f.z1, m);
+    add_at(ops, &mut w.tmp, r, &f.z2, 2 * m);
     ops.glue(3);
-    r
+    w.kara[depth] = f;
 }
 
+/// Karatsuba product of the normalized `a`, `b` into `z`; empty when
+/// either is zero.
 fn mul_nonempty<L: Limb, O: MpnOps<L> + ?Sized>(
     ops: &mut O,
+    w: &mut Work<L>,
+    depth: usize,
+    z: &mut Vec<L>,
     a: &[L],
     b: &[L],
     threshold: usize,
-) -> Vec<L> {
+) {
     let a = mpn::normalized(a);
     let b = mpn::normalized(b);
     if a.is_empty() || b.is_empty() {
-        Vec::new()
+        z.clear();
     } else {
-        kara_rec(ops, a, b, threshold)
+        zeroed(z, a.len() + b.len());
+        kara_rec(ops, w, depth, z, a, b, threshold);
     }
 }
 
@@ -108,45 +254,65 @@ fn split_at_limb<L: Limb>(a: &[L], m: usize) -> (&[L], &[L]) {
 /// Full-width addition of arbitrary-length vectors, metered as one
 /// `add_n` of the longer length.
 pub fn add_full<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, a: &[L], b: &[L]) -> Vec<L> {
+    let mut r = Vec::new();
+    add_full_into(ops, &mut Temps::default(), &mut r, a, b);
+    r
+}
+
+/// [`add_full`] into `r`.
+fn add_full_into<L: Limb, O: MpnOps<L> + ?Sized>(
+    ops: &mut O,
+    t: &mut Temps<L>,
+    r: &mut Vec<L>,
+    a: &[L],
+    b: &[L],
+) {
     let n = a.len().max(b.len()) + 1;
-    let mut ap = a.to_vec();
-    ap.resize(n, L::ZERO);
-    let mut bp = b.to_vec();
-    bp.resize(n, L::ZERO);
-    let mut r = vec![L::ZERO; n];
-    let carry = ops.add_n(&mut r, &ap, &bp);
+    padded(&mut t.copy, a, n);
+    padded(&mut t.pad, b, n);
+    zeroed(r, n);
+    let carry = ops.add_n(r, &t.copy, &t.pad);
     debug_assert!(!carry);
     while r.last() == Some(&L::ZERO) && r.len() > a.len().max(b.len()) {
         r.pop();
     }
-    r
 }
 
 /// In-place subtraction `a -= b` (numerically `a >= b`), metered as one
 /// `sub_n`.
-fn sub_in_place<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, a: &mut [L], b: &[L]) {
+fn sub_in_place<L: Limb, O: MpnOps<L> + ?Sized>(
+    ops: &mut O,
+    t: &mut Temps<L>,
+    a: &mut [L],
+    b: &[L],
+) {
     let b = mpn::normalized(b);
     if b.is_empty() {
         return;
     }
-    let mut bp = b.to_vec();
-    bp.resize(a.len(), L::ZERO);
-    let tmp = a.to_vec();
-    let borrow = ops.sub_n(a, &tmp, &bp);
+    padded(&mut t.pad, b, a.len());
+    copied(&mut t.copy, a);
+    let borrow = ops.sub_n(a, &t.copy, &t.pad);
     debug_assert!(!borrow, "subtraction went negative");
 }
 
 /// Adds `v` into `r` at limb offset `off`, metered as one `add_n` of
 /// `v`'s length (carry ripple accounted as glue).
-fn add_at<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, r: &mut [L], v: &[L], off: usize) {
+fn add_at<L: Limb, O: MpnOps<L> + ?Sized>(
+    ops: &mut O,
+    t: &mut Temps<L>,
+    r: &mut [L],
+    v: &[L],
+    off: usize,
+) {
     let v = mpn::normalized(v);
     if v.is_empty() {
         return;
     }
-    let seg = r[off..off + v.len()].to_vec();
-    let mut out = vec![L::ZERO; v.len()];
-    let mut carry = ops.add_n(&mut out, &seg, v);
-    r[off..off + v.len()].copy_from_slice(&out);
+    copied(&mut t.copy, &r[off..off + v.len()]);
+    zeroed(&mut t.pad, v.len());
+    let mut carry = ops.add_n(&mut t.pad, &t.copy, v);
+    r[off..off + v.len()].copy_from_slice(&t.pad);
     let mut i = off + v.len();
     while carry {
         debug_assert!(i < r.len(), "recombination overflow");
@@ -165,50 +331,72 @@ fn add_at<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, r: &mut [L], v: &[L], off
 ///
 /// Panics if `d` is zero.
 pub fn divrem<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, n: &[L], d: &[L]) -> (Vec<L>, Vec<L>) {
+    let mut w = Work::default();
+    divrem_into(ops, &mut w, n, d);
+    (w.quot, w.rem)
+}
+
+/// [`divrem`] into the workspace: the normalized quotient and remainder
+/// are left in `w.quot` and `w.rem`.
+pub(crate) fn divrem_into<L: Limb, O: MpnOps<L> + ?Sized>(
+    ops: &mut O,
+    w: &mut Work<L>,
+    n: &[L],
+    d: &[L],
+) {
+    let Work {
+        num: nv,
+        div: dv,
+        quot: q,
+        rem,
+        tmp,
+        ..
+    } = w;
     let d = mpn::normalized(d);
     assert!(!d.is_empty(), "division by zero");
     let n = mpn::normalized(n);
     if mpn::cmp(n, d) == Ordering::Less {
-        return (Vec::new(), n.to_vec());
+        q.clear();
+        copied(rem, n);
+        return;
     }
     if d.len() == 1 {
         // Single-limb divisor: one div_qhat per quotient limb against the
         // normalized divisor.
         let shift = d[0].leading_zeros();
         let dd = d[0] << shift;
-        let mut nv = vec![L::ZERO; n.len() + 1];
+        zeroed(nv, n.len() + 1);
         if shift > 0 {
             let out = ops.lshift(&mut nv[..n.len()], n, shift);
             nv[n.len()] = out;
         } else {
             nv[..n.len()].copy_from_slice(n);
         }
-        let mut q = vec![L::ZERO; n.len()];
-        let mut rem = nv[n.len()];
+        zeroed(q, n.len());
+        let mut r = nv[n.len()];
         for i in (0..n.len()).rev() {
             // Degenerate 2-by-1 estimate: reuse div_qhat with d0 = 0.
-            let qi = ops.div_qhat(rem, nv[i], L::ZERO, dd, L::ZERO);
+            let qi = ops.div_qhat(r, nv[i], L::ZERO, dd, L::ZERO);
             // Correct residue natively (the kernel returns the quotient).
-            let num = (rem.to_u64() << L::BITS) | nv[i].to_u64();
-            rem = L::from_u64(num - qi.to_u64() * dd.to_u64());
+            let num = (r.to_u64() << L::BITS) | nv[i].to_u64();
+            r = L::from_u64(num - qi.to_u64() * dd.to_u64());
             q[i] = qi;
         }
-        let rem = rem >> shift;
-        let rv = if rem == L::ZERO {
-            Vec::new()
-        } else {
-            vec![rem]
-        };
-        return (mpn::normalized(&q).to_vec(), rv);
+        trim(q);
+        rem.clear();
+        let r = r >> shift;
+        if r != L::ZERO {
+            rem.push(r);
+        }
+        return;
     }
 
     // Normalize so the divisor's top bit is set.
     let shift = d[d.len() - 1].leading_zeros();
-    let mut dv = d.to_vec();
-    let mut nv = vec![L::ZERO; n.len() + 1];
+    copied(dv, d);
+    zeroed(nv, n.len() + 1);
     if shift > 0 {
-        let dsrc = d.to_vec();
-        ops.lshift(&mut dv, &dsrc, shift);
+        ops.lshift(dv, d, shift);
         let out = ops.lshift(&mut nv[..n.len()], n, shift);
         nv[n.len()] = out;
     } else {
@@ -218,31 +406,31 @@ pub fn divrem<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, n: &[L], d: &[L]) -> 
     let m = nv.len() - 1;
     let d1 = dv[dn - 1];
     let d0 = dv[dn - 2];
-    let mut q = vec![L::ZERO; m - dn + 1];
+    zeroed(q, m - dn + 1);
     for j in (0..=m - dn).rev() {
         let qhat = ops.div_qhat(nv[j + dn], nv[j + dn - 1], nv[j + dn - 2], d1, d0);
-        let borrow = ops.submul_1(&mut nv[j..j + dn], &dv, qhat);
+        let borrow = ops.submul_1(&mut nv[j..j + dn], dv, qhat);
         let (t, under) = nv[j + dn].sub_borrow(borrow, false);
         nv[j + dn] = t;
         let mut qv = qhat;
         if under {
             qv = L::from_u64(qv.to_u64().wrapping_sub(1));
-            let seg = nv[j..j + dn].to_vec();
-            let mut out = vec![L::ZERO; dn];
-            let carry = ops.add_n(&mut out, &seg, &dv);
-            nv[j..j + dn].copy_from_slice(&out);
+            copied(&mut tmp.copy, &nv[j..j + dn]);
+            zeroed(&mut tmp.pad, dn);
+            let carry = ops.add_n(&mut tmp.pad, &tmp.copy, dv);
+            nv[j..j + dn].copy_from_slice(&tmp.pad);
             let (t, _) = nv[j + dn].add_carry(L::from_u64(carry as u64), false);
             nv[j + dn] = t;
         }
         q[j] = qv;
         ops.glue(1);
     }
-    let mut rem = nv[..dn].to_vec();
+    trim(q);
+    copied(rem, &nv[..dn]);
     if shift > 0 {
-        let tmp = rem.clone();
-        ops.rshift(&mut rem, &tmp, shift);
+        ops.rshift(rem, &nv[..dn], shift);
     }
-    (mpn::normalized(&q).to_vec(), mpn::normalized(&rem).to_vec())
+    trim(rem);
 }
 
 /// Computes the negated inverse of the odd limb `n0` modulo the limb
@@ -297,16 +485,31 @@ impl<L: Limb> MontyState<L> {
 
     /// Montgomery product `a·b·R⁻¹ mod n` of `k`-limb operands.
     pub fn mul<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, a: &[L], b: &[L]) -> Vec<L> {
+        let mut out = Vec::new();
+        self.mul_into(ops, &mut Vec::new(), &mut out, a, b);
+        out
+    }
+
+    /// [`MontyState::mul`] into `out` (`k` limbs), with the `2k+1`-limb
+    /// product in `t`.
+    pub(crate) fn mul_into<O: MpnOps<L> + ?Sized>(
+        &self,
+        ops: &mut O,
+        t: &mut Vec<L>,
+        out: &mut Vec<L>,
+        a: &[L],
+        b: &[L],
+    ) {
         let k = self.n.len();
         debug_assert_eq!(a.len(), k);
         debug_assert_eq!(b.len(), k);
-        let mut t = vec![L::ZERO; 2 * k + 1];
-        schoolbook_into(ops, &mut t, a, b);
-        self.reduce(ops, &mut t)
+        zeroed(t, 2 * k + 1);
+        schoolbook_into(ops, t, a, b);
+        self.reduce_into(ops, t, out);
     }
 
-    /// Montgomery reduction of a `2k+1`-limb value.
-    fn reduce<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, t: &mut [L]) -> Vec<L> {
+    /// Montgomery reduction of a `2k+1`-limb value into `out`.
+    fn reduce_into<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, t: &mut [L], out: &mut Vec<L>) {
         let k = self.n.len();
         debug_assert_eq!(t.len(), 2 * k + 1);
         for i in 0..k {
@@ -324,11 +527,10 @@ impl<L: Limb> MontyState<L> {
         }
         let hi = &t[k..2 * k];
         if t[2 * k] != L::ZERO || mpn::cmp_n(hi, &self.n) != Ordering::Less {
-            let mut r = vec![L::ZERO; k];
-            ops.sub_n(&mut r, hi, &self.n);
-            r
+            zeroed(out, k);
+            ops.sub_n(out, hi, &self.n);
         } else {
-            hi.to_vec()
+            copied(out, hi);
         }
     }
 
@@ -339,10 +541,24 @@ impl<L: Limb> MontyState<L> {
 
     /// Converts a Montgomery-domain value back to plain representation.
     pub fn from_monty<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, a: &[L]) -> Vec<L> {
-        let k = self.n.len();
-        let mut one = vec![L::ZERO; k];
+        let mut out = Vec::new();
+        self.to_plain_into(ops, &mut Work::default(), &mut out, a);
+        out
+    }
+
+    /// [`MontyState::from_monty`] into `out`: the Montgomery product
+    /// with one, which it builds in the workspace.
+    pub(crate) fn to_plain_into<O: MpnOps<L> + ?Sized>(
+        &self,
+        ops: &mut O,
+        w: &mut Work<L>,
+        out: &mut Vec<L>,
+        a: &[L],
+    ) {
+        let one = &mut w.tmp.pad;
+        zeroed(one, self.n.len());
         one[0] = L::ONE;
-        self.mul(ops, a, &one)
+        self.mul_into(ops, &mut w.prod, out, a, &w.tmp.pad);
     }
 }
 
@@ -373,34 +589,50 @@ impl<L: Limb> BarrettState<L> {
 
     /// Reduces `x < m²` modulo `m`.
     pub fn reduce<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, x: &[L]) -> Vec<L> {
+        let mut out = Vec::new();
+        self.reduce_into(ops, &mut Work::default(), &mut out, x);
+        out
+    }
+
+    /// [`BarrettState::reduce`] into `out`, normalized.
+    pub(crate) fn reduce_into<O: MpnOps<L> + ?Sized>(
+        &self,
+        ops: &mut O,
+        w: &mut Work<L>,
+        out: &mut Vec<L>,
+        x: &[L],
+    ) {
         let k = self.m.len();
         let x = mpn::normalized(x);
         if mpn::cmp(x, &self.m) == Ordering::Less {
-            return x.to_vec();
+            copied(out, x);
+            return;
         }
+        let Work {
+            rem: r,
+            q2,
+            r2,
+            tmp,
+            ..
+        } = w;
         // q1 = x >> base^(k-1) (limb-granular; free slice).
         let q1 = &x[(k - 1).min(x.len())..];
-        let q2 = mul_schoolbook(ops, q1, &self.mu);
-        let q3 = if q2.len() > k + 1 {
-            q2[k + 1..].to_vec()
-        } else {
-            Vec::new()
-        };
-        let r2 = mul_schoolbook(ops, &q3, &self.m);
+        mul_schoolbook_into(ops, q2, q1, &self.mu);
+        let q3 = if q2.len() > k + 1 { &q2[k + 1..] } else { &[] };
+        mul_schoolbook_into(ops, r2, q3, &self.m);
         // r = x - r2, then correct into [0, m).
-        let mut r = x.to_vec();
-        sub_in_place(ops, &mut r, &r2);
-        let mut r = mpn::normalized(&r).to_vec();
-        while mpn::cmp(&r, &self.m) != Ordering::Less {
-            let mut rp = r.clone();
-            rp.resize(r.len().max(k), L::ZERO);
-            let mut mp = self.m.clone();
-            mp.resize(rp.len(), L::ZERO);
-            let tmp = rp.clone();
-            ops.sub_n(&mut rp, &tmp, &mp);
-            r = mpn::normalized(&rp).to_vec();
+        copied(r, x);
+        sub_in_place(ops, tmp, r, r2);
+        trim(r);
+        while mpn::cmp(r, &self.m) != Ordering::Less {
+            let n = r.len().max(k);
+            r.resize(n, L::ZERO);
+            padded(&mut tmp.pad, &self.m, n);
+            copied(&mut tmp.copy, r);
+            ops.sub_n(r, &tmp.copy, &tmp.pad);
+            trim(r);
         }
-        r
+        copied(out, r);
     }
 }
 
@@ -454,9 +686,9 @@ mod tests {
         let a: Vec<u32> = (0u32..128)
             .map(|i| i.wrapping_mul(0x9e3779b9) | 1)
             .collect();
-        let mut s_ops = ModeledMpn::new(models.clone(), 0.0);
+        let mut s_ops = ModeledMpn::new(&models, 0.0);
         mul_schoolbook(&mut s_ops, &a, &a);
-        let mut k_ops = ModeledMpn::new(models, 0.0);
+        let mut k_ops = ModeledMpn::new(&models, 0.0);
         mul_karatsuba(&mut k_ops, &a, &a, 16);
         let s_c = MpnOps::<u32>::cycles(&s_ops);
         let k_c = MpnOps::<u32>::cycles(&k_ops);

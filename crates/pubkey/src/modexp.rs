@@ -7,7 +7,7 @@
 //! [`MpnOps`] provider so the same code is used for functional runs,
 //! macro-model estimation, and ISS co-simulation.
 
-use crate::algo::{self, BarrettState, MontyState};
+use crate::algo::{self, BarrettState, MontyState, Work};
 use crate::ops::MpnOps;
 use crate::space::{CacheMode, ModExpConfig, MulAlgo, Radix};
 use mpint::limb::Limb;
@@ -164,8 +164,9 @@ fn mod_exp_radix<L: Limb, O: MpnOps<L> + ?Sized>(
     match Setup::new(ops, base, exp, modulus, cfg, monty, barrett)? {
         Setup::Trivial(out) => Ok(out),
         Setup::Ready(ctx) => {
-            let table = ctx.table(ops, tables);
-            Ok(ctx.scan(ops, exp, &table))
+            let mut work = Work::new(ctx.m.len());
+            let table = ctx.table(ops, &mut work, tables);
+            Ok(ctx.scan(ops, &mut work, exp, &table))
         }
     }
 }
@@ -185,7 +186,7 @@ fn prime_radix<L: Limb, O: MpnOps<L> + ?Sized>(
     } = cache;
     if let Setup::Ready(ctx) = Setup::new(ops, base, exp, modulus, cfg, monty, barrett)? {
         if cfg.cache == CacheMode::ContextAndTable {
-            ctx.table(ops, tables);
+            ctx.table(ops, &mut Work::new(ctx.m.len()), tables);
         }
     }
     Ok(())
@@ -290,26 +291,37 @@ impl<'c, L: Limb> Setup<'c, L> {
 }
 
 impl<L: Limb> Context<'_, L> {
-    /// Modular product `a·b` of `k`-limb domain operands.
-    fn modmul<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, a: &[L], b: &[L]) -> Vec<L> {
-        let product = |ops: &mut O| match self.cfg.mul {
+    /// Modular product `a·b` of `k`-limb domain operands into `out`
+    /// (`k` limbs), through the workspace `w`.
+    fn modmul<O: MpnOps<L> + ?Sized>(
+        &self,
+        ops: &mut O,
+        w: &mut Work<L>,
+        out: &mut Vec<L>,
+        a: &[L],
+        b: &[L],
+    ) {
+        if let Reducer::Monty(st) = &self.reducer {
+            return st.mul_into(ops, &mut w.prod, out, a, b);
+        }
+        // Out of the workspace while the reductions use the rest of it.
+        let mut t = std::mem::take(&mut w.prod);
+        match self.cfg.mul {
             MulAlgo::KaratsubaDiv | MulAlgo::KaratsubaBarrett => {
-                algo::mul_karatsuba(ops, a, b, algo::KARATSUBA_THRESHOLD)
+                algo::mul_karatsuba_into(ops, w, &mut t, a, b, algo::KARATSUBA_THRESHOLD);
             }
-            _ => algo::mul_schoolbook(ops, a, b),
-        };
+            _ => algo::mul_schoolbook_into(ops, &mut t, a, b),
+        }
         match &self.reducer {
-            Reducer::Monty(st) => st.mul(ops, a, b),
-            Reducer::Barrett(st) => {
-                let t = product(ops);
-                pad(st.reduce(ops, &t), self.m.len())
-            }
-            Reducer::Div => {
-                let t = product(ops);
-                let (_, r) = algo::divrem(ops, &t, &self.m);
-                pad(r, self.m.len())
+            Reducer::Barrett(st) => st.reduce_into(ops, w, out, &t),
+            _ => {
+                algo::divrem_into(ops, w, &t, &self.m);
+                out.clear();
+                out.extend_from_slice(&w.rem);
             }
         }
+        out.resize(self.m.len(), L::ZERO);
+        w.prod = t;
     }
 
     /// The window table `table[i] = base^i` (domain), `i < 2^w`: looked
@@ -318,10 +330,11 @@ impl<L: Limb> Context<'_, L> {
     fn table<'t, O: MpnOps<L> + ?Sized>(
         &self,
         ops: &mut O,
+        w: &mut Work<L>,
         tables: &'t mut BTreeMap<TableKey<L>, Vec<Vec<L>>>,
     ) -> Cow<'t, [Vec<L>]> {
         if self.cfg.cache != CacheMode::ContextAndTable {
-            return Cow::Owned(self.build_table(ops));
+            return Cow::Owned(self.build_table(ops, w));
         }
         let key = (
             self.m.clone(),
@@ -334,11 +347,11 @@ impl<L: Limb> Context<'_, L> {
                 ops.glue(1); // hash lookup
                 Cow::Borrowed(hit.into_mut())
             }
-            Entry::Vacant(slot) => Cow::Borrowed(slot.insert(self.build_table(ops))),
+            Entry::Vacant(slot) => Cow::Borrowed(slot.insert(self.build_table(ops, w))),
         }
     }
 
-    fn build_table<O: MpnOps<L> + ?Sized>(&self, ops: &mut O) -> Vec<Vec<L>> {
+    fn build_table<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, w: &mut Work<L>) -> Vec<Vec<L>> {
         let entries = 1usize << self.cfg.window;
         let mut t: Vec<Vec<L>> = Vec::with_capacity(entries);
         t.push(self.one.clone());
@@ -346,47 +359,58 @@ impl<L: Limb> Context<'_, L> {
             t.push(self.base.clone());
         }
         for i in 2..entries {
-            let next = self.modmul(ops, &t[i - 1], &self.base);
+            let mut next = Vec::with_capacity(self.m.len());
+            self.modmul(ops, w, &mut next, &t[i - 1], &self.base);
             t.push(next);
         }
         t
     }
 
     /// The MSB-first fixed-window scan of `exp` over `table`, converted
-    /// back out of the domain.
-    fn scan<O: MpnOps<L> + ?Sized>(&self, ops: &mut O, exp: &Natural, table: &[Vec<L>]) -> Natural {
-        let w = self.cfg.window;
-        let digits = exp.bit_length().div_ceil(w as usize);
-        // `None` until the first nonzero digit.
-        let mut acc: Option<Vec<L>> = None;
+    /// back out of the domain. Each product goes to the spare of two
+    /// accumulators, which then swap.
+    fn scan<O: MpnOps<L> + ?Sized>(
+        &self,
+        ops: &mut O,
+        w: &mut Work<L>,
+        exp: &Natural,
+        table: &[Vec<L>],
+    ) -> Natural {
+        let win = self.cfg.window;
+        let digits = exp.bit_length().div_ceil(win as usize);
+        let mut acc = Vec::with_capacity(self.m.len());
+        let mut spare = Vec::with_capacity(self.m.len());
+        // False until the first nonzero digit.
+        let mut started = false;
         for d in (0..digits).rev() {
-            if let Some(a) = &mut acc {
-                for _ in 0..w {
-                    *a = self.modmul(ops, a, a);
+            if started {
+                for _ in 0..win {
+                    self.modmul(ops, w, &mut spare, &acc, &acc);
+                    std::mem::swap(&mut acc, &mut spare);
                 }
             }
-            let digit = exp.bits(d * w as usize, w) as usize;
+            let digit = exp.bits(d * win as usize, win) as usize;
             if digit != 0 {
-                acc = Some(match acc {
-                    Some(a) => self.modmul(ops, &a, &table[digit]),
-                    None => table[digit].clone(),
-                });
+                if started {
+                    self.modmul(ops, w, &mut spare, &acc, &table[digit]);
+                    std::mem::swap(&mut acc, &mut spare);
+                } else {
+                    acc.extend_from_slice(&table[digit]);
+                    started = true;
+                }
             }
             ops.glue(1);
         }
         // A zero exponent never reaches the scan; defensive.
-        let acc = acc.unwrap_or_else(|| self.one.clone());
-        let out = match &self.reducer {
-            Reducer::Monty(st) => st.from_monty(ops, &acc),
-            _ => acc,
-        };
-        Natural::from_radix_limbs(mpn::normalized(&out))
+        if !started {
+            acc.extend_from_slice(&self.one);
+        }
+        if let Reducer::Monty(st) = &self.reducer {
+            st.to_plain_into(ops, w, &mut spare, &acc);
+            std::mem::swap(&mut acc, &mut spare);
+        }
+        Natural::from_radix_limbs(mpn::normalized(&acc))
     }
-}
-
-fn pad<L: Limb>(mut v: Vec<L>, k: usize) -> Vec<L> {
-    v.resize(k, L::ZERO);
-    v
 }
 
 /// RSA-CRT private-key material for [`mod_exp_crt`].

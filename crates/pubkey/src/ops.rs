@@ -186,10 +186,10 @@ impl<L: Limb> MpnOps<L> for NativeMpn {
 
 /// One macro-model registry laid out by [`slot`]; a name that is not a
 /// metered basic operation has no slot and is dropped.
-type ModelSlots = [Option<MacroModel>; N_OPS];
+type ModelSlots<'m> = [Option<&'m MacroModel>; N_OPS];
 
-fn model_slots(models: &BTreeMap<&'static str, MacroModel>) -> ModelSlots {
-    id::MPN.map(|op| models.get(op.name()).cloned())
+fn model_slots<'m>(models: &'m BTreeMap<&'static str, MacroModel>) -> ModelSlots<'m> {
+    id::MPN.map(|op| models.get(op.name()))
 }
 
 /// Computation plus macro-model cycle accrual: the paper's fast
@@ -199,11 +199,13 @@ fn model_slots(models: &BTreeMap<&'static str, MacroModel>) -> ModelSlots {
 /// the operand length (in limbs); `div_qhat` and `glue` use constant
 /// models. A model's prediction depends only on the length, so each
 /// (radix, slot, length) is predicted once and then read from a table.
+/// The provider borrows its models from the registries it was built
+/// from, so building one per estimate copies no model.
 #[derive(Debug, Clone)]
-pub struct ModeledMpn {
+pub struct ModeledMpn<'m> {
     /// Models indexed by radix (0: 32-bit limbs, 1: 16-bit limbs) and
     /// [`slot`].
-    models: [ModelSlots; 2],
+    models: [ModelSlots<'m>; 2],
     /// `models[radix][slot]`'s prediction at each length, indexed like
     /// `models`; NaN until first used.
     predicted: [[Vec<f64>; N_OPS]; 2],
@@ -212,7 +214,7 @@ pub struct ModeledMpn {
     counts: CallCounts,
 }
 
-impl ModeledMpn {
+impl<'m> ModeledMpn<'m> {
     /// Builds a provider from per-op macro-models (keyed by
     /// [`opname`] constants) and a per-unit glue cost. The same models
     /// serve both limb widths; use [`ModeledMpn::with_radix_models`]
@@ -222,16 +224,16 @@ impl ModeledMpn {
     /// happens), so partial registries degrade gracefully during
     /// bring-up. Models under names that are not basic operations are
     /// ignored.
-    pub fn new(models: BTreeMap<&'static str, MacroModel>, glue_cost: f64) -> Self {
-        Self::with_radix_models(&models, &models, glue_cost)
+    pub fn new(models: &'m BTreeMap<&'static str, MacroModel>, glue_cost: f64) -> Self {
+        Self::with_radix_models(models, models, glue_cost)
     }
 
     /// Builds a provider with distinct model registries per limb width
     /// (radix 2^32 vs. radix 2^16 kernels have different cycle
     /// profiles).
     pub fn with_radix_models(
-        models32: &BTreeMap<&'static str, MacroModel>,
-        models16: &BTreeMap<&'static str, MacroModel>,
+        models32: &'m BTreeMap<&'static str, MacroModel>,
+        models16: &'m BTreeMap<&'static str, MacroModel>,
         glue_cost: f64,
     ) -> Self {
         ModeledMpn {
@@ -243,10 +245,24 @@ impl ModeledMpn {
         }
     }
 
+    /// Counts one call of the op in `slot` and adds its predicted cycles
+    /// at `len`: a table read once the length has been predicted.
+    #[inline]
     fn charge(&mut self, width: u32, slot: usize, len: usize) {
         self.counts.bump(slot);
         let radix = usize::from(width == 16);
-        if let Some(m) = &self.models[radix][slot] {
+        match self.predicted[radix][slot].get(len) {
+            Some(&c) if !c.is_nan() => self.cycles += c,
+            _ => self.charge_unpredicted(radix, slot, len),
+        }
+    }
+
+    /// [`ModeledMpn::charge`] for a length not yet predicted, or an op
+    /// without a model (which costs nothing).
+    #[cold]
+    #[inline(never)]
+    fn charge_unpredicted(&mut self, radix: usize, slot: usize, len: usize) {
+        if let Some(m) = self.models[radix][slot] {
             let row = &mut self.predicted[radix][slot];
             if len >= row.len() {
                 row.resize(len + 1, f64::NAN);
@@ -259,7 +275,7 @@ impl ModeledMpn {
     }
 }
 
-impl<L: Limb> MpnOps<L> for ModeledMpn {
+impl<L: Limb> MpnOps<L> for ModeledMpn<'_> {
     fn add_n(&mut self, r: &mut [L], a: &[L], b: &[L]) -> bool {
         self.charge(L::BITS, slot::ADD_N, a.len());
         mpn::add_n(r, a, b)
@@ -370,7 +386,7 @@ mod tests {
     fn modeled_op_without_a_model_costs_nothing_but_counts() {
         let mut models = BTreeMap::new();
         models.insert(opname::ADD_N, linear_model(opname::ADD_N, 12.0, 6.0));
-        let mut ops = ModeledMpn::new(models, 0.0);
+        let mut ops = ModeledMpn::new(&models, 0.0);
         let a = [1u32; 4];
         let mut r = [0u32; 4];
         MpnOps::mul_1(&mut ops, &mut r, &a, 3);
@@ -412,7 +428,7 @@ mod tests {
     fn modeled_ignores_models_of_non_mpn_kernels() {
         let mut models = BTreeMap::new();
         models.insert(opname::SHA1, linear_model(opname::SHA1, 1000.0, 1000.0));
-        let mut ops = ModeledMpn::new(models, 0.0);
+        let mut ops = ModeledMpn::new(&models, 0.0);
         let a = [1u32; 4];
         let mut r = [0u32; 4];
         MpnOps::add_n(&mut ops, &mut r, &a, &a);
@@ -425,7 +441,7 @@ mod tests {
     fn modeled_reset_clears_cycles_and_counts() {
         let mut models = BTreeMap::new();
         models.insert(opname::SUB_N, linear_model(opname::SUB_N, 5.0, 1.0));
-        let mut ops = ModeledMpn::new(models, 2.0);
+        let mut ops = ModeledMpn::new(&models, 2.0);
         let a = [7u32; 2];
         let mut r = [0u32; 2];
         MpnOps::sub_n(&mut ops, &mut r, &a, &a);
@@ -447,7 +463,7 @@ mod tests {
     fn modeled_accrues_predicted_cycles() {
         let mut models = BTreeMap::new();
         models.insert(opname::ADD_N, linear_model(opname::ADD_N, 12.0, 6.0));
-        let mut ops = ModeledMpn::new(models, 3.0);
+        let mut ops = ModeledMpn::new(&models, 3.0);
         let a = [1u32; 8];
         let b = [2u32; 8];
         let mut r = [0u32; 8];
@@ -486,7 +502,8 @@ mod tests {
     #[test]
     fn results_identical_across_providers() {
         let mut native = NativeMpn::new();
-        let mut modeled = ModeledMpn::new(BTreeMap::new(), 1.0);
+        let no_models = BTreeMap::new();
+        let mut modeled = ModeledMpn::new(&no_models, 1.0);
         let a: Vec<u32> = (0u32..16)
             .map(|i| i.wrapping_mul(0x0101_0101) + 7)
             .collect();

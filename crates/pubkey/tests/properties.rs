@@ -177,8 +177,9 @@ fn synthetic_model(name: &'static str, c: [f64; 3]) -> MacroModel {
     )
 }
 
-/// Fixed synthetic models for every metered op, distinct per radix.
-fn synthetic_modeled_ops() -> ModeledMpn {
+/// Fixed synthetic models for every metered op, distinct per radix:
+/// the 32-bit and the 16-bit registry.
+fn synthetic_registries() -> [BTreeMap<&'static str, MacroModel>; 2] {
     let models = |salt: f64| -> BTreeMap<&'static str, MacroModel> {
         id::MPN
             .iter()
@@ -190,7 +191,7 @@ fn synthetic_modeled_ops() -> ModeledMpn {
             })
             .collect()
     };
-    ModeledMpn::with_radix_models(&models(0.0), &models(5.3), 2.7)
+    [models(0.0), models(5.3)]
 }
 
 /// Warms a fresh cache for `cfg` (a full `mod_exp`, or only `prime`),
@@ -215,6 +216,9 @@ fn warm_then_cost<O: MpnOps<u16> + MpnOps<u32>>(
 
 #[test]
 fn priming_leaves_the_cache_a_warm_up_run_leaves() {
+    let registries = synthetic_registries();
+    let synthetic_modeled_ops =
+        || ModeledMpn::with_radix_models(&registries[0], &registries[1], 2.7);
     for bits in [64, 128] {
         let work = phase2_workload(bits);
         let programs = ModExpConfig::enumerate()

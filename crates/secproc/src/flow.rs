@@ -80,7 +80,7 @@ pub struct KernelModels {
 
 impl KernelModels {
     /// Builds the macro-model-metered ops provider from these models.
-    pub fn modeled_ops(&self, glue_cost: f64) -> ModeledMpn {
+    pub fn modeled_ops(&self, glue_cost: f64) -> ModeledMpn<'_> {
         ModeledMpn::with_radix_models(&self.models32, &self.models16, glue_cost)
     }
 

@@ -9,9 +9,11 @@
 //!
 //! Transport failures surface as the protocol's `4001` code so every
 //! client-visible failure — local or remote — carries one stable
-//! numeric code.
+//! numeric code. Reply lines are read through the daemon's bounded
+//! line reader: a reply longer than 1 MiB is a `4001` error, never
+//! unbounded buffering.
 
-use crate::proto::{Request, Response, StatsBody};
+use crate::proto::{read_line, Line, Request, Response, StatsBody, MAX_LINE};
 use crate::server::Bind;
 use secproc::error::{codes, Error};
 use secproc::job::JobSpec;
@@ -111,19 +113,26 @@ impl Client {
         }
     }
 
+    /// Reads the next nonblank reply line. After an over-long line the
+    /// connection is mid-line and no longer usable.
     fn read_response(&mut self) -> Result<Response, Error> {
-        let mut line = String::new();
+        let mut buf = Vec::new();
         loop {
-            line.clear();
-            let n = self.reader.read_line(&mut line).map_err(io_error)?;
-            if n == 0 {
-                return Err(io_error(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed",
-                )));
-            }
-            if !line.trim().is_empty() {
-                return Response::parse(line.trim_end());
+            match read_line(&mut self.reader, &mut buf).map_err(io_error)? {
+                Line::Text(line) if line.trim().is_empty() => {}
+                Line::Text(line) => return Response::parse(line.trim_end()),
+                Line::TooLong => {
+                    return Err(Error::Protocol {
+                        code: codes::PROTO_BAD_REQUEST,
+                        detail: format!("reply line exceeds {MAX_LINE} bytes"),
+                    })
+                }
+                Line::Eof => {
+                    return Err(io_error(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "connection closed",
+                    )))
+                }
             }
         }
     }

@@ -15,6 +15,7 @@
 
 use secproc::error::{codes, Error};
 use secproc::job::JobSpec;
+use std::io::{self, BufRead, Read};
 use xobs::{Frame, Json};
 
 /// A client request, as parsed from one line of wire JSON.
@@ -315,6 +316,45 @@ fn num_field(v: &Json, key: &str) -> Result<f64, Error> {
         .ok_or_else(|| bad_request(format!("missing numeric field `{key}`")))
 }
 
+/// Longest line either end buffers, in bytes (far above any
+/// [`JobSpec`] or report frame).
+pub(crate) const MAX_LINE: usize = 1 << 20;
+
+/// One line read by [`read_line`].
+pub(crate) enum Line<'b> {
+    /// A line, terminator stripped.
+    Text(&'b str),
+    /// More than [`MAX_LINE`] bytes without a newline.
+    TooLong,
+    /// The peer closed the connection.
+    Eof,
+}
+
+/// Reads one line into `buf`, buffering at most [`MAX_LINE`] bytes of
+/// it. A line that is not UTF-8 is an `InvalidData` error. The daemon
+/// reads requests and the client reads replies through it.
+pub(crate) fn read_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Line<'b>> {
+    buf.clear();
+    let limit = MAX_LINE as u64 + 1; // the line plus its newline
+    if reader.take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(Line::Eof);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE {
+        return Ok(Line::TooLong);
+    }
+    std::str::from_utf8(buf)
+        .map(Line::Text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,5 +452,29 @@ mod tests {
         // A hostile nesting depth is a bad request, not a stack overflow.
         let deep = format!(r#"{{"op":"stats","x":{}}}"#, "[".repeat(100_000));
         assert_eq!(Request::parse(&deep).unwrap_err().code(), 4001);
+    }
+
+    #[test]
+    fn read_line_bounds_what_it_buffers() {
+        let exact = "y".repeat(MAX_LINE);
+        let input = format!("ab\r\n{exact}\n{}\ntail", "x".repeat(MAX_LINE + 1));
+        let mut reader = io::Cursor::new(input.into_bytes());
+        let mut buf = Vec::new();
+        assert!(matches!(
+            read_line(&mut reader, &mut buf),
+            Ok(Line::Text("ab"))
+        ));
+        assert!(matches!(read_line(&mut reader, &mut buf), Ok(Line::Text(l)) if l == exact));
+        assert!(matches!(
+            read_line(&mut reader, &mut buf),
+            Ok(Line::TooLong)
+        ));
+        assert!(buf.len() <= MAX_LINE + 1);
+        reader.skip_until(b'\n').expect("in-memory");
+        assert!(matches!(
+            read_line(&mut reader, &mut buf),
+            Ok(Line::Text("tail"))
+        ));
+        assert!(matches!(read_line(&mut reader, &mut buf), Ok(Line::Eof)));
     }
 }

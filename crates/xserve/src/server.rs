@@ -24,14 +24,14 @@
 //! the cache is persisted, and [`Server::run`] returns (no process
 //! exit — in-process harnesses reuse the thread).
 
-use crate::proto::{Request, Response, StatsBody};
+use crate::proto::{read_line, Line, Request, Response, StatsBody, MAX_LINE};
 use secproc::error::{codes, Error};
 use secproc::job::{cached_kernel_cycles, JobEnv, JobKind, JobSpec};
 use secproc::kcache::KCache;
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{self, AssertUnwindSafe};
@@ -41,10 +41,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use xobs::{frames, RunReport};
 use xpar::{CancelToken, Pool};
-
-/// Longest request line the daemon buffers, in bytes (far above any
-/// [`JobSpec`]).
-const MAX_LINE: usize = 1 << 20;
 
 /// What an executor runs a job's spec with: [`JobSpec::run`].
 type Runner = fn(&JobSpec, &JobEnv<'_>) -> Result<RunReport, Error>;
@@ -426,37 +422,6 @@ fn handle_conn(shared: &Shared, conn: Conn) {
     }
 }
 
-/// One request line read by [`read_line`].
-enum Line<'b> {
-    /// A line, terminator stripped.
-    Text(&'b str),
-    /// More than [`MAX_LINE`] bytes without a newline.
-    TooLong,
-    /// The peer closed the connection.
-    Eof,
-}
-
-/// Reads one line into `buf`, buffering at most [`MAX_LINE`] bytes of
-/// it. A line that is not UTF-8 is an `InvalidData` error.
-fn read_line<'b>(reader: &mut impl BufRead, buf: &'b mut Vec<u8>) -> io::Result<Line<'b>> {
-    buf.clear();
-    let limit = MAX_LINE as u64 + 1; // the line plus its newline
-    if reader.take(limit).read_until(b'\n', buf)? == 0 {
-        return Ok(Line::Eof);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
-        }
-    } else if buf.len() > MAX_LINE {
-        return Ok(Line::TooLong);
-    }
-    std::str::from_utf8(buf)
-        .map(Line::Text)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
 enum Flow {
     Continue,
     Shutdown,
@@ -656,29 +621,5 @@ mod tests {
 
         client.shutdown().expect("shutdown");
         serve.join().expect("serve thread").expect("serve loop");
-    }
-
-    #[test]
-    fn read_line_bounds_what_it_buffers() {
-        let exact = "y".repeat(MAX_LINE);
-        let input = format!("ab\r\n{exact}\n{}\ntail", "x".repeat(MAX_LINE + 1));
-        let mut reader = io::Cursor::new(input.into_bytes());
-        let mut buf = Vec::new();
-        assert!(matches!(
-            read_line(&mut reader, &mut buf),
-            Ok(Line::Text("ab"))
-        ));
-        assert!(matches!(read_line(&mut reader, &mut buf), Ok(Line::Text(l)) if l == exact));
-        assert!(matches!(
-            read_line(&mut reader, &mut buf),
-            Ok(Line::TooLong)
-        ));
-        assert!(buf.len() <= MAX_LINE + 1);
-        reader.skip_until(b'\n').expect("in-memory");
-        assert!(matches!(
-            read_line(&mut reader, &mut buf),
-            Ok(Line::Text("tail"))
-        ));
-        assert!(matches!(read_line(&mut reader, &mut buf), Ok(Line::Eof)));
     }
 }

@@ -80,6 +80,35 @@ fn an_over_long_request_line_is_refused_and_the_daemon_serves_on() {
     serve.join().expect("serve thread").expect("serve loop");
 }
 
+#[test]
+fn an_over_long_reply_line_is_a_typed_transport_error() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpListener;
+
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("listener address");
+    let peer = thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut request = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut request)
+            .expect("request line");
+        // The client stops reading after 1 MiB and hangs up, so this
+        // write may fail part-way.
+        let _ = (&stream).write_all(&vec![b'x'; 2 << 20]);
+    });
+
+    let mut client = Client::connect_tcp(addr).expect("connect");
+    let err = client.stats().expect_err("the reply is too long");
+    assert_eq!(err.code(), secproc::error::codes::PROTO_BAD_REQUEST);
+    assert!(
+        err.to_string().contains("reply line exceeds 1048576 bytes"),
+        "{err}"
+    );
+    drop(client);
+    peer.join().expect("peer thread");
+}
+
 /// A generated-but-valid spec: every field the wire encoding carries,
 /// drawn from the vocabulary the parsers accept.
 #[allow(clippy::too_many_arguments)] // one argument per proptest-drawn field

@@ -174,7 +174,14 @@ for workload in explore-cold explore-warm iss-fast iss-inorder iss-ooo serve-mix
   cargo run --release --offline -q --manifest-path wspbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -1
 done
-echo "ci: benchmark gate ok (wsp-bench tests; all six workloads match expected.json)"
+# The traced path drives the job phase by phase: its phase spans must
+# cover at least 95% of each traced job, and its results must equal
+# the untraced job's.
+for workload in explore-cold explore-warm; do
+  cargo run --release --offline -q --manifest-path wspbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -1
+done
+echo "ci: benchmark gate ok (wsp-bench tests; all six workloads match expected.json, traced explore runs reconcile)"
 
 # Bench-envelope regression gates. First the historical diff: the
 # committed BENCH_10 envelope must not regress any deterministic metric
