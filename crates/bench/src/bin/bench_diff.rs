@@ -1,334 +1,202 @@
-//! `bench_diff` — compare two BENCH envelopes (the documents
-//! `scripts/bench_report.sh` writes) report-by-report and
-//! metric-by-metric, and gate on deterministic regressions.
+//! `bench_diff` — the exact regression gate over BENCH envelopes (the
+//! documents `scripts/bench_report.sh` writes).
 //!
 //! ```text
-//! bench_diff <baseline.json> <new.json> [--strict] [--tol <pct>] [--wall-tol <x>]
+//! bench_diff <baseline.json> <new.json>
 //! ```
 //!
 //! Both envelopes are parsed, every run report is normalized with
 //! [`xobs::report::normalize`] (host-timing fields, `xpar.*`/`kcache.*`
 //! metrics, span wall stamps and per-worker spans stripped), and the
-//! surviving — deterministic — scalar leaves are flattened to
-//! `path → value` maps and diffed. Each changed metric is classified
-//! by a direction heuristic on its key:
+//! surviving scalar leaves are flattened to `path → value` maps and
+//! diffed.
 //!
-//! - **lower is better**: cycle counts (`*cycles*`, `*_cpb`), model
-//!   error (`*error*`, `*mae*`), cache misses, retry attempts;
-//! - **higher is better**: speedups, hit rates, `r_squared`, Pareto
-//!   survivors/points (including the cross-product
-//!   `pareto_front_size`), admitted variants, instructions-per-cycle
-//!   (`*ipc*`, the out-of-order cores' headline rate);
-//! - everything else (configs, sizes, counts, span shapes) is
-//!   **neutral**: reported but never gated.
-//!
-//! The exit code is non-zero when a `results.*` metric with a known
-//! direction moved the wrong way by more than `--tol` percent
-//! (default 0: deterministic metrics must match exactly), when a
-//! `results.*` metric or a whole report present in the baseline is
-//! missing from the new envelope, or (with `--strict`) when *any*
-//! `results.*` leaf changed at all. A non-zero `--tol` is for diffing
-//! across code generations (the committed envelopes span several
-//! methodology changes); same-code runs should diff exactly.
-//! Metrics, degradations and span paths are informational: they
-//! describe how a run executed, not what it computed. Raw (pre-
-//! normalization) `wall_ms` values are compared with a tolerance
-//! factor (default 4.0×) and only ever warn — wall time is host noise.
+//! The exit code is non-zero when a report is missing from either
+//! envelope, or when any `results.*` leaf changed, is missing or was
+//! added. The results are the simulated numbers, so they must match
+//! exactly, whichever way they moved. Other leaves (metrics,
+//! degradations, span shapes) describe how a run executed: their
+//! changes are listed but never fail the gate. A change that
+//! legitimately moves a simulated number regenerates the baseline, and
+//! this diff then shows the move.
 //!
 //! The report is a markdown delta summary on stdout, one section per
-//! run report, so a CI log (or a PR description) can carry it as-is.
+//! run report with changes, so a CI log (or a PR description) can carry
+//! it as-is.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use xobs::Json;
 
-/// Direction of "better" for a metric key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Direction {
-    LowerBetter,
-    HigherBetter,
-    Neutral,
-}
+/// Run reports of one envelope, keyed by report name.
+type Reports = BTreeMap<String, Json>;
 
-/// What a single changed leaf means for the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Verdict {
-    Improved,
-    Regressed,
-    Changed,
-}
-
+/// One leaf that differs between two normalized reports.
 struct Delta {
     path: String,
-    old: String,
-    new: String,
-    pct: Option<f64>,
-    verdict: Verdict,
+    old: Option<Json>,
+    new: Option<Json>,
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: bench_diff <baseline.json> <new.json> [--strict] [--tol <pct>] [--wall-tol <x>]"
-    );
-    ExitCode::from(2)
+/// The result of diffing two envelopes.
+struct Outcome {
+    /// Markdown delta summary.
+    markdown: String,
+    /// Missing or added reports plus changed, missing or added
+    /// `results.*` leaves.
+    failures: usize,
+    /// Differing leaves outside `results.*`, listed only.
+    listed: usize,
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut strict = false;
-    let mut tol = 0.0f64;
-    let mut wall_tol = 4.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--strict" => strict = true,
-            "--tol" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(t) => tol = t,
-                None => return usage(),
-            },
-            "--wall-tol" => match it.next().and_then(|s| s.parse().ok()) {
-                Some(t) => wall_tol = t,
-                None => return usage(),
-            },
-            _ => paths.push(arg.clone()),
+    let [base_path, new_path] = args.as_slice() else {
+        eprintln!("usage: bench_diff <baseline.json> <new.json>");
+        return ExitCode::from(2);
+    };
+    let (base, new) = match (load_envelope(base_path), load_envelope(new_path)) {
+        (Ok(base), Ok(new)) => (base, new),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("bench_diff: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let [base_path, new_path] = paths.as_slice() else {
-        return usage();
-    };
-
-    let base = match load_envelope(base_path) {
-        Ok(e) => e,
-        Err(code) => return code,
-    };
-    let new = match load_envelope(new_path) {
-        Ok(e) => e,
-        Err(code) => return code,
     };
 
     println!("# bench_diff: `{base_path}` → `{new_path}`\n");
-
-    let mut regressions = 0usize;
-    let mut improvements = 0usize;
-    let mut neutral_changes = 0usize;
-    let mut warnings = 0usize;
-
-    for (name, base_report) in &base {
-        let Some(new_report) = new.get(name) else {
-            println!("## {name}\n\n**REGRESSION**: report missing from new envelope\n");
-            regressions += 1;
-            continue;
-        };
-        let deltas = diff_reports(base_report, new_report, strict, tol);
-        warnings += wall_warning(name, base_report, new_report, wall_tol);
-        if deltas.is_empty() {
-            continue;
-        }
-        println!("## {name}\n");
-        println!("| metric | baseline | new | Δ | verdict |");
-        println!("|---|---|---|---|---|");
-        const MAX_ROWS: usize = 40;
-        for d in deltas.iter().take(MAX_ROWS) {
-            let pct = d
-                .pct
-                .map(|p| format!("{p:+.2}%"))
-                .unwrap_or_else(|| "—".into());
-            let verdict = match d.verdict {
-                Verdict::Improved => "improved",
-                Verdict::Regressed => "**REGRESSION**",
-                Verdict::Changed => "changed",
-            };
-            println!(
-                "| `{}` | {} | {} | {} | {} |",
-                d.path, d.old, d.new, pct, verdict
-            );
-        }
-        if deltas.len() > MAX_ROWS {
-            println!("\n… and {} more changed leaves", deltas.len() - MAX_ROWS);
-        }
-        println!();
-        for d in &deltas {
-            match d.verdict {
-                Verdict::Improved => improvements += 1,
-                Verdict::Regressed => regressions += 1,
-                Verdict::Changed => neutral_changes += 1,
-            }
-        }
-    }
-    for name in new.keys() {
-        if !base.contains_key(name) {
-            println!("## {name}\n\nadded (no baseline to compare)\n");
-        }
-    }
-
+    let outcome = diff_envelopes(&base, &new);
+    print!("{}", outcome.markdown);
     println!(
-        "**summary**: {regressions} regression(s), {improvements} improvement(s), \
-         {neutral_changes} neutral change(s), {warnings} wall-time warning(s)"
+        "**summary**: {} failing difference(s), {} listed change(s)",
+        outcome.failures, outcome.listed
     );
-    if regressions > 0 {
-        eprintln!("bench_diff: {regressions} deterministic regression(s)");
+    if outcome.failures > 0 {
+        eprintln!(
+            "bench_diff: {} deterministic difference(s)",
+            outcome.failures
+        );
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
 }
 
-/// Parse an envelope into `report name → report` (insertion-ordered by
-/// name for stable output).
-fn load_envelope(path: &str) -> Result<BTreeMap<String, Json>, ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("bench_diff: cannot read {path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    let json = xobs::json::parse(&text).map_err(|e| {
-        eprintln!("bench_diff: {path} is not valid JSON: {e}");
-        ExitCode::FAILURE
-    })?;
-    let reports = json.get("reports").and_then(Json::as_arr).ok_or_else(|| {
-        eprintln!("bench_diff: {path} is not a BENCH envelope (no `reports` array)");
-        ExitCode::FAILURE
-    })?;
-    let mut map = BTreeMap::new();
-    for report in reports {
-        let name = report
-            .get("report")
-            .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_owned();
-        map.insert(name, report.clone());
-    }
-    Ok(map)
+/// Reads and parses the envelope at `path`.
+fn load_envelope(path: &str) -> Result<Reports, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let json = xobs::json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
+    reports_of(&json).map_err(|e| format!("{path}: {e}"))
 }
 
-/// Normalize both reports, flatten, and diff every scalar leaf.
-fn diff_reports(base: &Json, new: &Json, strict: bool, tol: f64) -> Vec<Delta> {
+/// The envelope's reports keyed by name.
+fn reports_of(envelope: &Json) -> Result<Reports, String> {
+    let reports = envelope
+        .get("reports")
+        .and_then(Json::as_arr)
+        .ok_or("not a BENCH envelope (no `reports` array)")?;
+    Ok(reports
+        .iter()
+        .map(|r| {
+            let name = r.get("report").and_then(Json::as_str).unwrap_or("?");
+            (name.to_owned(), r.clone())
+        })
+        .collect())
+}
+
+fn diff_envelopes(base: &Reports, new: &Reports) -> Outcome {
+    let mut out = Outcome {
+        markdown: String::new(),
+        failures: 0,
+        listed: 0,
+    };
+    let md = &mut out.markdown;
+    let names: BTreeSet<&String> = base.keys().chain(new.keys()).collect();
+    for name in names {
+        let (base_report, new_report) = match (base.get(name), new.get(name)) {
+            (Some(a), Some(b)) => (a, b),
+            (Some(_), None) => {
+                let _ = writeln!(
+                    md,
+                    "## {name}\n\n**FAIL**: report missing from new envelope\n"
+                );
+                out.failures += 1;
+                continue;
+            }
+            _ => {
+                let _ = writeln!(md, "## {name}\n\n**FAIL**: report not in the baseline\n");
+                out.failures += 1;
+                continue;
+            }
+        };
+        let deltas = diff_reports(base_report, new_report);
+        if deltas.is_empty() {
+            continue;
+        }
+        let _ = writeln!(md, "## {name}\n");
+        let _ = writeln!(md, "| leaf | baseline | new | gate |");
+        let _ = writeln!(md, "|---|---|---|---|");
+        const MAX_ROWS: usize = 40;
+        for d in deltas.iter().take(MAX_ROWS) {
+            let gate = if gated(&d.path) { "**FAIL**" } else { "listed" };
+            let _ = writeln!(
+                md,
+                "| `{}` | {} | {} | {gate} |",
+                d.path,
+                render(d.old.as_ref()),
+                render(d.new.as_ref())
+            );
+        }
+        if deltas.len() > MAX_ROWS {
+            let _ = writeln!(
+                md,
+                "\n… and {} more differing leaves",
+                deltas.len() - MAX_ROWS
+            );
+        }
+        let _ = writeln!(md);
+        let failing = deltas.iter().filter(|d| gated(&d.path)).count();
+        out.failures += failing;
+        out.listed += deltas.len() - failing;
+    }
+    out
+}
+
+/// Normalizes both reports, flattens them, and returns every leaf that
+/// differs, is missing or was added.
+fn diff_reports(base: &Json, new: &Json) -> Vec<Delta> {
     let mut base_leaves = BTreeMap::new();
     flatten(&xobs::report::normalize(base), "", &mut base_leaves);
     let mut new_leaves = BTreeMap::new();
     flatten(&xobs::report::normalize(new), "", &mut new_leaves);
 
-    let mut deltas = Vec::new();
-    for (path, old) in &base_leaves {
-        match new_leaves.get(path) {
-            None => deltas.push(Delta {
+    let paths: BTreeSet<&String> = base_leaves.keys().chain(new_leaves.keys()).collect();
+    paths
+        .into_iter()
+        .filter_map(|path| {
+            let (old, new) = (base_leaves.get(path), new_leaves.get(path));
+            (old != new).then(|| Delta {
                 path: path.clone(),
-                old: render(old),
-                new: "(missing)".into(),
-                pct: None,
-                verdict: if gated(path) {
-                    Verdict::Regressed
-                } else {
-                    Verdict::Changed
-                },
-            }),
-            Some(val) if val != old => deltas.push(classify(path, old, val, strict, tol)),
-            Some(_) => {}
-        }
-    }
-    for (path, val) in &new_leaves {
-        if !base_leaves.contains_key(path) {
-            deltas.push(Delta {
-                path: path.clone(),
-                old: "(absent)".into(),
-                new: render(val),
-                pct: None,
-                verdict: Verdict::Changed,
-            });
-        }
-    }
-    deltas
+                old: old.cloned(),
+                new: new.cloned(),
+            })
+        })
+        .collect()
 }
 
 /// Only `results.*` leaves gate the exit code: they are the simulated
-/// outputs the determinism contract covers. Metrics/spans/degradations
-/// describe execution and evolve freely across schema versions.
+/// outputs the determinism contract covers.
 fn gated(path: &str) -> bool {
     path.starts_with("results.")
 }
 
-fn classify(path: &str, old: &Json, new: &Json, strict: bool, tol: f64) -> Delta {
-    let (pct, verdict) = match (old.as_f64(), new.as_f64()) {
-        (Some(a), Some(b)) if a != 0.0 => {
-            let pct = (b - a) / a.abs() * 100.0;
-            let verdict = match direction(path) {
-                Direction::LowerBetter if b < a => Verdict::Improved,
-                Direction::LowerBetter if pct.abs() <= tol => Verdict::Changed,
-                Direction::LowerBetter => Verdict::Regressed,
-                Direction::HigherBetter if b > a => Verdict::Improved,
-                Direction::HigherBetter if pct.abs() <= tol => Verdict::Changed,
-                Direction::HigherBetter => Verdict::Regressed,
-                Direction::Neutral => Verdict::Changed,
-            };
-            (Some(pct), verdict)
-        }
-        _ => (None, Verdict::Changed),
-    };
-    // Non-results paths never gate; strict escalates any results change.
-    let verdict = if !gated(path) {
-        if verdict == Verdict::Regressed {
-            Verdict::Changed
-        } else {
-            verdict
-        }
-    } else if strict && verdict == Verdict::Changed {
-        Verdict::Regressed
-    } else {
-        verdict
-    };
-    Delta {
-        path: path.to_owned(),
-        old: render(old),
-        new: render(new),
-        pct,
-        verdict,
-    }
-}
-
-/// Direction heuristic on the leaf's key (the last path segment with
-/// any array index stripped).
-fn direction(path: &str) -> Direction {
-    let key = path.rsplit('.').next().unwrap_or(path);
-    let key = key.split('[').next().unwrap_or(key).to_ascii_lowercase();
-    let lower = [
-        "cycles",
-        "_cpb",
-        "cycles_per_byte",
-        "error",
-        "mae",
-        "misses",
-        "attempts",
-    ];
-    let higher = [
-        "speedup",
-        "hit_rate",
-        "r_squared",
-        "pareto",
-        "survivors",
-        "admitted",
-        "ipc",
-    ];
-    if higher.iter().any(|m| key.contains(m)) {
-        Direction::HigherBetter
-    } else if lower.iter().any(|m| key.contains(m)) {
-        // "base_cycles" is the *unoptimized* reference: a change is a
-        // workload change, not a perf movement either way.
-        if key.starts_with("base_") {
-            Direction::Neutral
-        } else {
-            Direction::LowerBetter
-        }
-    } else {
-        Direction::Neutral
-    }
-}
-
-/// Flatten a JSON tree to scalar leaves keyed by dotted path
-/// (`results.cosim_samples[2].error_pct`).
+/// Flatten a JSON tree to leaves keyed by dotted path
+/// (`results.cosim_samples[2].error_pct`). Scalars and empty
+/// containers are leaves, so every change to a tree changes a leaf.
 fn flatten(json: &Json, prefix: &str, out: &mut BTreeMap<String, Json>) {
     match json {
-        Json::Obj(pairs) => {
+        Json::Obj(pairs) if !pairs.is_empty() => {
             for (k, v) in pairs {
                 let path = if prefix.is_empty() {
                     k.clone()
@@ -338,7 +206,7 @@ fn flatten(json: &Json, prefix: &str, out: &mut BTreeMap<String, Json>) {
                 flatten(v, &path, out);
             }
         }
-        Json::Arr(items) => {
+        Json::Arr(items) if !items.is_empty() => {
             for (i, v) in items.iter().enumerate() {
                 flatten(v, &format!("{prefix}[{i}]"), out);
             }
@@ -349,27 +217,11 @@ fn flatten(json: &Json, prefix: &str, out: &mut BTreeMap<String, Json>) {
     }
 }
 
-fn render(json: &Json) -> String {
+fn render(json: Option<&Json>) -> String {
     match json {
-        Json::Str(s) => format!("`{s}`"),
-        other => other.to_string_compact(),
-    }
-}
-
-/// Warn (never gate) when a report's raw wall time grew beyond the
-/// tolerance factor.
-fn wall_warning(name: &str, base: &Json, new: &Json, tol: f64) -> usize {
-    let (Some(a), Some(b)) = (
-        base.get("wall_ms").and_then(Json::as_f64),
-        new.get("wall_ms").and_then(Json::as_f64),
-    ) else {
-        return 0;
-    };
-    if a > 0.0 && b > a * tol {
-        println!("> **warning** `{name}`: wall_ms {a:.0} → {b:.0} exceeds {tol}× tolerance\n");
-        1
-    } else {
-        0
+        None => "(absent)".into(),
+        Some(Json::Str(s)) => format!("`{s}`"),
+        Some(other) => other.to_string_compact(),
     }
 }
 
@@ -377,40 +229,108 @@ fn wall_warning(name: &str, base: &Json, new: &Json, tol: f64) -> usize {
 mod tests {
     use super::*;
 
-    #[test]
-    fn direction_classifies_core_and_cross_product_keys() {
-        // Per-point cycles of the two-axis lattice gate downward…
-        assert_eq!(
-            direction("results.cross_product.points[3].cycles"),
-            Direction::LowerBetter
+    /// A table1-like report: two RSA rows, one metric, one span.
+    fn report(name: &str, wall_ms: f64, opt_cycles: f64, base_cycles: f64, metric: f64) -> String {
+        format!(
+            r#"{{"schema_version":8,"report":"{name}","wall_ms":{wall_ms},
+                "results":{{"table":{{"rsa":[
+                    {{"name":"RSA enc.","base_cycles":{base_cycles},"opt_cycles":900}},
+                    {{"name":"RSA dec.","base_cycles":5000,"opt_cycles":{opt_cycles}}}]}}}},
+                "metrics":{{"flow.candidates":{{"type":"counter","value":{metric}}}}},
+                "spans":[{{"name":"flow","seq_start":0,"seq_end":1,"cycles":0,"tasks":0}}]}}"#
+        )
+    }
+
+    fn envelope(reports: &[String]) -> Reports {
+        let text = format!(
+            r#"{{"schema_version":2,"reports":[{}]}}"#,
+            reports.join(",")
         );
-        // …front size and IPC gate upward…
-        assert_eq!(
-            direction("results.cross_product.pareto_front_size"),
-            Direction::HigherBetter
-        );
-        assert_eq!(
-            direction("results.ooo.registry_ipc"),
-            Direction::HigherBetter
-        );
-        // …and coordinates/areas are workload facts, never gated.
-        assert_eq!(
-            direction("results.cross_product.points[3].core"),
-            Direction::Neutral
-        );
-        assert_eq!(
-            direction("results.cross_product.points[3].area"),
-            Direction::Neutral
-        );
-        assert_eq!(
-            direction("results.cross_product.n_limbs"),
-            Direction::Neutral
-        );
+        reports_of(&xobs::json::parse(&text).unwrap()).unwrap()
+    }
+
+    fn baseline() -> Reports {
+        envelope(&[
+            report("a", 1.0, 400.0, 1000.0, 450.0),
+            report("b", 1.0, 400.0, 1000.0, 1.0),
+        ])
     }
 
     #[test]
-    fn baseline_references_stay_neutral() {
-        assert_eq!(direction("results.base_cycles"), Direction::Neutral);
-        assert_eq!(direction("results.best_cycles"), Direction::LowerBetter);
+    fn identical_envelopes_pass() {
+        let o = diff_envelopes(&baseline(), &baseline());
+        assert_eq!((o.failures, o.listed), (0, 0));
+        assert!(o.markdown.is_empty());
+    }
+
+    #[test]
+    fn an_improved_result_fails() {
+        let new = envelope(&[
+            report("a", 1.0, 200.0, 1000.0, 450.0),
+            report("b", 1.0, 400.0, 1000.0, 1.0),
+        ]);
+        let o = diff_envelopes(&baseline(), &new);
+        assert_eq!((o.failures, o.listed), (1, 0));
+        assert!(o.markdown.contains("results.table.rsa[1].opt_cycles"));
+    }
+
+    #[test]
+    fn a_changed_reference_result_fails() {
+        let new = envelope(&[
+            report("a", 1.0, 400.0, 1500.0, 450.0),
+            report("b", 1.0, 400.0, 1000.0, 1.0),
+        ]);
+        let o = diff_envelopes(&baseline(), &new);
+        assert_eq!((o.failures, o.listed), (1, 0));
+        assert!(o.markdown.contains("results.table.rsa[0].base_cycles"));
+    }
+
+    #[test]
+    fn a_missing_or_added_report_fails() {
+        let fewer = envelope(&[report("a", 1.0, 400.0, 1000.0, 450.0)]);
+        let o = diff_envelopes(&baseline(), &fewer);
+        assert_eq!(o.failures, 1);
+        assert!(o.markdown.contains("missing"));
+        let o = diff_envelopes(&fewer, &baseline());
+        assert_eq!(o.failures, 1);
+        assert!(o.markdown.contains("not in the baseline"));
+    }
+
+    #[test]
+    fn a_missing_or_added_result_leaf_fails() {
+        let mut new = baseline();
+        let b = new.get_mut("b").unwrap();
+        *b =
+            xobs::json::parse(&b.to_string_compact().replace(r#""name":"RSA dec.","#, "")).unwrap();
+        assert_eq!(diff_envelopes(&baseline(), &new).failures, 1);
+        assert_eq!(diff_envelopes(&new, &baseline()).failures, 1);
+    }
+
+    #[test]
+    fn changed_metrics_and_spans_are_listed_but_pass() {
+        let mut new = envelope(&[
+            report("a", 1.0, 400.0, 1000.0, 451.0),
+            report("b", 1.0, 400.0, 1000.0, 1.0),
+        ]);
+        let b = new.get_mut("b").unwrap();
+        *b = xobs::json::parse(
+            &b.to_string_compact()
+                .replace(r#""seq_end":1"#, r#""seq_end":2"#),
+        )
+        .unwrap();
+        let o = diff_envelopes(&baseline(), &new);
+        assert_eq!((o.failures, o.listed), (0, 2));
+        assert!(o.markdown.contains("metrics.flow.candidates.value"));
+        assert!(o.markdown.contains("spans[0].seq_end"));
+    }
+
+    #[test]
+    fn raw_wall_time_is_ignored() {
+        let new = envelope(&[
+            report("a", 99.0, 400.0, 1000.0, 450.0),
+            report("b", 0.5, 400.0, 1000.0, 1.0),
+        ]);
+        let o = diff_envelopes(&baseline(), &new);
+        assert_eq!((o.failures, o.listed), (0, 0));
     }
 }

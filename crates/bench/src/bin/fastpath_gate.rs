@@ -22,7 +22,7 @@
 //!
 //! Exits non-zero on any architectural divergence between the engines,
 //! on any kernel error, or when the measured speedup falls below the
-//! bound. Under `--json` emits a schema-6 run report carrying the
+//! bound. Under `--json` emits a run report carrying the
 //! `verify.fast_path.{sweeps,insns,wall_ms}` metrics and a
 //! `fidelity_summary` envelope field.
 

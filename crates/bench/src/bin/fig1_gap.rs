@@ -24,7 +24,7 @@ fn main() {
         println!("(required MIPS = data rate x measured baseline security cycles/byte)\n");
     }
 
-    let tdes = measure::measure_tdes_cached(&config, 4, harness.cache());
+    let tdes = measure::measure_tdes(&config, 4, harness.cache());
     let sha_cpb = harness.kcache.scalar(
         &kcache::key(config.fingerprint(), "sim", "fig1:sha1", 4, 0),
         || SimSha1::new(config.clone()).cycles_per_byte(4),

@@ -31,7 +31,7 @@ fn main() {
 
     // The four measurement units (DES, 3DES, AES, RSA) run in parallel
     // and re-runs are served whole from the kernel-cycle cache.
-    let table = Table1::measure_pooled(&config, blocks, rsa_bits, &harness.pool, harness.cache());
+    let table = Table1::measure(&config, blocks, rsa_bits, &harness.pool, harness.cache());
 
     if cli.json {
         let metrics = Registry::new();

@@ -22,7 +22,7 @@
 //!
 //! Exits non-zero on any architectural divergence between the engines,
 //! on any kernel error, or when a timing claim fails. Under `--json`
-//! emits a schema-7 run report carrying the `core_configs` array (one
+//! emits a run report carrying the `core_configs` array (one
 //! entry per swept core model) and per-core `*_cycles` / `*_ipc`
 //! results.
 

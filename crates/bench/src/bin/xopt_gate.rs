@@ -11,8 +11,8 @@
 //! Usage: `xopt_gate [n] [--json] [--dump]`
 //!
 //! - `n`: operand size in limbs for the cycle comparison (default 32);
-//! - `--json`: emit a schema-4 run report with the
-//!   `generated_variants` array instead of prose;
+//! - `--json`: emit a run report with the `generated_variants`
+//!   array instead of prose;
 //! - `--dump`: print each generated variant's assembly source (with
 //!   its `;!` annotations) and exit — pipe a unit into
 //!   `xr32-lint --ir` to inspect its CFG/dataflow facts.

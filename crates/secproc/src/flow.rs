@@ -2087,14 +2087,7 @@ fn cosim_cached_impl(
         bits as u64,
         glue_cost.to_bits(),
     );
-    if let Some(v) = kc.get(&key) {
-        if let [cycles] = v[..] {
-            return Ok(cycles);
-        }
-    }
-    let cycles = run()?;
-    kc.insert(&key, vec![cycles]);
-    Ok(cycles)
+    Ok(kc.try_get_or_compute(&key, 1, || run().map(|c| vec![c]))?[0])
 }
 
 /// The shared user-register load/store plumbing as a selection-level

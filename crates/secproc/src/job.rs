@@ -744,14 +744,7 @@ pub fn cached_kernel_cycles(
                 n as u64,
                 seed,
             );
-            if let Some(values) = kc.get(&key) {
-                if let [cycles] = values[..] {
-                    return Ok(cycles);
-                }
-            }
-            let cycles = measure()?;
-            kc.insert(&key, vec![cycles]);
-            Ok(cycles)
+            Ok(kc.try_get_or_compute(&key, 1, || measure().map(|c| vec![c]))?[0])
         }
         None => measure().map_err(Error::from),
     }

@@ -205,10 +205,10 @@ impl KCache {
     }
 
     /// The cached cycle vector for `key`, if any, counting a hit or
-    /// miss. Use with [`KCache::insert`] when the computation is
-    /// fallible and only successes should be cached. Takes only the
-    /// owning shard's read lock, so concurrent lookups on other shards
-    /// (and on the same shard) proceed unblocked.
+    /// miss. To measure on a miss, use [`KCache::get_or_compute`] or,
+    /// for a fallible measurement, [`KCache::try_get_or_compute`].
+    /// Takes only the owning shard's read lock, so concurrent lookups
+    /// on other shards (and on the same shard) proceed unblocked.
     pub fn get(&self, key: &str) -> Option<Vec<f64>> {
         let found = self
             .shard(key)
@@ -245,19 +245,33 @@ impl KCache {
         expected_len: usize,
         compute: impl FnOnce() -> Vec<f64>,
     ) -> Vec<f64> {
+        let Ok(v) = self
+            .try_get_or_compute::<std::convert::Infallible>(key, expected_len, || Ok(compute()));
+        v
+    }
+
+    /// As [`KCache::get_or_compute`] for a fallible measurement: only an
+    /// `Ok` value is cached, and an `Err` is returned as-is (counted as
+    /// a miss).
+    pub fn try_get_or_compute<E>(
+        &self,
+        key: &str,
+        expected_len: usize,
+        compute: impl FnOnce() -> Result<Vec<f64>, E>,
+    ) -> Result<Vec<f64>, E> {
         {
             let shard = self.shard(key).read().expect("kcache shard poisoned");
             if let Some(v) = shard.get(key) {
                 if expected_len == 0 || v.len() == expected_len {
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    return v.clone();
+                    return Ok(v.clone());
                 }
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = compute();
+        let v = compute()?;
         self.insert(key, v.clone());
-        v
+        Ok(v)
     }
 
     /// Scalar convenience over [`KCache::get_or_compute`].
@@ -375,6 +389,26 @@ mod tests {
         assert_ne!(base, key(0xA, "base", kreg::opname::SUB_N, 8, 1), "op");
         assert_ne!(base, key(0xA, "base", kreg::opname::ADD_N, 9, 1), "size");
         assert_ne!(base, key(0xA, "base", kreg::opname::ADD_N, 8, 2), "seed");
+    }
+
+    #[test]
+    fn fallible_lookup_caches_only_ok_and_recomputes_wrong_arity() {
+        let cache = KCache::new();
+        let k = key(0x5, "base", kreg::opname::ADD_N, 4, 1);
+        assert_eq!(
+            cache.try_get_or_compute(&k, 1, || Err("diverged")),
+            Err("diverged")
+        );
+        assert!(cache.is_empty(), "an error is not cached");
+
+        cache.insert(&k, vec![1.0, 2.0]);
+        let v = cache.try_get_or_compute(&k, 1, || Ok::<_, ()>(vec![3.0]));
+        assert_eq!(v, Ok(vec![3.0]), "a wrong-arity entry is recomputed");
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+
+        let v = cache.try_get_or_compute(&k, 1, || Err(()));
+        assert_eq!(v, Ok(vec![3.0]), "the recomputed entry is served");
+        assert_eq!((cache.hits(), cache.misses()), (1, 2));
     }
 
     #[test]

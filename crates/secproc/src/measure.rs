@@ -50,20 +50,20 @@ impl RsaRow {
     }
 }
 
-/// Measures the DES row over `blocks` blocks.
-pub fn measure_des(config: &CpuConfig, blocks: usize) -> SymmetricRow {
-    let key = *b"\x13\x34\x57\x79\x9B\xBC\xDF\xF1";
-    let mut base = SimDes::new(config.clone(), Variant::Base, key);
-    let mut fast = SimDes::new(config.clone(), Variant::Accelerated, key);
-    SymmetricRow {
-        name: "DES enc./dec.",
-        base_cpb: base.cycles_per_byte(blocks),
-        opt_cpb: fast.cycles_per_byte(blocks),
-    }
+/// Measures the DES row over `blocks` blocks, served from the
+/// kernel-cycle cache (unit `table1:des`) when one is given.
+pub fn measure_des(config: &CpuConfig, blocks: usize, cache: Option<&KCache>) -> SymmetricRow {
+    sym_row(config, "table1:des", blocks, cache, "DES enc./dec.", || {
+        let key = *b"\x13\x34\x57\x79\x9B\xBC\xDF\xF1";
+        let mut base = SimDes::new(config.clone(), Variant::Base, key);
+        let mut fast = SimDes::new(config.clone(), Variant::Accelerated, key);
+        [base.cycles_per_byte(blocks), fast.cycles_per_byte(blocks)]
+    })
 }
 
-/// Measures the 3DES row: three chained DES passes (EDE) per block.
-pub fn measure_tdes(config: &CpuConfig, blocks: usize) -> SymmetricRow {
+/// Measures the 3DES row: three chained DES passes (EDE) per block
+/// (cache unit `table1:tdes`).
+pub fn measure_tdes(config: &CpuConfig, blocks: usize, cache: Option<&KCache>) -> SymmetricRow {
     let keys = [
         *b"\x01\x23\x45\x67\x89\xAB\xCD\xEF",
         *b"\x23\x45\x67\x89\xAB\xCD\xEF\x01",
@@ -90,22 +90,49 @@ pub fn measure_tdes(config: &CpuConfig, blocks: usize) -> SymmetricRow {
         }
         total as f64 / ((blocks - 1) as f64 * 8.0)
     };
-    SymmetricRow {
-        name: "3DES enc./dec.",
-        base_cpb: run(Variant::Base),
-        opt_cpb: run(Variant::Accelerated),
-    }
+    sym_row(
+        config,
+        "table1:tdes",
+        blocks,
+        cache,
+        "3DES enc./dec.",
+        || [run(Variant::Base), run(Variant::Accelerated)],
+    )
 }
 
-/// Measures the AES-128 row.
-pub fn measure_aes(config: &CpuConfig, blocks: usize) -> SymmetricRow {
-    let key: [u8; 16] = *b"paper-aes-key128";
-    let mut base = SimAes::new(config.clone(), Variant::Base, &key);
-    let mut fast = SimAes::new(config.clone(), Variant::Accelerated, &key);
+/// Measures the AES-128 row (cache unit `table1:aes`).
+pub fn measure_aes(config: &CpuConfig, blocks: usize, cache: Option<&KCache>) -> SymmetricRow {
+    sym_row(config, "table1:aes", blocks, cache, "AES enc./dec.", || {
+        let key: [u8; 16] = *b"paper-aes-key128";
+        let mut base = SimAes::new(config.clone(), Variant::Base, &key);
+        let mut fast = SimAes::new(config.clone(), Variant::Accelerated, &key);
+        [base.cycles_per_byte(blocks), fast.cycles_per_byte(blocks)]
+    })
+}
+
+/// One symmetric row from `measure` (`[base_cpb, opt_cpb]`), served
+/// from the kernel-cycle cache when one is given. The key embeds the
+/// core fingerprint, the row's unit name, and the block count.
+fn sym_row(
+    config: &CpuConfig,
+    unit: &str,
+    blocks: usize,
+    cache: Option<&KCache>,
+    name: &'static str,
+    measure: impl FnOnce() -> [f64; 2],
+) -> SymmetricRow {
+    let [base_cpb, opt_cpb] = match cache {
+        Some(kc) => {
+            let key = kcache::key(config.fingerprint(), "sim", unit, blocks as u64, 0);
+            let v = kc.get_or_compute(&key, 2, || measure().to_vec());
+            [v[0], v[1]]
+        }
+        None => measure(),
+    };
     SymmetricRow {
-        name: "AES enc./dec.",
-        base_cpb: base.cycles_per_byte(blocks),
-        opt_cpb: fast.cycles_per_byte(blocks),
+        name,
+        base_cpb,
+        opt_cpb,
     }
 }
 
@@ -116,171 +143,67 @@ pub fn measure_aes(config: &CpuConfig, blocks: usize) -> SymmetricRow {
 ///
 /// Returns `(encrypt_row, decrypt_row)`. `bits` is the modulus size —
 /// use small sizes in tests (co-simulation executes every limb
-/// operation cycle-accurately).
-///
-/// # Errors
-///
-/// Returns [`RsaError`] if a co-simulated operation fails (a
-/// platform defect, not a data-dependent condition).
-pub fn measure_rsa(config: &CpuConfig, bits: usize) -> Result<(RsaRow, RsaRow), RsaError> {
-    let mut rng = StdRng::seed_from_u64(0x45A);
-    let kp = KeyPair::generate(bits, &mut rng);
-    let msg = Natural::random_below(&mut rng, &kp.public.n);
-
-    let run = |variant: KernelVariant, cfg: &ModExpConfig| -> Result<(f64, f64), RsaError> {
-        let mut iss = IssMpn::with_variant(config.clone(), variant);
-        iss.set_verify(false);
-        let mut cache = ExpCache::new();
-        // Prime the cache (CacheMode::None configs ignore it), then
-        // measure one encrypt and one decrypt.
-        let ct = kp.public.encrypt_raw(&mut iss, &msg, cfg, &mut cache)?;
-        MpnOps::<u32>::reset(&mut iss);
-        let ct2 = kp.public.encrypt_raw(&mut iss, &msg, cfg, &mut cache)?;
-        assert_eq!(ct, ct2);
-        let enc = MpnOps::<u32>::cycles(&iss);
-
-        let pt = kp.private.decrypt_raw(&mut iss, &ct, cfg, &mut cache)?;
-        assert_eq!(pt, msg, "RSA roundtrip on the simulator");
-        MpnOps::<u32>::reset(&mut iss);
-        kp.private.decrypt_raw(&mut iss, &ct, cfg, &mut cache)?;
-        let dec = MpnOps::<u32>::cycles(&iss);
-        Ok((enc, dec))
-    };
-
-    let (enc_base, dec_base) = run(KernelVariant::Base, &ModExpConfig::baseline())?;
-    let (enc_opt, dec_opt) = run(
-        KernelVariant::Accelerated {
-            add_lanes: 16,
-            mac_lanes: 4,
-        },
-        &ModExpConfig::optimized(),
-    )?;
-    Ok((
-        RsaRow {
-            name: "RSA enc.",
-            base_cycles: enc_base,
-            opt_cycles: enc_opt,
-        },
-        RsaRow {
-            name: "RSA dec.",
-            base_cycles: dec_base,
-            opt_cycles: dec_opt,
-        },
-    ))
-}
-
-/// Serves one symmetric row (`[base_cpb, opt_cpb]`) from the
-/// kernel-cycle cache, measuring on a miss. The key embeds the core
-/// fingerprint, the row's unit name, and the block count.
-fn sym_row_cached(
-    config: &CpuConfig,
-    unit: &str,
-    blocks: usize,
-    cache: Option<&KCache>,
-    measure: impl FnOnce() -> SymmetricRow,
-    name: &'static str,
-) -> SymmetricRow {
-    let Some(kc) = cache else {
-        return measure();
-    };
-    let key = kcache::key(config.fingerprint(), "sim", unit, blocks as u64, 0);
-    let v = kc.get_or_compute(&key, 2, || {
-        let row = measure();
-        vec![row.base_cpb, row.opt_cpb]
-    });
-    SymmetricRow {
-        name,
-        base_cpb: v[0],
-        opt_cpb: v[1],
-    }
-}
-
-/// [`measure_des`] through the kernel-cycle cache (unit `table1:des`).
-pub fn measure_des_cached(
-    config: &CpuConfig,
-    blocks: usize,
-    cache: Option<&KCache>,
-) -> SymmetricRow {
-    sym_row_cached(
-        config,
-        "table1:des",
-        blocks,
-        cache,
-        || measure_des(config, blocks),
-        "DES enc./dec.",
-    )
-}
-
-/// [`measure_tdes`] through the kernel-cycle cache (unit `table1:tdes`).
-pub fn measure_tdes_cached(
-    config: &CpuConfig,
-    blocks: usize,
-    cache: Option<&KCache>,
-) -> SymmetricRow {
-    sym_row_cached(
-        config,
-        "table1:tdes",
-        blocks,
-        cache,
-        || measure_tdes(config, blocks),
-        "3DES enc./dec.",
-    )
-}
-
-/// [`measure_aes`] through the kernel-cycle cache (unit `table1:aes`).
-pub fn measure_aes_cached(
-    config: &CpuConfig,
-    blocks: usize,
-    cache: Option<&KCache>,
-) -> SymmetricRow {
-    sym_row_cached(
-        config,
-        "table1:aes",
-        blocks,
-        cache,
-        || measure_aes(config, blocks),
-        "AES enc./dec.",
-    )
-}
-
-/// [`measure_rsa`] through the kernel-cycle cache: both platforms'
+/// operation cycle-accurately). With a cache, both platforms'
 /// encrypt/decrypt co-simulations are one measurement unit
 /// (`table1:rsa`, values `[enc_base, dec_base, enc_opt, dec_opt]`).
 ///
 /// # Errors
 ///
-/// Returns [`RsaError`] under the same conditions as
-/// [`measure_rsa`] (never on a cache hit).
-pub fn measure_rsa_cached(
+/// Returns [`RsaError`] if a co-simulated operation fails (a
+/// platform defect, not a data-dependent condition); never on a cache
+/// hit.
+pub fn measure_rsa(
     config: &CpuConfig,
     bits: usize,
     cache: Option<&KCache>,
 ) -> Result<(RsaRow, RsaRow), RsaError> {
-    let Some(kc) = cache else {
-        return measure_rsa(config, bits);
+    let measure = || -> Result<Vec<f64>, RsaError> {
+        let mut rng = StdRng::seed_from_u64(0x45A);
+        let kp = KeyPair::generate(bits, &mut rng);
+        let msg = Natural::random_below(&mut rng, &kp.public.n);
+
+        let run = |variant: KernelVariant, cfg: &ModExpConfig| -> Result<(f64, f64), RsaError> {
+            let mut iss = IssMpn::with_variant(config.clone(), variant);
+            iss.set_verify(false);
+            let mut cache = ExpCache::new();
+            // Prime the cache (CacheMode::None configs ignore it), then
+            // measure one encrypt and one decrypt.
+            let ct = kp.public.encrypt_raw(&mut iss, &msg, cfg, &mut cache)?;
+            MpnOps::<u32>::reset(&mut iss);
+            let ct2 = kp.public.encrypt_raw(&mut iss, &msg, cfg, &mut cache)?;
+            assert_eq!(ct, ct2);
+            let enc = MpnOps::<u32>::cycles(&iss);
+
+            let pt = kp.private.decrypt_raw(&mut iss, &ct, cfg, &mut cache)?;
+            assert_eq!(pt, msg, "RSA roundtrip on the simulator");
+            MpnOps::<u32>::reset(&mut iss);
+            kp.private.decrypt_raw(&mut iss, &ct, cfg, &mut cache)?;
+            let dec = MpnOps::<u32>::cycles(&iss);
+            Ok((enc, dec))
+        };
+
+        let (enc_base, dec_base) = run(KernelVariant::Base, &ModExpConfig::baseline())?;
+        let (enc_opt, dec_opt) = run(
+            KernelVariant::Accelerated {
+                add_lanes: 16,
+                mac_lanes: 4,
+            },
+            &ModExpConfig::optimized(),
+        )?;
+        Ok(vec![enc_base, dec_base, enc_opt, dec_opt])
     };
-    let key = kcache::key(
-        config.fingerprint(),
-        "iss",
-        "table1:rsa",
-        bits as u64,
-        0x45A,
-    );
-    // get + insert (not get_or_compute): only successful measurements
-    // are cached.
-    let v = match kc.get(&key).filter(|v| v.len() == 4) {
-        Some(v) => v,
-        None => {
-            let (enc, dec) = measure_rsa(config, bits)?;
-            let v = vec![
-                enc.base_cycles,
-                dec.base_cycles,
-                enc.opt_cycles,
-                dec.opt_cycles,
-            ];
-            kc.insert(&key, v.clone());
-            v
+    let v = match cache {
+        Some(kc) => {
+            let key = kcache::key(
+                config.fingerprint(),
+                "iss",
+                "table1:rsa",
+                bits as u64,
+                0x45A,
+            );
+            kc.try_get_or_compute(&key, 4, measure)?
         }
+        None => measure()?,
     };
     Ok((
         RsaRow {
@@ -310,18 +233,11 @@ pub struct Table1 {
 
 impl Table1 {
     /// Measures everything. `blocks` controls symmetric averaging;
-    /// `rsa_bits` the modulus size. Runs the four measurement units on
-    /// an environment-sized [`Pool`] without a cache; see
-    /// [`Table1::measure_pooled`].
-    pub fn measure(config: &CpuConfig, blocks: usize, rsa_bits: usize) -> Self {
-        Self::measure_pooled(config, blocks, rsa_bits, &Pool::from_env(), None)
-    }
-
-    /// As [`Table1::measure`] on an explicit worker pool: the four
-    /// independent measurement units (DES, 3DES, AES, RSA) run in
-    /// parallel, each optionally served from the kernel-cycle cache.
-    /// The table is identical for any thread count and cache state.
-    pub fn measure_pooled(
+    /// `rsa_bits` the modulus size. The four independent measurement
+    /// units (DES, 3DES, AES, RSA) run in parallel on `pool`, each
+    /// optionally served from the kernel-cycle cache. The table is
+    /// identical for any thread count and cache state.
+    pub fn measure(
         config: &CpuConfig,
         blocks: usize,
         rsa_bits: usize,
@@ -330,61 +246,19 @@ impl Table1 {
     ) -> Self {
         let units = [0usize, 1, 2, 3];
         let rows = pool.par_map(&units, |_, &u| match u {
-            0 => {
-                let r = measure_des_cached(config, blocks, cache);
-                vec![r.base_cpb, r.opt_cpb]
-            }
-            1 => {
-                let r = measure_tdes_cached(config, blocks, cache);
-                vec![r.base_cpb, r.opt_cpb]
-            }
-            2 => {
-                let r = measure_aes_cached(config, blocks, cache);
-                vec![r.base_cpb, r.opt_cpb]
-            }
+            0 => (vec![measure_des(config, blocks, cache)], vec![]),
+            1 => (vec![measure_tdes(config, blocks, cache)], vec![]),
+            2 => (vec![measure_aes(config, blocks, cache)], vec![]),
             _ => {
-                let (enc, dec) = measure_rsa_cached(config, rsa_bits, cache)
+                let (enc, dec) = measure_rsa(config, rsa_bits, cache)
                     .expect("RSA co-simulation is infallible on the bundled platforms");
-                vec![
-                    enc.base_cycles,
-                    dec.base_cycles,
-                    enc.opt_cycles,
-                    dec.opt_cycles,
-                ]
+                (vec![], vec![enc, dec])
             }
         });
-        let symmetric = vec![
-            SymmetricRow {
-                name: "DES enc./dec.",
-                base_cpb: rows[0][0],
-                opt_cpb: rows[0][1],
-            },
-            SymmetricRow {
-                name: "3DES enc./dec.",
-                base_cpb: rows[1][0],
-                opt_cpb: rows[1][1],
-            },
-            SymmetricRow {
-                name: "AES enc./dec.",
-                base_cpb: rows[2][0],
-                opt_cpb: rows[2][1],
-            },
-        ];
-        let rsa = vec![
-            RsaRow {
-                name: "RSA enc.",
-                base_cycles: rows[3][0],
-                opt_cycles: rows[3][2],
-            },
-            RsaRow {
-                name: "RSA dec.",
-                base_cycles: rows[3][1],
-                opt_cycles: rows[3][3],
-            },
-        ];
+        let (symmetric, rsa): (Vec<_>, Vec<_>) = rows.into_iter().unzip();
         Table1 {
-            symmetric,
-            rsa,
+            symmetric: symmetric.concat(),
+            rsa: rsa.concat(),
             rsa_bits,
         }
     }
@@ -452,7 +326,7 @@ mod tests {
 
     #[test]
     fn des_row_shape_matches_paper() {
-        let row = measure_des(&CpuConfig::default(), 5);
+        let row = measure_des(&CpuConfig::default(), 5, None);
         // Paper: 476.8 -> 15.4 (31.0X). Our shape: hundreds of c/B base,
         // tens optimized, speedup in the tens.
         assert!(row.base_cpb > 150.0, "base {:.1}", row.base_cpb);
@@ -466,8 +340,8 @@ mod tests {
 
     #[test]
     fn tdes_costs_about_three_des() {
-        let des = measure_des(&CpuConfig::default(), 4);
-        let tdes = measure_tdes(&CpuConfig::default(), 4);
+        let des = measure_des(&CpuConfig::default(), 4, None);
+        let tdes = measure_tdes(&CpuConfig::default(), 4, None);
         let ratio = tdes.base_cpb / des.base_cpb;
         assert!(ratio > 2.5 && ratio < 3.5, "3DES/DES ratio {ratio:.2}");
         assert!(tdes.speedup() > 8.0);
@@ -475,7 +349,7 @@ mod tests {
 
     #[test]
     fn aes_row_shape_matches_paper() {
-        let row = measure_aes(&CpuConfig::default(), 4);
+        let row = measure_aes(&CpuConfig::default(), 4, None);
         assert!(row.base_cpb > 100.0, "base {:.1}", row.base_cpb);
         assert!(
             row.speedup() > 5.0 && row.speedup() < 60.0,
@@ -487,7 +361,7 @@ mod tests {
     #[test]
     fn rsa_rows_decrypt_gains_more_than_encrypt() {
         // Small modulus keeps co-simulation fast in tests.
-        let (enc, dec) = measure_rsa(&CpuConfig::default(), 128).unwrap();
+        let (enc, dec) = measure_rsa(&CpuConfig::default(), 128, None).unwrap();
         assert!(enc.speedup() > 2.0, "enc speedup {:.1}", enc.speedup());
         assert!(dec.speedup() > 5.0, "dec speedup {:.1}", dec.speedup());
         assert!(
@@ -502,9 +376,9 @@ mod tests {
     fn pooled_table_matches_serial_and_warms_to_full_hits() {
         let cfg = CpuConfig::default();
         let kc = KCache::new();
-        let a = Table1::measure_pooled(&cfg, 3, 64, &Pool::new(1), None);
-        let b = Table1::measure_pooled(&cfg, 3, 64, &Pool::new(4), Some(&kc));
-        let c = Table1::measure_pooled(&cfg, 3, 64, &Pool::new(4), Some(&kc));
+        let a = Table1::measure(&cfg, 3, 64, &Pool::new(1), None);
+        let b = Table1::measure(&cfg, 3, 64, &Pool::new(4), Some(&kc));
+        let c = Table1::measure(&cfg, 3, 64, &Pool::new(4), Some(&kc));
         assert_eq!(kc.misses(), 4, "four cold units");
         assert_eq!(kc.hits(), 4, "warm re-run serves every unit");
         assert_eq!(kc.hit_rate(), 0.5);

@@ -110,7 +110,9 @@ impl SecurityProcessor {
         let cpb = match algorithm {
             Algorithm::Des => SimDes::new(self.config.clone(), self.variant(), *b"platform")
                 .cycles_per_byte(blocks),
-            Algorithm::TripleDes => measure::measure_tdes(&self.config, blocks).pick(self.kind),
+            Algorithm::TripleDes => {
+                measure::measure_tdes(&self.config, blocks, None).pick(self.kind)
+            }
             Algorithm::Aes128 => {
                 SimAes::new(self.config.clone(), self.variant(), b"platform-aes-key")
                     .cycles_per_byte(blocks)

@@ -43,8 +43,8 @@
 //! spec-derived fields appear, so a daemon-run job and the equivalent
 //! CLI run stamp identical bytes. Omitted by runs not driven through
 //! a job spec.
-//! Version-1 through -7 reports remain valid; [`validate`] accepts all
-//! eight, and [`normalize`] strips everything host-timing-dependent so
+//! [`validate`] accepts only the current version (no stored report
+//! predates it), and [`normalize`] strips everything host-timing-dependent so
 //! two runs of the same workload can be compared byte-for-byte (the
 //! resilience and variant arrays are seed-determined workload facts
 //! and survive normalization; span wall fields and `wall_only` spans
@@ -55,9 +55,6 @@ use crate::metrics::MetricsSnapshot;
 
 /// Current report schema version.
 pub const SCHEMA_VERSION: u64 = 8;
-
-/// Oldest schema version [`validate`] still accepts.
-pub const MIN_SCHEMA_VERSION: u64 = 1;
 
 /// A structured record of one harness run.
 #[derive(Debug, Clone)]
@@ -307,18 +304,16 @@ impl RunReport {
 }
 
 /// Checks that a parsed JSON value is a well-formed report envelope of
-/// a supported schema version ([`MIN_SCHEMA_VERSION`] through
-/// [`SCHEMA_VERSION`]). Returns a human-readable description of the
-/// first violation.
+/// the current schema version ([`SCHEMA_VERSION`]). Returns a
+/// human-readable description of the first violation.
 pub fn validate(json: &Json) -> Result<(), String> {
     let version = json
         .get("schema_version")
         .and_then(Json::as_f64)
         .ok_or("missing numeric schema_version")?;
-    if version < MIN_SCHEMA_VERSION as f64 || version > SCHEMA_VERSION as f64 {
+    if version != SCHEMA_VERSION as f64 {
         return Err(format!(
-            "schema_version {version} unsupported (validator supports \
-             {MIN_SCHEMA_VERSION}..={SCHEMA_VERSION})"
+            "schema_version {version} unsupported (validator supports {SCHEMA_VERSION})"
         ));
     }
     let name = json
@@ -417,10 +412,8 @@ pub fn validate(json: &Json) -> Result<(), String> {
 }
 
 /// True for a key whose value depends on host timing, thread count or
-/// cache warmth rather than on the simulated workload. Exported so
-/// downstream tooling (the `bench_diff` envelope differ) classifies
-/// metrics exactly the way normalization does.
-pub fn is_volatile_key(key: &str) -> bool {
+/// cache warmth rather than on the simulated workload.
+fn is_volatile_key(key: &str) -> bool {
     key == "wall_ms"
         || key == "threads"
         || key == "memo_hit_rate"
@@ -429,14 +422,9 @@ pub fn is_volatile_key(key: &str) -> bool {
         || key == "fast_path_speedup"
         || key == "busy_fraction"
         || key == "queue_wait_ms"
-        || key == "jobs_per_s"
-        || key == "queries_per_s"
-        || key == "p50_ms"
-        || key == "p99_ms"
         || key.ends_with("wall_ms")
         || key.starts_with("xpar.")
         || key.starts_with("kcache.")
-        || key.starts_with("xserve.")
 }
 
 /// True for an array element normalization drops entirely: a
@@ -493,7 +481,7 @@ mod tests {
         assert_eq!(arr.len(), 1);
 
         let bad =
-            json::parse(r#"{"schema_version":2,"report":"r","results":{},"kernel_errors":[3]}"#)
+            json::parse(r#"{"schema_version":8,"report":"r","results":{},"kernel_errors":[3]}"#)
                 .unwrap();
         assert!(validate(&bad).unwrap_err().contains("kernel_errors"));
         // Divergences are workload facts, not host noise: normalize keeps them.
@@ -584,7 +572,7 @@ mod tests {
             Some("detected")
         );
 
-        let bad = json::parse(r#"{"schema_version":3,"report":"r","results":{},"degradations":7}"#)
+        let bad = json::parse(r#"{"schema_version":8,"report":"r","results":{},"degradations":7}"#)
             .unwrap();
         assert!(validate(&bad).unwrap_err().contains("degradations"));
         // Resilience events are seed-determined workload facts: keep them.
@@ -622,17 +610,17 @@ mod tests {
         assert!(normalize(&parsed).get("generated_variants").is_some());
 
         let bad =
-            json::parse(r#"{"schema_version":4,"report":"r","results":{},"generated_variants":7}"#)
+            json::parse(r#"{"schema_version":8,"report":"r","results":{},"generated_variants":7}"#)
                 .unwrap();
         assert!(validate(&bad).unwrap_err().contains("generated_variants"));
         let bad_row = json::parse(
-            r#"{"schema_version":4,"report":"r","results":{},
+            r#"{"schema_version":8,"report":"r","results":{},
                 "generated_variants":[{"kernel":"mpn_add_n","tag":"gen-a4m1"}]}"#,
         )
         .unwrap();
         assert!(validate(&bad_row).unwrap_err().contains("admitted"));
         let bad_kernel = json::parse(
-            r#"{"schema_version":4,"report":"r","results":{},
+            r#"{"schema_version":8,"report":"r","results":{},
                 "generated_variants":[{"tag":"gen-a4m1","admitted":true}]}"#,
         )
         .unwrap();
@@ -688,7 +676,7 @@ mod tests {
     #[test]
     fn validate_rejects_malformed_span_trees() {
         let bad = json::parse(
-            r#"{"schema_version":5,"report":"r","results":{},"spans":[
+            r#"{"schema_version":8,"report":"r","results":{},"spans":[
                 {"name":"p","seq_start":0,"seq_end":9,"cycles":0,"tasks":0,"children":[
                     {"name":"a","seq_start":1,"seq_end":5,"cycles":0,"tasks":0},
                     {"name":"b","seq_start":3,"seq_end":8,"cycles":0,"tasks":0}]}]}"#,
@@ -696,7 +684,7 @@ mod tests {
         .unwrap();
         assert!(validate(&bad).unwrap_err().contains("nested"));
         let not_arr =
-            json::parse(r#"{"schema_version":5,"report":"r","results":{},"spans":7}"#).unwrap();
+            json::parse(r#"{"schema_version":8,"report":"r","results":{},"spans":7}"#).unwrap();
         assert!(validate(&not_arr).unwrap_err().contains("spans"));
     }
 
@@ -727,7 +715,7 @@ mod tests {
         assert!(normalize(&parsed).get("fidelity_summary").is_some());
 
         let bad =
-            json::parse(r#"{"schema_version":6,"report":"r","results":{},"fidelity_summary":[1]}"#)
+            json::parse(r#"{"schema_version":8,"report":"r","results":{},"fidelity_summary":[1]}"#)
                 .unwrap();
         assert!(validate(&bad).unwrap_err().contains("fidelity_summary"));
     }
@@ -761,15 +749,15 @@ mod tests {
         // Core sweeps are workload facts, not host noise: normalize keeps them.
         assert!(normalize(&parsed).get("core_configs").is_some());
 
-        let bad = json::parse(r#"{"schema_version":7,"report":"r","results":{},"core_configs":7}"#)
+        let bad = json::parse(r#"{"schema_version":8,"report":"r","results":{},"core_configs":7}"#)
             .unwrap();
         assert!(validate(&bad).unwrap_err().contains("core_configs"));
         let bad_entry =
-            json::parse(r#"{"schema_version":7,"report":"r","results":{},"core_configs":[7]}"#)
+            json::parse(r#"{"schema_version":8,"report":"r","results":{},"core_configs":[7]}"#)
                 .unwrap();
         assert!(validate(&bad_entry).unwrap_err().contains("objects"));
         let bad_id = json::parse(
-            r#"{"schema_version":7,"report":"r","results":{},"core_configs":[{"area":1}]}"#,
+            r#"{"schema_version":8,"report":"r","results":{},"core_configs":[{"area":1}]}"#,
         )
         .unwrap();
         assert!(validate(&bad_id).unwrap_err().contains("id"));
@@ -810,79 +798,9 @@ mod tests {
     }
 
     #[test]
-    fn serving_throughput_keys_are_volatile() {
-        for key in [
-            "jobs_per_s",
-            "queries_per_s",
-            "p50_ms",
-            "p99_ms",
-            "xserve.submit_p99_ms",
-        ] {
-            assert!(is_volatile_key(key), "{key}");
-        }
-        assert!(!is_volatile_key("cancelled_jobs"));
-    }
-
-    #[test]
-    fn validate_accepts_version_7_reports() {
-        let j = json::parse(
-            r#"{"schema_version":7,"report":"x","results":{},
-                "core_configs":[{"id":"io"}]}"#,
-        )
-        .unwrap();
-        validate(&j).unwrap();
-    }
-
-    #[test]
-    fn validate_accepts_version_6_reports() {
-        let j = json::parse(
-            r#"{"schema_version":6,"report":"x","results":{},
-                "fidelity_summary":{"fast":{"sweeps":64}}}"#,
-        )
-        .unwrap();
-        validate(&j).unwrap();
-    }
-
-    #[test]
-    fn validate_accepts_version_5_reports() {
-        let j = json::parse(
-            r#"{"schema_version":5,"report":"x","results":{},"spans":[
-                {"name":"p","seq_start":0,"seq_end":1,"cycles":0,"tasks":0}]}"#,
-        )
-        .unwrap();
-        validate(&j).unwrap();
-    }
-
-    #[test]
-    fn validate_accepts_version_4_reports() {
-        let j = json::parse(
-            r#"{"schema_version":4,"report":"x","results":{},
-                "generated_variants":[{"kernel":"k","tag":"t","admitted":false}]}"#,
-        )
-        .unwrap();
-        validate(&j).unwrap();
-    }
-
-    #[test]
-    fn validate_accepts_version_3_reports() {
-        let j = json::parse(
-            r#"{"schema_version":3,"report":"x","results":{},"degradations":[{"phase":"curves"}]}"#,
-        )
-        .unwrap();
-        validate(&j).unwrap();
-    }
-
-    #[test]
-    fn validate_accepts_version_2_reports() {
-        let j =
-            json::parse(r#"{"schema_version":2,"report":"x","results":{},"wall_ms":1.0}"#).unwrap();
-        validate(&j).unwrap();
-    }
-
-    #[test]
-    fn validate_accepts_version_1_reports() {
-        let j = json::parse(r#"{"schema_version":1,"report":"x","results":{}}"#).unwrap();
-        validate(&j).unwrap();
+    fn validate_rejects_older_versions() {
+        let j = json::parse(r#"{"schema_version":7,"report":"x","results":{}}"#).unwrap();
+        assert!(validate(&j).unwrap_err().contains("unsupported"));
     }
 
     #[test]
@@ -899,14 +817,14 @@ mod tests {
 
     #[test]
     fn validate_rejects_non_object_results() {
-        let j = json::parse(r#"{"schema_version":1,"report":"x","results":[1]}"#).unwrap();
+        let j = json::parse(r#"{"schema_version":8,"report":"x","results":[1]}"#).unwrap();
         assert!(validate(&j).unwrap_err().contains("object"));
     }
 
     #[test]
     fn validate_rejects_bad_fingerprint() {
         let j = json::parse(
-            r#"{"schema_version":1,"report":"x","config_fingerprint":"xyz","results":{}}"#,
+            r#"{"schema_version":8,"report":"x","config_fingerprint":"xyz","results":{}}"#,
         )
         .unwrap();
         assert!(validate(&j).unwrap_err().contains("hex"));
@@ -914,7 +832,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_non_numeric_wall_fields() {
-        let j = json::parse(r#"{"schema_version":2,"report":"x","wall_ms":"fast","results":{}}"#)
+        let j = json::parse(r#"{"schema_version":8,"report":"x","wall_ms":"fast","results":{}}"#)
             .unwrap();
         assert!(validate(&j).unwrap_err().contains("wall_ms"));
     }
@@ -923,7 +841,7 @@ mod tests {
     fn normalize_strips_volatile_fields_recursively() {
         let j = json::parse(
             r#"{
-              "schema_version": 2, "report": "x", "wall_ms": 9.1,
+              "schema_version": 8, "report": "x", "wall_ms": 9.1,
               "threads": 8, "memo_hit_rate": 0.5,
               "results": {
                 "cosim_samples": 3, "mean_estimation_speedup": 41.0,

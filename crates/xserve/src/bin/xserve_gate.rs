@@ -5,7 +5,7 @@
 //!
 //! 1. **Byte-identity** — a job run through the daemon and the same
 //!    [`JobSpec`] run directly in-process produce identical normalized
-//!    reports (volatile wall-clock/throughput keys stripped).
+//!    reports (volatile wall-clock keys stripped).
 //! 2. **Cancellation** — a queued job cancelled before execution
 //!    surfaces the stable `4004 PROTO_CANCELLED` code and counts in
 //!    the scheduler's `cancelled` stat.
@@ -19,10 +19,12 @@
 use secproc::error::codes;
 use secproc::job::{JobEnv, JobKind, JobSpec};
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::thread;
 use xobs::report::normalize;
 use xpar::Pool;
-use xserve::{Bind, Client, Response, Server, ServerConfig};
+use xserve::{Bind, Client, Request, Response, Server, ServerConfig};
 
 fn fail(msg: &str) -> ! {
     eprintln!("xserve-gate: FAIL: {msg}");
@@ -73,32 +75,55 @@ fn main() {
     println!("xserve-gate: byte-identity holds (daemon == direct, normalized)");
 
     // 2. Cancellation: queue a job behind a blocker, cancel it, and
-    // expect the stable 4004 code on its stream.
-    let (blocker_id, _) = client
-        .submit(&blocker_spec(), 1, Some("blocker"))
-        .unwrap_or_else(|e| fail(&format!("submit blocker: {e}")));
-    let (victim_id, _) = client
-        .submit(&charact_spec(), 0, Some("victim"))
-        .unwrap_or_else(|e| fail(&format!("submit victim: {e}")));
-    client
-        .cancel(&victim_id)
-        .unwrap_or_else(|e| fail(&format!("cancel: {e}")));
-    let mut saw_cancel = false;
-    let mut blocker_last = false;
-    while !(saw_cancel && blocker_last) {
-        match client.next_response() {
-            Ok(Response::JobError { id, code, .. }) if id == victim_id => {
+    // expect the stable 4004 code on its stream. The three requests go
+    // out in one write, so the server handles the cancel while the
+    // blocker still holds the single executor, whatever the socket's
+    // delayed-ACK timing. (Sent one at a time, a stalled `accepted`
+    // reply could let the blocker and the victim finish first.)
+    let batch: String = [
+        Request::Submit {
+            id: Some("blocker".into()),
+            priority: 1,
+            spec: blocker_spec(),
+        },
+        Request::Submit {
+            id: Some("victim".into()),
+            priority: 0,
+            spec: charact_spec(),
+        },
+        Request::Cancel {
+            id: "victim".into(),
+        },
+    ]
+    .iter()
+    .map(|r| r.to_json().to_string_compact() + "\n")
+    .collect();
+    let mut raw = TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    raw.write_all(batch.as_bytes())
+        .unwrap_or_else(|e| fail(&format!("submit: {e}")));
+    let (mut saw_cancel, mut blocker_last) = (false, false);
+    for line in BufReader::new(raw).lines() {
+        let line = line.unwrap_or_else(|e| fail(&format!("stream: {e}")));
+        match Response::parse(&line) {
+            Ok(Response::Accepted { .. } | Response::Ok) => {}
+            Ok(Response::JobError { id, code, .. }) if id == "victim" => {
                 if code != codes::PROTO_CANCELLED {
                     fail(&format!("victim ended with code {code}, want 4004"));
                 }
                 saw_cancel = true;
             }
-            Ok(Response::JobFrame { id, frame }) if id == blocker_id => {
+            Ok(Response::JobFrame { id, frame }) if id == "blocker" => {
                 blocker_last |= frame.last;
             }
             Ok(other) => fail(&format!("unexpected response: {other:?}")),
             Err(e) => fail(&format!("stream: {e}")),
         }
+        if saw_cancel && blocker_last {
+            break;
+        }
+    }
+    if !(saw_cancel && blocker_last) {
+        fail("connection closed before the blocker and the victim ended");
     }
     println!("xserve-gate: cancellation surfaces code 4004");
 

@@ -17,15 +17,14 @@
 //! Because the spec is the single entry point and `JobSpec::run`
 //! assembles the complete report (fresh metrics/span sinks per job),
 //! the two paths are byte-identical for every deterministic field; only
-//! volatile wall-clock/throughput keys differ, and `xobs::report::
+//! volatile wall-clock keys differ, and `xobs::report::
 //! normalize` strips exactly those. The daemon additionally serves
 //! point lookups of kernel-cycle measurements from the shard-locked
 //! [`secproc::kcache::KCache`] (`query` op), so downstream tools can
 //! treat a warm daemon as a cycle oracle.
 //!
-//! Binaries: `xserve` (the daemon), `xserve-gate` (CI smoke: daemon ≡
-//! CLI byte-identity, cancellation, concurrent queries),
-//! `xserve-bench` (throughput/latency envelope numbers).
+//! Binaries: `xserve` (the daemon) and `xserve-gate` (CI smoke: daemon
+//! ≡ CLI byte-identity, cancellation, concurrent queries).
 
 pub mod client;
 pub mod proto;

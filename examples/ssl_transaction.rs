@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // extrapolated to the paper's RSA-1024 magnitude (schoolbook modexp
     // scales cubically in modulus size); the measured base/optimized
     // ratio is preserved.
-    let (_, dec) = wsp::secproc::measure::measure_rsa(base_p.config(), 256)
+    let (_, dec) = wsp::secproc::measure::measure_rsa(base_p.config(), 256, None)
         .expect("RSA co-simulation is infallible on the bundled platforms");
     let scale = (1024.0f64 / 256.0).powi(3);
     let base_model = SslCostModel {

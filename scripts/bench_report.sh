@@ -1,21 +1,23 @@
 #!/usr/bin/env bash
 # Collect every bench binary's structured `--json` run report into one
-# machine-readable BENCH_10.json document. Each report is validated
-# against the xobs schema (via `xr32-trace check-report`) before it is
-# admitted. Set RUN_MICROBENCH=1 to also run the criterion suites and
-# fold their stable `BENCH,<name>,<median_ns>` lines into the output.
+# BENCH envelope (default BENCH_BASELINE.json, the committed baseline).
+# Each report passes through `xr32-trace normalize-report`, which
+# validates it against the xobs schema and strips every host-timing
+# value, so the envelope holds only deterministic fields. The runs share
+# one private, initially empty kernel-cycle cache, so every collection
+# is byte-identical whatever the state of the default cache.
 #
-# Compare two collected envelopes with `bench_diff old.json new.json`
-# (ci.sh gates on the committed baseline this way).
+# Compare a fresh envelope with the baseline using
+# `bench_diff BENCH_BASELINE.json fresh.json` (ci.sh gates on it).
 #
 # usage: scripts/bench_report.sh [out.json]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_10.json}
+OUT=${1:-BENCH_BASELINE.json}
 BIN=target/release
 
-cargo build --release -q --package bench --package xserve
+cargo build --release -q --package bench
 
 # name + small arguments so a full collection pass stays quick; the
 # report schema is size-independent.
@@ -29,11 +31,12 @@ RUNS=(
   "sec43_exploration 128 2"
   "fastpath_gate 3"
   "xooo_gate"
-  "xserve-bench 1000 1000000"
+  "xopt_gate 8"
 )
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+export WSP_KCACHE="$tmp/kcache.json"
 
 reports=()
 for run in "${RUNS[@]}"; do
@@ -43,18 +46,9 @@ for run in "${RUNS[@]}"; do
   shift
   echo "bench_report: $name $*" >&2
   "$BIN/$name" --json "$@" >"$tmp/$name.json"
-  "$BIN/xr32-trace" check-report "$tmp/$name.json" >&2
-  reports+=("$(cat "$tmp/$name.json")")
+  "$BIN/xr32-trace" normalize-report "$tmp/$name.json" >"$tmp/$name.norm.json"
+  reports+=("$(cat "$tmp/$name.norm.json")")
 done
-
-micro=""
-if [[ "${RUN_MICROBENCH:-0}" == "1" ]]; then
-  echo "bench_report: criterion microbenchmarks" >&2
-  while IFS=, read -r _ bname ns; do
-    [[ -n "$micro" ]] && micro+=","
-    micro+="{\"name\":\"$bname\",\"median_ns\":$ns}"
-  done < <(cargo bench 2>/dev/null | grep '^BENCH,' || true)
-fi
 
 {
   printf '{"schema_version":2,"reports":['
@@ -64,7 +58,7 @@ fi
     first=0
     printf '%s' "$r"
   done
-  printf '],"microbench":[%s]}\n' "$micro"
+  printf ']}\n'
 } >"$OUT"
 
 echo "bench_report: wrote $OUT (${#reports[@]} reports)" >&2

@@ -23,17 +23,6 @@ for hot in subshift mixcols addkey; do
   fi
 done
 
-# Every bench binary's --json output must be a schema-valid run report.
-target/release/table1_speedups --json 128 | target/release/xr32-trace check-report -
-target/release/fig8_ssl --json 256 | target/release/xr32-trace check-report -
-target/release/fig1_gap --json | target/release/xr32-trace check-report -
-target/release/fig4_callgraph --json 8 | target/release/xr32-trace check-report -
-target/release/fig5_adcurves --json 8 | target/release/xr32-trace check-report -
-target/release/fig6_cartesian --json | target/release/xr32-trace check-report -
-target/release/sec43_exploration --json 128 2 | target/release/xr32-trace check-report -
-target/release/xopt_gate --json 8 | target/release/xr32-trace check-report -
-target/release/xooo_gate --json | target/release/xr32-trace check-report -
-
 # Determinism gate: the parallel methodology engine must produce
 # byte-identical reports (modulo host-timing fields, stripped by
 # `normalize-report`) at 1 thread and 8 threads, each from a cold
@@ -151,7 +140,6 @@ echo "ci: fault smoke ok (campaign deterministic, fig8 degrades gracefully)"
 # regression that silently de-optimizes the fast path (or routes it
 # back through the pipeline) fails CI.
 target/release/fastpath_gate 3
-target/release/fastpath_gate --json 3 | target/release/xr32-trace check-report -
 echo "ci: dual-fidelity gates ok (co-sim bit-identical, fast path >= 3x)"
 
 # Core-model gate: the scoreboarded out-of-order pipeline must be
@@ -183,17 +171,14 @@ for workload in explore-cold explore-warm; do
 done
 echo "ci: benchmark gate ok (wsp-bench tests; all six workloads match expected.json, traced explore runs reconcile)"
 
-# Bench-envelope regression gates. First the historical diff: the
-# committed BENCH_10 envelope must not regress any deterministic metric
-# against the committed BENCH_2 baseline beyond the documented 3%
-# legacy drift (model/registry evolution across the intervening
-# changes). Then the reproducibility diff: a freshly collected
-# envelope must match the committed BENCH_10 *exactly* once normalized
-# — any deterministic delta is a regression introduced by the working
-# tree.
-target/release/bench_diff --tol 3 BENCH_2.json BENCH_10.json >/dev/null
+# Bench-envelope regression gate: a freshly collected envelope (every
+# bench binary's report, schema-validated and normalized by
+# bench_report.sh) must match the committed BENCH_BASELINE.json
+# exactly. Any changed, missing or added `results.*` leaf or report
+# fails, whichever way it moved; a change that legitimately moves a
+# simulated number regenerates the baseline.
 FRESH=$(mktemp /tmp/ci_bench.XXXXXX.json)
 trap 'rm -f "$TRACE" "$FRESH"; rm -rf "$DET" "$KREG" "$FAULT"' EXIT
-scripts/bench_report.sh "$FRESH" >/dev/null 2>&1
-target/release/bench_diff BENCH_10.json "$FRESH"
-echo "ci: bench envelope gates ok (BENCH_2 -> BENCH_10 within drift, fresh run exact)"
+scripts/bench_report.sh "$FRESH"
+target/release/bench_diff BENCH_BASELINE.json "$FRESH"
+echo "ci: bench envelope gate ok (fresh run matches BENCH_BASELINE.json exactly)"

@@ -47,12 +47,12 @@ fn platform_bulk_crypto_interoperates_with_ciphers_crate() {
 #[test]
 fn ssl_series_from_measured_components_has_paper_shape() {
     let config = CpuConfig::default();
-    let tdes = measure::measure_tdes(&config, 4);
+    let tdes = measure::measure_tdes(&config, 4, None);
     // Measure the handshake at a test-friendly 128-bit modulus, then
     // extrapolate to the paper's RSA-1024 magnitude (schoolbook modexp
     // scales cubically in the modulus size), keeping the measured
     // base/optimized ratio.
-    let (_, dec) = measure::measure_rsa(&config, 128)
+    let (_, dec) = measure::measure_rsa(&config, 128, None)
         .expect("RSA co-simulation is infallible on the bundled platforms");
     let scale = (1024.0f64 / 128.0).powi(3);
     let sha_cpb = 40.0; // representative misc cost
@@ -91,7 +91,7 @@ fn ssl_series_from_measured_components_has_paper_shape() {
 #[test]
 fn gap_trend_uses_measured_costs() {
     let config = CpuConfig::default();
-    let des = measure::measure_des(&config, 4);
+    let des = measure::measure_des(&config, 4, None);
     let rows = gap::trend(des.base_cpb);
     assert_eq!(rows.len(), 5);
     assert!(rows.last().unwrap().gap_factor() > rows.first().unwrap().gap_factor());
