@@ -284,8 +284,8 @@ div_qhat:                  ; a0=n2 a1=n1 a2=n0 a3=d1 a4=d0 -> a0=qhat
 /// (1/2/4). The corresponding extension set must be configured into the
 /// core (see `secproc::insns::mpn_extension_set`).
 pub fn accel32_source(add_lanes: u32, mac_lanes: u32) -> String {
-    assert!(matches!(add_lanes, 2 | 4 | 8 | 16));
-    assert!(matches!(mac_lanes, 1 | 2 | 4));
+    assert!(crate::ADD_LANES.contains(&add_lanes));
+    assert!(crate::MAC_LANES.contains(&mac_lanes));
     let al = add_lanes;
     let ab = 4 * add_lanes; // byte stride
     let ml = mac_lanes;

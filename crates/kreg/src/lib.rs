@@ -140,6 +140,13 @@ pub mod opname {
     ];
 }
 
+/// The `add<k>`/`sub<k>` datapath widths the accelerated library
+/// supports.
+pub const ADD_LANES: [u32; 4] = [2, 4, 8, 16];
+/// The `mac<k>`/`msub<k>` datapath widths the accelerated library
+/// supports.
+pub const MAC_LANES: [u32; 3] = [1, 2, 4];
+
 /// Which kernel library the 32-bit side of an ISS provider runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelVariant {
@@ -147,14 +154,45 @@ pub enum KernelVariant {
     Base,
     /// Custom-instruction kernels with the given adder/MAC lane counts.
     Accelerated {
-        /// `add<k>`/`sub<k>` datapath lanes (2, 4, 8 or 16).
+        /// `add<k>`/`sub<k>` datapath lanes (one of [`ADD_LANES`]).
         add_lanes: u32,
-        /// `mac<k>`/`msub<k>` datapath lanes (1, 2 or 4).
+        /// `mac<k>`/`msub<k>` datapath lanes (one of [`MAC_LANES`]).
         mac_lanes: u32,
     },
 }
 
 impl KernelVariant {
+    /// Every variant the bundled libraries support: the base library,
+    /// then each (add, mac) lane pair, add lanes major.
+    pub const ALL: [KernelVariant; 1 + ADD_LANES.len() * MAC_LANES.len()] = {
+        let mut all = [KernelVariant::Base; 1 + ADD_LANES.len() * MAC_LANES.len()];
+        let mut i = 1;
+        while i < all.len() {
+            all[i] = KernelVariant::Accelerated {
+                add_lanes: ADD_LANES[(i - 1) / MAC_LANES.len()],
+                mac_lanes: MAC_LANES[(i - 1) % MAC_LANES.len()],
+            };
+            i += 1;
+        }
+        all
+    };
+
+    /// This variant's position in [`KernelVariant::ALL`]; `None` for
+    /// lane counts the accelerated library does not support.
+    pub fn index(&self) -> Option<usize> {
+        match *self {
+            KernelVariant::Base => Some(0),
+            KernelVariant::Accelerated {
+                add_lanes,
+                mac_lanes,
+            } => {
+                let a = ADD_LANES.iter().position(|&l| l == add_lanes)?;
+                let m = MAC_LANES.iter().position(|&l| l == mac_lanes)?;
+                Some(1 + a * MAC_LANES.len() + m)
+            }
+        }
+    }
+
     /// A short stable tag naming this variant, used in kernel-cycle
     /// cache keys.
     pub fn tag(&self) -> String {
@@ -169,18 +207,20 @@ impl KernelVariant {
 
     /// Parses a tag produced by [`KernelVariant::tag`] back to the
     /// variant (`"base"`, `"accel-a<add>m<mac>"`); `None` for anything
-    /// else — including xopt-generated `gen-…` tags, which name
-    /// synthesized libraries rather than selectable variants.
+    /// else — lane counts outside [`ADD_LANES`] and [`MAC_LANES`], and
+    /// xopt-generated `gen-…` tags, which name synthesized libraries
+    /// rather than selectable variants. A parsed variant always builds.
     pub fn parse_tag(tag: &str) -> Option<KernelVariant> {
         if tag == "base" {
             return Some(KernelVariant::Base);
         }
         let rest = tag.strip_prefix("accel-a")?;
         let (add, mac) = rest.split_once('m')?;
-        Some(KernelVariant::Accelerated {
+        let variant = KernelVariant::Accelerated {
             add_lanes: add.parse().ok()?,
             mac_lanes: mac.parse().ok()?,
-        })
+        };
+        variant.index().map(|_| variant)
     }
 }
 
@@ -960,22 +1000,25 @@ mod tests {
 
     #[test]
     fn variant_tags_round_trip() {
-        let variants = [
-            KernelVariant::Base,
-            KernelVariant::Accelerated {
-                add_lanes: 4,
-                mac_lanes: 2,
-            },
-            KernelVariant::Accelerated {
-                add_lanes: 16,
-                mac_lanes: 4,
-            },
-        ];
-        for v in variants {
+        assert_eq!(KernelVariant::ALL.len(), 13);
+        for (i, v) in KernelVariant::ALL.into_iter().enumerate() {
             assert_eq!(KernelVariant::parse_tag(&v.tag()), Some(v));
+            assert_eq!(v.index(), Some(i));
         }
         assert_eq!(KernelVariant::parse_tag("gen-a4m2"), None);
         assert_eq!(KernelVariant::parse_tag("accel-a4"), None);
         assert_eq!(KernelVariant::parse_tag("accel-axmy"), None);
+    }
+
+    #[test]
+    fn variant_tags_with_unsupported_lane_counts_are_rejected() {
+        for tag in ["accel-a3m1", "accel-a4m3", "accel-a0m0", "accel-a32m8"] {
+            assert_eq!(KernelVariant::parse_tag(tag), None, "{tag}");
+        }
+        let odd = KernelVariant::Accelerated {
+            add_lanes: 3,
+            mac_lanes: 1,
+        };
+        assert_eq!(odd.index(), None);
     }
 }

@@ -1097,7 +1097,7 @@ impl<'a> FlowCtx<'a> {
             let fault_free = || {
                 let mut iss = make_iss();
                 iss.set_verify(false);
-                let _ = iss.measure32(t.kernel, n, 7); // warm
+                let _ = iss.warm_up(|iss| iss.measure32(t.kernel, n, 7));
                 iss.measure32(t.kernel, n, 8)
                     .expect("curve kernels use register conventions")
             };
@@ -1134,7 +1134,7 @@ impl<'a> FlowCtx<'a> {
                         if let Some((spec, stream)) = arm {
                             iss.set_fault_plan(spec, stream);
                         }
-                        let _ = iss.measure32(t.kernel, n, 7); // warm
+                        let _ = iss.warm_up(|iss| iss.measure32(t.kernel, n, 7));
                         iss.measure32(t.kernel, n, seed).map_err(Error::from)
                     },
                 ),
@@ -1348,7 +1348,7 @@ impl<'a> FlowCtx<'a> {
                 iss.set_verify(false);
                 let mut total = 0.0;
                 for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
-                    let _ = iss.measure32(desc.id, n, 7); // warm
+                    let _ = iss.warm_up(|iss| iss.measure32(desc.id, n, 7));
                     total += iss
                         .measure32(desc.id, n, 8)
                         .expect("registry kernels use register conventions");
@@ -1458,7 +1458,7 @@ impl<'a> FlowCtx<'a> {
             if let Some((spec, stream)) = arm {
                 iss.set_fault_plan(spec, stream);
             }
-            let _ = iss.measure32(kernel, n, warm_seed);
+            let _ = iss.warm_up(|iss| iss.measure32(kernel, n, warm_seed));
             iss.measure32(kernel, n, seed)
         };
         let mut retry_seeds = Vec::new();
@@ -1737,11 +1737,13 @@ fn measure_charact_task(
         if let Some((spec, stream)) = arm {
             iss.set_fault_plan(spec, stream);
         }
-        if t.width == 32 {
-            iss.measure32(kernel, 1, 0x5EED)?;
-        } else {
-            iss.measure16(kernel, 1, 0x5EED)?;
-        }
+        iss.warm_up(|iss| {
+            if t.width == 32 {
+                iss.measure32(kernel, 1, 0x5EED)
+            } else {
+                iss.measure16(kernel, 1, 0x5EED)
+            }
+        })?;
         let mut seed = seed_base;
         let mut out = Vec::with_capacity(t.plan.len());
         for params in t.plan.points() {
@@ -2035,10 +2037,10 @@ fn cosim_once(
     iss.set_glue_cost(glue_cost);
     let mut cache = ExpCache::new();
     // A full warm-up run, not `prime`: it also warms the simulated I- and
-    // D-caches, which are part of the measured state.
+    // D-caches (and an out-of-order core's predictor), which are part of
+    // the measured state.
     let run: Result<f64, ModExpError> = (|| {
-        mod_exp(&mut iss, &base, &exp, &m, candidate, &mut cache)?;
-        MpnOps::<u32>::reset(&mut iss);
+        iss.warm_up(|iss| mod_exp(iss, &base, &exp, &m, candidate, &mut cache))?;
         mod_exp(&mut iss, &base, &exp, &m, candidate, &mut cache)?;
         Ok(MpnOps::<u32>::cycles(&iss))
     })();

@@ -21,6 +21,7 @@ use kreg::kernels::mpn as kmpn;
 use kreg::{id, CallConv, KernelError, KernelId};
 use mpint::limb::Limb;
 use pubkey::ops::{slot, CallCounts, MpnOps};
+use std::sync::{Arc, OnceLock};
 use xfault::{FaultPlan, PlanSpec};
 use xobs::trace::TraceSink;
 use xr32::asm::{assemble, Program};
@@ -64,12 +65,44 @@ const RP_ADDR: u32 = 0x1000;
 const AP_ADDR: u32 = 0x40000;
 const BP_ADDR: u32 = 0x80000;
 
+/// The bundled kernel libraries, each assembled on first use and then
+/// shared by every provider in the process: one slot per
+/// [`KernelVariant::ALL`] entry for the 32-bit side, then the 16-bit
+/// base library. A `OnceLock` cannot poison: a panicking first
+/// assembly leaves its slot empty.
+static LIBRARIES: [OnceLock<Arc<Program>>; KernelVariant::ALL.len() + 1] =
+    [const { OnceLock::new() }; KernelVariant::ALL.len() + 1];
+
+/// The shared library in `slot`, assembling `source` on first use.
+fn library(slot: usize, source: impl FnOnce() -> String) -> Arc<Program> {
+    let prog = LIBRARIES[slot].get_or_init(|| {
+        Arc::new(assemble(&source()).expect("bundled kernel libraries must assemble"))
+    });
+    Arc::clone(prog)
+}
+
+/// One radix side of the provider: its core, its kernel library, and
+/// the library's entry pcs for the [`id::MPN`] kernels, resolved once
+/// (`None` for a kernel the library lacks).
+struct Side {
+    cpu: Cpu,
+    prog: Arc<Program>,
+    entries: [Option<usize>; 8],
+}
+
+impl Side {
+    fn new(cpu: Cpu, prog: Arc<Program>) -> Self {
+        let entries = id::MPN.map(|k| prog.label(k.name()));
+        let mut side = Side { cpu, prog, entries };
+        side.cpu.set_fuel(u64::MAX);
+        side
+    }
+}
+
 /// ISS-backed [`MpnOps`] provider (32-bit and 16-bit radix sides).
 pub struct IssMpn {
-    cpu32: Cpu,
-    prog32: Program,
-    cpu16: Cpu,
-    prog16: Program,
+    s32: Side,
+    s16: Side,
     cycles: f64,
     counts: CallCounts,
     glue_cost: f64,
@@ -98,24 +131,29 @@ impl IssMpn {
         )
     }
 
-    /// Builds a provider for an explicit kernel variant.
+    /// Builds a provider for an explicit kernel variant. Its kernel
+    /// libraries are assembled once per process and shared.
     ///
     /// # Panics
     ///
-    /// Panics if the bundled kernel sources fail to assemble (a build
-    /// defect, not a runtime condition).
+    /// Panics if the variant's lane counts are unsupported (see
+    /// [`KernelVariant::index`]) or the bundled kernel sources fail to
+    /// assemble (a build defect, not a runtime condition).
     pub fn with_variant(config: CpuConfig, variant: KernelVariant) -> Self {
-        let (src32, ext): (String, ExtensionSet) = match variant {
-            KernelVariant::Base => (kmpn::base32_source(), ExtensionSet::new()),
+        let slot = variant
+            .index()
+            .expect("kernel variant with supported lane counts");
+        let (prog32, ext) = match variant {
+            KernelVariant::Base => (library(slot, kmpn::base32_source), ExtensionSet::new()),
             KernelVariant::Accelerated {
                 add_lanes,
                 mac_lanes,
             } => (
-                kmpn::accel32_source(add_lanes, mac_lanes),
+                library(slot, || kmpn::accel32_source(add_lanes, mac_lanes)),
                 insns::mpn_extension_set(add_lanes, mac_lanes),
             ),
         };
-        Self::with_library(config, &src32, ext)
+        Self::with_program(config, prog32, ext)
     }
 
     /// Builds a provider running an arbitrary 32-bit kernel library —
@@ -132,17 +170,14 @@ impl IssMpn {
     /// sources.
     pub fn with_library(config: CpuConfig, src32: &str, ext: ExtensionSet) -> Self {
         let prog32 = assemble(src32).expect("32-bit kernel library must assemble");
-        let prog16 =
-            assemble(&kmpn::base16_source()).expect("bundled 16-bit kernels must assemble");
-        let mut cpu32 = Cpu::with_extensions(config.clone(), ext);
-        cpu32.set_fuel(u64::MAX);
-        let mut cpu16 = Cpu::new(config);
-        cpu16.set_fuel(u64::MAX);
+        Self::with_program(config, Arc::new(prog32), ext)
+    }
+
+    fn with_program(config: CpuConfig, prog32: Arc<Program>, ext: ExtensionSet) -> Self {
+        let prog16 = library(KernelVariant::ALL.len(), kmpn::base16_source);
         IssMpn {
-            cpu32,
-            prog32,
-            cpu16,
-            prog16,
+            s32: Side::new(Cpu::with_extensions(config.clone(), ext), prog32),
+            s16: Side::new(Cpu::new(config), prog16),
             cycles: 0.0,
             counts: CallCounts::default(),
             glue_cost: 4.0,
@@ -151,6 +186,27 @@ impl IssMpn {
             sink: None,
             fidelity: Fidelity::CycleAccurate,
         }
+    }
+
+    /// Runs `f` on this provider as a discarded warm-up: its kernel
+    /// calls execute in full and leave the simulated caches (and an
+    /// out-of-order core's branch predictor) exactly as timed calls
+    /// would, but charge no cycles, and the provider's cycle total and
+    /// call counts are restored afterwards. Recorded kernel errors are
+    /// kept. Where a cycle-free warm-up cannot be exact — a fault plan
+    /// armed, a trace sink attached, or an in-order core whose
+    /// multiply latency outlasts a return — the calls run timed and
+    /// their cycles are discarded (see [`Cpu::set_warm_up`]).
+    pub fn warm_up<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let (cycles, counts) = (self.cycles, self.counts);
+        self.s32.cpu.set_warm_up(true);
+        self.s16.cpu.set_warm_up(true);
+        let out = f(self);
+        self.s32.cpu.set_warm_up(false);
+        self.s16.cpu.set_warm_up(false);
+        self.cycles = cycles;
+        self.counts = counts;
+        out
     }
 
     /// Selects the execution engine for both radix cores. The default
@@ -163,8 +219,8 @@ impl IssMpn {
     /// [`KernelError::Unsupported`].
     pub fn set_fidelity(&mut self, fidelity: Fidelity) {
         self.fidelity = fidelity;
-        self.cpu32.set_fidelity(fidelity);
-        self.cpu16.set_fidelity(fidelity);
+        self.s32.cpu.set_fidelity(fidelity);
+        self.s16.cpu.set_fidelity(fidelity);
     }
 
     /// The execution engine both radix cores currently use.
@@ -175,12 +231,12 @@ impl IssMpn {
     /// Architectural state of the 32-bit radix core (for dual-fidelity
     /// co-simulation spot checks).
     pub fn arch_state32(&self) -> ArchState {
-        ArchState::of(&self.cpu32)
+        ArchState::of(&self.s32.cpu)
     }
 
     /// Architectural state of the 16-bit radix core.
     pub fn arch_state16(&self) -> ArchState {
-        ArchState::of(&self.cpu16)
+        ArchState::of(&self.s16.cpu)
     }
 
     /// Attaches (or detaches, with `None`) a trace sink observing every
@@ -202,7 +258,7 @@ impl IssMpn {
     /// Their sum is the total simulated cycles an attached
     /// [`xobs::Attribution`] sink must account for exactly.
     pub fn core_cycles(&self) -> (u64, u64) {
-        (self.cpu32.cycles(), self.cpu16.cycles())
+        (self.s32.cpu.cycles(), self.s16.cpu.cycles())
     }
 
     /// The *CoreConfigId* of the pipeline model both radix cores run
@@ -211,7 +267,7 @@ impl IssMpn {
     /// the flow layers stamp it into measurement units, span attributes
     /// and report points.
     pub fn core_id(&self) -> String {
-        self.cpu32.config().core_id()
+        self.s32.cpu.config().core_id()
     }
 
     /// Enables/disables per-call verification against the registered
@@ -225,23 +281,30 @@ impl IssMpn {
     /// units draw independent decision sequences from the same campaign
     /// seed (the 16-bit core gets a sibling stream).
     pub fn set_fault_plan(&mut self, spec: PlanSpec, stream: u64) {
-        self.cpu32.set_fault_plan(spec.plan(stream.wrapping_mul(2)));
-        self.cpu16
+        self.s32
+            .cpu
+            .set_fault_plan(spec.plan(stream.wrapping_mul(2)));
+        self.s16
+            .cpu
             .set_fault_plan(spec.plan(stream.wrapping_mul(2).wrapping_add(1)));
     }
 
     /// Disarms fault injection and returns the plans of the two radix
     /// cores `(cpu32, cpu16)` with their fired-injection counters.
     pub fn take_fault_plans(&mut self) -> (Option<FaultPlan>, Option<FaultPlan>) {
-        (self.cpu32.take_fault_plan(), self.cpu16.take_fault_plan())
+        (
+            self.s32.cpu.take_fault_plan(),
+            self.s16.cpu.take_fault_plan(),
+        )
     }
 
     /// Total faults injected so far across both cores' armed plans.
     pub fn faults_fired(&self) -> u64 {
-        self.cpu32
+        self.s32
+            .cpu
             .fault_plan()
             .map_or(0, FaultPlan::total_fired)
-            .saturating_add(self.cpu16.fault_plan().map_or(0, FaultPlan::total_fired))
+            .saturating_add(self.s16.cpu.fault_plan().map_or(0, FaultPlan::total_fired))
     }
 
     /// Bounds every kernel call to `budget` instructions: a corrupted
@@ -250,8 +313,8 @@ impl IssMpn {
     /// pool. `u64::MAX` (the construction default) disarms the
     /// watchdog.
     pub fn set_cycle_budget(&mut self, budget: u64) {
-        self.cpu32.set_fuel(budget);
-        self.cpu16.set_fuel(budget);
+        self.s32.cpu.set_fuel(budget);
+        self.s16.cpu.set_fuel(budget);
     }
 
     /// Sets the cycle cost charged per glue unit (algorithm-layer
@@ -320,6 +383,7 @@ impl IssMpn {
     /// derived from `seed` (the stream both [`IssMpn::measure32`] and
     /// [`IssMpn::verify32`] consume, byte-identical between them).
     fn drive32(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError> {
+        self.check_operands(kernel, n, 4)?;
         let errors_before = self.errors.len();
         let mut x = seed;
         let mut next = move || {
@@ -410,6 +474,7 @@ impl IssMpn {
 
     /// 16-bit-radix counterpart of [`IssMpn::drive32`].
     fn drive16(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError> {
+        self.check_operands(kernel, n, 2)?;
         let errors_before = self.errors.len();
         let mut x = seed;
         let mut next = move || {
@@ -474,6 +539,29 @@ impl IssMpn {
         Ok(())
     }
 
+    /// Refuses, before anything is simulated, `n` limbs of
+    /// `limb_bytes` each that overrun the kernel operand regions. The
+    /// smallest region bounds them all; `div_qhat` takes its operands
+    /// in registers, so any `n` passes.
+    fn check_operands(
+        &self,
+        kernel: KernelId,
+        n: usize,
+        limb_bytes: usize,
+    ) -> Result<(), KernelError> {
+        let mem_size = self.s32.cpu.config().mem_size;
+        let region = ((AP_ADDR - RP_ADDR).min(BP_ADDR - AP_ADDR) as usize)
+            .min(mem_size.saturating_sub(BP_ADDR as usize));
+        let capacity = region / limb_bytes;
+        if n <= capacity || !id::MPN.contains(&kernel) || kernel == id::DIV_QHAT {
+            return Ok(());
+        }
+        Err(KernelError::Unsupported {
+            kernel,
+            detail: format!("{n} limbs overrun the {capacity}-limb kernel operand regions"),
+        })
+    }
+
     /// Records a simulator error as the matching typed kernel error.
     /// The degraded in-band result is 0 — callers on the measurement
     /// path must check [`IssMpn::kernel_errors`] (or use
@@ -489,18 +577,29 @@ impl IssMpn {
         });
     }
 
-    /// Runs a register-convention kernel on the 32-bit core and returns
-    /// `a0`. The entry label is the kernel's registered name. A
-    /// simulator fault or watchdog timeout is recorded as a typed error
-    /// and yields a degraded 0 result.
-    fn call32(&mut self, kernel: KernelId, args: &[u32]) -> u32 {
-        match self
-            .cpu32
-            .call_traced(&self.prog32, kernel.name(), args, self.sink.as_deref_mut())
-        {
+    /// Runs the [`id::MPN`] kernel in `slot` on the `L`-radix core and
+    /// returns `a0`. A kernel absent from the library fails with the
+    /// simulator's undefined-label error. A simulator fault or watchdog
+    /// timeout is recorded as a typed error and yields a degraded 0
+    /// result.
+    fn call<L: Limb>(&mut self, slot: usize, args: &[u32]) -> u32 {
+        let kernel = id::MPN[slot];
+        let side = if L::BITS == 32 {
+            &mut self.s32
+        } else {
+            &mut self.s16
+        };
+        let sink = self.sink.as_deref_mut();
+        let run = match side.entries[slot] {
+            Some(entry) => side
+                .cpu
+                .call_at(&side.prog, entry, kernel.name(), args, sink),
+            None => side.cpu.call_traced(&side.prog, kernel.name(), args, sink),
+        };
+        match run {
             Ok(summary) => {
                 self.cycles += summary.cycles as f64;
-                self.cpu32.reg(0)
+                side.cpu.reg(0)
             }
             Err(e) => {
                 self.record_sim_error(kernel, e);
@@ -509,20 +608,125 @@ impl IssMpn {
         }
     }
 
-    fn call16(&mut self, kernel: KernelId, args: &[u32]) -> u32 {
-        match self
-            .cpu16
-            .call_traced(&self.prog16, kernel.name(), args, self.sink.as_deref_mut())
-        {
-            Ok(summary) => {
-                self.cycles += summary.cycles as f64;
-                self.cpu16.reg(0)
-            }
-            Err(e) => {
-                self.record_sim_error(kernel, e);
-                0
+    /// The core of the `L`-radix side.
+    fn cpu<L: Limb>(&mut self) -> &mut Cpu {
+        if L::BITS == 32 {
+            &mut self.s32.cpu
+        } else {
+            &mut self.s16.cpu
+        }
+    }
+
+    /// A limb-vector pair kernel (`add_n`, `sub_n`): returns its carry.
+    fn vec_vec<L: Limb>(
+        &mut self,
+        slot: usize,
+        golden: impl FnOnce() -> fn(&mut [L], &[L], &[L]) -> bool,
+        r: &mut [L],
+        a: &[L],
+        b: &[L],
+    ) -> bool {
+        self.counts.bump(slot);
+        let n = a.len();
+        let cpu = self.cpu::<L>();
+        write_limbs(cpu, AP_ADDR, a);
+        write_limbs(cpu, BP_ADDR, b);
+        let carry = self.call::<L>(slot, &[RP_ADDR, AP_ADDR, BP_ADDR, n as u32]) != 0;
+        read_limbs(self.cpu::<L>(), RP_ADDR, &mut r[..n]);
+        if self.verify {
+            let mut expect = vec![L::ZERO; n];
+            let ec = golden()(&mut expect, a, b);
+            if r[..n] != expect[..] || carry != ec {
+                self.diverge(id::MPN[slot], format!("n={n}"));
             }
         }
+        carry
+    }
+
+    /// A limb-vector by scalar kernel (`mul_1`, and the accumulating
+    /// `addmul_1`/`submul_1`, which also read `r`): returns its carry
+    /// limb.
+    fn vec_scalar<L: Limb>(
+        &mut self,
+        slot: usize,
+        golden: impl FnOnce() -> fn(&mut [L], &[L], L) -> L,
+        r: &mut [L],
+        a: &[L],
+        b: L,
+    ) -> L {
+        self.counts.bump(slot);
+        let n = a.len();
+        let accumulates = slot != slot::MUL_1;
+        let expect = self.verify.then(|| {
+            let mut expect = if accumulates {
+                r[..n].to_vec()
+            } else {
+                vec![L::ZERO; n]
+            };
+            let ec = golden()(&mut expect, a, b);
+            (expect, ec)
+        });
+        let cpu = self.cpu::<L>();
+        write_limbs(cpu, AP_ADDR, a);
+        if accumulates {
+            write_limbs(cpu, RP_ADDR, &r[..n]);
+        }
+        let args = [RP_ADDR, AP_ADDR, n as u32, b.to_u64() as u32];
+        let carry = L::from_u64(self.call::<L>(slot, &args) as u64);
+        read_limbs(self.cpu::<L>(), RP_ADDR, &mut r[..n]);
+        if let Some((expect, ec)) = expect {
+            if r[..n] != expect[..] || carry != ec {
+                self.diverge(id::MPN[slot], format!("n={n}"));
+            }
+        }
+        carry
+    }
+
+    /// A shift kernel (`lshift`, `rshift`): returns the shifted-out
+    /// bits.
+    fn vec_shift<L: Limb>(
+        &mut self,
+        slot: usize,
+        golden: impl FnOnce() -> fn(&mut [L], &[L], u32) -> L,
+        r: &mut [L],
+        a: &[L],
+        cnt: u32,
+    ) -> L {
+        self.counts.bump(slot);
+        let n = a.len();
+        write_limbs(self.cpu::<L>(), AP_ADDR, a);
+        let args = [RP_ADDR, AP_ADDR, n as u32, cnt];
+        let out_bits = L::from_u64(self.call::<L>(slot, &args) as u64);
+        read_limbs(self.cpu::<L>(), RP_ADDR, &mut r[..n]);
+        if self.verify {
+            let mut expect = vec![L::ZERO; n];
+            let eo = golden()(&mut expect, a, cnt);
+            if r[..n] != expect[..] || out_bits != eo {
+                self.diverge(id::MPN[slot], format!("n={n} cnt={cnt}"));
+            }
+        }
+        out_bits
+    }
+
+    /// The 3-by-2 quotient-limb estimate.
+    fn div3by2<L: Limb>(
+        &mut self,
+        golden: impl FnOnce() -> fn(L, L, L, L, L) -> L,
+        [n2, n1, n0, d1, d0]: [L; 5],
+    ) -> L {
+        self.counts.bump(slot::DIV_QHAT);
+        let args = [n2, n1, n0, d1, d0].map(|l| l.to_u64() as u32);
+        let q = L::from_u64(self.call::<L>(slot::DIV_QHAT, &args) as u64);
+        if self.verify {
+            let expect = golden()(n2, n1, n0, d1, d0);
+            if q != expect {
+                self.diverge(
+                    id::DIV_QHAT,
+                    format!("got {} expected {}", q.to_u64(), expect.to_u64()),
+                );
+            }
+        }
+        q
     }
 }
 
@@ -547,270 +751,80 @@ fn write_limbs<L: Limb>(cpu: &mut Cpu, addr: u32, data: &[L]) {
     }
 }
 
-fn read_limbs<L: Limb>(cpu: &Cpu, addr: u32, n: usize) -> Vec<L> {
+/// Reads `out.len()` limbs from simulator memory into `out`.
+fn read_limbs<L: Limb>(cpu: &Cpu, addr: u32, out: &mut [L]) {
     match L::BITS {
-        32 => (0..n)
-            .map(|i| L::from_u64(cpu.mem().load_u32(addr + 4 * i as u32).expect("in range") as u64))
-            .collect(),
-        16 => (0..n)
-            .map(|i| L::from_u64(cpu.mem().load_u16(addr + 2 * i as u32).expect("in range") as u64))
-            .collect(),
+        32 => {
+            for (i, o) in out.iter_mut().enumerate() {
+                let v = cpu.mem().load_u32(addr + 4 * i as u32).expect("in range");
+                *o = L::from_u64(v as u64);
+            }
+        }
+        16 => {
+            for (i, o) in out.iter_mut().enumerate() {
+                let v = cpu.mem().load_u16(addr + 2 * i as u32).expect("in range");
+                *o = L::from_u64(v as u64);
+            }
+        }
         other => panic!("unsupported limb width {other}"),
     }
 }
 
-/// Fetches the registered golden reference of one kernel at the macro's
-/// limb width: `$golden` is the `CallConv` field name (`golden32` or
-/// `golden16`) and `$shape` the convention the kernel must have.
+/// The registered golden reference of one kernel at the macro's limb
+/// width, looked up only when a call is verified: `$golden` is the
+/// `CallConv` field name (`golden32` or `golden16`) and `$shape` the
+/// convention the kernel must have.
 macro_rules! golden {
-    ($kernel:expr, $shape:ident, $golden:ident) => {{
-        let desc = kreg::get($kernel).expect("kernel registered");
-        match desc.conv {
-            CallConv::$shape { $golden: g, .. } => g,
-            _ => unreachable!("registry pins {} as {}", $kernel, stringify!($shape)),
+    ($kernel:expr, $shape:ident, $golden:ident) => {
+        || {
+            let desc = kreg::get($kernel).expect("kernel registered");
+            match desc.conv {
+                CallConv::$shape { $golden: g, .. } => g,
+                _ => unreachable!("registry pins {} as {}", $kernel, stringify!($shape)),
+            }
         }
-    }};
+    };
 }
 
 macro_rules! impl_iss_mpnops {
-    ($limb:ty, $call:ident, $golden:ident) => {
+    ($limb:ty, $golden:ident) => {
         impl MpnOps<$limb> for IssMpn {
             fn add_n(&mut self, r: &mut [$limb], a: &[$limb], b: &[$limb]) -> bool {
-                self.counts.bump(slot::ADD_N);
-                let cpu = if <$limb>::BITS == 32 {
-                    &mut self.cpu32
-                } else {
-                    &mut self.cpu16
-                };
-                write_limbs(cpu, AP_ADDR, a);
-                write_limbs(cpu, BP_ADDR, b);
-                let carry = self.$call(id::ADD_N, &[RP_ADDR, AP_ADDR, BP_ADDR, a.len() as u32]);
-                let cpu = if <$limb>::BITS == 32 {
-                    &self.cpu32
-                } else {
-                    &self.cpu16
-                };
-                let out: Vec<$limb> = read_limbs(cpu, RP_ADDR, a.len());
-                r.copy_from_slice(&out);
-                if self.verify {
-                    let g = golden!(id::ADD_N, VecVec, $golden);
-                    let mut expect = vec![<$limb as Limb>::ZERO; a.len()];
-                    let ec = g(&mut expect, a, b);
-                    if out != expect || (carry != 0) != ec {
-                        self.diverge(id::ADD_N, format!("n={}", a.len()));
-                    }
-                }
-                carry != 0
+                self.vec_vec(slot::ADD_N, golden!(id::ADD_N, VecVec, $golden), r, a, b)
             }
 
             fn sub_n(&mut self, r: &mut [$limb], a: &[$limb], b: &[$limb]) -> bool {
-                self.counts.bump(slot::SUB_N);
-                let cpu = if <$limb>::BITS == 32 {
-                    &mut self.cpu32
-                } else {
-                    &mut self.cpu16
-                };
-                write_limbs(cpu, AP_ADDR, a);
-                write_limbs(cpu, BP_ADDR, b);
-                let borrow = self.$call(id::SUB_N, &[RP_ADDR, AP_ADDR, BP_ADDR, a.len() as u32]);
-                let cpu = if <$limb>::BITS == 32 {
-                    &self.cpu32
-                } else {
-                    &self.cpu16
-                };
-                let out: Vec<$limb> = read_limbs(cpu, RP_ADDR, a.len());
-                r.copy_from_slice(&out);
-                if self.verify {
-                    let g = golden!(id::SUB_N, VecVec, $golden);
-                    let mut expect = vec![<$limb as Limb>::ZERO; a.len()];
-                    let eb = g(&mut expect, a, b);
-                    if out != expect || (borrow != 0) != eb {
-                        self.diverge(id::SUB_N, format!("n={}", a.len()));
-                    }
-                }
-                borrow != 0
+                self.vec_vec(slot::SUB_N, golden!(id::SUB_N, VecVec, $golden), r, a, b)
             }
 
             fn mul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.counts.bump(slot::MUL_1);
-                let cpu = if <$limb>::BITS == 32 {
-                    &mut self.cpu32
-                } else {
-                    &mut self.cpu16
-                };
-                write_limbs(cpu, AP_ADDR, a);
-                let carry = self.$call(
-                    id::MUL_1,
-                    &[RP_ADDR, AP_ADDR, a.len() as u32, b.to_u64() as u32],
-                );
-                let cpu = if <$limb>::BITS == 32 {
-                    &self.cpu32
-                } else {
-                    &self.cpu16
-                };
-                let out: Vec<$limb> = read_limbs(cpu, RP_ADDR, a.len());
-                r.copy_from_slice(&out);
-                if self.verify {
-                    let g = golden!(id::MUL_1, VecScalar, $golden);
-                    let mut expect = vec![<$limb as Limb>::ZERO; a.len()];
-                    let ec = g(&mut expect, a, b);
-                    if out != expect || <$limb as Limb>::from_u64(carry as u64) != ec {
-                        self.diverge(id::MUL_1, format!("n={}", a.len()));
-                    }
-                }
-                <$limb as Limb>::from_u64(carry as u64)
+                let g = golden!(id::MUL_1, VecScalar, $golden);
+                self.vec_scalar(slot::MUL_1, g, r, a, b)
             }
 
             fn addmul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.counts.bump(slot::ADDMUL_1);
-                let expect_pair = if self.verify {
-                    let g = golden!(id::ADDMUL_1, VecScalar, $golden);
-                    let mut expect = r[..a.len()].to_vec();
-                    let ec = g(&mut expect, a, b);
-                    Some((expect, ec))
-                } else {
-                    None
-                };
-                let cpu = if <$limb>::BITS == 32 {
-                    &mut self.cpu32
-                } else {
-                    &mut self.cpu16
-                };
-                write_limbs(cpu, AP_ADDR, a);
-                write_limbs(cpu, RP_ADDR, &r[..a.len()]);
-                let carry = self.$call(
-                    id::ADDMUL_1,
-                    &[RP_ADDR, AP_ADDR, a.len() as u32, b.to_u64() as u32],
-                );
-                let cpu = if <$limb>::BITS == 32 {
-                    &self.cpu32
-                } else {
-                    &self.cpu16
-                };
-                let out: Vec<$limb> = read_limbs(cpu, RP_ADDR, a.len());
-                r[..a.len()].copy_from_slice(&out);
-                if let Some((expect, ec)) = expect_pair {
-                    if out != expect || <$limb as Limb>::from_u64(carry as u64) != ec {
-                        self.diverge(id::ADDMUL_1, format!("n={}", a.len()));
-                    }
-                }
-                <$limb as Limb>::from_u64(carry as u64)
+                let g = golden!(id::ADDMUL_1, VecScalar, $golden);
+                self.vec_scalar(slot::ADDMUL_1, g, r, a, b)
             }
 
             fn submul_1(&mut self, r: &mut [$limb], a: &[$limb], b: $limb) -> $limb {
-                self.counts.bump(slot::SUBMUL_1);
-                let expect_pair = if self.verify {
-                    let g = golden!(id::SUBMUL_1, VecScalar, $golden);
-                    let mut expect = r[..a.len()].to_vec();
-                    let ec = g(&mut expect, a, b);
-                    Some((expect, ec))
-                } else {
-                    None
-                };
-                let cpu = if <$limb>::BITS == 32 {
-                    &mut self.cpu32
-                } else {
-                    &mut self.cpu16
-                };
-                write_limbs(cpu, AP_ADDR, a);
-                write_limbs(cpu, RP_ADDR, &r[..a.len()]);
-                let borrow = self.$call(
-                    id::SUBMUL_1,
-                    &[RP_ADDR, AP_ADDR, a.len() as u32, b.to_u64() as u32],
-                );
-                let cpu = if <$limb>::BITS == 32 {
-                    &self.cpu32
-                } else {
-                    &self.cpu16
-                };
-                let out: Vec<$limb> = read_limbs(cpu, RP_ADDR, a.len());
-                r[..a.len()].copy_from_slice(&out);
-                if let Some((expect, ec)) = expect_pair {
-                    if out != expect || <$limb as Limb>::from_u64(borrow as u64) != ec {
-                        self.diverge(id::SUBMUL_1, format!("n={}", a.len()));
-                    }
-                }
-                <$limb as Limb>::from_u64(borrow as u64)
+                let g = golden!(id::SUBMUL_1, VecScalar, $golden);
+                self.vec_scalar(slot::SUBMUL_1, g, r, a, b)
             }
 
             fn lshift(&mut self, r: &mut [$limb], a: &[$limb], cnt: u32) -> $limb {
-                self.counts.bump(slot::LSHIFT);
-                let cpu = if <$limb>::BITS == 32 {
-                    &mut self.cpu32
-                } else {
-                    &mut self.cpu16
-                };
-                write_limbs(cpu, AP_ADDR, a);
-                let out_bits = self.$call(id::LSHIFT, &[RP_ADDR, AP_ADDR, a.len() as u32, cnt]);
-                let cpu = if <$limb>::BITS == 32 {
-                    &self.cpu32
-                } else {
-                    &self.cpu16
-                };
-                let out: Vec<$limb> = read_limbs(cpu, RP_ADDR, a.len());
-                r.copy_from_slice(&out);
-                if self.verify {
-                    let g = golden!(id::LSHIFT, VecShift, $golden);
-                    let mut expect = vec![<$limb as Limb>::ZERO; a.len()];
-                    let eo = g(&mut expect, a, cnt);
-                    if out != expect || <$limb as Limb>::from_u64(out_bits as u64) != eo {
-                        self.diverge(id::LSHIFT, format!("n={} cnt={cnt}", a.len()));
-                    }
-                }
-                <$limb as Limb>::from_u64(out_bits as u64)
+                let g = golden!(id::LSHIFT, VecShift, $golden);
+                self.vec_shift(slot::LSHIFT, g, r, a, cnt)
             }
 
             fn rshift(&mut self, r: &mut [$limb], a: &[$limb], cnt: u32) -> $limb {
-                self.counts.bump(slot::RSHIFT);
-                let cpu = if <$limb>::BITS == 32 {
-                    &mut self.cpu32
-                } else {
-                    &mut self.cpu16
-                };
-                write_limbs(cpu, AP_ADDR, a);
-                let out_bits = self.$call(id::RSHIFT, &[RP_ADDR, AP_ADDR, a.len() as u32, cnt]);
-                let cpu = if <$limb>::BITS == 32 {
-                    &self.cpu32
-                } else {
-                    &self.cpu16
-                };
-                let out: Vec<$limb> = read_limbs(cpu, RP_ADDR, a.len());
-                r.copy_from_slice(&out);
-                if self.verify {
-                    let g = golden!(id::RSHIFT, VecShift, $golden);
-                    let mut expect = vec![<$limb as Limb>::ZERO; a.len()];
-                    let eo = g(&mut expect, a, cnt);
-                    if out != expect || <$limb as Limb>::from_u64(out_bits as u64) != eo {
-                        self.diverge(id::RSHIFT, format!("n={} cnt={cnt}", a.len()));
-                    }
-                }
-                <$limb as Limb>::from_u64(out_bits as u64)
+                let g = golden!(id::RSHIFT, VecShift, $golden);
+                self.vec_shift(slot::RSHIFT, g, r, a, cnt)
             }
 
             fn div_qhat(&mut self, n2: $limb, n1: $limb, n0: $limb, d1: $limb, d0: $limb) -> $limb {
-                self.counts.bump(slot::DIV_QHAT);
-                let q = self.$call(
-                    id::DIV_QHAT,
-                    &[
-                        n2.to_u64() as u32,
-                        n1.to_u64() as u32,
-                        n0.to_u64() as u32,
-                        d1.to_u64() as u32,
-                        d0.to_u64() as u32,
-                    ],
-                );
-                let q = <$limb as Limb>::from_u64(q as u64);
-                if self.verify {
-                    let g = golden!(id::DIV_QHAT, Div3by2, $golden);
-                    let expect = g(n2, n1, n0, d1, d0);
-                    if q != expect {
-                        self.diverge(
-                            id::DIV_QHAT,
-                            format!("got {} expected {}", q.to_u64(), expect.to_u64()),
-                        );
-                    }
-                }
-                q
+                let g = golden!(id::DIV_QHAT, Div3by2, $golden);
+                self.div3by2(g, [n2, n1, n0, d1, d0])
             }
 
             fn glue(&mut self, units: u64) {
@@ -833,8 +847,8 @@ macro_rules! impl_iss_mpnops {
     };
 }
 
-impl_iss_mpnops!(u32, call32, golden32);
-impl_iss_mpnops!(u16, call16, golden16);
+impl_iss_mpnops!(u32, golden32);
+impl_iss_mpnops!(u16, golden16);
 
 #[cfg(test)]
 mod tests {
@@ -1092,5 +1106,95 @@ mod tests {
             (r.map_err(|e| e.to_string()), errs)
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn providers_of_one_variant_share_one_library() {
+        let base = || IssMpn::base(CpuConfig::default());
+        let (a, b) = (base(), base());
+        assert!(Arc::ptr_eq(&a.s32.prog, &b.s32.prog));
+        let accel = IssMpn::accelerated(CpuConfig::ooo(), 4, 2);
+        assert!(!Arc::ptr_eq(&a.s32.prog, &accel.s32.prog));
+        assert!(
+            Arc::ptr_eq(&a.s16.prog, &accel.s16.prog),
+            "one 16-bit library"
+        );
+        // Generated sources are assembled per provider.
+        let src = kmpn::base32_source();
+        let gen = IssMpn::with_library(CpuConfig::default(), &src, ExtensionSet::new());
+        assert!(!Arc::ptr_eq(&a.s32.prog, &gen.s32.prog));
+    }
+
+    #[test]
+    fn concurrent_construction_yields_one_library_per_variant() {
+        let pool = xpar::Pool::new(8);
+        let jobs: Vec<usize> = (0..8 * KernelVariant::ALL.len()).collect();
+        let built = pool.par_map(&jobs, |_, &j| {
+            // Each worker walks the variants from a different start.
+            let v = KernelVariant::ALL[(j * 5) % KernelVariant::ALL.len()];
+            let iss = IssMpn::with_variant(CpuConfig::default(), v);
+            (v.index().unwrap(), Arc::as_ptr(&iss.s32.prog) as usize)
+        });
+        let mut seen = [None; KernelVariant::ALL.len()];
+        for (ix, ptr) in built {
+            assert_eq!(
+                *seen[ix].get_or_insert(ptr),
+                ptr,
+                "variant {ix} built twice"
+            );
+        }
+        let mut ptrs: Vec<usize> = seen.iter().map(|p| p.unwrap()).collect();
+        ptrs.sort_unstable();
+        ptrs.dedup();
+        assert_eq!(
+            ptrs.len(),
+            KernelVariant::ALL.len(),
+            "one library per variant"
+        );
+    }
+
+    #[test]
+    fn kernel_entries_resolve_once_and_absent_kernels_fail_typed() {
+        let iss = IssMpn::base(CpuConfig::default());
+        for (slot, k) in id::MPN.into_iter().enumerate() {
+            assert_eq!(iss.s32.entries[slot], iss.s32.prog.label(k.name()));
+            assert!(iss.s16.entries[slot].is_some(), "{k}");
+        }
+        // A single-kernel library: the other kernels keep failing with
+        // the simulator's undefined-label error.
+        let src = "mpn_add_n:\n    movi a0, 0\n    ret\n";
+        let mut one = IssMpn::with_library(CpuConfig::default(), src, ExtensionSet::new());
+        one.set_verify(false);
+        assert!(one.measure32(id::ADD_N, 4, 1).is_ok());
+        let err = one.measure32(id::MUL_1, 4, 1).unwrap_err();
+        assert!(
+            matches!(&err, KernelError::Faulted { kernel, detail }
+                if *kernel == id::MUL_1 && detail.contains("undefined entry label \"mpn_mul_1\"")),
+            "got {err}"
+        );
+    }
+
+    #[test]
+    fn operand_counts_beyond_the_operand_regions_are_refused() {
+        // The result region [RP_ADDR, AP_ADDR) is the smallest.
+        let words = (AP_ADDR - RP_ADDR) as usize / 4;
+        let halves = (AP_ADDR - RP_ADDR) as usize / 2;
+        let mut iss = IssMpn::base(CpuConfig::default());
+        iss.set_verify(false);
+        for kernel in [id::ADD_N, id::ADDMUL_1, id::LSHIFT] {
+            let err = iss.measure32(kernel, words + 1, 1).unwrap_err();
+            assert!(
+                matches!(err, KernelError::Unsupported { kernel: k, .. } if k == kernel),
+                "got {err}"
+            );
+            let err = iss.measure16(kernel, halves + 1, 1).unwrap_err();
+            assert!(matches!(err, KernelError::Unsupported { .. }), "got {err}");
+            assert!(iss.verify32(kernel, 1 << 20, 1).is_err());
+        }
+        assert!(iss.kernel_errors().is_empty(), "refused before simulating");
+        assert!(iss.measure32(id::ADD_N, words, 1).is_ok());
+        assert!(iss.measure16(id::SUB_N, halves, 1).is_ok());
+        // Register operands only: any count passes.
+        assert!(iss.measure32(id::DIV_QHAT, 1 << 20, 1).is_ok());
     }
 }

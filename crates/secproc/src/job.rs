@@ -732,7 +732,7 @@ pub fn cached_kernel_cycles(
     let measure = || -> Result<f64, KernelError> {
         let mut iss = IssMpn::with_variant(config.clone(), variant);
         iss.set_verify(false);
-        let _ = iss.measure32(kernel, n, 7); // warm
+        let _ = iss.warm_up(|iss| iss.measure32(kernel, n, 7));
         iss.measure32(kernel, n, seed)
     };
     match cache {
@@ -853,5 +853,41 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(kc.misses(), misses, "second query is a pure hit");
         assert!(kc.hits() > 0);
+    }
+
+    #[test]
+    fn unsupported_lane_counts_are_spec_errors() {
+        let text = r#"{"kind":"measure","variant":"accel-a3m1"}"#;
+        let err = JobSpec::parse(text).expect_err("unsupported lanes");
+        assert_eq!(err.code(), codes::JOB_SPEC, "{err}");
+        let mut spec = JobSpec::new(JobKind::Measure);
+        spec.variant = "accel-a3m1".into();
+        spec.kernels = vec![kreg::id::ADD_N];
+        let pool = Pool::new(1);
+        let err = spec.run(&JobEnv::new(&pool)).expect_err("rejected");
+        assert!(matches!(err, Error::JobSpec { .. }), "{err}");
+    }
+
+    #[test]
+    fn oversized_operand_counts_are_typed_kernel_errors() {
+        let config = CpuConfig::default();
+        let kc = KCache::new();
+        let err = cached_kernel_cycles(
+            &config,
+            KernelVariant::Base,
+            kreg::id::ADD_N,
+            1 << 20,
+            1,
+            Some(&kc),
+        )
+        .expect_err("overruns the operand regions");
+        assert_eq!(err.code(), codes::KERNEL_UNSUPPORTED, "{err}");
+        assert_eq!(kc.len(), 0, "nothing cached");
+        let mut spec = JobSpec::new(JobKind::Measure);
+        spec.kernels = vec![kreg::id::MUL_1];
+        spec.limbs = 1 << 20;
+        let pool = Pool::new(1);
+        let err = spec.run(&JobEnv::new(&pool)).expect_err("rejected");
+        assert_eq!(err.code(), codes::KERNEL_UNSUPPORTED, "{err}");
     }
 }

@@ -63,7 +63,7 @@ impl CacheStats {
 
 /// One cache way. `tag` is the full line address (`addr >>
 /// line_shift`), or [`INVALID`] for an empty way.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     lru: u64,
@@ -82,7 +82,7 @@ const INVALID: u64 = u64::MAX;
 /// instruction fetches — hits without a tag scan or an LRU tick: that
 /// line is resident and already the most recently used, so skipping
 /// the tick leaves every later victim choice unchanged.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cache {
     config: CacheConfig,
     sets: u64,
@@ -183,6 +183,17 @@ impl Cache {
         };
         self.stats.misses += 1;
         false
+    }
+
+    /// [`Cache::access`] with the repeat-line hit inlined into the
+    /// caller: the same result and the same state after it.
+    #[inline(always)]
+    pub fn access_inline(&mut self, addr: u64) -> bool {
+        if addr >> self.line_shift == self.last {
+            self.stats.hits += 1;
+            return true;
+        }
+        self.access(addr)
     }
 
     /// Invalidates the line holding `addr`, if resident, and returns
@@ -514,5 +525,29 @@ mod tests {
         assert!(!c.access(0x100), "corrupted tag forces a refill");
         // Invalidation itself never counts as an access.
         assert_eq!(c.stats().accesses(), 3);
+    }
+
+    #[test]
+    fn inlined_access_is_access() {
+        let config = CacheConfig {
+            size_bytes: 128,
+            line_bytes: 16,
+            ways: 2,
+        };
+        let (mut plain, mut inlined) = (Cache::new(config), Cache::new(config));
+        let mut x = 1u64;
+        for i in 0..2000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // Mostly short strides, so the repeat-line path is taken.
+            let addr = (x >> 58) * 4 + (i / 8) * 16;
+            if i % 97 == 0 {
+                assert_eq!(plain.invalidate(addr), inlined.invalidate(addr));
+            }
+            assert_eq!(plain.access(addr), inlined.access_inline(addr));
+            assert_eq!(plain, inlined);
+        }
+        assert!(plain.stats().hits > 0 && plain.stats().misses > 0);
     }
 }

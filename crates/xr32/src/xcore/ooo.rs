@@ -234,17 +234,7 @@ impl TimingModel for OooCore<'_> {
         // the 2-bit counter table; unconditional transfers are
         // BTB/return-stack hits. A mispredict restarts the front end a
         // refill after the branch resolves.
-        let mut mispredicted = false;
-        if op.class == OpClass::Branch {
-            let ix = op.pc % t.counters.len();
-            let counter = &mut t.counters[ix];
-            mispredicted = (*counter >= 2) != op.taken;
-            *counter = if op.taken {
-                (*counter + 1).min(3)
-            } else {
-                counter.saturating_sub(1)
-            };
-        }
+        let mispredicted = op.class == OpClass::Branch && t.predict(op.pc, op.taken);
         if mispredicted {
             self.fetch_cycle = self.fetch_cycle.max(exec_done) + cfg.branch_penalty as u64;
         }

@@ -12,6 +12,10 @@
 //! 3. **Query coherence** — concurrent clients hammering the cached
 //!    kernel-cycle query path all observe the same cycle count per
 //!    key, and the daemon serves ≥ 1000 of them.
+//! 4. **Hostile queries** — on one connection, a variant tag with
+//!    unsupported lane counts gets `5002 JOB_SPEC`, an operand count
+//!    that overruns the kernel operand regions gets `1003
+//!    KERNEL_UNSUPPORTED`, and the next valid query is still answered.
 //!
 //! Exits 0 and prints `xserve-gate: PASS` on success; exits 1 with a
 //! diagnostic on the first violated invariant.
@@ -156,6 +160,26 @@ fn main() {
         }
     }
     println!("xserve-gate: 8 clients agree on all cached query points");
+
+    // 4. Hostile queries: typed errors, and the connection serves on.
+    let hostile = [
+        ("accel-a3m1", 4, codes::JOB_SPEC),
+        ("base", 1 << 20, codes::KERNEL_UNSUPPORTED),
+    ];
+    for (variant, n, want) in hostile {
+        match client.query("io", variant, "mpn_add_n", n, 1) {
+            Err(e) if e.code() == want => {}
+            Err(e) => fail(&format!("query {variant} n={n}: got {e}, want code {want}")),
+            Ok(cycles) => fail(&format!("query {variant} n={n} answered {cycles}")),
+        }
+    }
+    let answered = client
+        .query("io", "base", "mpn_add_n", 4, 0)
+        .unwrap_or_else(|e| fail(&format!("valid query after hostile ones: {e}")));
+    if Some(answered) != reference.as_ref().and_then(|r| r.get(&0).copied()) {
+        fail("the valid query after hostile ones disagrees with the cached point");
+    }
+    println!("xserve-gate: hostile queries get 5002 and 1003, and the connection serves on");
 
     let stats = client
         .stats()
