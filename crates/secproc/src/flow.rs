@@ -64,7 +64,6 @@ use xobs::json::Json;
 use xobs::span::{SpanGuard, Spans};
 use xpar::{Pool, SEED_STEP};
 use xr32::config::CpuConfig;
-use xr32::Fidelity;
 
 /// Fitted macro-models for every basic operation, with accuracy
 /// metadata.
@@ -241,7 +240,6 @@ pub struct FlowCtx<'a> {
     metrics: Option<&'a xobs::Registry>,
     spans: Option<&'a Spans>,
     policy: FaultPolicy,
-    fidelity: Fidelity,
     state: Mutex<FlowState>,
 }
 
@@ -262,13 +260,11 @@ pub struct FlowBuilder<'a> {
     metrics: Option<&'a xobs::Registry>,
     spans: Option<&'a Spans>,
     policy: FaultPolicy,
-    fidelity: Fidelity,
 }
 
 impl<'a> FlowBuilder<'a> {
     /// A builder over `config` with the defaults: base kernels, an
-    /// environment-sized pool, no cache, no metrics, no injection,
-    /// cycle-accurate fidelity.
+    /// environment-sized pool, no cache, no metrics, no injection.
     pub fn new(config: &'a CpuConfig) -> Self {
         FlowBuilder {
             config,
@@ -278,7 +274,6 @@ impl<'a> FlowBuilder<'a> {
             metrics: None,
             spans: None,
             policy: FaultPolicy::default(),
-            fidelity: Fidelity::default(),
         }
     }
 
@@ -328,41 +323,15 @@ impl<'a> FlowBuilder<'a> {
         self
     }
 
-    /// Selects the simulation fidelity consumers of this context should
-    /// run golden checks and triage sweeps at. Cycle *measurements*
-    /// always use the cycle-accurate engine; [`Fidelity::Fast`] is
-    /// rejected at [`FlowBuilder::build`] when a fault plan is armed
-    /// (a fault campaign targets those measurements).
-    pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
     /// Validates the collected knobs and constructs the context.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Conflict`] (code
-    /// [`codes::FLOW_CONFLICT`]) when:
-    ///
-    /// - `Fast` fidelity is combined with an armed fault plan — a
-    ///   fault campaign exercises the resilience policy of cycle
-    ///   measurements (retries, fault-free fallbacks, quarantine), and
-    ///   those never run on the fast path, so the combination asks for
-    ///   something the context would not do. `JobSpec` clients see
-    ///   this rule as code 5001, so it is part of the wire contract;
-    /// - a resilience policy quarantines (`quarantine_after > 0`) but
-    ///   allows zero measurement attempts (`max_retries` underflowed to
-    ///   `u32::MAX`), which can never converge.
+    /// Returns [`Error::Conflict`] (code [`codes::FLOW_CONFLICT`])
+    /// when a resilience policy quarantines (`quarantine_after > 0`)
+    /// but allows zero measurement attempts (`max_retries` underflowed
+    /// to `u32::MAX`), which can never converge.
     pub fn build(self) -> Result<FlowCtx<'a>, Error> {
-        if self.fidelity == Fidelity::Fast && self.policy.injecting() {
-            return Err(Error::Conflict {
-                detail: "Fast fidelity cannot host a fault campaign: the campaign's retries, \
-                         fallbacks and quarantine act on cycle measurements, which never run on \
-                         the fast path"
-                    .to_owned(),
-            });
-        }
         if self.policy.quarantine_after > 0 && self.policy.max_retries == u32::MAX {
             return Err(Error::Conflict {
                 detail: "unbounded max_retries with a quarantine threshold never converges"
@@ -380,7 +349,6 @@ impl<'a> FlowBuilder<'a> {
             metrics: self.metrics,
             spans: self.spans,
             policy: self.policy,
-            fidelity: self.fidelity,
             state: Mutex::new(FlowState::default()),
         })
     }
@@ -433,12 +401,6 @@ impl<'a> FlowCtx<'a> {
     /// The active fault/resilience policy.
     pub fn policy(&self) -> FaultPolicy {
         self.policy
-    }
-
-    /// The simulation fidelity consumers should run golden checks and
-    /// triage sweeps at (cycle measurements are always cycle-accurate).
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
     }
 
     /// Every resilience event recorded so far, in flow order.
@@ -508,11 +470,40 @@ impl<'a> FlowCtx<'a> {
         })
     }
 
-    /// Drains the pool's job traces into `wall_only` per-worker spans
-    /// under the innermost open span (dropped wholesale by report
-    /// normalization: worker count and timing are host facts).
+    /// Converts the pool's recorded job traces into `wall_only`
+    /// per-worker spans under the innermost open span (queue wait and
+    /// busy fraction as attributes), and publishes the busy fraction as
+    /// an `xpar.busy_fraction` gauge when a registry is attached.
+    /// Wall-clock observability only: report normalization drops every
+    /// span this creates, so the worker count never leaks into the
+    /// deterministic tree.
     fn drain_worker_spans(&self) {
-        drain_worker_spans(self.spans, self.pool(), self.metrics);
+        let Some(sp) = self.spans else { return };
+        for job in self.pool().take_job_traces() {
+            let job_wall_ms = job.wall_nanos as f64 / 1e6;
+            // Drained right after the fan-out returns, so "now minus the
+            // job's wall time" anchors the job start closely enough for
+            // a timeline view.
+            let job_start_ms = (sp.elapsed_ms() - job_wall_ms).max(0.0);
+            let busy_fraction = job.busy_fraction();
+            if let Some(reg) = self.metrics {
+                reg.gauge("xpar.busy_fraction").set(busy_fraction);
+            }
+            for w in &job.workers {
+                let queue_wait_ms = w.queue_wait_nanos as f64 / 1e6;
+                sp.wall_span(
+                    format!("xpar.worker-{}", w.worker),
+                    job_start_ms + queue_wait_ms,
+                    w.busy_nanos as f64 / 1e6,
+                    &[
+                        ("worker", Json::from(w.worker as u64)),
+                        ("items", Json::from((w.hi - w.lo) as u64)),
+                        ("queue_wait_ms", Json::from(queue_wait_ms)),
+                        ("busy_fraction", Json::from(busy_fraction)),
+                    ],
+                );
+            }
+        }
     }
 
     /// Effective cache for an ISS measurement phase: the attached cache
@@ -639,50 +630,36 @@ impl<'a> FlowCtx<'a> {
         let budget = policy.cycle_budget;
         let fitted = self.pool().par_map(&tasks, |i, t| {
             let unit_start = Instant::now();
+            let unit = format!("{}.r{}", t.name(), t.width);
+            let measure = |seed, arm| measure_charact_task(config, variant, t, seed, arm, budget);
             let report = match cache {
-                Some(kc) => {
-                    let cycles = kc.get_or_compute(
-                        &kcache::key(
-                            fp,
-                            &vtag,
-                            &t.desc.charact_unit_on(t.width, &core_id),
-                            max_limbs as u64,
-                            plan_digest(&t.plan),
-                        ),
-                        t.plan.len(),
-                        || {
-                            measure_charact_task(config, variant, t, 1, None, budget)
-                                .unwrap_or_else(|e| {
-                                    panic!(
-                                        "characterization of {} (r{}) failed: {e}",
-                                        t.name(),
-                                        t.width
-                                    )
-                                })
-                        },
-                    );
-                    UnitReport::clean(cycles)
-                }
+                Some(kc) => UnitReport::clean(kc.get_or_compute(
+                    &kcache::key(
+                        fp,
+                        &vtag,
+                        &t.desc.charact_unit_on(t.width, &core_id),
+                        max_limbs as u64,
+                        plan_digest(&t.plan),
+                    ),
+                    t.plan.len(),
+                    || {
+                        measure(1, None)
+                            .unwrap_or_else(|e| panic!("characterization of {unit} failed: {e}"))
+                    },
+                )),
                 None => run_resilient(
                     &policy,
                     "characterize",
-                    format!("{}.r{}", t.name(), t.width),
+                    &unit,
                     t.name(),
                     CHARACT_STREAMS + (i as u64) * STREAM_STRIDE,
                     1,
-                    |seed, arm| {
-                        measure_charact_task(config, variant, t, seed, arm, budget)
-                            .map_err(Error::from)
-                    },
-                ),
-            };
-            let ch = fit_planned(&t.basis, &t.plan, &report.value).unwrap_or_else(|e| {
-                panic!(
-                    "characterization of {} (r{}) failed: {e}",
-                    t.name(),
-                    t.width
+                    measure,
                 )
-            });
+                .unwrap_or_else(|e| panic!("characterize unit {unit} failed fault-free: {e}")),
+            };
+            let ch = fit_planned(&t.basis, &t.plan, &report.value)
+                .unwrap_or_else(|e| panic!("characterization of {unit} failed: {e}"));
             let sim_cycles: u64 = report.value.iter().map(|&c| c as u64).sum();
             let unit_wall_ms = unit_start.elapsed().as_secs_f64() * 1e3;
             (
@@ -770,6 +747,14 @@ impl<'a> FlowCtx<'a> {
     /// the program that runs: each distinct program is costed once and
     /// CRT moves only the memory axis.
     ///
+    /// The 150 distinct programs of the 450-candidate lattice are
+    /// costed in parallel (each owns its modeled-ops provider and
+    /// cache; one metered exponentiation per program, after a
+    /// setup-only [`prime`] for the 100 that cache), then every
+    /// candidate is ranked and offered to the Pareto front in
+    /// enumeration order, so the result is bit-identical to the serial
+    /// run for any thread count.
+    ///
     /// When a metrics registry is attached, publishes
     /// `flow.phase2.candidates_evaluated`, a
     /// `flow.phase2.candidate_cycles` histogram over the whole space,
@@ -787,15 +772,73 @@ impl<'a> FlowCtx<'a> {
         bits: usize,
         glue_cost: f64,
     ) -> Result<ExplorationResult, ModExpError> {
-        explore_impl(
-            models,
-            bits,
-            glue_cost,
-            self.metrics,
-            self.spans,
-            self.pool(),
-            &self.config.core_id(),
-        )
+        let _phase = self.phase_span("phase2.explore");
+        if let Some(sp) = self.spans {
+            sp.set_attr("bits", bits as u64);
+            sp.set_attr("core", self.config.core_id());
+        }
+        let scratch;
+        let reg = match self.metrics {
+            Some(reg) => reg,
+            None => {
+                scratch = xobs::Registry::new();
+                &scratch
+            }
+        };
+        let evaluated = reg.counter("flow.phase2.candidates_evaluated");
+        let cycles_hist = reg.histogram("flow.phase2.candidate_cycles");
+        let mut front = ParetoFront::new();
+        let work = Workload::new(bits);
+        let expect = work.base.pow_mod(&work.exp, &work.m);
+
+        let start = Instant::now();
+        let configs = ModExpConfig::enumerate();
+        // `mod_exp` never reads `crt`, so each distinct (mul, window,
+        // radix, cache) program is costed once and shared by its CRT
+        // siblings.
+        let programs: Vec<ModExpConfig> = configs
+            .iter()
+            .filter(|c| c.crt == CrtMode::None)
+            .copied()
+            .collect();
+        let estimates = self.pool().par_map(&programs, |_, program| {
+            let (result, cycles) = estimate(models, &work, program, glue_cost)?;
+            assert_eq!(result, expect, "program {program} computed a wrong result");
+            Ok(cycles)
+        });
+        let by_program: BTreeMap<ModExpConfig, Result<f64, ModExpError>> =
+            programs.into_iter().zip(estimates).collect();
+
+        // Serial merge in enumeration order: metric observation order
+        // and Pareto tie-breaking match the serial loop exactly.
+        let mut ranked = Vec::with_capacity(configs.len());
+        for config in configs {
+            let program = ModExpConfig {
+                crt: CrtMode::None,
+                ..config
+            };
+            let cycles = by_program[&program].clone()?;
+            evaluated.inc();
+            cycles_hist.observe(cycles);
+            front.offer(config, cycles, config.table_bytes(bits));
+            ranked.push(Candidate { config, cycles });
+        }
+        ranked.sort_by(|a, b| a.cycles.total_cmp(&b.cycles));
+        reg.gauge("flow.phase2.best_cycles").set(ranked[0].cycles);
+        reg.gauge("flow.phase2.wall_ms")
+            .set(start.elapsed().as_secs_f64() * 1e3);
+        front.record_metrics(reg);
+        if let Some(sp) = self.spans {
+            sp.add_tasks(ranked.len() as u64);
+            sp.set_attr("evaluated", ranked.len() as u64);
+            sp.set_attr("best_cycles", ranked[0].cycles);
+        }
+        self.drain_worker_spans();
+        Ok(ExplorationResult {
+            evaluated: ranked.len(),
+            elapsed: start.elapsed(),
+            ranked,
+        })
     }
 
     /// Evaluates a single candidate by full ISS co-simulation (the slow
@@ -857,34 +900,51 @@ impl<'a> FlowCtx<'a> {
             });
             return Ok(est);
         }
-        if !self.policy.injecting() {
-            return cosim_cached_impl(
+        let unit = candidate.to_string();
+        // The workload is part of the measured quantity (the estimate
+        // it is compared against uses the same fixed seed), so retries
+        // vary the fault stream, not the stimuli.
+        let cosim = |_seed, arm| {
+            cosim_once(
                 self.config,
                 self.variant,
                 candidate,
                 bits,
                 glue_cost,
-                self.cache,
+                arm,
+                self.policy.cycle_budget,
+            )
+        };
+        // The memo key embeds the core fingerprint, the kernel variant,
+        // the candidate, the operand size and the glue cost, so any
+        // changed determinant recomputes.
+        if let Some(kc) = self.measurement_cache() {
+            let key = kcache::key(
+                self.config.fingerprint(),
+                &self.variant.tag(),
+                &format!("cosim:{unit}"),
+                bits as u64,
+                glue_cost.to_bits(),
             );
+            return Ok(kc.try_get_or_compute(&key, 1, || {
+                cosim(WORKLOAD_SEED, None)
+                    .unwrap_or_else(|e| panic!("cosim unit {unit} failed fault-free: {e}"))
+                    .map(|c| vec![c])
+            })?[0]);
         }
-        let config = self.config;
-        let variant = self.variant;
-        let policy = self.policy;
         let stream_base = COSIM_STREAMS
-            + xpar::memo::checksum(&format!("cosim:{candidate}"), &[bits as f64]) % (1 << 20)
+            + xpar::memo::checksum(&format!("cosim:{unit}"), &[bits as f64]) % (1 << 20)
                 * STREAM_STRIDE;
-        // The workload is part of the measured quantity (the estimate
-        // it is compared against uses the same fixed seed), so retries
-        // vary the fault stream, not the stimuli.
         let report = run_resilient(
-            &policy,
+            &self.policy,
             "cosim",
-            candidate.to_string(),
+            &unit,
             "modexp",
             stream_base,
             WORKLOAD_SEED,
-            |_seed, arm| cosim_once(config, variant, candidate, bits, glue_cost, arm, policy),
-        );
+            cosim,
+        )
+        .unwrap_or_else(|e| panic!("cosim unit {unit} failed fault-free: {e}"));
         self.absorb(report)
     }
 
@@ -1088,19 +1148,21 @@ impl<'a> FlowCtx<'a> {
                 Some(ix) => gens[ix].gen.tag.clone(),
                 None => t.variant.tag(),
             };
-            let make_iss = || match t.gen {
-                Some(ix) => {
-                    IssMpn::with_library(config.clone(), &gens[ix].gen.source, gens[ix].ext.clone())
-                }
-                None => IssMpn::with_variant(config.clone(), t.variant),
-            };
-            let fault_free = || {
-                let mut iss = make_iss();
-                iss.set_verify(false);
+            let name = format!("{}@{}", t.kernel.name(), tag);
+            let measure = |seed, arm| {
+                let iss = match t.gen {
+                    Some(ix) => IssMpn::with_library(
+                        config.clone(),
+                        &gens[ix].gen.source,
+                        gens[ix].ext.clone(),
+                    ),
+                    None => IssMpn::with_variant(config.clone(), t.variant),
+                };
+                let mut iss = armed(iss, policy.cycle_budget, arm);
                 let _ = iss.warm_up(|iss| iss.measure32(t.kernel, n, 7));
-                iss.measure32(t.kernel, n, 8)
-                    .expect("curve kernels use register conventions")
+                iss.measure32(t.kernel, n, seed)
             };
+            let fault_free = || measure(8, None).expect("curve kernels use register conventions");
             let report = match cache {
                 Some(kc) => UnitReport::clean(kc.scalar(
                     &kcache::key(fp, &tag, &unit.curve_unit_on(&core_id), n as u64, 0x0708),
@@ -1110,7 +1172,7 @@ impl<'a> FlowCtx<'a> {
                     value: fault_free(),
                     degradation: Some(Degradation {
                         phase: "curves",
-                        unit: format!("{}@{}", t.kernel.name(), tag),
+                        unit: name.clone(),
                         kernel: t.kernel.name().to_owned(),
                         error: "kernel quarantined; measured with the fault arm off".to_owned(),
                         attempts: 1,
@@ -1123,37 +1185,23 @@ impl<'a> FlowCtx<'a> {
                 None => run_resilient(
                     &policy,
                     "curves",
-                    format!("{}@{}", t.kernel.name(), tag),
+                    &name,
                     t.kernel.name(),
                     CURVE_STREAMS + (i as u64) * STREAM_STRIDE,
                     8,
-                    |seed, arm| {
-                        let mut iss = make_iss();
-                        iss.set_verify(arm.is_some());
-                        iss.set_cycle_budget(policy.cycle_budget);
-                        if let Some((spec, stream)) = arm {
-                            iss.set_fault_plan(spec, stream);
-                        }
-                        let _ = iss.warm_up(|iss| iss.measure32(t.kernel, n, 7));
-                        iss.measure32(t.kernel, n, seed).map_err(Error::from)
-                    },
-                ),
+                    measure,
+                )
+                .unwrap_or_else(|e| panic!("curves unit {name} failed fault-free: {e}")),
             };
-            (report, tag, unit_start.elapsed().as_secs_f64() * 1e3)
+            (report, name, unit_start.elapsed().as_secs_f64() * 1e3)
         });
 
         let values: Vec<f64> = measured
             .into_iter()
-            .zip(&tasks)
-            .map(|((report, tag, unit_wall_ms), t)| {
+            .map(|(report, name, unit_wall_ms)| {
                 let cycles = self.absorb(report);
                 if let Some(sp) = self.spans {
-                    sp.leaf(
-                        format!("{}@{}", t.kernel.name(), tag),
-                        cycles,
-                        1,
-                        Some(unit_wall_ms),
-                    );
+                    sp.leaf(name, cycles, 1, Some(unit_wall_ms));
                 }
                 cycles
             })
@@ -1208,55 +1256,41 @@ impl<'a> FlowCtx<'a> {
     /// measured resiliently under an active fault campaign.
     pub fn fig4_graph(&self, k: usize) -> CallGraph {
         let t0 = Instant::now();
-        let config = self.config;
-        let policy = self.policy;
-        let fault_free = || {
-            let mut iss = IssMpn::base(config.clone());
-            iss.set_verify(false);
-            let _ = iss.measure32(kreg::id::ADD_N, k, 3);
-            let addn = iss.measure32(kreg::id::ADD_N, k, 4).expect("registered");
-            let _ = iss.measure32(kreg::id::ADDMUL_1, k, 3);
-            let addmul = iss.measure32(kreg::id::ADDMUL_1, k, 4).expect("registered");
-            vec![addn, addmul]
+        let measure = |seed, arm| {
+            let mut iss = armed(
+                IssMpn::base(self.config.clone()),
+                self.policy.cycle_budget,
+                arm,
+            );
+            let mut leaf = |kernel| {
+                let _ = iss.warm_up(|iss| iss.measure32(kernel, k, 3));
+                iss.measure32(kernel, k, seed)
+            };
+            Ok::<_, KernelError>(vec![leaf(kreg::id::ADD_N)?, leaf(kreg::id::ADDMUL_1)?])
         };
         let leaves = match self.measurement_cache() {
             Some(kc) => kc.get_or_compute(
                 &kcache::key(
-                    config.fingerprint(),
+                    self.config.fingerprint(),
                     &KernelVariant::Base.tag(),
                     "fig4:leaves",
                     k as u64,
                     0x0304,
                 ),
                 2,
-                fault_free,
+                || measure(4, None).expect("registered"),
             ),
             None => {
                 let report = run_resilient(
-                    &policy,
+                    &self.policy,
                     "fig4",
-                    "fig4:leaves".to_owned(),
+                    "fig4:leaves",
                     "fig4:leaves",
                     FIG4_STREAMS,
                     4,
-                    |seed, arm| {
-                        let mut iss = IssMpn::base(config.clone());
-                        iss.set_verify(arm.is_some());
-                        iss.set_cycle_budget(policy.cycle_budget);
-                        if let Some((spec, stream)) = arm {
-                            iss.set_fault_plan(spec, stream);
-                        }
-                        let _ = iss.measure32(kreg::id::ADD_N, k, 3);
-                        let addn = iss
-                            .measure32(kreg::id::ADD_N, k, seed)
-                            .map_err(Error::from)?;
-                        let _ = iss.measure32(kreg::id::ADDMUL_1, k, 3);
-                        let addmul = iss
-                            .measure32(kreg::id::ADDMUL_1, k, seed)
-                            .map_err(Error::from)?;
-                        Ok(vec![addn, addmul])
-                    },
-                );
+                    measure,
+                )
+                .unwrap_or_else(|e| panic!("fig4 unit fig4:leaves failed fault-free: {e}"));
                 self.absorb(report)
             }
         };
@@ -1419,22 +1453,12 @@ impl<'a> FlowCtx<'a> {
         seed: u64,
     ) -> Result<f64, KernelError> {
         let t0 = Instant::now();
-        let measure_leaf = |cycles: f64| {
-            if let Some(sp) = self.spans {
-                sp.leaf_with(
-                    format!("measure.{}@{}", kernel.name(), variant.tag()),
-                    cycles,
-                    1,
-                    Some(t0.elapsed().as_secs_f64() * 1e3),
-                    &[("fidelity", Json::from("accurate"))],
-                );
-            }
-        };
+        let unit = format!("{}@{}", kernel.name(), variant.tag());
         if self.is_quarantined(kernel.name()) {
             let failures = *self.state().failures.get(kernel.name()).unwrap_or(&0);
             self.note_degradation(Degradation {
                 phase: "measure",
-                unit: format!("{}@{}", kernel.name(), variant.tag()),
+                unit,
                 kernel: kernel.name().to_owned(),
                 error: format!("quarantined after {failures} failed units"),
                 attempts: 0,
@@ -1444,84 +1468,35 @@ impl<'a> FlowCtx<'a> {
             });
             return Err(KernelError::Quarantined { kernel, failures });
         }
-        let policy = self.policy;
         let stream_base = ADHOC_STREAMS
-            + xpar::memo::checksum(
-                &format!("measure:{}@{}", kernel.name(), variant.tag()),
-                &[n as f64, seed as f64],
-            ) % (1 << 20)
+            + xpar::memo::checksum(&format!("measure:{unit}"), &[n as f64, seed as f64])
+                % (1 << 20)
                 * STREAM_STRIDE;
-        let measure = |seed: u64, arm: Option<(PlanSpec, u64)>| {
-            let mut iss = IssMpn::with_variant(self.config.clone(), variant);
-            iss.set_verify(arm.is_some());
-            iss.set_cycle_budget(policy.cycle_budget);
-            if let Some((spec, stream)) = arm {
-                iss.set_fault_plan(spec, stream);
-            }
-            let _ = iss.warm_up(|iss| iss.measure32(kernel, n, warm_seed));
-            iss.measure32(kernel, n, seed)
-        };
-        let mut retry_seeds = Vec::new();
-        let mut last_err: Option<KernelError> = None;
-        for attempt in 0..=policy.max_retries {
-            let s = policy.retry_seed(seed, attempt);
-            if attempt > 0 {
-                retry_seeds.push(s);
-            }
-            let arm = policy
-                .plan
-                .map(|spec| (spec, stream_base.wrapping_add(u64::from(attempt))));
-            match measure(s, arm) {
-                Ok(cycles) => {
-                    if attempt > 0 {
-                        self.note_degradation(Degradation {
-                            phase: "measure",
-                            unit: format!("{}@{}", kernel.name(), variant.tag()),
-                            kernel: kernel.name().to_owned(),
-                            error: last_err.as_ref().map(|e| e.to_string()).unwrap_or_default(),
-                            attempts: attempt + 1,
-                            retry_seeds,
-                            action: "retried-ok",
-                            code: last_err
-                                .map(|e| Error::from(e).code())
-                                .unwrap_or(codes::FLOW),
-                        });
-                    }
-                    measure_leaf(cycles);
-                    return Ok(cycles);
-                }
-                Err(e) => last_err = Some(e),
-            }
-            if !policy.injecting() {
-                break; // a fault-free failure is genuine; retrying cannot help
-            }
+        let report = run_resilient(
+            &self.policy,
+            "measure",
+            &unit,
+            kernel.name(),
+            stream_base,
+            seed,
+            |seed, arm| {
+                let iss = IssMpn::with_variant(self.config.clone(), variant);
+                let mut iss = armed(iss, self.policy.cycle_budget, arm);
+                let _ = iss.warm_up(|iss| iss.measure32(kernel, n, warm_seed));
+                iss.measure32(kernel, n, seed)
+            },
+        )?;
+        let cycles = self.absorb(report);
+        if let Some(sp) = self.spans {
+            sp.leaf_with(
+                format!("measure.{unit}"),
+                cycles,
+                1,
+                Some(t0.elapsed().as_secs_f64() * 1e3),
+                &[("fidelity", Json::from("accurate"))],
+            );
         }
-        let err = last_err.expect("at least one attempt ran");
-        if !policy.injecting() {
-            return Err(err);
-        }
-        match measure(seed, None) {
-            Ok(cycles) => {
-                let report = UnitReport {
-                    value: cycles,
-                    degradation: Some(Degradation {
-                        phase: "measure",
-                        unit: format!("{}@{}", kernel.name(), variant.tag()),
-                        kernel: kernel.name().to_owned(),
-                        error: err.to_string(),
-                        attempts: policy.max_retries + 1,
-                        retry_seeds,
-                        action: "fallback-fault-free",
-                        code: Error::from(err).code(),
-                    }),
-                    failed: true,
-                };
-                let cycles = self.absorb(report);
-                measure_leaf(cycles);
-                Ok(cycles)
-            }
-            Err(e) => Err(e),
-        }
+        Ok(cycles)
     }
 }
 
@@ -1559,21 +1534,36 @@ impl<T> UnitReport<T> {
 /// unit's identity — all state effects are deferred to the serial
 /// merge via the returned report.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics when the unit fails without injected faults: that is a
-/// genuine defect the flow must not paper over.
-fn run_resilient<T>(
+/// Returns the unit's error when it fails without injected faults —
+/// its only attempt with no campaign, or the fallback under one: that
+/// is a genuine defect no retry can mend.
+fn run_resilient<T, E>(
     policy: &FaultPolicy,
     phase: &'static str,
-    unit: String,
+    unit: &str,
     kernel: &str,
     stream_base: u64,
     base_seed: u64,
-    measure: impl Fn(u64, Option<(PlanSpec, u64)>) -> Result<T, Error>,
-) -> UnitReport<T> {
+    measure: impl Fn(u64, Option<(PlanSpec, u64)>) -> Result<T, E>,
+) -> Result<UnitReport<T>, E>
+where
+    E: std::fmt::Display + Into<Error>,
+{
+    let degradation =
+        |err: E, attempts: u32, retry_seeds: Vec<u64>, action: &'static str| Degradation {
+            phase,
+            unit: unit.to_owned(),
+            kernel: kernel.to_owned(),
+            error: err.to_string(),
+            attempts,
+            retry_seeds,
+            action,
+            code: Into::<Error>::into(err).code(),
+        };
     let mut retry_seeds = Vec::new();
-    let mut last_err: Option<Error> = None;
+    let mut last_err = None;
     for attempt in 0..=policy.max_retries {
         let seed = policy.retry_seed(base_seed, attempt);
         if attempt > 0 {
@@ -1584,86 +1574,43 @@ fn run_resilient<T>(
             .map(|spec| (spec, stream_base.wrapping_add(u64::from(attempt))));
         match measure(seed, arm) {
             Ok(value) => {
-                let degradation = (attempt > 0).then(|| Degradation {
-                    phase,
-                    unit: unit.clone(),
-                    kernel: kernel.to_owned(),
-                    error: last_err.as_ref().map(|e| e.to_string()).unwrap_or_default(),
-                    attempts: attempt + 1,
-                    retry_seeds: retry_seeds.clone(),
-                    action: "retried-ok",
-                    code: last_err.as_ref().map(Error::code).unwrap_or(codes::FLOW),
-                });
-                return UnitReport {
+                return Ok(UnitReport {
                     value,
-                    degradation,
+                    degradation: last_err
+                        .map(|e| degradation(e, attempt + 1, retry_seeds, "retried-ok")),
                     failed: false,
-                };
+                })
             }
-            Err(e) => last_err = Some(e),
-        }
-        if !policy.injecting() {
-            break; // a fault-free failure is genuine; retrying cannot help
+            Err(e) if policy.injecting() => last_err = Some(e),
+            // A fault-free failure is genuine; retrying cannot help.
+            Err(e) => return Err(e),
         }
     }
-    let err_text = last_err.as_ref().map(|e| e.to_string()).unwrap_or_default();
-    if policy.injecting() {
-        match measure(base_seed, None) {
-            Ok(value) => UnitReport {
-                value,
-                degradation: Some(Degradation {
-                    phase,
-                    unit,
-                    kernel: kernel.to_owned(),
-                    error: err_text,
-                    attempts: policy.max_retries + 1,
-                    retry_seeds,
-                    action: "fallback-fault-free",
-                    code: last_err.as_ref().map(Error::code).unwrap_or(codes::FLOW),
-                }),
-                failed: true,
-            },
-            Err(e) => panic!("{phase} unit {unit} failed even with faults disabled: {e}"),
-        }
-    } else {
-        panic!("{phase} unit {unit} failed fault-free: {err_text}")
-    }
+    let err = last_err.expect("every injected attempt failed");
+    let value = measure(base_seed, None)?;
+    Ok(UnitReport {
+        value,
+        degradation: Some(degradation(
+            err,
+            policy.max_retries + 1,
+            retry_seeds,
+            "fallback-fault-free",
+        )),
+        failed: true,
+    })
 }
 
-/// Converts the pool's recorded job traces into `wall_only` per-worker
-/// spans under the innermost open span (queue wait and busy fraction as
-/// attributes), and publishes the busy fraction as an
-/// `xpar.busy_fraction` gauge when a registry is attached. Wall-clock
-/// observability only: report normalization drops every span this
-/// function creates, so the worker count never leaks into the
-/// deterministic tree.
-fn drain_worker_spans(spans: Option<&Spans>, pool: &Pool, metrics: Option<&xobs::Registry>) {
-    let Some(sp) = spans else { return };
-    for job in pool.take_job_traces() {
-        let job_wall_ms = job.wall_nanos as f64 / 1e6;
-        // Drained right after the fan-out returns, so "now minus the
-        // job's wall time" anchors the job start closely enough for a
-        // timeline view.
-        let job_start_ms = (sp.elapsed_ms() - job_wall_ms).max(0.0);
-        let busy_fraction = job.busy_fraction();
-        if let Some(reg) = metrics {
-            reg.gauge("xpar.busy_fraction").set(busy_fraction);
-        }
-        for w in &job.workers {
-            let queue_wait_ms = w.queue_wait_nanos as f64 / 1e6;
-            sp.wall_span(
-                format!("xpar.worker-{}", w.worker),
-                job_start_ms + queue_wait_ms,
-                w.busy_nanos as f64 / 1e6,
-                &[
-                    ("worker", Json::from(w.worker as u64)),
-                    ("items", Json::from((w.hi - w.lo) as u64)),
-                    ("queue_wait_ms", Json::from(queue_wait_ms)),
-                    ("busy_fraction", Json::from(busy_fraction)),
-                ],
-            );
-        }
+/// Sets up `iss` for one measurement attempt: golden verification on
+/// exactly when a fault plan is armed (so corrupted results surface as
+/// typed divergences), the policy's watchdog budget, and the plan on
+/// its stream.
+fn armed(mut iss: IssMpn, cycle_budget: u64, arm: Option<(PlanSpec, u64)>) -> IssMpn {
+    iss.set_verify(arm.is_some());
+    iss.set_cycle_budget(cycle_budget);
+    if let Some((spec, stream)) = arm {
+        iss.set_fault_plan(spec, stream);
     }
+    iss
 }
 
 /// One phase-1 measurement unit: a registered kernel characterized at
@@ -1731,12 +1678,11 @@ fn measure_charact_task(
             .collect())
     } else {
         let kernel = t.desc.id;
-        let mut iss = IssMpn::with_variant(config.clone(), variant);
-        iss.set_verify(arm.is_some());
-        iss.set_cycle_budget(cycle_budget);
-        if let Some((spec, stream)) = arm {
-            iss.set_fault_plan(spec, stream);
-        }
+        let mut iss = armed(
+            IssMpn::with_variant(config.clone(), variant),
+            cycle_budget,
+            arm,
+        );
         iss.warm_up(|iss| {
             if t.width == 32 {
                 iss.measure32(kernel, 1, 0x5EED)
@@ -1865,93 +1811,6 @@ pub fn mark_pareto_front(points: &mut [CrossPoint]) -> usize {
     size
 }
 
-/// Phase 2 implementation: the 150 distinct programs of the
-/// 450-candidate lattice are costed in parallel (each owns its
-/// modeled-ops provider and cache; one metered exponentiation per
-/// program, after a setup-only [`prime`] for the 100 that cache), then
-/// every candidate is ranked and offered to the Pareto front in
-/// enumeration order, so the result is bit-identical to the serial run
-/// for any thread count.
-fn explore_impl(
-    models: &KernelModels,
-    bits: usize,
-    glue_cost: f64,
-    metrics: Option<&xobs::Registry>,
-    spans: Option<&Spans>,
-    pool: &Pool,
-    core_id: &str,
-) -> Result<ExplorationResult, ModExpError> {
-    let phase = spans.map(|sp| {
-        pool.set_tracing(true);
-        let guard = sp.enter("phase2.explore");
-        sp.set_attr("bits", bits as u64);
-        sp.set_attr("core", core_id);
-        guard
-    });
-    let scratch;
-    let reg = match metrics {
-        Some(reg) => reg,
-        None => {
-            scratch = xobs::Registry::new();
-            &scratch
-        }
-    };
-    let evaluated = reg.counter("flow.phase2.candidates_evaluated");
-    let cycles_hist = reg.histogram("flow.phase2.candidate_cycles");
-    let mut front = ParetoFront::new();
-    let work = Workload::new(bits);
-    let expect = work.base.pow_mod(&work.exp, &work.m);
-
-    let start = Instant::now();
-    let configs = ModExpConfig::enumerate();
-    // `mod_exp` never reads `crt`, so each distinct (mul, window, radix,
-    // cache) program is costed once and shared by its CRT siblings.
-    let programs: Vec<ModExpConfig> = configs
-        .iter()
-        .filter(|c| c.crt == CrtMode::None)
-        .copied()
-        .collect();
-    let estimates = pool.par_map(&programs, |_, program| {
-        let (result, cycles) = estimate(models, &work, program, glue_cost)?;
-        assert_eq!(result, expect, "program {program} computed a wrong result");
-        Ok(cycles)
-    });
-    let by_program: BTreeMap<ModExpConfig, Result<f64, ModExpError>> =
-        programs.into_iter().zip(estimates).collect();
-
-    // Serial merge in enumeration order: metric observation order and
-    // Pareto tie-breaking match the serial loop exactly.
-    let mut ranked = Vec::with_capacity(configs.len());
-    for config in configs {
-        let program = ModExpConfig {
-            crt: CrtMode::None,
-            ..config
-        };
-        let cycles = by_program[&program].clone()?;
-        evaluated.inc();
-        cycles_hist.observe(cycles);
-        front.offer(config, cycles, config.table_bytes(bits));
-        ranked.push(Candidate { config, cycles });
-    }
-    ranked.sort_by(|a, b| a.cycles.total_cmp(&b.cycles));
-    reg.gauge("flow.phase2.best_cycles").set(ranked[0].cycles);
-    reg.gauge("flow.phase2.wall_ms")
-        .set(start.elapsed().as_secs_f64() * 1e3);
-    front.record_metrics(reg);
-    if let Some(sp) = spans {
-        sp.add_tasks(ranked.len() as u64);
-        sp.set_attr("evaluated", ranked.len() as u64);
-        sp.set_attr("best_cycles", ranked[0].cycles);
-        drain_worker_spans(spans, pool, metrics);
-    }
-    drop(phase);
-    Ok(ExplorationResult {
-        evaluated: ranked.len(),
-        elapsed: start.elapsed(),
-        ranked,
-    })
-}
-
 /// Seed of the fixed phase-2 workload.
 const WORKLOAD_SEED: u64 = 0xE4B0;
 
@@ -2025,15 +1884,14 @@ fn cosim_once(
     bits: usize,
     glue_cost: f64,
     arm: Option<(PlanSpec, u64)>,
-    policy: FaultPolicy,
+    cycle_budget: u64,
 ) -> Result<Result<f64, ModExpError>, Error> {
     let Workload { m, base, exp } = Workload::new(bits);
-    let mut iss = IssMpn::with_variant(config.clone(), variant);
-    iss.set_verify(arm.is_some());
-    iss.set_cycle_budget(policy.cycle_budget);
-    if let Some((spec, stream)) = arm {
-        iss.set_fault_plan(spec, stream);
-    }
+    let mut iss = armed(
+        IssMpn::with_variant(config.clone(), variant),
+        cycle_budget,
+        arm,
+    );
     iss.set_glue_cost(glue_cost);
     let mut cache = ExpCache::new();
     // A full warm-up run, not `prime`: it also warms the simulated I- and
@@ -2053,43 +1911,6 @@ fn cosim_once(
         Err(e) if arm.is_some() => Err(Error::from(e)),
         Err(e) => Ok(Err(e)),
     }
-}
-
-/// Fault-free co-simulation, optionally served from the kernel-cycle
-/// cache. The memo key embeds the core fingerprint, the kernel variant,
-/// the candidate's display form, the operand size and the glue cost, so
-/// any changed determinant recomputes.
-fn cosim_cached_impl(
-    config: &CpuConfig,
-    variant: KernelVariant,
-    candidate: &ModExpConfig,
-    bits: usize,
-    glue_cost: f64,
-    cache: Option<&KCache>,
-) -> Result<f64, ModExpError> {
-    let run = || {
-        cosim_once(
-            config,
-            variant,
-            candidate,
-            bits,
-            glue_cost,
-            None,
-            FaultPolicy::default(),
-        )
-        .expect("fault-free co-simulation reports no kernel errors")
-    };
-    let Some(kc) = cache else {
-        return run();
-    };
-    let key = kcache::key(
-        config.fingerprint(),
-        &variant.tag(),
-        &format!("cosim:{candidate}"),
-        bits as u64,
-        glue_cost.to_bits(),
-    );
-    Ok(kc.try_get_or_compute(&key, 1, || run().map(|c| vec![c]))?[0])
 }
 
 /// The shared user-register load/store plumbing as a selection-level
@@ -2554,29 +2375,24 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_fast_fidelity_under_injection() {
+    fn builder_rejects_unbounded_retries_under_quarantine() {
         let cfg = CpuConfig::default();
-        let plan = PlanSpec::all_sites(7, 200);
-        let err = match FlowBuilder::new(&cfg)
-            .fidelity(Fidelity::Fast)
-            .fault_policy(FaultPolicy::with_plan(plan))
-            .build()
-        {
+        let unbounded = FaultPolicy {
+            max_retries: u32::MAX,
+            ..FaultPolicy::default()
+        };
+        let err = match FlowBuilder::new(&cfg).fault_policy(unbounded).build() {
             Err(e) => e,
             Ok(_) => panic!("conflicting builder must be rejected"),
         };
         assert_eq!(err.code(), codes::FLOW_CONFLICT);
-        assert!(err.to_string().contains("Fast fidelity"), "{err}");
-        // Either knob alone is fine.
+        // Without a quarantine threshold there is nothing to converge.
         assert!(FlowBuilder::new(&cfg)
-            .fidelity(Fidelity::Fast)
+            .fault_policy(FaultPolicy {
+                quarantine_after: 0,
+                ..unbounded
+            })
             .build()
             .is_ok());
-        let ctx = FlowBuilder::new(&cfg)
-            .fault_policy(FaultPolicy::with_plan(plan))
-            .build()
-            .unwrap();
-        assert!(ctx.policy().injecting());
-        assert_eq!(ctx.fidelity(), Fidelity::CycleAccurate);
     }
 }

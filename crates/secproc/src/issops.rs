@@ -352,17 +352,12 @@ impl IssMpn {
     /// [`KernelError::Unsupported`] so a mis-routed measurement can
     /// never silently report zero cycles.
     pub fn measure32(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<f64, KernelError> {
-        if self.fidelity == Fidelity::Fast {
-            return Err(KernelError::Unsupported {
-                kernel,
-                detail: "cycle measurement requires the cycle-accurate engine \
-                         (Fidelity::CycleAccurate)"
-                    .to_owned(),
-            });
-        }
-        let before = self.cycles;
-        self.drive32(kernel, n, seed)?;
-        Ok(self.cycles - before)
+        self.measure::<u32>(kernel, n, seed)
+    }
+
+    /// 16-bit-radix counterpart of [`IssMpn::measure32`].
+    pub fn measure16(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<f64, KernelError> {
+        self.measure::<u16>(kernel, n, seed)
     }
 
     /// Verifies one kernel invocation against its registered golden
@@ -372,84 +367,23 @@ impl IssMpn {
     /// Verification is forced on for the call regardless of
     /// [`IssMpn::set_verify`].
     pub fn verify32(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError> {
-        let was = self.verify;
-        self.verify = true;
-        let out = self.drive32(kernel, n, seed);
-        self.verify = was;
-        out
+        self.verify::<u32>(kernel, n, seed)
     }
 
-    /// Drives one 32-bit kernel invocation on deterministic stimuli
-    /// derived from `seed` (the stream both [`IssMpn::measure32`] and
-    /// [`IssMpn::verify32`] consume, byte-identical between them).
-    fn drive32(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError> {
-        self.check_operands(kernel, n, 4)?;
-        let errors_before = self.errors.len();
-        let mut x = seed;
-        let mut next = move || {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (x >> 32) as u32
-        };
-        match kernel {
-            id::ADD_N | id::SUB_N => {
-                let a: Vec<u32> = (0..n).map(|_| next()).collect();
-                let b: Vec<u32> = (0..n).map(|_| next()).collect();
-                let mut r = vec![0u32; n];
-                if kernel == id::ADD_N {
-                    MpnOps::<u32>::add_n(self, &mut r, &a, &b);
-                } else {
-                    MpnOps::<u32>::sub_n(self, &mut r, &a, &b);
-                }
-            }
-            id::MUL_1 | id::ADDMUL_1 | id::SUBMUL_1 => {
-                let a: Vec<u32> = (0..n).map(|_| next()).collect();
-                let mut r: Vec<u32> = (0..n).map(|_| next()).collect();
-                let b = next();
-                match kernel {
-                    id::MUL_1 => {
-                        MpnOps::<u32>::mul_1(self, &mut r, &a, b);
-                    }
-                    id::ADDMUL_1 => {
-                        MpnOps::<u32>::addmul_1(self, &mut r, &a, b);
-                    }
-                    _ => {
-                        MpnOps::<u32>::submul_1(self, &mut r, &a, b);
-                    }
-                }
-            }
-            id::LSHIFT | id::RSHIFT => {
-                let a: Vec<u32> = (0..n).map(|_| next()).collect();
-                let mut r = vec![0u32; n];
-                let cnt = (next() % 31) + 1;
-                if kernel == id::LSHIFT {
-                    MpnOps::<u32>::lshift(self, &mut r, &a, cnt);
-                } else {
-                    MpnOps::<u32>::rshift(self, &mut r, &a, cnt);
-                }
-            }
-            id::DIV_QHAT => {
-                let d1 = next() | 0x8000_0000;
-                let d0 = next();
-                let n2 = next() % d1;
-                MpnOps::<u32>::div_qhat(self, n2, next(), next(), d1, d0);
-            }
-            other => {
-                return Err(KernelError::Unsupported {
-                    kernel: other,
-                    detail: "no register-level 32-bit measurement harness".to_owned(),
-                })
-            }
-        }
-        if let Some(e) = self.errors.get(errors_before) {
-            return Err(e.clone());
-        }
-        Ok(())
+    /// 16-bit-radix counterpart of [`IssMpn::verify32`].
+    pub fn verify16(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError> {
+        self.verify::<u16>(kernel, n, seed)
     }
 
-    /// 16-bit-radix counterpart of [`IssMpn::measure32`].
-    pub fn measure16(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<f64, KernelError> {
+    fn measure<L: Limb>(
+        &mut self,
+        kernel: KernelId,
+        n: usize,
+        seed: u64,
+    ) -> Result<f64, KernelError>
+    where
+        Self: MpnOps<L>,
+    {
         if self.fidelity == Fidelity::Fast {
             return Err(KernelError::Unsupported {
                 kernel,
@@ -459,77 +393,78 @@ impl IssMpn {
             });
         }
         let before = self.cycles;
-        self.drive16(kernel, n, seed)?;
+        self.drive::<L>(kernel, n, seed)?;
         Ok(self.cycles - before)
     }
 
-    /// 16-bit-radix counterpart of [`IssMpn::verify32`].
-    pub fn verify16(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError> {
+    fn verify<L: Limb>(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError>
+    where
+        Self: MpnOps<L>,
+    {
         let was = self.verify;
         self.verify = true;
-        let out = self.drive16(kernel, n, seed);
+        let out = self.drive::<L>(kernel, n, seed);
         self.verify = was;
         out
     }
 
-    /// 16-bit-radix counterpart of [`IssMpn::drive32`].
-    fn drive16(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError> {
-        self.check_operands(kernel, n, 2)?;
+    /// Drives one `L`-radix kernel invocation on deterministic stimuli
+    /// derived from `seed` (the stream both `measure*` and `verify*`
+    /// consume, byte-identical between them): each limb is the top
+    /// `L::BITS` bits of one LCG step.
+    fn drive<L: Limb>(&mut self, kernel: KernelId, n: usize, seed: u64) -> Result<(), KernelError>
+    where
+        Self: MpnOps<L>,
+    {
+        self.check_operands(kernel, n, L::BITS as usize / 8)?;
         let errors_before = self.errors.len();
         let mut x = seed;
         let mut next = move || {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (x >> 48) as u16
+            L::from_u64(x >> (64 - L::BITS))
         };
+        let mut limbs = |n: usize| -> Vec<L> { (0..n).map(|_| next()).collect() };
         match kernel {
             id::ADD_N | id::SUB_N => {
-                let a: Vec<u16> = (0..n).map(|_| next()).collect();
-                let b: Vec<u16> = (0..n).map(|_| next()).collect();
-                let mut r = vec![0u16; n];
+                let (a, b) = (limbs(n), limbs(n));
+                let mut r = vec![L::ZERO; n];
                 if kernel == id::ADD_N {
-                    MpnOps::<u16>::add_n(self, &mut r, &a, &b);
+                    MpnOps::<L>::add_n(self, &mut r, &a, &b);
                 } else {
-                    MpnOps::<u16>::sub_n(self, &mut r, &a, &b);
+                    MpnOps::<L>::sub_n(self, &mut r, &a, &b);
                 }
             }
             id::MUL_1 | id::ADDMUL_1 | id::SUBMUL_1 => {
-                let a: Vec<u16> = (0..n).map(|_| next()).collect();
-                let mut r: Vec<u16> = (0..n).map(|_| next()).collect();
+                let (a, mut r) = (limbs(n), limbs(n));
                 let b = next();
                 match kernel {
-                    id::MUL_1 => {
-                        MpnOps::<u16>::mul_1(self, &mut r, &a, b);
-                    }
-                    id::ADDMUL_1 => {
-                        MpnOps::<u16>::addmul_1(self, &mut r, &a, b);
-                    }
-                    _ => {
-                        MpnOps::<u16>::submul_1(self, &mut r, &a, b);
-                    }
-                }
+                    id::MUL_1 => MpnOps::<L>::mul_1(self, &mut r, &a, b),
+                    id::ADDMUL_1 => MpnOps::<L>::addmul_1(self, &mut r, &a, b),
+                    _ => MpnOps::<L>::submul_1(self, &mut r, &a, b),
+                };
             }
             id::LSHIFT | id::RSHIFT => {
-                let a: Vec<u16> = (0..n).map(|_| next()).collect();
-                let mut r = vec![0u16; n];
-                let cnt = ((next() % 15) + 1) as u32;
+                let a = limbs(n);
+                let mut r = vec![L::ZERO; n];
+                let cnt = (next().to_u64() % u64::from(L::BITS - 1)) as u32 + 1;
                 if kernel == id::LSHIFT {
-                    MpnOps::<u16>::lshift(self, &mut r, &a, cnt);
+                    MpnOps::<L>::lshift(self, &mut r, &a, cnt);
                 } else {
-                    MpnOps::<u16>::rshift(self, &mut r, &a, cnt);
+                    MpnOps::<L>::rshift(self, &mut r, &a, cnt);
                 }
             }
             id::DIV_QHAT => {
-                let d1 = next() | 0x8000;
+                let d1 = next() | L::ONE << (L::BITS - 1);
                 let d0 = next();
-                let n2 = next() % d1;
-                MpnOps::<u16>::div_qhat(self, n2, next(), next(), d1, d0);
+                let n2 = L::from_u64(next().to_u64() % d1.to_u64());
+                MpnOps::<L>::div_qhat(self, n2, next(), next(), d1, d0);
             }
             other => {
                 return Err(KernelError::Unsupported {
                     kernel: other,
-                    detail: "no register-level 16-bit measurement harness".to_owned(),
+                    detail: format!("no register-level {}-bit measurement harness", L::BITS),
                 })
             }
         }

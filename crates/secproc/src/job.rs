@@ -125,8 +125,10 @@ pub struct JobSpec {
     pub seed: u64,
     /// Software glue cost per modeled call (cycles).
     pub glue_cost: f64,
-    /// Simulation fidelity (measurement jobs are always cycle-accurate;
-    /// `Fast` conflicts with fault injection).
+    /// Simulation fidelity, part of the wire format and the digest.
+    /// Every job measures cycles on the cycle-accurate engine, so it is
+    /// read only to reject `Fast` with a fault campaign (see
+    /// [`JobSpec::into_ctx`]).
     pub fidelity: Fidelity,
     /// Optional fault-injection campaign.
     pub faults: Option<PlanSpec>,
@@ -220,18 +222,29 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns [`Error::JobSpec`] for unresolvable ids and
-    /// [`Error::Conflict`] when the builder rejects the combination
-    /// (e.g. `Fast` fidelity under fault injection).
+    /// [`Error::Conflict`] (code [`codes::FLOW_CONFLICT`]) when `Fast`
+    /// fidelity is combined with a fault campaign: the campaign's
+    /// retries, fault-free fallbacks and quarantine act on cycle
+    /// measurements, which never run on the fast path, so the spec asks
+    /// for something no job does. Clients see this rule as code 5001,
+    /// so it is part of the wire contract.
     pub fn into_ctx<'a>(
         &self,
         config: &'a CpuConfig,
         env: &JobEnv<'a>,
     ) -> Result<FlowCtx<'a>, Error> {
+        if self.fidelity == Fidelity::Fast && self.faults.is_some() {
+            return Err(Error::Conflict {
+                detail: "Fast fidelity cannot host a fault campaign: the campaign's retries, \
+                         fallbacks and quarantine act on cycle measurements, which never run on \
+                         the fast path"
+                    .to_owned(),
+            });
+        }
         let mut b = FlowBuilder::new(config)
             .variant(self.kernel_variant()?)
             .pool(env.pool)
-            .fault_policy(self.policy())
-            .fidelity(self.fidelity);
+            .fault_policy(self.policy());
         if let Some(kc) = env.cache {
             b = b.cache(kc);
         }
@@ -825,6 +838,29 @@ mod tests {
         };
         let err = spec.run(&env).expect_err("cancelled before phase 1");
         assert_eq!(err.code(), codes::PROTO_CANCELLED);
+    }
+
+    #[test]
+    fn fast_fidelity_is_rejected_under_fault_injection() {
+        let pool = Pool::new(1);
+        let env = JobEnv::new(&pool);
+        let spec = |extra: &str| {
+            JobSpec::parse(&format!(
+                r#"{{"kind":"measure","kernels":["mpn_add_n"],"limbs":4{extra}}}"#
+            ))
+            .expect("parses")
+        };
+        let both = spec(r#","fidelity":"fast","faults":"seed=7,rate=200""#);
+        let err = both
+            .run(&env)
+            .expect_err("conflicting spec must be rejected");
+        assert_eq!(err.code(), codes::FLOW_CONFLICT);
+        assert!(err.to_string().contains("Fast fidelity"), "{err}");
+        // Either field alone is fine.
+        for extra in [r#","fidelity":"fast""#, r#","faults":"seed=7,rate=200""#] {
+            let one = spec(extra);
+            assert!(one.run(&env).is_ok(), "{extra}");
+        }
     }
 
     #[test]

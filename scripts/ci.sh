@@ -4,7 +4,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+# The root `wsp` package is a workspace member, so this one run covers
+# its tests too.
 cargo test -q --workspace
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
