@@ -21,9 +21,10 @@
 //! of host noise during one sample cannot fail or pass it alone.
 //!
 //! Exits non-zero on any architectural divergence between the engines,
-//! on any kernel error, or when the measured speedup falls below the
-//! bound. Under `--json` emits a run report carrying the
-//! `verify.fast_path.{sweeps,insns,wall_ms}` metrics and a
+//! on any kernel error, when a call memo saw any cycle-accurate call
+//! (the gate times the plain timing model), or when the measured
+//! speedup falls below the bound. Under `--json` emits a run report
+//! carrying the `verify.fast_path.{sweeps,insns,wall_ms}` metrics and a
 //! `fidelity_summary` envelope field.
 
 use bench::{Cli, Harness};
@@ -180,6 +181,14 @@ fn main() -> ExitCode {
     }
     for e in fast.errors.iter().chain(&accurate.errors) {
         violations.push(format!("kernel error: {e}"));
+    }
+    // The gate times the plain cycle-accurate model: no call may have
+    // consulted a call memo.
+    let memo = accurate.iss.memo_stats();
+    if memo.calls > 0 {
+        violations.push(format!(
+            "the cycle-accurate provider consulted a call memo: {memo:?}"
+        ));
     }
     if min_speedup > 0 && speedup < min_speedup as f64 {
         violations.push(format!(

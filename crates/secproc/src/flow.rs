@@ -1877,6 +1877,12 @@ pub fn explore_single(
 /// errors (divergence, timeout) and — under injection — modexp-level
 /// failures are surfaced as the retryable `Err(Error)`; a fault-free
 /// [`ModExpError`] is a genuine defect and passes through in the value.
+///
+/// A fault-free pass arms the provider's call memo, so repeated
+/// constant-time kernel calls replay at functional speed with every
+/// cycle unchanged. A faulted pass verifies every call and is lost at
+/// its first kernel error, so from then on the provider serves golden
+/// results without simulating.
 fn cosim_once(
     config: &CpuConfig,
     variant: KernelVariant,
@@ -1886,22 +1892,18 @@ fn cosim_once(
     arm: Option<(PlanSpec, u64)>,
     cycle_budget: u64,
 ) -> Result<Result<f64, ModExpError>, Error> {
-    let Workload { m, base, exp } = Workload::new(bits);
     let mut iss = armed(
         IssMpn::with_variant(config.clone(), variant),
         cycle_budget,
         arm,
     );
     iss.set_glue_cost(glue_cost);
-    let mut cache = ExpCache::new();
-    // A full warm-up run, not `prime`: it also warms the simulated I- and
-    // D-caches (and an out-of-order core's predictor), which are part of
-    // the measured state.
-    let run: Result<f64, ModExpError> = (|| {
-        iss.warm_up(|iss| mod_exp(iss, &base, &exp, &m, candidate, &mut cache))?;
-        mod_exp(&mut iss, &base, &exp, &m, candidate, &mut cache)?;
-        Ok(MpnOps::<u32>::cycles(&iss))
-    })();
+    if arm.is_some() {
+        iss.golden_after_error();
+    } else {
+        iss.memoize_calls();
+    }
+    let run = cosim_run(&mut iss, &Workload::new(bits), candidate);
     if let Some(e) = iss.kernel_errors().first() {
         return Err(Error::from(e.clone()));
     }
@@ -1911,6 +1913,24 @@ fn cosim_once(
         Err(e) if arm.is_some() => Err(Error::from(e)),
         Err(e) => Ok(Err(e)),
     }
+}
+
+/// The co-simulated exponentiation of `work` under `candidate`: a
+/// discarded warm-up run, then the timed run. Returns the timed run's
+/// cycles.
+fn cosim_run(
+    iss: &mut IssMpn,
+    work: &Workload,
+    candidate: &ModExpConfig,
+) -> Result<f64, ModExpError> {
+    let Workload { m, base, exp } = work;
+    let mut cache = ExpCache::new();
+    // A full warm-up run, not `prime`: it also warms the simulated I- and
+    // D-caches (and an out-of-order core's predictor), which are part of
+    // the measured state.
+    iss.warm_up(|iss| mod_exp(iss, base, exp, m, candidate, &mut cache))?;
+    mod_exp(iss, base, exp, m, candidate, &mut cache)?;
+    Ok(MpnOps::<u32>::cycles(iss))
 }
 
 /// The shared user-register load/store plumbing as a selection-level
@@ -1960,6 +1980,40 @@ mod tests {
     use super::*;
     use pubkey::ops::opname;
     use xfault::FaultSite;
+
+    /// Co-simulation with the call memo armed equals the plain timing
+    /// model bit for bit — the timed run's cycles and both cores'
+    /// architectural state — for every candidate at 64 and 128 bits.
+    #[test]
+    fn memoized_cosimulation_equals_the_plain_model_for_every_candidate() {
+        let config = CpuConfig::default();
+        let budget = FaultPolicy::default().cycle_budget;
+        let pool = xpar::Pool::new(2);
+        let candidates = ModExpConfig::enumerate();
+        assert_eq!(candidates.len(), 450);
+        let mut replays = 0;
+        for bits in [64, 128] {
+            let work = Workload::new(bits);
+            let runs = pool.par_map(&candidates, |_, candidate| {
+                let run = |memo: bool| {
+                    let base = IssMpn::with_variant(config.clone(), KernelVariant::Base);
+                    let mut iss = armed(base, budget, None);
+                    iss.set_glue_cost(4.0);
+                    if memo {
+                        iss.memoize_calls();
+                    }
+                    let cycles = cosim_run(&mut iss, &work, candidate).expect("co-simulates");
+                    let observed = (cycles.to_bits(), iss.arch_state32(), iss.arch_state16());
+                    (observed, iss.memo_stats())
+                };
+                let ((memo, stats), (plain, _)) = (run(true), run(false));
+                assert_eq!(memo, plain, "{candidate} at {bits} bits");
+                stats.replays
+            });
+            replays += runs.iter().sum::<u64>();
+        }
+        assert!(replays > 0, "the memo served no call");
+    }
 
     fn quick_options() -> CharactOptions {
         CharactOptions {

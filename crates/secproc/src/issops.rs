@@ -28,7 +28,8 @@ use xr32::asm::{assemble, Program};
 use xr32::config::CpuConfig;
 use xr32::cpu::{Cpu, SimError};
 use xr32::ext::ExtensionSet;
-use xr32::Fidelity;
+use xr32::xcore::{CallMemo, MemoStats};
+use xr32::{Fidelity, Reg};
 
 pub use kreg::KernelVariant;
 
@@ -81,6 +82,23 @@ fn library(slot: usize, source: impl FnOnce() -> String) -> Arc<Program> {
     Arc::clone(prog)
 }
 
+/// The public input registers of each [`id::MPN`] kernel, as indices:
+/// its `;! entry` inputs minus `secret=`. Operand pointers are public
+/// (the limbs they point to are secret), and every entry's inputs
+/// include `sp` (14) and `ra` (15). `None` for `div_qhat`, which is
+/// declared `public` and variable-time, so a call memo never serves
+/// it.
+const PUBLIC_INPUTS: [Option<&[u8]>; 8] = [
+    Some(&[0, 1, 2, 3, 14, 15]), // mpn_add_n: rp ap bp n
+    Some(&[0, 1, 2, 3, 14, 15]), // mpn_sub_n: rp ap bp n
+    Some(&[0, 1, 2, 14, 15]),    // mpn_mul_1: rp ap n (b secret)
+    Some(&[0, 1, 2, 14, 15]),    // mpn_addmul_1: rp ap n (b secret)
+    Some(&[0, 1, 2, 14, 15]),    // mpn_submul_1: rp ap n (b secret)
+    Some(&[0, 1, 2, 3, 14, 15]), // mpn_lshift: rp ap n cnt
+    Some(&[0, 1, 2, 3, 14, 15]), // mpn_rshift: rp ap n cnt
+    None,                        // div_qhat
+];
+
 /// One radix side of the provider: its core, its kernel library, and
 /// the library's entry pcs for the [`id::MPN`] kernels, resolved once
 /// (`None` for a kernel the library lacks).
@@ -97,6 +115,25 @@ impl Side {
         side.cpu.set_fuel(u64::MAX);
         side
     }
+
+    /// Attaches a call memo declaring every constant-time kernel of
+    /// the library with its public inputs.
+    fn memoize(&mut self) {
+        let mut memo = CallMemo::new();
+        for (entry, public) in self.entries.iter().zip(PUBLIC_INPUTS) {
+            if let (Some(entry), Some(public)) = (entry, public) {
+                let public: Vec<Reg> = public.iter().map(|&r| Reg::new(r)).collect();
+                memo.declare(&self.prog, *entry, &public);
+            }
+        }
+        self.cpu.set_call_memo(Some(memo));
+    }
+
+    fn memo_stats(&self) -> MemoStats {
+        self.cpu
+            .call_memo()
+            .map_or_else(MemoStats::default, CallMemo::stats)
+    }
 }
 
 /// ISS-backed [`MpnOps`] provider (32-bit and 16-bit radix sides).
@@ -107,6 +144,9 @@ pub struct IssMpn {
     counts: CallCounts,
     glue_cost: f64,
     verify: bool,
+    /// Serve every call by its golden reference once a kernel error is
+    /// recorded (see [`IssMpn::golden_after_error`]).
+    golden_after_error: bool,
     errors: Vec<KernelError>,
     sink: Option<Box<dyn TraceSink>>,
     fidelity: Fidelity,
@@ -182,6 +222,7 @@ impl IssMpn {
             counts: CallCounts::default(),
             glue_cost: 4.0,
             verify: true,
+            golden_after_error: false,
             errors: Vec::new(),
             sink: None,
             fidelity: Fidelity::CycleAccurate,
@@ -207,6 +248,46 @@ impl IssMpn {
         self.cycles = cycles;
         self.counts = counts;
         out
+    }
+
+    /// Attaches a call memo to both radix cores: a timed or warm-up call
+    /// of a constant-time kernel whose public inputs were seen before
+    /// replays the in-order model's recorded cost on the functional
+    /// executor, with every cycle, cache statistic and later hit or
+    /// miss unchanged (see [`xr32::xcore::memo`]). The memo declines
+    /// calls on an out-of-order core, with a trace sink attached or a
+    /// fault plan armed, and never serves `div_qhat`. Co-simulation
+    /// arms it; every other user keeps the plain timing model.
+    pub(crate) fn memoize_calls(&mut self) {
+        self.s32.memoize();
+        self.s16.memoize();
+    }
+
+    /// How often the two radix cores' call memos were consulted and
+    /// replayed (all zero unless co-simulation armed them).
+    pub fn memo_stats(&self) -> MemoStats {
+        let (a, b) = (self.s32.memo_stats(), self.s16.memo_stats());
+        MemoStats {
+            calls: a.calls + b.calls,
+            replays: a.replays + b.replays,
+            replayed_insns: a.replayed_insns + b.replayed_insns,
+        }
+    }
+
+    /// Makes the first recorded kernel error end the simulation: the
+    /// failing call returns its golden result, and every later call is
+    /// served by its golden reference without simulating. For a
+    /// verifying provider whose run is lost at its first error (a
+    /// faulted co-simulation attempt): the arithmetic above the kernels
+    /// never sees a corrupted result, and no later call can burn the
+    /// watchdog budget.
+    pub(crate) fn golden_after_error(&mut self) {
+        self.golden_after_error = true;
+    }
+
+    /// Whether calls are served by their golden references.
+    fn lost(&self) -> bool {
+        self.golden_after_error && !self.errors.is_empty()
     }
 
     /// Selects the execution engine for both radix cores. The default
@@ -563,6 +644,9 @@ impl IssMpn {
     ) -> bool {
         self.counts.bump(slot);
         let n = a.len();
+        if self.lost() {
+            return golden()(&mut r[..n], a, b);
+        }
         let cpu = self.cpu::<L>();
         write_limbs(cpu, AP_ADDR, a);
         write_limbs(cpu, BP_ADDR, b);
@@ -573,6 +657,10 @@ impl IssMpn {
             let ec = golden()(&mut expect, a, b);
             if r[..n] != expect[..] || carry != ec {
                 self.diverge(id::MPN[slot], format!("n={n}"));
+            }
+            if self.lost() {
+                r[..n].copy_from_slice(&expect);
+                return ec;
             }
         }
         carry
@@ -591,6 +679,9 @@ impl IssMpn {
     ) -> L {
         self.counts.bump(slot);
         let n = a.len();
+        if self.lost() {
+            return golden()(&mut r[..n], a, b);
+        }
         let accumulates = slot != slot::MUL_1;
         let expect = self.verify.then(|| {
             let mut expect = if accumulates {
@@ -613,6 +704,10 @@ impl IssMpn {
             if r[..n] != expect[..] || carry != ec {
                 self.diverge(id::MPN[slot], format!("n={n}"));
             }
+            if self.lost() {
+                r[..n].copy_from_slice(&expect);
+                return ec;
+            }
         }
         carry
     }
@@ -629,6 +724,9 @@ impl IssMpn {
     ) -> L {
         self.counts.bump(slot);
         let n = a.len();
+        if self.lost() {
+            return golden()(&mut r[..n], a, cnt);
+        }
         write_limbs(self.cpu::<L>(), AP_ADDR, a);
         let args = [RP_ADDR, AP_ADDR, n as u32, cnt];
         let out_bits = L::from_u64(self.call::<L>(slot, &args) as u64);
@@ -638,6 +736,10 @@ impl IssMpn {
             let eo = golden()(&mut expect, a, cnt);
             if r[..n] != expect[..] || out_bits != eo {
                 self.diverge(id::MPN[slot], format!("n={n} cnt={cnt}"));
+            }
+            if self.lost() {
+                r[..n].copy_from_slice(&expect);
+                return eo;
             }
         }
         out_bits
@@ -650,6 +752,9 @@ impl IssMpn {
         [n2, n1, n0, d1, d0]: [L; 5],
     ) -> L {
         self.counts.bump(slot::DIV_QHAT);
+        if self.lost() {
+            return golden()(n2, n1, n0, d1, d0);
+        }
         let args = [n2, n1, n0, d1, d0].map(|l| l.to_u64() as u32);
         let q = L::from_u64(self.call::<L>(slot::DIV_QHAT, &args) as u64);
         if self.verify {
@@ -659,6 +764,9 @@ impl IssMpn {
                     id::DIV_QHAT,
                     format!("got {} expected {}", q.to_u64(), expect.to_u64()),
                 );
+            }
+            if self.lost() {
+                return expect;
             }
         }
         q
@@ -1107,6 +1215,121 @@ mod tests {
                 if *kernel == id::MUL_1 && detail.contains("undefined entry label \"mpn_mul_1\"")),
             "got {err}"
         );
+    }
+
+    /// The `;! entry` annotation of `kernel` in `src` and the source
+    /// lines up to the next entry.
+    fn entry_section(src: &str, kernel: KernelId) -> Vec<&str> {
+        let head = format!(";! entry {} ", kernel.name());
+        let mut lines = src.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines.next().expect("annotated entry");
+        std::iter::once(first)
+            .chain(lines.take_while(|l| !l.starts_with(";! entry ")))
+            .collect()
+    }
+
+    #[test]
+    fn memoized_kernels_key_on_their_linted_public_inputs() {
+        for variant in KernelVariant::ALL {
+            let mut iss = IssMpn::with_variant(CpuConfig::default(), variant);
+            iss.memoize_calls();
+            let src32 = match variant {
+                KernelVariant::Base => kmpn::base32_source(),
+                KernelVariant::Accelerated {
+                    add_lanes,
+                    mac_lanes,
+                } => kmpn::accel32_source(add_lanes, mac_lanes),
+            };
+            let src16 = kmpn::base16_source();
+            for (side, src) in [(&iss.s32, &src32), (&iss.s16, &src16)] {
+                let spec = xlint::SecretSpec::from_source(src).unwrap();
+                let report = xlint::analyze_source(src).unwrap();
+                assert!(report.is_clean(), "{variant:?}: {:?}", report.findings());
+                let memo = side.cpu.call_memo().expect("memo attached");
+                for (kernel, entry) in id::MPN.into_iter().zip(side.entries) {
+                    let entry = entry.expect("every mpn kernel is in the library");
+                    let public = memo.public_inputs(&side.prog, entry);
+                    if kernel == id::DIV_QHAT {
+                        assert_eq!(public, None, "{variant:?}: div_qhat is variable-time");
+                        continue;
+                    }
+                    let annotated = spec
+                        .entries()
+                        .iter()
+                        .find(|e| e.label == kernel.name())
+                        .expect("annotated entry");
+                    let expect: Vec<Reg> = (0..16)
+                        .map(Reg::new)
+                        .filter(|&r| annotated.inputs.contains(r) && !annotated.secret.contains(r))
+                        .collect();
+                    assert_eq!(public, Some(expect), "{variant:?} {kernel}");
+                    let section = entry_section(src, kernel);
+                    assert!(
+                        section.iter().all(|l| !l.contains("allow(")),
+                        "{variant:?} {kernel}: a memoized entry carries an allow waiver"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn measurement_providers_never_take_the_memo_path() {
+        let mut iss = IssMpn::base(CpuConfig::default());
+        for _ in 0..3 {
+            iss.measure32(id::ADD_N, 8, 5).unwrap();
+            iss.measure16(id::LSHIFT, 8, 5).unwrap();
+            iss.verify32(id::MUL_1, 8, 5).unwrap();
+            let _ = iss.warm_up(|iss| iss.measure32(id::SUB_N, 8, 5));
+        }
+        assert_eq!(iss.memo_stats(), MemoStats::default());
+        assert!(iss.s32.cpu.call_memo().is_none() && iss.s16.cpu.call_memo().is_none());
+    }
+
+    #[test]
+    fn a_memoized_provider_replays_repeated_keys_with_unchanged_cycles() {
+        let mut plain = IssMpn::base(CpuConfig::default());
+        let mut memo = IssMpn::base(CpuConfig::default());
+        memo.memoize_calls();
+        for seed in 0..4 {
+            for kernel in id::MPN {
+                let a = plain.measure32(kernel, 8, seed).unwrap();
+                assert_eq!(memo.measure32(kernel, 8, seed).unwrap(), a, "{kernel}");
+                let a = plain.measure16(kernel, 8, seed).unwrap();
+                assert_eq!(memo.measure16(kernel, 8, seed).unwrap(), a, "{kernel}");
+            }
+        }
+        assert_eq!(memo.arch_state32(), plain.arch_state32());
+        assert_eq!(memo.arch_state16(), plain.arch_state16());
+        let stats = memo.memo_stats();
+        assert!(stats.replays > 0, "{stats:?}");
+        // Two radices × seven constant-time kernels × four seeds.
+        assert_eq!(stats.calls, 2 * 7 * 4);
+    }
+
+    #[test]
+    fn a_lost_provider_serves_golden_results_without_simulating() {
+        let mut iss = IssMpn::base(CpuConfig::default());
+        iss.golden_after_error();
+        iss.set_fault_plan(
+            PlanSpec::new(7, 1_000_000, &[xfault::FaultSite::DataMem]),
+            0,
+        );
+        let (a, b) = ([5u32, 6, 7], [1u32, 2, 3]);
+        let mut r = [0u32; 3];
+        MpnOps::<u32>::add_n(&mut iss, &mut r, &a, &b);
+        assert_eq!(r, [6, 8, 10], "the failing call returns its golden result");
+        assert_eq!(iss.kernel_errors().len(), 1);
+        let retired = iss.arch_state32().retired;
+        let carry = MpnOps::<u32>::addmul_1(&mut iss, &mut r, &a, 2);
+        assert_eq!((r, carry), ([16, 20, 24], 0));
+        let q = MpnOps::<u32>::div_qhat(&mut iss, 1, 0, 0, 0x8000_0000, 0);
+        assert_eq!(q, 2);
+        let out = MpnOps::<u32>::lshift(&mut iss, &mut r, &a, 1);
+        assert_eq!((r, out), ([10, 12, 14], 0));
+        assert_eq!(iss.arch_state32().retired, retired, "nothing simulated");
+        assert_eq!(iss.kernel_errors().len(), 1, "no further errors");
+        assert_eq!(MpnOps::<u32>::call_count(&iss, id::ADDMUL_1), 1);
     }
 
     #[test]

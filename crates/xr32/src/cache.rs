@@ -147,12 +147,19 @@ impl Cache {
 
     /// The ways of the set holding line address `line`.
     fn set_of(&mut self, line: u64) -> &mut [Line] {
+        let range = self.set_range(line);
+        &mut self.lines[range]
+    }
+
+    /// The index range in `lines` of the set holding line address
+    /// `line`.
+    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
         let set = match self.set_mask {
             Some(mask) => line & mask,
             None => line % self.sets,
         } as usize;
         let ways = self.config.ways;
-        &mut self.lines[set * ways..(set + 1) * ways]
+        set * ways..(set + 1) * ways
     }
 
     /// Performs one access; returns `true` on hit. A miss fills the line
@@ -194,6 +201,60 @@ impl Cache {
             return true;
         }
         self.access(addr)
+    }
+
+    /// Whether line address `line` is resident.
+    pub(crate) fn holds(&self, line: u64) -> bool {
+        self.lines[self.set_range(line)]
+            .iter()
+            .any(|w| w.tag == line)
+    }
+
+    /// Makes resident line address `line` the most recently used of its
+    /// set, as a hit on it would, without counting an access.
+    pub(crate) fn touch(&mut self, line: u64) {
+        if line == self.last {
+            return;
+        }
+        self.last = line;
+        self.tick += 1;
+        let tick = self.tick;
+        let way = self.set_of(line).iter_mut().find(|w| w.tag == line);
+        way.expect("touched lines are resident").lru = tick;
+    }
+
+    /// The LRU clock: ticked by every access that does not repeat the
+    /// previous access's line.
+    pub(crate) fn clock(&self) -> u64 {
+        self.tick
+    }
+
+    /// Forgets the previous access's line, so that the next access
+    /// ticks the clock even if it repeats that line. No hit, miss or
+    /// victim choice changes: that line is already the most recently
+    /// used of its set.
+    pub(crate) fn forget_last(&mut self) {
+        self.last = INVALID;
+    }
+
+    /// The resident lines accessed since the clock read `since`, least
+    /// recently used first. Exact when the previous line was forgotten
+    /// at `since` ([`Cache::forget_last`]), so that every access since
+    /// ticked.
+    pub(crate) fn used_since(&self, since: u64) -> Box<[u64]> {
+        let mut used: Vec<Line> = self
+            .lines
+            .iter()
+            .filter(|w| w.tag != INVALID && w.lru > since)
+            .copied()
+            .collect();
+        used.sort_unstable_by_key(|w| w.lru);
+        used.iter().map(|w| w.tag).collect()
+    }
+
+    /// Counts `hits` accesses that hit, without modeling them.
+    pub(crate) fn add_hits(&mut self, hits: u64) {
+        self.stats.hits += hits;
     }
 
     /// Invalidates the line holding `addr`, if resident, and returns

@@ -17,6 +17,10 @@
 //!   no cycles;
 //! - no model at all under [`Fidelity::Fast`].
 //!
+//! A core with a [`CallMemo`] attached ([`Cpu::set_call_memo`]) replays
+//! the in-order model's cost of known constant-time kernel calls on the
+//! functional executor instead ([`crate::xcore::memo`]).
+//!
 //! The architectural state after a run is therefore bit-identical
 //! across core models and fidelities; only cycle accounting differs.
 
@@ -26,7 +30,8 @@ use crate::config::CpuConfig;
 use crate::ext::{CustomInsnError, ExtensionSet, UserRegFile};
 use crate::isa::Reg;
 use crate::mem::{AccessError, Memory};
-use crate::xcore::{self, CoreSpec, InOrderCore, OooCore, Timing, Tracer, WarmCore};
+use crate::xcore::memo::MemoCall;
+use crate::xcore::{self, CallMemo, CoreSpec, InOrderCore, OooCore, Timing, Tracer, WarmCore};
 use crate::xjit::{self, Arch, FastProgram, Fidelity, Untimed};
 use std::fmt;
 use xfault::FaultPlan;
@@ -169,6 +174,8 @@ pub struct Cpu {
     /// per-core: the configuration and extension set are fixed at
     /// construction.
     decoded: Vec<(u64, FastProgram)>,
+    /// The call memo serving [`Cpu::call_at`], if attached.
+    memo: Option<CallMemo>,
 }
 
 impl fmt::Debug for Cpu {
@@ -208,6 +215,7 @@ impl Cpu {
             warm_up: false,
             retired: 0,
             decoded: Vec::new(),
+            memo: None,
             config,
         }
     }
@@ -307,6 +315,31 @@ impl Cpu {
         self.warm_up = warm_up;
     }
 
+    /// Attaches (or, with `None`, detaches) a call memo. While one is
+    /// attached, a [`Cpu::call_at`] call of one of its declared entries
+    /// on a cycle-accurate in-order core, with no trace sink and no
+    /// fault plan, is replayed from the memo when its key is known and
+    /// its footprint resident, and recorded otherwise: every cycle,
+    /// cache statistic and later hit or miss is the plain model's (see
+    /// [`crate::xcore::memo`]). Other runs ignore the memo.
+    pub fn set_call_memo(&mut self, memo: Option<CallMemo>) {
+        self.memo = memo;
+    }
+
+    /// The attached call memo, if any.
+    pub fn call_memo(&self) -> Option<&CallMemo> {
+        self.memo.as_ref()
+    }
+
+    /// Whether every register's result is ready by the clock.
+    #[cfg(test)]
+    pub(crate) fn settled(&self) -> bool {
+        self.timing
+            .reg_ready
+            .iter()
+            .all(|&r| r <= self.timing.cycles)
+    }
+
     /// Instructions retired across all runs on this core (both
     /// engines), part of the architectural state compared by the
     /// dual-fidelity co-simulation checks. Not cleared by
@@ -395,7 +428,7 @@ impl Cpu {
         sink: Option<&mut (dyn TraceSink + '_)>,
     ) -> Result<RunSummary, SimError> {
         let entry_name = program.label_at(entry).unwrap_or("<entry>").to_owned();
-        self.execute(program, entry, &entry_name, sink)
+        self.execute(program, entry, &entry_name, sink, false)
     }
 
     /// Calls a labeled routine: loads `args` into `a0…`, runs until the
@@ -469,15 +502,19 @@ impl Cpu {
         assert!(args.len() <= 6, "at most 6 register arguments (a0-a5)");
         self.arch.regs[..args.len()].copy_from_slice(args);
         self.arch.regs[Reg::RA.index()] = RETURN_SENTINEL;
-        self.execute(program, entry, name, sink)
+        self.execute(program, entry, name, sink, true)
     }
 
+    /// Runs `program` from `entry`. `call` marks a [`Cpu::call_at`]
+    /// call, which returns to [`RETURN_SENTINEL`] and may be served by
+    /// the call memo.
     fn execute(
         &mut self,
         program: &Program,
         entry: usize,
         entry_name: &str,
         sink: Option<&mut (dyn TraceSink + '_)>,
+        call: bool,
     ) -> Result<RunSummary, SimError> {
         let fp = program.fingerprint();
         let ix = match self.decoded.iter().position(|(key, _)| *key == fp) {
@@ -495,14 +532,33 @@ impl Cpu {
             && xcore::warm_only_exact(&self.config);
         let start = self.timing.cycles;
         let (icache, dcache) = (self.timing.icache.stats(), self.timing.dcache.stats());
+        let memoizable = call
+            && sink.is_none()
+            && self.fault.is_none()
+            && self.fidelity == Fidelity::CycleAccurate
+            && self.config.core == CoreSpec::InOrder;
+        let served = match self.memo.as_mut() {
+            Some(memo) if memoizable => memo.call(MemoCall {
+                program,
+                prog,
+                entry,
+                arch: &mut self.arch,
+                fuel: self.fuel,
+                timing: &mut self.timing,
+                config: &self.config,
+                charge: !warm_only,
+            }),
+            _ => None,
+        };
         let (arch, fuel, fault) = (&mut self.arch, self.fuel, self.fault.as_mut());
-        let classes = match (self.fidelity, self.config.core) {
-            (Fidelity::Fast, _) => xjit::run(prog, entry, arch, fuel, fault, Untimed),
-            (Fidelity::CycleAccurate, _) if warm_only => {
+        let classes = match (served, self.fidelity, self.config.core) {
+            (Some(out), _, _) => out,
+            (None, Fidelity::Fast, _) => xjit::run(prog, entry, arch, fuel, fault, Untimed),
+            (None, Fidelity::CycleAccurate, _) if warm_only => {
                 let model = WarmCore::new(&mut self.timing, &self.config);
                 xjit::run(prog, entry, arch, fuel, fault, model)
             }
-            (Fidelity::CycleAccurate, core) => {
+            (None, Fidelity::CycleAccurate, core) => {
                 let trace = Tracer::new(sink, program, entry, entry_name, start);
                 let (timing, config) = (&mut self.timing, &self.config);
                 match core {

@@ -18,7 +18,9 @@
 //!   2-bit branch predictor, all width-parameterized by [`OooParams`]).
 //!
 //! A third, warm-only model serves discarded warm-up runs: it makes the
-//! core's cache and predictor updates and charges nothing.
+//! core's cache and predictor updates and charges nothing. A call memo
+//! ([`memo`]) lets the in-order core replay a known constant-time
+//! kernel call on the functional executor and apply its recorded cost.
 //!
 //! Because both observe the same executor, the architectural state
 //! after a run is bit-identical across core models and the fast path
@@ -37,9 +39,11 @@
 //! layers above.
 
 pub mod inorder;
+pub mod memo;
 pub mod ooo;
 
 pub(crate) use inorder::InOrderCore;
+pub use memo::{CallMemo, MemoStats};
 pub(crate) use ooo::OooCore;
 pub use ooo::OooParams;
 
