@@ -25,7 +25,8 @@
 //! (the gate times the plain timing model), or when the measured
 //! speedup falls below the bound. Under `--json` emits a run report
 //! carrying the `verify.fast_path.{sweeps,insns,wall_ms}` metrics and a
-//! `fidelity_summary` envelope field.
+//! `fidelity_summary` envelope field, whose accurate side carries the
+//! call-memo tallies (`memo_calls`, `tabled`; both zero on a pass).
 
 use bench::{Cli, Harness};
 use kreg::LibKind;
@@ -183,7 +184,7 @@ fn main() -> ExitCode {
         violations.push(format!("kernel error: {e}"));
     }
     // The gate times the plain cycle-accurate model: no call may have
-    // consulted a call memo.
+    // consulted a call memo, keyed or cost-tabled.
     let memo = accurate.iss.memo_stats();
     if memo.calls > 0 {
         violations.push(format!(
@@ -231,7 +232,9 @@ fn main() -> ExitCode {
                         "accurate",
                         Json::obj()
                             .set("sweeps", accurate.sweeps)
-                            .set("insns", accurate.insns),
+                            .set("insns", accurate.insns)
+                            .set("memo_calls", memo.calls)
+                            .set("tabled", memo.tabled),
                     ),
             )
             .with_metrics(metrics.snapshot());

@@ -12,8 +12,8 @@
 //!   algorithm design space.
 //! - [`Natural`] / [`Integer`]: the *complex operations* layer — arbitrary
 //!   precision unsigned/signed integers with full arithmetic.
-//! - [`monty`], [`barrett`], [`karatsuba`], [`prime`], [`gcd`]: modular
-//!   reduction strategies, sub-quadratic multiplication and number-theoretic
+//! - [`monty`], [`karatsuba`], [`prime`], [`gcd`]: Montgomery modular
+//!   reduction, sub-quadratic multiplication and number-theoretic
 //!   routines used by RSA/ElGamal.
 //!
 //! # Examples
@@ -30,7 +30,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod barrett;
 pub mod gcd;
 pub mod int;
 pub mod karatsuba;
@@ -40,7 +39,6 @@ pub mod mpn;
 pub mod nat;
 pub mod prime;
 
-pub use barrett::BarrettCtx;
 pub use int::Integer;
 pub use limb::Limb;
 pub use monty::MontyCtx;

@@ -1980,23 +1980,24 @@ mod tests {
     use super::*;
     use pubkey::ops::opname;
     use xfault::FaultSite;
+    use xr32::xcore::MemoStats;
 
-    /// Co-simulation with the call memo armed equals the plain timing
-    /// model bit for bit — the timed run's cycles and both cores'
-    /// architectural state — for every candidate at 64 and 128 bits.
-    #[test]
-    fn memoized_cosimulation_equals_the_plain_model_for_every_candidate() {
+    /// Co-simulates every candidate on `variant`'s kernels at each of
+    /// `bits` with the call memo armed and without, and checks they
+    /// agree bit for bit: the timed run's cycles and both cores'
+    /// architectural state. Returns the memo's summed statistics.
+    fn memo_equals_plain(variant: KernelVariant, bits: &[usize]) -> MemoStats {
         let config = CpuConfig::default();
         let budget = FaultPolicy::default().cycle_budget;
         let pool = xpar::Pool::new(2);
         let candidates = ModExpConfig::enumerate();
         assert_eq!(candidates.len(), 450);
-        let mut replays = 0;
-        for bits in [64, 128] {
+        let mut total = MemoStats::default();
+        for &bits in bits {
             let work = Workload::new(bits);
             let runs = pool.par_map(&candidates, |_, candidate| {
                 let run = |memo: bool| {
-                    let base = IssMpn::with_variant(config.clone(), KernelVariant::Base);
+                    let base = IssMpn::with_variant(config.clone(), variant);
                     let mut iss = armed(base, budget, None);
                     iss.set_glue_cost(4.0);
                     if memo {
@@ -2007,12 +2008,35 @@ mod tests {
                     (observed, iss.memo_stats())
                 };
                 let ((memo, stats), (plain, _)) = (run(true), run(false));
-                assert_eq!(memo, plain, "{candidate} at {bits} bits");
-                stats.replays
+                assert_eq!(memo, plain, "{candidate} on {variant:?} at {bits} bits");
+                stats
             });
-            replays += runs.iter().sum::<u64>();
+            for s in runs {
+                total.calls += s.calls;
+                total.replays += s.replays;
+                total.tabled += s.tabled;
+            }
         }
-        assert!(replays > 0, "the memo served no call");
+        total
+    }
+
+    #[test]
+    fn memoized_cosimulation_equals_the_plain_model_for_every_candidate() {
+        let stats = memo_equals_plain(KernelVariant::Base, &[64, 128]);
+        assert!(stats.replays > 0, "the memo replayed no call: {stats:?}");
+        assert!(stats.tabled > 0, "the memo tabled no call: {stats:?}");
+    }
+
+    /// The same on an accelerated library, whose `div_qhat` sits at
+    /// other pcs and I-lines.
+    #[test]
+    fn memoized_accelerated_cosimulation_equals_the_plain_model() {
+        let variant = KernelVariant::Accelerated {
+            add_lanes: 4,
+            mac_lanes: 2,
+        };
+        let stats = memo_equals_plain(variant, &[64]);
+        assert!(stats.replays > 0 && stats.tabled > 0, "{stats:?}");
     }
 
     fn quick_options() -> CharactOptions {

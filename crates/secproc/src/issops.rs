@@ -86,8 +86,9 @@ fn library(slot: usize, source: impl FnOnce() -> String) -> Arc<Program> {
 /// its `;! entry` inputs minus `secret=`. Operand pointers are public
 /// (the limbs they point to are secret), and every entry's inputs
 /// include `sp` (14) and `ra` (15). `None` for `div_qhat`, which is
-/// declared `public` and variable-time, so a call memo never serves
-/// it.
+/// declared `public` and variable-time: its path depends on all five
+/// inputs, so a call memo times it from a cost table instead
+/// ([`CallMemo::declare_register_only`]).
 const PUBLIC_INPUTS: [Option<&[u8]>; 8] = [
     Some(&[0, 1, 2, 3, 14, 15]), // mpn_add_n: rp ap bp n
     Some(&[0, 1, 2, 3, 14, 15]), // mpn_sub_n: rp ap bp n
@@ -117,13 +118,18 @@ impl Side {
     }
 
     /// Attaches a call memo declaring every constant-time kernel of
-    /// the library with its public inputs.
+    /// the library with its public inputs, and `div_qhat`
+    /// register-only.
     fn memoize(&mut self) {
         let mut memo = CallMemo::new();
-        for (entry, public) in self.entries.iter().zip(PUBLIC_INPUTS) {
-            if let (Some(entry), Some(public)) = (entry, public) {
-                let public: Vec<Reg> = public.iter().map(|&r| Reg::new(r)).collect();
-                memo.declare(&self.prog, *entry, &public);
+        for (&entry, public) in self.entries.iter().zip(PUBLIC_INPUTS) {
+            match (entry, public) {
+                (Some(entry), Some(public)) => {
+                    let public: Vec<Reg> = public.iter().map(|&r| Reg::new(r)).collect();
+                    memo.declare(&self.prog, entry, &public);
+                }
+                (Some(entry), None) => memo.declare_register_only(&self.prog, entry),
+                (None, _) => {}
             }
         }
         self.cpu.set_call_memo(Some(memo));
@@ -254,23 +260,27 @@ impl IssMpn {
     /// of a constant-time kernel whose public inputs were seen before
     /// replays the in-order model's recorded cost on the functional
     /// executor, with every cycle, cache statistic and later hit or
-    /// miss unchanged (see [`xr32::xcore::memo`]). The memo declines
+    /// miss unchanged (see [`xr32::xcore::memo`]). A `div_qhat` call
+    /// is timed from a cost table proven for the core's configuration
+    /// on its first call, where the proof holds. The memo declines
     /// calls on an out-of-order core, with a trace sink attached or a
-    /// fault plan armed, and never serves `div_qhat`. Co-simulation
-    /// arms it; every other user keeps the plain timing model.
+    /// fault plan armed. Co-simulation arms it; every other user keeps
+    /// the plain timing model.
     pub(crate) fn memoize_calls(&mut self) {
         self.s32.memoize();
         self.s16.memoize();
     }
 
-    /// How often the two radix cores' call memos were consulted and
-    /// replayed (all zero unless co-simulation armed them).
+    /// How often the two radix cores' call memos were consulted,
+    /// replayed and tabled (all zero unless co-simulation armed them).
     pub fn memo_stats(&self) -> MemoStats {
         let (a, b) = (self.s32.memo_stats(), self.s16.memo_stats());
         MemoStats {
             calls: a.calls + b.calls,
             replays: a.replays + b.replays,
             replayed_insns: a.replayed_insns + b.replayed_insns,
+            tabled: a.tabled + b.tabled,
+            tabled_insns: a.tabled_insns + b.tabled_insns,
         }
     }
 
@@ -898,6 +908,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use xr32::xcore::memo;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(0x155)
@@ -1250,7 +1261,13 @@ mod tests {
                     let entry = entry.expect("every mpn kernel is in the library");
                     let public = memo.public_inputs(&side.prog, entry);
                     if kernel == id::DIV_QHAT {
-                        assert_eq!(public, None, "{variant:?}: div_qhat is variable-time");
+                        // Variable-time, so not keyed: a cost table times it.
+                        assert_eq!(public, None, "{variant:?}: div_qhat is keyed");
+                        let config = side.cpu.config();
+                        assert!(
+                            memo::cost_table_proves(&side.prog, entry, config),
+                            "{variant:?}: div_qhat is cost-tabled"
+                        );
                         continue;
                     }
                     let annotated = spec
@@ -1303,8 +1320,12 @@ mod tests {
         assert_eq!(memo.arch_state16(), plain.arch_state16());
         let stats = memo.memo_stats();
         assert!(stats.replays > 0, "{stats:?}");
-        // Two radices × seven constant-time kernels × four seeds.
-        assert_eq!(stats.calls, 2 * 7 * 4);
+        // Two radices × seven constant-time kernels and `div_qhat` ×
+        // four seeds; the first `div_qhat` call on each core runs the
+        // plain model, which fills its I-lines.
+        assert_eq!(stats.calls, 2 * 8 * 4);
+        assert_eq!(stats.tabled, 2 * 3, "{stats:?}");
+        assert!(stats.tabled_insns > 300 * stats.tabled, "{stats:?}");
     }
 
     #[test]

@@ -110,7 +110,9 @@ impl Cfg {
                 start = pc;
             }
         }
-        if n > 0 {
+        // (A branch to a label past the last instruction makes `n` a
+        // leader, which starts no block.)
+        if start < n {
             blocks.push(BasicBlock {
                 start,
                 end: n,
@@ -192,7 +194,7 @@ impl Cfg {
                 }
             }
             _ => {
-                if let Some(t) = insn.branch_target() {
+                if let Some(t) = insn.branch_target().filter(|&t| t < self.insn_count) {
                     out.push(t);
                 }
                 if insn.falls_through() && pc + 1 < self.insn_count {

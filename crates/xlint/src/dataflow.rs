@@ -228,6 +228,9 @@ impl MustDefined {
         }
         let mut work = vec![entry];
         while let Some(pc) = work.pop() {
+            if pc >= n {
+                continue; // an entry label past the last instruction
+            }
             let mut out = in_defined[pc];
             let (_, writes_c) = carry_effect(&insns[pc], spec);
             for d in insn_dests(&insns[pc], spec) {

@@ -214,6 +214,9 @@ pub(crate) fn check_stack_discipline(
     entry_pc: usize,
 ) {
     let insns = program.insns();
+    if entry_pc >= insns.len() {
+        return; // an entry label past the last instruction runs nothing
+    }
 
     // Forward sp-delta propagation.
     let mut delta_in = vec![SpDelta::Unvisited; insns.len()];

@@ -175,6 +175,9 @@ fn check_entry(
     entry_pc: usize,
 ) {
     let insns = program.insns();
+    if entry_pc >= insns.len() {
+        return; // an entry label past the last instruction runs nothing
+    }
     let mut mem = MemTaint {
         ranges: spec.secret_mem().iter().map(|r| (r.base, r.len)).collect(),
         slots: BTreeSet::new(),

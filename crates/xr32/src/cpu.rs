@@ -17,9 +17,10 @@
 //!   no cycles;
 //! - no model at all under [`Fidelity::Fast`].
 //!
-//! A core with a [`CallMemo`] attached ([`Cpu::set_call_memo`]) replays
-//! the in-order model's cost of known constant-time kernel calls on the
-//! functional executor instead ([`crate::xcore::memo`]).
+//! A core with a [`CallMemo`] attached ([`Cpu::set_call_memo`]) runs
+//! known constant-time kernel calls and proven register-only ones on
+//! the functional executor instead, and applies the in-order model's
+//! cost of each ([`crate::xcore::memo`]).
 //!
 //! The architectural state after a run is therefore bit-identical
 //! across core models and fidelities; only cycle accounting differs.
@@ -319,9 +320,11 @@ impl Cpu {
     /// attached, a [`Cpu::call_at`] call of one of its declared entries
     /// on a cycle-accurate in-order core, with no trace sink and no
     /// fault plan, is replayed from the memo when its key is known and
-    /// its footprint resident, and recorded otherwise: every cycle,
-    /// cache statistic and later hit or miss is the plain model's (see
-    /// [`crate::xcore::memo`]). Other runs ignore the memo.
+    /// its footprint resident, and recorded otherwise; a call of a
+    /// register-only entry is timed from its proven cost table when its
+    /// code is resident. Every cycle, cache statistic and later hit or
+    /// miss is the plain model's (see [`crate::xcore::memo`]). Other
+    /// runs ignore the memo.
     pub fn set_call_memo(&mut self, memo: Option<CallMemo>) {
         self.memo = memo;
     }

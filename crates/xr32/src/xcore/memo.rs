@@ -1,5 +1,12 @@
-//! The call memo: constant-time kernel calls replayed at functional
-//! speed on the in-order core.
+//! The call memo: constant-time and register-only kernel calls at
+//! functional speed on the in-order core.
+//!
+//! A memo serves two kinds of declared entry. Both run the call on the
+//! functional executor without the in-order timing model and then apply
+//! exactly the effects the model would have had; a call that cannot be
+//! served that way runs the plain model.
+//!
+//! # Keyed entries
 //!
 //! A constant-time kernel never branches or forms an address from its
 //! secret operands (the property `xlint`'s taint checker proves for the
@@ -8,7 +15,7 @@
 //! pipeline — is a function of the program, the entry pc and the
 //! values of the call's *public* input registers. The memo keys on
 //! exactly those. Which registers are public is declared per entry
-//! ([`CallMemo::declare`]); an undeclared entry is never memoized.
+//! ([`CallMemo::declare`]).
 //!
 //! **Record.** The first call with a key runs the plain timed in-order
 //! model. The record keeps the call's cycles, the distinct lines of
@@ -32,15 +39,51 @@
 //! are re-touched in last-touch order and the written registers' ready
 //! times are set. Otherwise the plain timed model runs.
 //!
-//! **Why the re-touch is exact.** The caches are LRU. After a stream of
-//! hits, no line was filled or evicted, and the recency order within
-//! each set is fixed by the order of each line's *last* access alone.
-//! Re-touching the distinct lines in last-touch order gives them fresh
-//! stamps in that order, newer than every untouched line, so every
-//! later victim choice, hit and miss is the timed run's. The absolute
-//! LRU stamps and the tick counter differ (fewer ticks), and nothing
-//! reads them except victim selection, which compares stamps within a
-//! set.
+//! # Register-only entries: the cost table
+//!
+//! A routine that reaches no load, store, custom op, `call`, `jr`,
+//! `halt` or failing op from its entry, and writes no `ra`, touches only
+//! registers ([`CallMemo::declare_register_only`]). Its path may depend
+//! on any input (`div_qhat`'s does), so no key would be small; instead
+//! the memo proves once per core that every op costs a constant.
+//!
+//! **The proof.** On the first call a walk over the routine's control
+//! flow graph drives the real in-order model (`InOrderCore::retire`)
+//! on the records the executor would stream, one op and outcome (not
+//! taken, taken) at a time, from a scratch timing state whose I-line
+//! for that op is resident. The abstract state at a pc is each
+//! register's ready time relative to the clock (zero when ready); the
+//! model's stall, issue and refill cycles and its new ready times
+//! depend on nothing else. The walk starts from a settled pipeline and
+//! accepts the routine only if every pc is reached in one state on
+//! every path and the pipeline is settled again after each `ret`. Then
+//! an op's cycles are a constant, `cost[pc][taken]`, whatever path led
+//! to it. A join of unequal states (say, a multiply whose consumer is
+//! reached at path-dependent distances) rejects the entry, which then
+//! keeps the plain model on this core.
+//!
+//! **The fast path.** A call of a proven entry, with every I-line the
+//! routine can fetch resident and (for a timed call) a settled
+//! pipeline, runs on the executor with a tiny model that adds each
+//! op's tabled cost and notes the last fetch of each I-line. Every
+//! fetch of the call then hits, and afterwards the hits (one per op)
+//! are counted, the lines re-touched in last-touch order and the cycles
+//! added. The ready times the plain model would have set all lie at or
+//! before the exit clock, where the model cannot tell them from the
+//! earlier ones left in place: a ready time only ever delays an op to
+//! `max(clock, ready)`. A discarded warm-up applies the cache effects
+//! only. No per-call record or key is kept.
+//!
+//! # Why the re-touch is exact
+//!
+//! The caches are LRU. After a stream of hits, no line was filled or
+//! evicted, and the recency order within each set is fixed by the order
+//! of each line's *last* access alone. Re-touching the distinct lines
+//! in last-touch order gives them fresh stamps in that order, newer
+//! than every untouched line, so every later victim choice, hit and
+//! miss is the timed run's. The absolute LRU stamps and the tick
+//! counter differ (fewer ticks), and nothing reads them except victim
+//! selection, which compares stamps within a set.
 //!
 //! A discarded warm-up
 //! ([`Cpu::set_warm_up`](crate::cpu::Cpu::set_warm_up)) replays the
@@ -52,36 +95,63 @@
 use super::{InOrderCore, Timing, Tracer};
 use crate::asm::Program;
 use crate::config::CpuConfig;
-use crate::cpu::{ClassCounts, SimError};
+use crate::cpu::{ClassCounts, SimError, RETURN_SENTINEL};
+use crate::ext::ExtensionSet;
 use crate::isa::Reg;
-use crate::xjit::{self, Arch, FastProgram, Untimed};
+use crate::xjit::{self, Arch, FastProgram, Flow, Retired, TimingModel, Untimed};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
-/// How often a core's memo was consulted and how often it replayed.
+/// How often a core's memo was consulted and how it served the calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Calls of declared entries that consulted the memo.
     pub calls: u64,
-    /// Of those, calls replayed on the functional executor.
+    /// Of those, calls of keyed entries replayed from a record.
     pub replays: u64,
     /// Instructions executed by replayed calls.
     pub replayed_insns: u64,
+    /// Of those, calls of register-only entries timed from their cost
+    /// table.
+    pub tabled: u64,
+    /// Instructions executed by tabled calls.
+    pub tabled_insns: u64,
 }
 
-/// A per-core memo of constant-time kernel calls (see the module
-/// docs). Attach one with
+/// A per-core memo of constant-time and register-only kernel calls (see
+/// the module docs). Attach one with
 /// [`Cpu::set_call_memo`](crate::cpu::Cpu::set_call_memo); it serves
 /// [`Cpu::call_at`](crate::cpu::Cpu::call_at) calls of declared entries
 /// on the in-order core, with no trace sink and no fault plan, and
-/// declines everything else.
+/// declines everything else. A memo serves one core: its records and
+/// cost tables hold for that core's configuration.
 #[derive(Debug, Default)]
 pub struct CallMemo {
-    /// `(program fingerprint, entry pc, public input-register mask)` of
-    /// every declared entry.
-    declared: Vec<(u64, usize, u16)>,
+    declared: Vec<Declared>,
     records: HashMap<Key, Record, BuildHasherDefault<KeyHasher>>,
     stats: MemoStats,
+}
+
+/// One declared entry: `program`'s fingerprint, the entry pc and how
+/// the memo serves it.
+#[derive(Debug)]
+struct Declared {
+    fp: u64,
+    entry: usize,
+    serve: Serve,
+}
+
+#[derive(Debug)]
+enum Serve {
+    /// Keyed on the registers of this mask.
+    Keyed(u16),
+    /// Register-only, not yet walked.
+    Unproven,
+    /// Register-only and proven.
+    Tabled(CostTable),
+    /// Register-only, but its costs are not constant on this core.
+    Rejected,
 }
 
 /// A memo key: the program, the entry and the values of the entry's
@@ -176,6 +246,198 @@ impl Record {
     }
 }
 
+/// The most distinct I-lines a cost-tabled routine may fetch.
+const MAX_LINES: usize = 64;
+
+/// The proven per-op costs of a register-only routine.
+#[derive(Debug)]
+struct CostTable {
+    /// The lowest pc the routine reaches.
+    base: usize,
+    /// Per pc from `base` to the highest reachable one.
+    ops: Box<[TabledOp]>,
+    /// The distinct I-line addresses the routine can fetch.
+    lines: Box<[u64]>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct TabledOp {
+    /// The op's cycles, not taken and taken.
+    cost: [u32; 2],
+    /// The index of the op's I-line in `CostTable::lines`.
+    line: u8,
+}
+
+/// A node of the cost-table walk: the ready offsets every path reaches
+/// the op with, and the op's cycles per outcome.
+struct Node {
+    ready: [u64; 16],
+    cost: [u32; 2],
+}
+
+impl CostTable {
+    /// Walks the routine at `entry` (see the module docs). `None` if it
+    /// is not register-only or an op's cost depends on the path.
+    fn prove(
+        program: &Program,
+        prog: &FastProgram,
+        entry: usize,
+        config: &CpuConfig,
+    ) -> Option<CostTable> {
+        let ra = Reg::RA.index() as u8;
+        let mut scratch = Timing::new(config);
+        let mut nodes = BTreeMap::new();
+        nodes.insert(
+            entry,
+            Node {
+                ready: [0; 16],
+                cost: [0; 2],
+            },
+        );
+        let mut work = vec![entry];
+        while let Some(pc) = work.pop() {
+            let exits = match prog.register_flow(pc)? {
+                Flow::Next => [Some((false, pc + 1)), None],
+                Flow::Branch(t) => [Some((false, pc + 1)), Some((true, t))],
+                Flow::Jump(t) => [Some((true, t)), None],
+                Flow::Ret => [Some((true, RETURN_SENTINEL as usize)), None],
+            };
+            for (taken, next) in exits.into_iter().flatten() {
+                let op = prog.retired(pc, taken, next);
+                if op.dest == Some(ra) {
+                    return None;
+                }
+                let ready = nodes[&pc].ready;
+                let (cost, after) = step(&mut scratch, program, config, &op, &ready)?;
+                nodes.get_mut(&pc).expect("walked").cost[taken as usize] = cost;
+                if next == RETURN_SENTINEL as usize {
+                    if after != [0; 16] {
+                        return None;
+                    }
+                    continue;
+                }
+                match nodes.entry(next) {
+                    Entry::Vacant(v) => {
+                        v.insert(Node {
+                            ready: after,
+                            cost: [0; 2],
+                        });
+                        work.push(next);
+                    }
+                    Entry::Occupied(o) if o.get().ready != after => return None,
+                    Entry::Occupied(_) => {}
+                }
+            }
+        }
+        let shift = config.icache.line_bytes.trailing_zeros();
+        let line_of = |pc: usize| (pc as u64 * 4) >> shift;
+        let mut lines: Vec<u64> = nodes.keys().map(|&pc| line_of(pc)).collect();
+        lines.dedup();
+        if lines.len() > MAX_LINES {
+            return None;
+        }
+        let base = *nodes.keys().next().expect("the entry");
+        let top = *nodes.keys().next_back().expect("the entry");
+        let mut ops = vec![TabledOp::default(); top - base + 1];
+        for (&pc, node) in &nodes {
+            ops[pc - base] = TabledOp {
+                cost: node.cost,
+                line: lines.binary_search(&line_of(pc)).expect("listed") as u8,
+            };
+        }
+        Some(CostTable {
+            base,
+            ops: ops.into(),
+            lines: lines.into(),
+        })
+    }
+}
+
+/// Retires `op` on the in-order model from a clock with register ready
+/// offsets `ready` and the op's I-line resident. Returns its cycles and
+/// the ready offsets after it; `None` if it touched a cache otherwise.
+fn step(
+    t: &mut Timing,
+    program: &Program,
+    config: &CpuConfig,
+    op: &Retired<'_>,
+    ready: &[u64; 16],
+) -> Option<(u32, [u64; 16])> {
+    /// Any clock: the model's charges do not depend on its value.
+    const CLOCK: u64 = 1 << 40;
+    t.icache.access(op.pc as u64 * 4);
+    let (icache, dcache) = (t.icache.stats(), t.dcache.stats());
+    t.cycles = CLOCK;
+    t.reg_ready = ready.map(|r| CLOCK + r);
+    let trace = Tracer::new(None, program, op.pc, "", CLOCK);
+    InOrderCore::new(t, config, trace).retire(op);
+    if t.icache.stats().misses != icache.misses || t.dcache.stats() != dcache {
+        return None;
+    }
+    let cost = u32::try_from(t.cycles - CLOCK).ok()?;
+    Some((cost, t.reg_ready.map(|r| r.saturating_sub(t.cycles))))
+}
+
+/// Whether `program`'s routine at `entry` is register-only with a
+/// constant cost per op under `config`: whether a memo would time its
+/// calls from a cost table (see the module docs).
+pub fn cost_table_proves(program: &Program, entry: usize, config: &CpuConfig) -> bool {
+    let prog = FastProgram::decode(program, config, &ExtensionSet::new());
+    CostTable::prove(program, &prog, entry, config).is_some()
+}
+
+/// The model of a tabled call: adds each op's tabled cost and notes the
+/// last fetch of each I-line, then applies the call to the core's
+/// timing state when the run ends (in error too, as the plain model
+/// charges every op it retired).
+struct Tabled<'a> {
+    table: &'a CostTable,
+    timing: &'a mut Timing,
+    charge: bool,
+    cycles: u64,
+    fetches: u64,
+    /// The line of the previous fetch, as an index into the table's.
+    line: usize,
+    /// Per line, the run of fetches it was last fetched in (0: never).
+    last: [u32; MAX_LINES],
+    runs: u32,
+}
+
+impl TimingModel for Tabled<'_> {
+    #[inline(always)]
+    fn retire(&mut self, op: &Retired<'_>) {
+        let at = self.table.ops[op.pc - self.table.base];
+        self.cycles += u64::from(at.cost[op.taken as usize]);
+        self.fetches += 1;
+        let line = at.line as usize;
+        if line != self.line {
+            self.line = line;
+            self.runs += 1;
+            self.last[line] = self.runs;
+        }
+    }
+
+    fn finish(self, _: Option<usize>) {
+        let t = self.timing;
+        t.icache.add_hits(self.fetches);
+        let mut order = [(0u32, 0u64); MAX_LINES];
+        let mut n = 0;
+        for (&run, &line) in self.last.iter().zip(self.table.lines.iter()) {
+            if run > 0 {
+                order[n] = (run, line);
+                n += 1;
+            }
+        }
+        order[..n].sort_unstable();
+        for &(_, line) in &order[..n] {
+            t.icache.touch(line);
+        }
+        if self.charge {
+            t.cycles += self.cycles;
+        }
+    }
+}
+
 /// One call offered to the memo: the core's state the call runs on.
 pub(crate) struct MemoCall<'a> {
     pub program: &'a Program,
@@ -187,6 +449,14 @@ pub(crate) struct MemoCall<'a> {
     pub config: &'a CpuConfig,
     /// Whether the call is timed (false for a discarded warm-up).
     pub charge: bool,
+}
+
+impl MemoCall<'_> {
+    /// Whether every register's result is ready by the clock.
+    fn settled(&self) -> bool {
+        let t = &*self.timing;
+        t.reg_ready.iter().all(|&r| r <= t.cycles)
+    }
 }
 
 impl CallMemo {
@@ -211,13 +481,34 @@ impl CallMemo {
             mask.count_ones() as usize <= MAX_PUBLIC,
             "at most {MAX_PUBLIC} public input registers"
         );
-        self.declared.push((program.fingerprint(), entry, mask));
+        self.declare_as(program, entry, Serve::Keyed(mask));
     }
 
-    /// The public input registers declared for `program`'s routine at
-    /// `entry`, or `None` for an undeclared entry.
+    /// Declares `program`'s routine at `entry` register-only: its calls
+    /// are timed from a cost table, proven on the first call (see the
+    /// module docs). A routine the proof rejects keeps the plain model,
+    /// so any routine may be declared.
+    pub fn declare_register_only(&mut self, program: &Program, entry: usize) {
+        self.declare_as(program, entry, Serve::Unproven);
+    }
+
+    fn declare_as(&mut self, program: &Program, entry: usize, serve: Serve) {
+        self.declared.push(Declared {
+            fp: program.fingerprint(),
+            entry,
+            serve,
+        });
+    }
+
+    /// The public input registers declared for `program`'s keyed
+    /// routine at `entry`, or `None` for an entry declared
+    /// register-only or not at all.
     pub fn public_inputs(&self, program: &Program, entry: usize) -> Option<Vec<Reg>> {
-        let mask = self.mask(program.fingerprint(), entry)?;
+        let fp = program.fingerprint();
+        let mask = self.declared.iter().find_map(|d| match d.serve {
+            Serve::Keyed(mask) if d.fp == fp && d.entry == entry => Some(mask),
+            _ => None,
+        })?;
         Some(
             (0..16u8)
                 .filter(|i| mask >> i & 1 != 0)
@@ -226,43 +517,86 @@ impl CallMemo {
         )
     }
 
-    /// How often the memo was consulted and replayed.
+    /// How often the memo was consulted, replayed and tabled.
     pub fn stats(&self) -> MemoStats {
         self.stats
     }
 
-    fn mask(&self, fp: u64, entry: usize) -> Option<u16> {
-        self.declared
-            .iter()
-            .find(|&&(f, e, _)| f == fp && e == entry)
-            .map(|&(_, _, mask)| mask)
-    }
-
-    /// Serves `call` by replay, or runs it timed and records it. `None`
-    /// when the caller must run the plain model: the entry is
-    /// undeclared, or the key is known but cannot replay, or the
+    /// Serves `call` from a record or a cost table, or runs it timed
+    /// and records it. `None` when the caller must run the plain model:
+    /// the entry is undeclared, or a known key cannot replay, or a
+    /// register-only entry is rejected or cannot be tabled, or the
     /// pipeline is not settled.
     pub(crate) fn call(&mut self, call: MemoCall<'_>) -> Option<Result<ClassCounts, SimError>> {
-        let mask = self.mask(call.program.fingerprint(), call.entry)?;
+        let fp = call.program.fingerprint();
+        let declared = self
+            .declared
+            .iter_mut()
+            .find(|d| d.fp == fp && d.entry == call.entry)?;
         self.stats.calls += 1;
+        if let Serve::Unproven = declared.serve {
+            declared.serve =
+                match CostTable::prove(call.program, call.prog, call.entry, call.config) {
+                    Some(table) => Serve::Tabled(table),
+                    None => Serve::Rejected,
+                };
+        }
+        match &declared.serve {
+            Serve::Keyed(mask) => {
+                let mask = *mask;
+                self.keyed(fp, mask, call)
+            }
+            Serve::Tabled(table) => {
+                let t = &*call.timing;
+                let resident = table.lines.iter().all(|&l| t.icache.holds(l));
+                if !resident || (call.charge && !call.settled()) {
+                    return None;
+                }
+                let model = Tabled {
+                    table,
+                    timing: call.timing,
+                    charge: call.charge,
+                    cycles: 0,
+                    fetches: 0,
+                    line: usize::MAX,
+                    last: [0; MAX_LINES],
+                    runs: 0,
+                };
+                let out = xjit::run(call.prog, call.entry, call.arch, call.fuel, None, model);
+                self.stats.tabled += 1;
+                if let Ok(classes) = &out {
+                    self.stats.tabled_insns += classes.total();
+                }
+                Some(out)
+            }
+            Serve::Unproven | Serve::Rejected => None,
+        }
+    }
+
+    /// Serves a call of a keyed entry.
+    fn keyed(
+        &mut self,
+        fp: u64,
+        mask: u16,
+        call: MemoCall<'_>,
+    ) -> Option<Result<ClassCounts, SimError>> {
         let mut inputs = [0u32; MAX_PUBLIC];
         let public = (0..16).filter(|r| mask >> r & 1 != 0);
         for (v, r) in inputs.iter_mut().zip(public) {
             *v = call.arch.regs[r];
         }
         let key = Key {
-            fp: call.program.fingerprint(),
+            fp,
             entry: call.entry,
             inputs,
         };
-        let t = &*call.timing;
-        if t.reg_ready.iter().any(|&r| r > t.cycles) {
+        if !call.settled() {
             return None;
         }
         let replayable = self
             .records
             .get(&key)
-            .map(|rec| rec.insns <= call.fuel && rec.resident(t));
+            .map(|rec| rec.insns <= call.fuel && rec.resident(call.timing));
         match replayable {
             Some(true) => Some(self.replay(key, call)),
             Some(false) => None,
@@ -341,8 +675,9 @@ mod tests {
 
     /// A constant-time kernel (`add`: `rp[i] = ap[i] + bp[i]`, keyed on
     /// its four arguments, `sp` and `ra`), a routine loading through a table of
-    /// addresses, and one that returns with a multiply still in flight
-    /// on a slow multiplier.
+    /// addresses, one that returns with a multiply still in flight
+    /// on a slow multiplier, and a register-only one (`div`, a
+    /// bit-serial restoring division whose path depends on its data).
     const SOURCE: &str = "
 add:                       ; a0=rp a1=ap a2=bp a3=n -> a0=carry
     movi a6, 0
@@ -372,6 +707,30 @@ walk:                      ; a0=table a1=count
     ret
 slow:
     mul  a5, a0, a0
+    ret
+div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
+    movi a6, 0
+    movi a2, 0
+    movi a3, 0
+    movi a4, 32
+.div_loop:
+    srli a5, a0, 31
+    slli a0, a0, 1
+    srli a7, a3, 31
+    slli a3, a3, 1
+    or   a3, a3, a5
+    slli a2, a2, 1
+    bne  a7, a6, .div_sub
+    bltu a3, a1, .div_next
+.div_sub:
+    sub  a3, a3, a1
+    ori  a2, a2, 1
+.div_next:
+    addi a4, a4, -1
+    bne  a4, a6, .div_loop
+    mul  a5, a2, a1
+    mov  a0, a2
+    mov  a1, a3
     ret
 ";
 
@@ -432,6 +791,7 @@ slow:
             let mut table = CallMemo::new();
             let public = [0, 1, 2, 3, 14, 15].map(Reg::new);
             table.declare(&prog, prog.label("add").unwrap(), &public);
+            table.declare_register_only(&prog, prog.label("div").unwrap());
             memo.set_call_memo(Some(table));
             Pair {
                 prog,
@@ -507,6 +867,14 @@ slow:
         fn set_warm_up(&mut self, on: bool) {
             self.memo.set_warm_up(on);
             self.plain.set_warm_up(on);
+        }
+
+        /// `div` of a random numerator by a random divisor with its top
+        /// bit set, checked against the host's division.
+        fn div(&mut self, rng: &mut Rng) {
+            let (n, d) = (rng.next() as u32, rng.next() as u32 | 1 << 31);
+            self.call("div", &[n, d], false);
+            assert_eq!((self.memo.reg(0), self.memo.reg(1)), (n / d, n % d));
         }
     }
 
@@ -641,5 +1009,180 @@ slow:
         let prog = assemble(SOURCE).unwrap();
         let nine: Vec<Reg> = (0..9).map(Reg::new).collect();
         CallMemo::new().declare(&prog, 0, &nine);
+    }
+
+    /// Whether the cost-table walk proves `label` in `source` under
+    /// `config`.
+    fn proves(source: &str, label: &str, config: &CpuConfig) -> bool {
+        let prog = assemble(source).unwrap();
+        cost_table_proves(&prog, prog.label(label).unwrap(), config)
+    }
+
+    #[test]
+    fn the_walk_proves_a_register_only_routine_with_balanced_paths() {
+        assert!(proves(SOURCE, "div", &config()));
+        assert!(proves(SOURCE, "div", &CpuConfig::default()));
+        // `slow` returns with its multiply done under the default
+        // two-cycle multiplier.
+        assert!(proves(SOURCE, "slow", &CpuConfig::default()));
+        assert!(proves("spin:\n    j spin\n", "spin", &CpuConfig::default()));
+    }
+
+    #[test]
+    fn the_walk_rejects_memory_control_and_custom_ops() {
+        let config = CpuConfig::default();
+        for (what, body) in [
+            ("a load", "lw a0, a0, 0\n    ret"),
+            ("a store", "sw a0, a1, 0\n    ret"),
+            ("a jr", "jr a0"),
+            ("a call", "call leaf\n    ret\nleaf:\n    ret"),
+            ("a halt", "halt"),
+            ("a custom op", "cust nosuch a0\n    ret"),
+            ("a write of ra", "movi ra, 0\n    ret"),
+            ("falling off the end", "nop"),
+        ] {
+            let source = format!("f:\n    movi a1, 4\n    {body}\n");
+            assert!(!proves(&source, "f", &config), "{what}");
+        }
+        let skipped = "f:\n    beq a0, a1, .out\n    lw a0, a0, 0\n.out:\n    ret\n";
+        assert!(!proves(skipped, "f", &config), "a load on one path");
+        assert!(!proves(SOURCE, "add", &config));
+        assert!(!proves(SOURCE, "walk", &config));
+        let no_mul = CpuConfig {
+            has_mul: false,
+            ..CpuConfig::default()
+        };
+        assert!(!proves(SOURCE, "div", &no_mul), "a multiply that fails");
+    }
+
+    #[test]
+    fn the_walk_rejects_path_dependent_and_unsettled_multiplies() {
+        let at = |mul_latency, branch_penalty| CpuConfig {
+            mul_latency,
+            branch_penalty,
+            ..CpuConfig::default()
+        };
+        // The product's consumer is two ops away on one path and one
+        // refilled branch away on the other.
+        let racy = "f:
+    mul  a5, a0, a0
+    beq  a1, a2, .skip
+    addi a3, a3, 1
+.skip:
+    add  a4, a5, a5
+    ret
+";
+        assert!(proves(racy, "f", &at(2, 2)), "settled on both paths");
+        assert!(!proves(racy, "f", &at(4, 2)), "path-dependent stall");
+        // A multiply still in flight when the routine returns.
+        assert!(!proves(SOURCE, "slow", &at(8, 2)));
+        assert!(!proves(SOURCE, "div", &at(8, 2)));
+        assert!(proves(SOURCE, "div", &at(4, 2)));
+        assert!(!proves(SOURCE, "div", &at(5, 0)));
+    }
+
+    #[test]
+    fn tabled_calls_equal_the_plain_model_under_random_interleavings() {
+        // (mul_latency, branch_penalty, I-cache bytes, line bytes,
+        // whether the walk proves `div`).
+        let configs = [
+            (2, 2, 128, 16, true),
+            (4, 2, 256, 32, true),
+            (2, 0, 256, 16, true),
+            (8, 2, 128, 16, false),
+            (5, 0, 128, 16, false),
+        ];
+        for (seed, (mul_latency, branch_penalty, bytes, line, proven)) in (1..).zip(configs) {
+            let icache = CacheConfig {
+                size_bytes: bytes,
+                line_bytes: line,
+                ways: 2,
+            };
+            let mut pair = Pair::new(CpuConfig {
+                mul_latency,
+                branch_penalty,
+                icache,
+                ..config()
+            });
+            let mut rng = Rng(seed);
+            for _ in 0..300 {
+                match rng.below(10) {
+                    0..=4 => pair.div(&mut rng),
+                    5..=6 => {
+                        let n = [2, 4][rng.below(2) as usize];
+                        pair.add(&mut rng, n);
+                    }
+                    7..=8 => {
+                        let count = 1 + rng.below(6) as usize;
+                        pair.random_walk(&mut rng, count);
+                    }
+                    _ => pair.set_warm_up(rng.below(2) == 0),
+                }
+            }
+            let stats = pair.stats();
+            assert_eq!(stats.tabled > 0, proven, "seed {seed}: {stats:?}");
+            assert!(stats.tabled_insns >= 32 * 5 * stats.tabled, "{stats:?}");
+            pair.random_walk(&mut rng, 24);
+        }
+    }
+
+    #[test]
+    fn a_tabled_call_waits_for_its_lines_and_a_settled_pipeline() {
+        let mut rng = Rng(12);
+        let mut pair = Pair::new(CpuConfig {
+            mul_latency: 4,
+            branch_penalty: 0,
+            ..config()
+        });
+        pair.div(&mut rng);
+        assert_eq!(pair.stats().tabled, 0, "cold lines: plain model");
+        pair.div(&mut rng);
+        assert_eq!(pair.stats().tabled, 1);
+        // `slow` leaves its product in flight on this multiplier.
+        pair.call("slow", &[3], false);
+        assert!(!pair.memo.settled());
+        pair.div(&mut rng);
+        assert_eq!(pair.stats().tabled, 1, "unsettled: plain model");
+        pair.div(&mut rng);
+        assert_eq!(pair.stats().tabled, 2);
+        // `div` fills both ways of two I-cache sets, and `add`'s code
+        // evicts a line from each.
+        pair.add(&mut rng, 2);
+        pair.div(&mut rng);
+        assert_eq!(pair.stats().tabled, 2, "evicted lines: plain model");
+        pair.div(&mut rng);
+        assert_eq!(pair.stats().tabled, 3);
+        pair.random_walk(&mut rng, 24);
+    }
+
+    #[test]
+    fn a_tabled_call_out_of_fuel_charges_what_it_retired() {
+        let mut pair = Pair::new(config());
+        let mut rng = Rng(13);
+        for _ in 0..2 {
+            pair.div(&mut rng);
+        }
+        let entry = pair.prog.label("div").unwrap();
+        for cpu in [&mut pair.memo, &mut pair.plain] {
+            cpu.set_fuel(100);
+        }
+        let args = [7, 1 << 31];
+        let m = pair.memo.call_at(&pair.prog, entry, "div", &args, None);
+        let p = pair.plain.call_at(&pair.prog, entry, "div", &args, None);
+        assert!(
+            matches!(m, Err(SimError::OutOfFuel { executed: 100 })),
+            "{m:?}"
+        );
+        assert!(
+            matches!(p, Err(SimError::OutOfFuel { executed: 100 })),
+            "{p:?}"
+        );
+        assert_eq!(pair.stats().tabled, 2);
+        assert_eq!(pair.memo.cycles(), pair.plain.cycles());
+        for cpu in [&mut pair.memo, &mut pair.plain] {
+            cpu.set_fuel(u64::MAX);
+        }
+        pair.random_walk(&mut rng, 24);
+        pair.div(&mut rng);
     }
 }

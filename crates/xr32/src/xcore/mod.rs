@@ -19,8 +19,9 @@
 //!
 //! A third, warm-only model serves discarded warm-up runs: it makes the
 //! core's cache and predictor updates and charges nothing. A call memo
-//! ([`memo`]) lets the in-order core replay a known constant-time
-//! kernel call on the functional executor and apply its recorded cost.
+//! ([`memo`]) lets the in-order core run a known constant-time kernel
+//! call, or a register-only one whose per-op costs it proved constant,
+//! on the functional executor and apply its in-order cost.
 //!
 //! Because both observe the same executor, the architectural state
 //! after a run is bit-identical across core models and the fast path

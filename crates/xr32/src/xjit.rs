@@ -187,6 +187,20 @@ pub(crate) struct Retired<'a> {
     pub faulted: bool,
 }
 
+/// How control leaves an op that reads and writes nothing but
+/// registers and the carry (see [`FastProgram::register_flow`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    /// Falls through to the next op.
+    Next,
+    /// A conditional branch to the target.
+    Branch(usize),
+    /// `j` to the target.
+    Jump(usize),
+    /// `ret`.
+    Ret,
+}
+
 /// A consumer of the executor's per-op stream: a core's timing model.
 pub(crate) trait TimingModel {
     /// `false` only for [`Untimed`]: the executor then builds no
@@ -358,6 +372,54 @@ impl FastProgram {
             block_end,
         }
     }
+
+    /// How control leaves the op at `pc` when it touches only registers
+    /// and the carry; `None` for a pc outside the program, a load or
+    /// store, a custom op, `call`, `jr`, `halt`, and an op that fails
+    /// when executed.
+    pub(crate) fn register_flow(&self, pc: usize) -> Option<Flow> {
+        use FastOp as F;
+        Some(match self.ops.get(pc)? {
+            F::Add(..) | F::Addc(..) | F::Sub(..) | F::Subc(..) | F::And(..) | F::Or(..) => {
+                Flow::Next
+            }
+            F::Xor(..) | F::Sll(..) | F::Srl(..) | F::Sra(..) | F::Sltu(..) | F::Slt(..) => {
+                Flow::Next
+            }
+            F::Mul(..) | F::Mulhu(..) | F::Addi(..) | F::Andi(..) | F::Ori(..) | F::Xori(..) => {
+                Flow::Next
+            }
+            F::Slli(..) | F::Srli(..) | F::Srai(..) | F::Movi(..) | F::Mov(..) => Flow::Next,
+            F::Clc | F::Nop => Flow::Next,
+            F::Beq(_, _, t) | F::Bne(_, _, t) | F::Bltu(_, _, t) | F::Bgeu(_, _, t) => {
+                Flow::Branch(*t as usize)
+            }
+            F::Blt(_, _, t) | F::Bge(_, _, t) => Flow::Branch(*t as usize),
+            F::J(t) => Flow::Jump(*t as usize),
+            F::Ret => Flow::Ret,
+            _ => return None,
+        })
+    }
+
+    /// The record the executor streams for the op at `pc` when it
+    /// retires with outcome `taken` and continues at `next_pc`, with no
+    /// memory access, fault or custom latency.
+    #[inline(always)]
+    pub(crate) fn retired(&self, pc: usize, taken: bool, next_pc: usize) -> Retired<'_> {
+        let op = &self.info[pc];
+        Retired {
+            pc,
+            class: op.class,
+            srcs: &self.srcs[op.srcs.start as usize..op.srcs.end as usize],
+            dest: op.dest,
+            addr: 0,
+            tag_fault: false,
+            taken,
+            next_pc,
+            latency: 0,
+            faulted: false,
+        }
+    }
 }
 
 /// Executes `prog` from `entry` on `arch`, streaming every op to
@@ -457,18 +519,12 @@ fn execute<M: TimingModel, const FAULTS: bool>(
             macro_rules! retire {
                 ($taken:expr, $next:expr, $faulted:expr) => {
                     if M::TIMED {
-                        let op = &info[i];
                         model.retire(&Retired {
-                            pc: i,
-                            class: op.class,
-                            srcs: &prog.srcs[op.srcs.start as usize..op.srcs.end as usize],
-                            dest: op.dest,
                             addr,
                             tag_fault,
-                            taken: $taken,
-                            next_pc: $next,
                             latency,
                             faulted: $faulted,
+                            ..prog.retired(i, $taken, $next)
                         });
                     }
                     if !$faulted {

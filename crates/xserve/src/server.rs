@@ -409,6 +409,14 @@ fn handle_conn(shared: &Shared, conn: Conn) {
                 let _ = reader.skip_until(b'\n');
                 break;
             }
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                // Not UTF-8, but read to its end: refuse it and serve on.
+                let _ = out.send(&Response::Error {
+                    code: codes::PROTO_BAD_REQUEST,
+                    detail: "request line is not UTF-8".into(),
+                });
+                continue;
+            }
             Ok(Line::Eof) | Err(_) => break,
         };
         if line.trim().is_empty() {

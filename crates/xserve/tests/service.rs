@@ -81,6 +81,48 @@ fn an_over_long_request_line_is_refused_and_the_daemon_serves_on() {
 }
 
 #[test]
+fn a_request_line_that_is_not_utf8_is_refused_and_the_connection_serves_on() {
+    use std::io::{BufRead, BufReader, Write};
+    use xserve::proto::Response;
+
+    let server =
+        Server::bind(ServerConfig::new(Bind::Tcp("127.0.0.1:0".into()))).expect("bind loopback");
+    let addr = server.local_addr().expect("tcp server has an address");
+    let serve = thread::spawn(move || server.run());
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    (&stream)
+        .write_all(b"\xff\xfe{}\n")
+        .expect("the server reads the line");
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("error reply");
+    match Response::parse(reply.trim_end()).expect("a protocol line") {
+        Response::Error { code, detail } => {
+            assert_eq!(code, secproc::error::codes::PROTO_BAD_REQUEST);
+            assert_eq!(detail, "request line is not UTF-8");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    // The same connection answers the next request.
+    (&stream)
+        .write_all(b"{\"op\":\"stats\"}\n")
+        .expect("a second request");
+    reply.clear();
+    reader.read_line(&mut reply).expect("stats reply");
+    assert!(
+        matches!(Response::parse(reply.trim_end()), Ok(Response::Stats(_))),
+        "{reply}"
+    );
+    drop(reader);
+    drop(stream);
+
+    let mut client = Client::connect_tcp(addr).expect("a fresh connection");
+    client.shutdown().expect("shutdown");
+    serve.join().expect("serve thread").expect("serve loop");
+}
+
+#[test]
 fn an_over_long_reply_line_is_a_typed_transport_error() {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpListener;
