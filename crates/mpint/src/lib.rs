@@ -12,9 +12,15 @@
 //!   algorithm design space.
 //! - [`Natural`] / [`Integer`]: the *complex operations* layer — arbitrary
 //!   precision unsigned/signed integers with full arithmetic.
-//! - [`monty`], [`karatsuba`], [`prime`], [`gcd`]: Montgomery modular
-//!   reduction, sub-quadratic multiplication and number-theoretic
-//!   routines used by RSA/ElGamal.
+//!   `Natural`'s schoolbook multiplication, Knuth division and binary
+//!   [`Natural::pow_mod`] are the unmetered references the metered
+//!   algorithms of the `pubkey` crate are tested against.
+//! - [`gcd`]: extended Euclid and modular inverses for RSA key
+//!   generation.
+//!
+//! Karatsuba, Barrett and Montgomery multiplication, modular
+//! exponentiation and prime generation form the algorithm layer above
+//! these and live in `pubkey`.
 //!
 //! # Examples
 //!
@@ -32,14 +38,10 @@
 
 pub mod gcd;
 pub mod int;
-pub mod karatsuba;
 pub mod limb;
-pub mod monty;
 pub mod mpn;
 pub mod nat;
-pub mod prime;
 
 pub use int::Integer;
 pub use limb::Limb;
-pub use monty::MontyCtx;
 pub use nat::Natural;

@@ -91,46 +91,6 @@ pub fn sub_n_in_place<L: Limb>(r: &mut [L], b: &[L]) -> bool {
     borrow
 }
 
-/// Adds the single limb `b` to `a` into `r`, returning the carry-out.
-///
-/// # Panics
-///
-/// Panics if `r` and `a` have different lengths.
-pub fn add_1<L: Limb>(r: &mut [L], a: &[L], b: L) -> bool {
-    assert_eq!(r.len(), a.len());
-    let mut carry = b;
-    for i in 0..a.len() {
-        let (s, c) = a[i].add_carry(carry, false);
-        r[i] = s;
-        carry = if c { L::ONE } else { L::ZERO };
-        if carry == L::ZERO && i + 1 < a.len() {
-            r[i + 1..].copy_from_slice(&a[i + 1..]);
-            return false;
-        }
-    }
-    carry != L::ZERO
-}
-
-/// Subtracts the single limb `b` from `a` into `r`, returning the borrow-out.
-///
-/// # Panics
-///
-/// Panics if `r` and `a` have different lengths.
-pub fn sub_1<L: Limb>(r: &mut [L], a: &[L], b: L) -> bool {
-    assert_eq!(r.len(), a.len());
-    let mut borrow = b;
-    for i in 0..a.len() {
-        let (d, bo) = a[i].sub_borrow(borrow, false);
-        r[i] = d;
-        borrow = if bo { L::ONE } else { L::ZERO };
-        if borrow == L::ZERO && i + 1 < a.len() {
-            r[i + 1..].copy_from_slice(&a[i + 1..]);
-            return false;
-        }
-    }
-    borrow != L::ZERO
-}
-
 /// Multiplies `a` by the single limb `b` into `r`, returning the high
 /// (carry-out) limb.
 ///
@@ -200,44 +160,6 @@ pub fn mul_basecase<L: Limb>(r: &mut [L], a: &[L], b: &[L]) {
         let carry = addmul_1(&mut r[j..j + a.len()], a, bj);
         r[j + a.len()] = carry;
     }
-}
-
-/// Schoolbook squaring: `r = a * a`, exploiting symmetry of cross terms.
-///
-/// # Panics
-///
-/// Panics if `r.len() != 2 * a.len()`.
-pub fn sqr_basecase<L: Limb>(r: &mut [L], a: &[L]) {
-    assert_eq!(r.len(), 2 * a.len());
-    for x in r.iter_mut() {
-        *x = L::ZERO;
-    }
-    let n = a.len();
-    // Off-diagonal products (each counted once).
-    for i in 0..n {
-        if i + 1 < n {
-            let carry = addmul_1(&mut r[2 * i + 1..i + n], &a[i + 1..], a[i]);
-            r[i + n] = carry;
-        }
-    }
-    // Double the off-diagonal part.
-    let mut carry = false;
-    for x in r.iter_mut() {
-        let hi = x.to_u64() >> (L::BITS - 1) != 0;
-        *x = L::from_u64((x.to_u64() << 1) | carry as u64);
-        carry = hi;
-    }
-    // Add the diagonal squares.
-    let mut c = 0u64;
-    for i in 0..n {
-        let sq = a[i].to_u64() * a[i].to_u64();
-        let t0 = r[2 * i].to_u64() + (sq & L::MAX.to_u64()) + c;
-        r[2 * i] = L::from_u64(t0);
-        let t1 = r[2 * i + 1].to_u64() + (sq >> L::BITS) + (t0 >> L::BITS);
-        r[2 * i + 1] = L::from_u64(t1);
-        c = t1 >> L::BITS;
-    }
-    debug_assert_eq!(c, 0);
 }
 
 /// Shifts `a` left by `cnt` bits (0 < cnt < limb bits) into `r`, returning
@@ -558,16 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn sqr_basecase_matches_mul() {
-        let a = from_u128(0xdead_beef_cafe_babe, 2);
-        let mut r1 = vec![0u32; 4];
-        let mut r2 = vec![0u32; 4];
-        sqr_basecase(&mut r1, &a);
-        mul_basecase(&mut r2, &a, &a);
-        assert_eq!(r1, r2);
-    }
-
-    #[test]
     fn shifts_roundtrip() {
         let a = from_u128(0x0123_4567_89ab_cdef_fedc_ba98, 3);
         let mut l = [0u32; 3];
@@ -649,23 +561,5 @@ mod tests {
         let (q, rem) = divrem(&a, &b);
         assert_eq!(normalized(&q), normalized(&a[..]));
         assert!(rem.is_empty());
-    }
-
-    #[test]
-    fn add_1_early_exit_copies_rest() {
-        let a = from_u128(0x5_0000_0001, 3);
-        let mut r = [9u32; 3];
-        let c = add_1(&mut r, &a, 7);
-        assert!(!c);
-        assert_eq!(to_u128(&r), 0x5_0000_0008);
-    }
-
-    #[test]
-    fn sub_1_borrows_through() {
-        let a = from_u128(1 << 32, 2);
-        let mut r = [0u32; 2];
-        let b = sub_1(&mut r, &a, 1);
-        assert!(!b);
-        assert_eq!(to_u128(&r), (1 << 32) - 1);
     }
 }

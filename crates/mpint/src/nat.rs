@@ -4,7 +4,6 @@
 //! software architecture: it composes the limb-level [`crate::mpn`]
 //! routines into full arithmetic on unsigned integers of any size.
 
-use crate::karatsuba;
 use crate::limb::Limb;
 use crate::mpn;
 use core::cmp::Ordering;
@@ -522,7 +521,9 @@ impl Mul for &Natural {
         if self.is_zero() || rhs.is_zero() {
             return Natural::zero();
         }
-        Natural::from_limbs(karatsuba::mul(&self.limbs, &rhs.limbs))
+        let mut r = vec![0; self.limbs.len() + rhs.limbs.len()];
+        mpn::mul_basecase(&mut r, &self.limbs, &rhs.limbs);
+        Natural::from_limbs(r)
     }
 }
 

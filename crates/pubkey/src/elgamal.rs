@@ -7,8 +7,9 @@
 
 use crate::modexp::{mod_exp, ExpCache, ModExpError};
 use crate::ops::MpnOps;
+use crate::prime;
 use crate::space::ModExpConfig;
-use mpint::{prime, Natural};
+use mpint::Natural;
 use rand::Rng;
 use std::fmt;
 

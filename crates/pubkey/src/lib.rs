@@ -10,6 +10,8 @@
 //!   450-candidate design space of [`space`] (5 modular-multiplication
 //!   algorithms × 5 window sizes × 3 CRT modes × 2 radices × 3 caching
 //!   options);
+//! - [`prime`]: Miller–Rabin primality testing and prime generation,
+//!   with each witness run by [`modexp`];
 //! - [`rsa`] and [`elgamal`]: the platform's public-key primitives.
 //!
 //! # Examples
@@ -40,6 +42,7 @@ pub mod algo;
 pub mod elgamal;
 pub mod modexp;
 pub mod ops;
+pub mod prime;
 pub mod rsa;
 pub mod space;
 

@@ -2,10 +2,14 @@
 //!
 //! The paper's complex-operations layer includes "prime number
 //! generation, Miller–Rabin primality testing"; RSA and ElGamal key
-//! generation are built on these routines.
+//! generation are built on these routines. Each Miller–Rabin witness
+//! runs on the same modular exponentiation as the rest of the layer
+//! ([`mod_exp`] over [`NativeMpn`]).
 
-use crate::monty::MontyCtx;
-use crate::nat::Natural;
+use crate::modexp::{mod_exp, ExpCache};
+use crate::ops::NativeMpn;
+use crate::space::{CacheMode, CrtMode, ModExpConfig, MulAlgo, Radix};
+use mpint::Natural;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xpar::Pool;
@@ -20,6 +24,17 @@ const SMALL_PRIMES: [u32; 54] = [
 /// Number of Miller–Rabin rounds used by the convenience functions; gives
 /// an error probability below 4^-32.
 pub const DEFAULT_ROUNDS: u32 = 32;
+
+/// The exponentiation each witness runs: Montgomery products over
+/// 32-bit limbs with a 4-bit window. A witness is used once, so
+/// nothing is cached.
+const WITNESS_EXP: ModExpConfig = ModExpConfig {
+    mul: MulAlgo::Montgomery,
+    window: 4,
+    crt: CrtMode::None,
+    radix: Radix::R32,
+    cache: CacheMode::None,
+};
 
 /// Deterministically checks divisibility by the small-prime table.
 /// Returns `Some(true/false)` when trial division settles the question,
@@ -52,21 +67,23 @@ fn trial_division(n: &Natural) -> Option<bool> {
     None
 }
 
-/// A single Miller–Rabin round with witness `a` (`2 <= a <= n-2`).
-/// Returns `false` if `a` proves `n` composite.
+/// A single Miller–Rabin round with witness `a` (`2 <= a <= n-2`) for
+/// an odd `n > 1`. Returns `false` if `a` proves `n` composite.
 fn miller_rabin_round(
-    ctx: &MontyCtx,
+    n: &Natural,
     n_minus_1: &Natural,
     d: &Natural,
     s: usize,
     a: &Natural,
 ) -> bool {
-    let mut x = ctx.pow_mod(a, d);
+    let mut ops = NativeMpn::new();
+    let mut x = mod_exp(&mut ops, a, d, n, &WITNESS_EXP, &mut ExpCache::new())
+        .expect("odd modulus above one");
     if x.is_one() || &x == n_minus_1 {
         return true;
     }
     for _ in 1..s {
-        x = &(&x * &x) % ctx.modulus();
+        x = &(&x * &x) % n;
         if &x == n_minus_1 {
             return true;
         }
@@ -83,7 +100,8 @@ fn miller_rabin_round(
 /// # Examples
 ///
 /// ```
-/// use mpint::{prime, Natural};
+/// use mpint::Natural;
+/// use pubkey::prime;
 ///
 /// let mut rng = rand::rng();
 /// let p = Natural::from_u64(0xffff_ffff_ffff_ffc5); // largest 64-bit prime
@@ -112,7 +130,6 @@ pub fn is_probable_prime_seeded(n: &Natural, rounds: u32, witness_seed: u64) -> 
     if n.is_even() {
         return false;
     }
-    let ctx = MontyCtx::new(n).expect("odd n > 1 checked above");
     let one = Natural::one();
     let n_minus_1 = n - &one;
     // n - 1 = d * 2^s with d odd.
@@ -129,7 +146,7 @@ pub fn is_probable_prime_seeded(n: &Natural, rounds: u32, witness_seed: u64) -> 
         .map(|_| &Natural::random_below(&mut wrng, &span) + &two)
         .collect();
     Pool::from_env().par_all(&witnesses, |_, a| {
-        miller_rabin_round(&ctx, &n_minus_1, &d, s, a)
+        miller_rabin_round(n, &n_minus_1, &d, s, a)
     })
 }
 

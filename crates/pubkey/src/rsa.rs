@@ -9,8 +9,9 @@
 
 use crate::modexp::{mod_exp, mod_exp_crt, CrtKey, ExpCache, ModExpError};
 use crate::ops::MpnOps;
+use crate::prime;
 use crate::space::{CrtMode, ModExpConfig};
-use mpint::{gcd, prime, Natural};
+use mpint::{gcd, Natural};
 use rand::Rng;
 use std::fmt;
 

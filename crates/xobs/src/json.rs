@@ -275,6 +275,7 @@ const MAX_DEPTH: usize = 128;
 /// arrays and objects nested more than 128 deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -289,6 +290,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -428,31 +430,37 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogates are not produced by our writer;
-                            // map them to the replacement character.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            // A high surrogate followed by an escaped low
+                            // one is one character; a lone surrogate
+                            // becomes the replacement character.
+                            let mut c = char::from_u32(code);
+                            if (0xd800..0xdc00).contains(&code)
+                                && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                            {
+                                if let Ok(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
+                                    c = char::from_u32(
+                                        0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00),
+                                    );
+                                    self.pos += 6;
+                                }
+                            }
+                            out.push(c.unwrap_or('\u{fffd}'));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape: both
+                    // are ASCII, so the run ends on a char boundary.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.src[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -481,10 +489,26 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        match self.src[start..self.pos].parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            // The writer prints a non-finite number as `null`, so
+            // accepting one would not survive a round trip.
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("bad number")),
+        }
+    }
+
+    /// The value of the four hex digits at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, ParseError> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        hex.iter()
+            .try_fold(0, |code, &b| match (b as char).to_digit(16) {
+                Some(d) => Ok(code << 4 | d),
+                None => Err(self.err("bad \\u escape")),
+            })
     }
 }
 

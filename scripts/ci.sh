@@ -27,10 +27,12 @@ done
 # Determinism gate: the parallel methodology engine must produce
 # byte-identical reports (modulo host-timing fields, stripped by
 # `normalize-report`) at 1 thread and 8 threads, each from a cold
-# kernel-cycle cache.
+# kernel-cycle cache. fig8_ssl generates an RSA-1024 key, so the
+# Miller-Rabin witnesses prime generation runs on the pool are gated
+# too.
 DET=$(mktemp -d /tmp/ci_det.XXXXXX)
 trap 'rm -f "$TRACE"; rm -rf "$DET"' EXIT
-for run in "sec43_exploration --json 128 2" "fig5_adcurves --json 8"; do
+for run in "sec43_exploration --json 128 2" "fig5_adcurves --json 8" "fig8_ssl --json"; do
   # shellcheck disable=SC2086
   set -- $run
   name=$1
