@@ -631,33 +631,27 @@ impl<'a> FlowCtx<'a> {
         let fitted = self.pool().par_map(&tasks, |i, t| {
             let unit_start = Instant::now();
             let unit = format!("{}.r{}", t.name(), t.width);
-            let measure = |seed, arm| measure_charact_task(config, variant, t, seed, arm, budget);
-            let report = match cache {
-                Some(kc) => UnitReport::clean(kc.get_or_compute(
-                    &kcache::key(
-                        fp,
-                        &vtag,
-                        &t.desc.charact_unit_on(t.width, &core_id),
-                        max_limbs as u64,
-                        plan_digest(&t.plan),
-                    ),
-                    t.plan.len(),
-                    || {
-                        measure(1, None)
-                            .unwrap_or_else(|e| panic!("characterization of {unit} failed: {e}"))
-                    },
-                )),
-                None => run_resilient(
-                    &policy,
-                    "characterize",
-                    &unit,
-                    t.name(),
-                    CHARACT_STREAMS + (i as u64) * STREAM_STRIDE,
-                    1,
-                    measure,
-                )
-                .unwrap_or_else(|e| panic!("characterize unit {unit} failed fault-free: {e}")),
-            };
+            let key = kcache::key(
+                fp,
+                &vtag,
+                &t.desc.charact_unit_on(t.width, &core_id),
+                max_limbs as u64,
+                plan_digest(&t.plan),
+            );
+            let report = serve_unit(
+                cache,
+                &key,
+                t.plan.len(),
+                &policy,
+                &Unit {
+                    phase: "characterize",
+                    name: &unit,
+                    kernel: t.name(),
+                    stream_base: CHARACT_STREAMS + (i as u64) * STREAM_STRIDE,
+                    base_seed: 1,
+                },
+                |seed, arm| measure_charact_task(config, variant, t, seed, arm, budget),
+            );
             let ch = fit_planned(&t.basis, &t.plan, &report.value)
                 .unwrap_or_else(|e| panic!("characterization of {unit} failed: {e}"));
             let sim_cycles: u64 = report.value.iter().map(|&c| c as u64).sum();
@@ -937,44 +931,53 @@ impl<'a> FlowCtx<'a> {
                 * STREAM_STRIDE;
         let report = run_resilient(
             &self.policy,
-            "cosim",
-            &unit,
-            "modexp",
-            stream_base,
-            WORKLOAD_SEED,
+            &Unit {
+                phase: "cosim",
+                name: &unit,
+                kernel: "modexp",
+                stream_base,
+                base_seed: WORKLOAD_SEED,
+            },
             cosim,
         )
         .unwrap_or_else(|e| panic!("cosim unit {unit} failed fault-free: {e}"));
         self.absorb(report)
     }
 
-    /// Validates the macro-models against ISS co-simulation on a
-    /// handful of candidates (the paper could afford six), returning
-    /// the absolute percentage error per candidate and — when a
-    /// metrics registry is attached — observing each into the
+    /// One sample of the macro-model validation (the paper could afford
+    /// six): co-simulates `candidate` (see [`FlowCtx::cosimulate`]),
+    /// then re-runs and times its macro-model estimate, and reports the
+    /// estimate's error against the ISS and how much faster it was. When
+    /// a metrics registry is attached, observes the error into the
     /// `flow.model_error_pct` histogram.
     ///
     /// # Errors
     ///
-    /// Returns [`ModExpError`] if a candidate fails to execute.
-    pub fn validate_models(
+    /// Returns [`ModExpError`] if the candidate fails to execute.
+    pub fn cosim_sample(
         &self,
         models: &KernelModels,
-        candidates: &[ModExpConfig],
+        candidate: &ModExpConfig,
         bits: usize,
         glue_cost: f64,
-    ) -> Result<Vec<f64>, ModExpError> {
-        let mut errors = Vec::with_capacity(candidates.len());
-        for candidate in candidates {
-            let modeled = explore_single(models, candidate, bits, glue_cost)?;
-            let cosim = self.cosimulate(models, candidate, bits, glue_cost)?;
-            let err_pct = ((modeled - cosim) / cosim).abs() * 100.0;
-            if let Some(reg) = self.metrics {
-                reg.histogram("flow.model_error_pct").observe(err_pct);
-            }
-            errors.push(err_pct);
+    ) -> Result<CosimSample, ModExpError> {
+        let t = Instant::now();
+        let cosim_cycles = self.cosimulate(models, candidate, bits, glue_cost)?;
+        let cosim_time = t.elapsed();
+        let t = Instant::now();
+        let estimated_cycles = explore_single(models, candidate, bits, glue_cost)?;
+        let estimate_time = t.elapsed().max(Duration::from_nanos(1));
+        let error_pct = ((estimated_cycles - cosim_cycles) / cosim_cycles).abs() * 100.0;
+        if let Some(reg) = self.metrics {
+            reg.histogram("flow.model_error_pct").observe(error_pct);
         }
-        Ok(errors)
+        Ok(CosimSample {
+            config: *candidate,
+            estimated_cycles,
+            cosim_cycles,
+            error_pct,
+            estimation_speedup: cosim_time.as_secs_f64() / estimate_time.as_secs_f64(),
+        })
     }
 
     /// Phase 3: formulates the A-D curves for `mpn_add_n` and
@@ -1017,7 +1020,7 @@ impl<'a> FlowCtx<'a> {
         // (`mpn_add_n`: add2/4/8/16; `mpn_addmul_1`: mac1/2/4).
         let mut tasks = Vec::new();
         let mut admitted: Vec<AdmittedVariant> = Vec::new();
-        let mut pending: Vec<PendingRecord> = Vec::new();
+        let mut records: Vec<(GeneratedVariantRecord, usize)> = Vec::new();
         for desc in kreg::registry() {
             let Some(fam) = desc.family else { continue };
             tasks.push(CurveTask {
@@ -1072,23 +1075,32 @@ impl<'a> FlowCtx<'a> {
                     kreg::VariantSource::HandWritten => fam.levels.iter().map(|_| None).collect(),
                 };
             for (level, outcome) in fam.levels.iter().zip(gen_outcomes) {
-                let is_generated_kernel = outcome.is_some();
+                // A generated level's record; its cycle fields are
+                // filled from the hand-written task (and, when admitted,
+                // the generated one right after it) after the merge.
                 let hand_task = tasks.len();
-                let mut gen_task = None;
-                let (mut lint_ok, mut golden_ok, mut is_admitted) = (true, true, false);
-                let mut error = None;
+                let record = |lint_ok, golden_ok, error: Option<String>| GeneratedVariantRecord {
+                    kernel: desc.id,
+                    family: fam.family,
+                    lanes: level.lanes,
+                    tag: level.generated_tag(),
+                    lint_ok,
+                    golden_ok,
+                    admitted: error.is_none(),
+                    error,
+                    cycles_generated: None,
+                    cycles_hand: 0.0,
+                };
+                let mut gen = None;
                 match outcome {
                     None => {}
                     Some(Ok(adm)) => {
                         admitted.push(adm);
-                        is_admitted = true;
-                        gen_task = Some(hand_task + 1);
+                        gen = Some(admitted.len() - 1);
+                        records.push((record(true, true, None), hand_task));
                     }
                     Some(Err(e)) => {
-                        let (l, g) = genvar::gate_verdicts(&e);
-                        lint_ok = l;
-                        golden_ok = g;
-                        error = Some(e.to_string());
+                        let (lint_ok, golden_ok) = genvar::gate_verdicts(&e);
                         self.note_degradation(Degradation {
                             phase: "curves",
                             unit: format!("{}@{}", desc.id.name(), level.generated_tag()),
@@ -1099,6 +1111,7 @@ impl<'a> FlowCtx<'a> {
                             action: "fallback-handwritten",
                             code: codes::FLOW,
                         });
+                        records.push((record(lint_ok, golden_ok, Some(e.to_string())), hand_task));
                     }
                 }
                 tasks.push(CurveTask {
@@ -1106,29 +1119,13 @@ impl<'a> FlowCtx<'a> {
                     variant: level.variant(),
                     insn: Some((fam.family, level.lanes)),
                     gen: None,
-                    on_curve: !is_admitted,
+                    on_curve: gen.is_none(),
                 });
-                if is_admitted {
+                if gen.is_some() {
                     tasks.push(CurveTask {
-                        kernel: desc.id,
-                        variant: level.variant(),
-                        insn: Some((fam.family, level.lanes)),
-                        gen: Some(admitted.len() - 1),
+                        gen,
                         on_curve: true,
-                    });
-                }
-                if is_generated_kernel {
-                    pending.push(PendingRecord {
-                        kernel: desc.id,
-                        family: fam.family,
-                        lanes: level.lanes,
-                        tag: level.generated_tag(),
-                        lint_ok,
-                        golden_ok,
-                        admitted: is_admitted,
-                        error,
-                        hand_task,
-                        gen_task,
+                        ..tasks[hand_task]
                     });
                 }
             }
@@ -1143,7 +1140,7 @@ impl<'a> FlowCtx<'a> {
         let quarantined: BTreeSet<String> = self.state().quarantined.clone();
         let measured = self.pool().par_map(&tasks, |i, t| {
             let unit_start = Instant::now();
-            let unit = kreg::get(t.kernel).expect("curve kernel registered");
+            let desc = kreg::get(t.kernel).expect("curve kernel registered");
             let tag = match t.gen {
                 Some(ix) => gens[ix].gen.tag.clone(),
                 None => t.variant.tag(),
@@ -1160,16 +1157,11 @@ impl<'a> FlowCtx<'a> {
                 };
                 let mut iss = armed(iss, policy.cycle_budget, arm);
                 let _ = iss.warm_up(|iss| iss.measure32(t.kernel, n, 7));
-                iss.measure32(t.kernel, n, seed)
+                iss.measure32(t.kernel, n, seed).map(|c| vec![c])
             };
-            let fault_free = || measure(8, None).expect("curve kernels use register conventions");
-            let report = match cache {
-                Some(kc) => UnitReport::clean(kc.scalar(
-                    &kcache::key(fp, &tag, &unit.curve_unit_on(&core_id), n as u64, 0x0708),
-                    fault_free,
-                )),
-                None if policy.injecting() && quarantined.contains(t.kernel.name()) => UnitReport {
-                    value: fault_free(),
+            let report = if policy.injecting() && quarantined.contains(t.kernel.name()) {
+                UnitReport {
+                    value: measure(8, None).expect("curve kernels use register conventions"),
                     degradation: Some(Degradation {
                         phase: "curves",
                         unit: name.clone(),
@@ -1181,19 +1173,28 @@ impl<'a> FlowCtx<'a> {
                         code: codes::KERNEL_QUARANTINED,
                     }),
                     failed: false,
-                },
-                None => run_resilient(
+                }
+            } else {
+                serve_unit(
+                    cache,
+                    &kcache::key(fp, &tag, &desc.curve_unit_on(&core_id), n as u64, 0x0708),
+                    1,
                     &policy,
-                    "curves",
-                    &name,
-                    t.kernel.name(),
-                    CURVE_STREAMS + (i as u64) * STREAM_STRIDE,
-                    8,
+                    &Unit {
+                        phase: "curves",
+                        name: &name,
+                        kernel: t.kernel.name(),
+                        stream_base: CURVE_STREAMS + (i as u64) * STREAM_STRIDE,
+                        base_seed: 8,
+                    },
                     measure,
                 )
-                .unwrap_or_else(|e| panic!("curves unit {name} failed fault-free: {e}")),
             };
-            (report, name, unit_start.elapsed().as_secs_f64() * 1e3)
+            (
+                report.map(|v| v[0]),
+                name,
+                unit_start.elapsed().as_secs_f64() * 1e3,
+            )
         });
 
         let values: Vec<f64> = measured
@@ -1228,19 +1229,12 @@ impl<'a> FlowCtx<'a> {
         for (op, points) in points_by_op {
             curves.insert(op.to_owned(), AdCurve::from_points(points));
         }
-        let records = pending
+        let records = records
             .into_iter()
-            .map(|p| GeneratedVariantRecord {
-                kernel: p.kernel,
-                family: p.family,
-                lanes: p.lanes,
-                tag: p.tag,
-                lint_ok: p.lint_ok,
-                golden_ok: p.golden_ok,
-                admitted: p.admitted,
-                error: p.error,
-                cycles_generated: p.gen_task.map(|ix| values[ix]),
-                cycles_hand: values[p.hand_task],
+            .map(|(mut record, hand_task)| {
+                record.cycles_hand = values[hand_task];
+                record.cycles_generated = record.admitted.then(|| values[hand_task + 1]);
+                record
             })
             .collect();
         (curves, records)
@@ -1268,32 +1262,27 @@ impl<'a> FlowCtx<'a> {
             };
             Ok::<_, KernelError>(vec![leaf(kreg::id::ADD_N)?, leaf(kreg::id::ADDMUL_1)?])
         };
-        let leaves = match self.measurement_cache() {
-            Some(kc) => kc.get_or_compute(
-                &kcache::key(
-                    self.config.fingerprint(),
-                    &KernelVariant::Base.tag(),
-                    "fig4:leaves",
-                    k as u64,
-                    0x0304,
-                ),
-                2,
-                || measure(4, None).expect("registered"),
-            ),
-            None => {
-                let report = run_resilient(
-                    &self.policy,
-                    "fig4",
-                    "fig4:leaves",
-                    "fig4:leaves",
-                    FIG4_STREAMS,
-                    4,
-                    measure,
-                )
-                .unwrap_or_else(|e| panic!("fig4 unit fig4:leaves failed fault-free: {e}"));
-                self.absorb(report)
-            }
-        };
+        let key = kcache::key(
+            self.config.fingerprint(),
+            &KernelVariant::Base.tag(),
+            "fig4:leaves",
+            k as u64,
+            0x0304,
+        );
+        let leaves = self.absorb(serve_unit(
+            self.measurement_cache(),
+            &key,
+            2,
+            &self.policy,
+            &Unit {
+                phase: "fig4",
+                name: "fig4:leaves",
+                kernel: "fig4:leaves",
+                stream_base: FIG4_STREAMS,
+                base_seed: 4,
+            },
+            measure,
+        ));
         let (addn, addmul) = (leaves[0], leaves[1]);
         if let Some(sp) = self.spans {
             sp.leaf(
@@ -1474,11 +1463,13 @@ impl<'a> FlowCtx<'a> {
                 * STREAM_STRIDE;
         let report = run_resilient(
             &self.policy,
-            "measure",
-            &unit,
-            kernel.name(),
-            stream_base,
-            seed,
+            &Unit {
+                phase: "measure",
+                name: &unit,
+                kernel: kernel.name(),
+                stream_base,
+                base_seed: seed,
+            },
             |seed, arm| {
                 let iss = IssMpn::with_variant(self.config.clone(), variant);
                 let mut iss = armed(iss, self.policy.cycle_budget, arm);
@@ -1528,6 +1519,49 @@ impl<T> UnitReport<T> {
     }
 }
 
+/// The identity of one ISS measurement unit: what its degradations
+/// record and where its attempts draw their seeds and fault streams.
+struct Unit<'u> {
+    phase: &'static str,
+    name: &'u str,
+    kernel: &'u str,
+    /// The fault-plan stream of the first attempt; retry `k` uses
+    /// `stream_base + k`.
+    stream_base: u64,
+    /// The stimulus seed of the first attempt and of every fault-free
+    /// run.
+    base_seed: u64,
+}
+
+/// Serves one ISS measurement unit. With a cache attached the unit's
+/// cycle vector is served under `key` (entries of another arity than
+/// `len` are recomputed), and a miss calls `measure` once with
+/// `(base_seed, None)`; otherwise the unit runs [`run_resilient`].
+///
+/// # Panics
+///
+/// Panics if the unit fails without injected faults, whichever way it
+/// was served: that is a genuine defect, not a measurement.
+fn serve_unit<E>(
+    cache: Option<&KCache>,
+    key: &str,
+    len: usize,
+    policy: &FaultPolicy,
+    unit: &Unit<'_>,
+    measure: impl Fn(u64, Option<(PlanSpec, u64)>) -> Result<Vec<f64>, E>,
+) -> UnitReport<Vec<f64>>
+where
+    E: std::fmt::Display + Into<Error>,
+{
+    let served = match cache {
+        Some(kc) => kc
+            .try_get_or_compute(key, len, || measure(unit.base_seed, None))
+            .map(UnitReport::clean),
+        None => run_resilient(policy, unit, measure),
+    };
+    served.unwrap_or_else(|e| panic!("{} unit {} failed fault-free: {e}", unit.phase, unit.name))
+}
+
 /// Runs one measurement unit under the resilience protocol: bounded
 /// retries with deterministically reseeded stimuli (each attempt on its
 /// own fault-plan stream), then a fault-free fallback. Pure w.r.t. the
@@ -1541,11 +1575,7 @@ impl<T> UnitReport<T> {
 /// is a genuine defect no retry can mend.
 fn run_resilient<T, E>(
     policy: &FaultPolicy,
-    phase: &'static str,
-    unit: &str,
-    kernel: &str,
-    stream_base: u64,
-    base_seed: u64,
+    unit: &Unit<'_>,
     measure: impl Fn(u64, Option<(PlanSpec, u64)>) -> Result<T, E>,
 ) -> Result<UnitReport<T>, E>
 where
@@ -1553,9 +1583,9 @@ where
 {
     let degradation =
         |err: E, attempts: u32, retry_seeds: Vec<u64>, action: &'static str| Degradation {
-            phase,
-            unit: unit.to_owned(),
-            kernel: kernel.to_owned(),
+            phase: unit.phase,
+            unit: unit.name.to_owned(),
+            kernel: unit.kernel.to_owned(),
             error: err.to_string(),
             attempts,
             retry_seeds,
@@ -1565,13 +1595,13 @@ where
     let mut retry_seeds = Vec::new();
     let mut last_err = None;
     for attempt in 0..=policy.max_retries {
-        let seed = policy.retry_seed(base_seed, attempt);
+        let seed = policy.retry_seed(unit.base_seed, attempt);
         if attempt > 0 {
             retry_seeds.push(seed);
         }
         let arm = policy
             .plan
-            .map(|spec| (spec, stream_base.wrapping_add(u64::from(attempt))));
+            .map(|spec| (spec, unit.stream_base.wrapping_add(u64::from(attempt))));
         match measure(seed, arm) {
             Ok(value) => {
                 return Ok(UnitReport {
@@ -1587,7 +1617,7 @@ where
         }
     }
     let err = last_err.expect("every injected attempt failed");
-    let value = measure(base_seed, None)?;
+    let value = measure(unit.base_seed, None)?;
     Ok(UnitReport {
         value,
         degradation: Some(degradation(
@@ -1731,6 +1761,23 @@ impl ExplorationResult {
     pub fn best(&self) -> &Candidate {
         &self.ranked[0]
     }
+}
+
+/// One co-simulated candidate of the macro-model validation (see
+/// [`FlowCtx::cosim_sample`]).
+#[derive(Debug, Clone)]
+pub struct CosimSample {
+    /// The candidate.
+    pub config: ModExpConfig,
+    /// Its macro-model estimate.
+    pub estimated_cycles: f64,
+    /// Its co-simulated cycles (the macro-model estimate when a
+    /// quarantined kernel ruled the ISS out).
+    pub cosim_cycles: f64,
+    /// The estimate's absolute error against co-simulation, in percent.
+    pub error_pct: f64,
+    /// Co-simulation wall time over estimation wall time.
+    pub estimation_speedup: f64,
 }
 
 /// The accelerator levels the cross-product axis sweeps: the base core
@@ -1957,22 +2004,6 @@ struct CurveTask {
     /// shadows of admitted generated variants are measured for the
     /// side-by-side record only).
     on_curve: bool,
-}
-
-/// Bookkeeping for one generated level's run-report record: gate
-/// verdicts known at generation time plus the task indices whose
-/// measured cycles complete the record.
-struct PendingRecord {
-    kernel: KernelId,
-    family: &'static str,
-    lanes: u32,
-    tag: String,
-    lint_ok: bool,
-    golden_ok: bool,
-    admitted: bool,
-    error: Option<String>,
-    hand_task: usize,
-    gen_task: Option<usize>,
 }
 
 #[cfg(test)]
@@ -2426,11 +2457,13 @@ mod tests {
 
         // Validation (and with it fig4/fig5-style pipelines) still
         // completes end to end.
-        let errs = ctx
-            .validate_models(&models, &[candidate], 128, 4.0)
-            .unwrap();
-        assert_eq!(errs.len(), 1);
-        assert_eq!(errs[0], 0.0, "degraded cosim equals the model estimate");
+        let sample = ctx.cosim_sample(&models, &candidate, 128, 4.0).unwrap();
+        assert_eq!(sample.cosim_cycles, modeled);
+        assert_eq!(sample.estimated_cycles, modeled);
+        assert_eq!(
+            sample.error_pct, 0.0,
+            "degraded cosim equals the model estimate"
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! *where* to run it (worker pool, kernel-cycle cache, optional
 //! metrics/span sinks and a cancellation token). [`JobSpec::run`]
 //! combines the two and returns a finished structured
-//! [`RunReport`](xobs::RunReport).
+//! [`xobs::RunReport`].
 //!
 //! Both front ends drive the same entry point: the `bench` command-line
 //! binaries parse their arguments into a `JobSpec` and call `run`
@@ -39,7 +39,7 @@ use xr32::xcore::CoreSpec;
 use xr32::Fidelity;
 
 use crate::error::{codes, Error};
-use crate::flow::{self, FlowBuilder, FlowCtx};
+use crate::flow::{self, CosimSample, FlowBuilder, FlowCtx};
 use crate::issops::IssMpn;
 use crate::kcache::{self, KCache};
 
@@ -296,9 +296,12 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::JobSpec`] for a non-object, an unknown kind,
-    /// unresolvable kernel/core/variant names or a malformed fault
-    /// spec.
+    /// Returns [`Error::JobSpec`] (code 5002) for a non-object, an
+    /// unknown kind, a malformed kernel list, seed, fidelity or fault
+    /// spec, a non-finite glue cost, or an unresolvable core id (a zero
+    /// or oversized width included) or variant tag, and the kernel
+    /// layer's [`KernelError::Unknown`] (code 1001) for an unregistered
+    /// kernel name.
     pub fn from_json(v: &Json) -> Result<JobSpec, Error> {
         let bad = |detail: String| Error::JobSpec { detail };
         let Json::Obj(_) = v else {
@@ -349,6 +352,11 @@ impl JobSpec {
             Some(_) => return Err(bad("seed must be a u64 string or number".into())),
         }
         if let Some(x) = v.get("glue_cost").and_then(Json::as_f64) {
+            // JSON text carries no NaN or infinity; a built value could,
+            // and would print as `null`.
+            if !x.is_finite() {
+                return Err(bad(format!("glue_cost {x} is not finite")));
+            }
             spec.glue_cost = x;
         }
         match v.get("fidelity").and_then(Json::as_str) {
@@ -410,7 +418,7 @@ impl JobSpec {
     /// caller. Cancellation is polled at phase boundaries (and per
     /// co-simulation sample / per kernel); a fired token surfaces as
     /// [`Error::Protocol`] with code
-    /// [`codes::PROTO_CANCELLED`](crate::error::codes::PROTO_CANCELLED).
+    /// [`codes::PROTO_CANCELLED`].
     ///
     /// # Errors
     ///
@@ -443,7 +451,7 @@ impl JobSpec {
         };
         let report = match self.kind {
             JobKind::Characterize => self.run_characterize(&env, spans)?,
-            JobKind::Explore => self.run_explore(&env, spans, metrics)?,
+            JobKind::Explore => self.run_explore(&env, spans)?,
             JobKind::Curves => self.run_curves(&env, spans)?,
             JobKind::Measure | JobKind::FaultCampaign => self.run_measure(&env, spans)?,
         };
@@ -483,12 +491,7 @@ impl JobSpec {
     /// The full §4.3 pipeline, field-for-field what the
     /// `sec43_exploration` binary historically computed (same report
     /// name, so envelope diffs line up across the reimplementation).
-    fn run_explore(
-        &self,
-        env: &JobEnv<'_>,
-        spans: &Spans,
-        metrics: &Registry,
-    ) -> Result<RunReport, Error> {
+    fn run_explore(&self, env: &JobEnv<'_>, spans: &Spans) -> Result<RunReport, Error> {
         let bits = self.bits;
         let config = self.config()?;
         let ctx = self.into_ctx(&config, env)?;
@@ -506,37 +509,27 @@ impl JobSpec {
             .ok_or_else(|| Error::flow("baseline missing from the lattice"))?;
 
         let step = result.ranked.len() / self.cosim_samples.max(1);
-        let mut errors = Vec::new();
-        let mut speedups = Vec::new();
         let mut samples = Vec::new();
         for i in 0..self.cosim_samples {
             check_cancel(env)?;
-            let cand = &result.ranked[i * step];
-            let t = Instant::now();
-            let cosim = ctx
-                .cosimulate(&models, &cand.config, bits, self.glue_cost)
-                .map_err(Error::from)?;
-            let cosim_time = t.elapsed();
-            let t = Instant::now();
-            // Re-run the macro-model estimate to time it fairly.
-            let _ = flow::explore_single(&models, &cand.config, bits, self.glue_cost);
-            let est_time = t.elapsed().max(std::time::Duration::from_nanos(1));
-            let err = ((cand.cycles - cosim) / cosim).abs() * 100.0;
-            let speedup = cosim_time.as_secs_f64() / est_time.as_secs_f64();
-            metrics.histogram("flow.model_error_pct").observe(err);
-            samples.push(
-                Json::obj()
-                    .set("config", cand.config.to_string())
-                    .set("estimated_cycles", cand.cycles)
-                    .set("cosim_cycles", cosim)
-                    .set("error_pct", err)
-                    .set("estimation_speedup", speedup),
-            );
-            errors.push(err);
-            speedups.push(speedup);
+            let cand = &result.ranked[i * step].config;
+            samples.push(ctx.cosim_sample(&models, cand, bits, self.glue_cost)?);
         }
-        let mae = errors.iter().sum::<f64>() / errors.len() as f64;
-        let mean_speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;
+        let mean =
+            |f: fn(&CosimSample) -> f64| samples.iter().map(f).sum::<f64>() / samples.len() as f64;
+        let mae = mean(|s| s.error_pct);
+        let mean_speedup = mean(|s| s.estimation_speedup);
+        let rendered: Vec<Json> = samples
+            .iter()
+            .map(|s| {
+                Json::obj()
+                    .set("config", s.config.to_string())
+                    .set("estimated_cycles", s.estimated_cycles)
+                    .set("cosim_cycles", s.cosim_cycles)
+                    .set("error_pct", s.error_pct)
+                    .set("estimation_speedup", s.estimation_speedup)
+            })
+            .collect();
 
         check_cancel(env)?;
         let ooo_config = CpuConfig::ooo();
@@ -558,7 +551,7 @@ impl JobSpec {
                 "algorithmic_speedup",
                 baseline.cycles / result.best().cycles,
             )
-            .result("cosim_samples", samples)
+            .result("cosim_samples", rendered)
             .result("mean_abs_error_pct", mae)
             .result("mean_estimation_speedup", mean_speedup)
             .result(
@@ -902,6 +895,22 @@ mod tests {
         let pool = Pool::new(1);
         let err = spec.run(&JobEnv::new(&pool)).expect_err("rejected");
         assert!(matches!(err, Error::JobSpec { .. }), "{err}");
+    }
+
+    #[test]
+    fn zero_and_oversized_core_widths_are_spec_errors() {
+        let pool = Pool::new(1);
+        for core in ["ooo-i2x2-r32s0l8b256", "ooo-i2x2-r32s16l8b4294967295"] {
+            let text = format!(r#"{{"kind":"measure","kernels":["mpn_add_n"],"core":"{core}"}}"#);
+            let err = JobSpec::parse(&text).expect_err(core);
+            assert_eq!(err.code(), codes::JOB_SPEC, "{core}: {err}");
+            // A spec built in process reaches the same check when it runs.
+            let mut spec = JobSpec::new(JobKind::Measure);
+            spec.core = core.into();
+            spec.kernels = vec![kreg::id::ADD_N];
+            let err = spec.run(&JobEnv::new(&pool)).expect_err(core);
+            assert_eq!(err.code(), codes::JOB_SPEC, "{core}: {err}");
+        }
     }
 
     #[test]

@@ -43,11 +43,6 @@ pub const KCACHE_SCHEMA_VERSION: u64 = 1;
 /// spawns on this class of machine.
 pub const SHARDS: usize = 16;
 
-/// FNV-1a offset basis (shard router hash).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// Builds the content key for one measurement unit: the core
 /// configuration fingerprint, the kernel-library variant tag (see
 /// [`crate::issops::KernelVariant::tag`]), the measured op (or a
@@ -57,13 +52,9 @@ pub fn key(config_fp: u64, variant: &str, op: &str, n: u64, seed: u64) -> String
     format!("{config_fp:016x}/{variant}/{op}/n{n}/s{seed:016x}")
 }
 
-/// The shard index `key` routes to.
+/// The shard index `key` routes to: the FNV-1a hash of its bytes.
 pub fn shard_of(key: &str) -> usize {
-    let mut h = FNV_OFFSET;
-    for b in key.bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    (h as usize) & (SHARDS - 1)
+    (checksum(key, &[]) as usize) & (SHARDS - 1)
 }
 
 /// A thread-safe kernel-cycle cache with optional file persistence,

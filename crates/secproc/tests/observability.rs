@@ -114,10 +114,10 @@ fn metered_flow_publishes_phase_metrics() {
     let models = ctx.characterize(8, &options);
     let result = ctx.explore(&models, 128, 4.0).expect("space explores");
     assert_eq!(result.evaluated, 450);
-    let errors = ctx
-        .validate_models(&models, &[ModExpConfig::optimized()], 128, 4.0)
+    let sample = ctx
+        .cosim_sample(&models, &ModExpConfig::optimized(), 128, 4.0)
         .expect("validation runs");
-    assert_eq!(errors.len(), 1);
+    assert_eq!(sample.config, ModExpConfig::optimized());
     // A fault-free run records no *resilience* degradations, but poor
     // regression fits surface as first-class `bad-fit` entries (an op
     // with a near-constant cycle profile fits worse than its mean at

@@ -1,4 +1,4 @@
-//! Deterministic scoped worker pool and memoization for the
+//! Deterministic scoped worker pool and content checksums for the
 //! methodology engine.
 //!
 //! The paper's exploration loop is embarrassingly parallel: 450
@@ -23,10 +23,8 @@
 //! combinator degenerates to the plain serial loop — no threads are
 //! spawned at all.
 //!
-//! [`memo::Memo`] is the companion content-addressed cache: repeated
-//! deterministic computations (ISS kernel-cycle measurements, keyed by
-//! configuration fingerprint × op × size × seed × variant) are computed
-//! once and shared across workers.
+//! [`memo::checksum`] is the FNV-1a content checksum that guards
+//! persisted kernel-cycle cache entries and identifies job specs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,12 +38,10 @@ use std::time::Instant;
 /// A cloneable cooperative-cancellation flag.
 ///
 /// The service layer hands one token per job to the workers executing
-/// it; [`Pool::par_map_cancellable`] polls the token between items, and
-/// flow phases poll it at phase boundaries. Cancellation is therefore
-/// *cooperative and lossy* — an in-flight item completes — but never
-/// corrupts results: a cancelled map returns `None` rather than a
-/// partial vector, so the determinism contract ("the output equals the
-/// serial run") holds unconditionally for every map that completes.
+/// it, and jobs poll it at phase boundaries. Cancellation is therefore
+/// *cooperative and lossy* — an in-flight phase completes — but never
+/// corrupts results: a cancelled job returns an error rather than a
+/// partial report.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -329,65 +325,6 @@ impl Pool {
         out
     }
 
-    /// [`Pool::par_map`] with cooperative cancellation: polls `token`
-    /// before each item and returns `None` as soon as cancellation is
-    /// observed (in-flight items finish; their results are discarded).
-    ///
-    /// When the token is never cancelled the result is `Some` of
-    /// exactly what [`Pool::par_map`] returns — same chunking, same
-    /// submission-order merge — so cancellable callers keep the
-    /// determinism contract for free.
-    pub fn par_map_cancellable<T, R, F>(
-        &self,
-        items: &[T],
-        token: &CancelToken,
-        f: F,
-    ) -> Option<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        if token.is_cancelled() {
-            return None;
-        }
-        let cancelled = AtomicBool::new(false);
-        let out = self.par_map(items, |i, t| {
-            if token.is_cancelled() {
-                cancelled.store(true, Ordering::Relaxed);
-                return None;
-            }
-            Some(f(i, t))
-        });
-        if cancelled.load(Ordering::Relaxed) || token.is_cancelled() {
-            return None;
-        }
-        // No item observed cancellation: every slot is Some.
-        Some(
-            out.into_iter()
-                .map(|r| r.expect("uncancelled item"))
-                .collect(),
-        )
-    }
-
-    /// Maps every item through `f` in parallel, then folds the results
-    /// **in submission order** on the calling thread — the parallel
-    /// drop-in for `items.iter().map(f).fold(init, reduce)`.
-    pub fn par_map_reduce<T, R, A, F>(
-        &self,
-        items: &[T],
-        f: F,
-        init: A,
-        reduce: impl FnMut(A, R) -> A,
-    ) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-    {
-        self.par_map(items, f).into_iter().fold(init, reduce)
-    }
-
     /// Returns whether `pred` holds for every item, evaluating one
     /// *wave* of `threads` items at a time with early exit between
     /// waves (the parallel shape of Miller–Rabin witness rounds: a
@@ -464,22 +401,6 @@ mod tests {
         let pool = Pool::new(4);
         assert_eq!(pool.par_map(&[] as &[u32], |_, v| *v), Vec::<u32>::new());
         assert_eq!(pool.par_map(&[7u32], |i, v| *v + i as u32), vec![7]);
-    }
-
-    #[test]
-    fn par_map_reduce_folds_in_submission_order() {
-        let items: Vec<usize> = (0..40).collect();
-        let pool = Pool::new(7);
-        let serial = items
-            .iter()
-            .fold(String::new(), |acc, v| acc + &v.to_string());
-        let par = pool.par_map_reduce(
-            &items,
-            |_, v| v.to_string(),
-            String::new(),
-            |acc, s| acc + &s,
-        );
-        assert_eq!(par, serial, "merge order must be submission order");
     }
 
     #[test]
@@ -560,48 +481,6 @@ mod tests {
         assert_eq!(st.len(), 1);
         assert_eq!(st[0].workers.len(), 1);
         assert_eq!((st[0].workers[0].lo, st[0].workers[0].hi), (0, 20));
-    }
-
-    #[test]
-    fn cancellable_map_matches_par_map_when_uncancelled() {
-        let items: Vec<u64> = (0..97).collect();
-        for threads in [1, 3, 8] {
-            let pool = Pool::new(threads);
-            let token = CancelToken::new();
-            let got = pool
-                .par_map_cancellable(&items, &token, |i, v| v * 3 + i as u64)
-                .expect("uncancelled map completes");
-            let expect = pool.par_map(&items, |i, v| v * 3 + i as u64);
-            assert_eq!(got, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn pre_cancelled_map_runs_nothing() {
-        let evaluated = AtomicUsize::new(0);
-        let token = CancelToken::new();
-        token.cancel();
-        let items: Vec<u32> = (0..50).collect();
-        let out = Pool::new(4).par_map_cancellable(&items, &token, |_, v| {
-            evaluated.fetch_add(1, Ordering::Relaxed);
-            *v
-        });
-        assert!(out.is_none());
-        assert_eq!(evaluated.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn mid_map_cancellation_returns_none() {
-        let items: Vec<u32> = (0..200).collect();
-        let pool = Pool::new(1);
-        let token = CancelToken::new();
-        let out = pool.par_map_cancellable(&items, &token, |i, v| {
-            if i == 10 {
-                token.cancel();
-            }
-            *v
-        });
-        assert!(out.is_none(), "cancellation mid-map discards the partial");
     }
 
     #[test]

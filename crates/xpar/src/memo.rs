@@ -1,29 +1,16 @@
-//! Content-addressed memoization of deterministic numeric computations.
-//!
-//! A [`Memo`] maps a *content key* — a string the caller derives from
-//! every input that determines the result, e.g.
-//! `"{config_fp:016x}/{variant}/{op}/n{n}/s{seed}"` — to the computed
-//! `Vec<f64>`. Because the key embeds the configuration fingerprint, a
-//! changed configuration simply misses (stale entries are never served);
-//! and because the cached computations are deterministic, a racing
-//! double-compute of the same key is harmless (both threads produce the
-//! same value).
+//! Content checksums for cache files and identities.
 //!
 //! [`checksum`] provides the integrity fingerprint used by persistent
 //! cache files: an entry whose stored checksum does not match
 //! `checksum(key, values)` has been corrupted (poisoned) and must be
 //! dropped, not served.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Integrity fingerprint of one memo entry: FNV-1a over the key bytes
+/// Integrity fingerprint of one cache entry: FNV-1a over the key bytes
 /// followed by every value's IEEE-754 bit pattern (little-endian).
 pub fn checksum(key: &str, values: &[f64]) -> u64 {
     let mut h = FNV_OFFSET;
@@ -38,159 +25,9 @@ pub fn checksum(key: &str, values: &[f64]) -> u64 {
     h
 }
 
-/// A thread-safe content-addressed cache of `Vec<f64>` results with
-/// hit/miss accounting.
-#[derive(Debug, Default)]
-pub struct Memo {
-    entries: Mutex<HashMap<String, Vec<f64>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Memo {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Memo::default()
-    }
-
-    /// Number of cached entries.
-    pub fn len(&self) -> usize {
-        self.entries.lock().expect("memo poisoned").len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lookups served from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to compute so far.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// `hits / (hits + misses)`, or 0 before the first lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits();
-        let total = hits + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
-    }
-
-    /// Inserts an entry without touching the hit/miss counters (used
-    /// when loading a persisted cache).
-    pub fn insert(&self, key: &str, values: Vec<f64>) {
-        self.entries
-            .lock()
-            .expect("memo poisoned")
-            .insert(key.to_owned(), values);
-    }
-
-    /// The cached value for `key`, if any, counting a hit or miss.
-    pub fn get(&self, key: &str) -> Option<Vec<f64>> {
-        let found = self
-            .entries
-            .lock()
-            .expect("memo poisoned")
-            .get(key)
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Returns the cached value for `key`, computing and caching it on
-    /// a miss. Entries whose arity differs from `expected_len` (a
-    /// truncated or foreign persisted entry) are treated as misses and
-    /// recomputed; pass 0 to accept any arity.
-    ///
-    /// The computation must be deterministic in `key`: concurrent
-    /// misses on the same key may compute twice, and either (equal)
-    /// result is kept.
-    pub fn get_or_compute(
-        &self,
-        key: &str,
-        expected_len: usize,
-        compute: impl FnOnce() -> Vec<f64>,
-    ) -> Vec<f64> {
-        {
-            let entries = self.entries.lock().expect("memo poisoned");
-            if let Some(v) = entries.get(key) {
-                if expected_len == 0 || v.len() == expected_len {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return v.clone();
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let v = compute();
-        self.entries
-            .lock()
-            .expect("memo poisoned")
-            .insert(key.to_owned(), v.clone());
-        v
-    }
-
-    /// Every `(key, values)` pair, sorted by key (for stable
-    /// persistence).
-    pub fn entries(&self) -> Vec<(String, Vec<f64>)> {
-        let map = self.entries.lock().expect("memo poisoned");
-        let mut out: Vec<(String, Vec<f64>)> =
-            map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cold_miss_then_warm_hit() {
-        let memo = Memo::new();
-        let mut computed = 0;
-        let a = memo.get_or_compute("k", 2, || {
-            computed += 1;
-            vec![1.0, 2.0]
-        });
-        let b = memo.get_or_compute("k", 2, || {
-            computed += 1;
-            vec![9.0, 9.0]
-        });
-        assert_eq!(a, vec![1.0, 2.0]);
-        assert_eq!(b, vec![1.0, 2.0], "warm hit serves the cached value");
-        assert_eq!(computed, 1);
-        assert_eq!((memo.hits(), memo.misses()), (1, 1));
-        assert_eq!(memo.hit_rate(), 0.5);
-    }
-
-    #[test]
-    fn arity_mismatch_is_a_miss() {
-        let memo = Memo::new();
-        memo.insert("k", vec![1.0]);
-        let v = memo.get_or_compute("k", 3, || vec![4.0, 5.0, 6.0]);
-        assert_eq!(v, vec![4.0, 5.0, 6.0]);
-        assert_eq!(memo.hits(), 0);
-    }
-
-    #[test]
-    fn distinct_keys_do_not_collide() {
-        let memo = Memo::new();
-        memo.insert("a", vec![1.0]);
-        assert_eq!(memo.get("b"), None);
-        assert_eq!(memo.get("a"), Some(vec![1.0]));
-        assert_eq!(memo.len(), 1);
-    }
 
     #[test]
     fn checksum_detects_value_and_key_tampering() {
@@ -198,19 +35,5 @@ mod tests {
         assert_ne!(c, checksum("cfg/op/n8/s1", &[100.0, 200.5]));
         assert_ne!(c, checksum("cfg/op/n8/s2", &[100.0, 200.0]));
         assert_eq!(c, checksum("cfg/op/n8/s1", &[100.0, 200.0]));
-    }
-
-    #[test]
-    fn entries_are_sorted_by_key() {
-        let memo = Memo::new();
-        memo.insert("z", vec![1.0]);
-        memo.insert("a", vec![2.0]);
-        let keys: Vec<String> = memo.entries().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec!["a", "z"]);
-    }
-
-    #[test]
-    fn hit_rate_zero_before_first_lookup() {
-        assert_eq!(Memo::new().hit_rate(), 0.0);
     }
 }

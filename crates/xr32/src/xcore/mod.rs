@@ -99,7 +99,11 @@ impl CoreSpec {
 
     /// Parses a *CoreConfigId* produced by [`CoreSpec::id`] back to the
     /// spec — the wire-deserialization inverse used by serialized job
-    /// specs. `None` for malformed ids, so a parsed spec always builds.
+    /// specs. `None` for malformed ids and for a zero or oversized width
+    /// (issue and retire widths above 64, ROB, reservation-station and
+    /// load-store-queue entries above 4096, predictor counters above
+    /// 65536), so a parsed spec always builds and runs with bounded
+    /// memory.
     pub fn parse(id: &str) -> Option<CoreSpec> {
         if id == "io" {
             return Some(CoreSpec::InOrder);
@@ -110,13 +114,14 @@ impl CoreSpec {
         let (rob, rest) = rest.split_once('s')?;
         let (rs, rest) = rest.split_once('l')?;
         let (lsq, pred) = rest.split_once('b')?;
+        let width = |text: &str, cap: u32| text.parse().ok().filter(|w| (1..=cap).contains(w));
         Some(CoreSpec::OutOfOrder(OooParams {
-            issue_width: issue.parse().ok()?,
-            retire_width: retire.parse().ok()?,
-            rob_entries: rob.parse().ok()?,
-            rs_entries: rs.parse().ok()?,
-            lsq_entries: lsq.parse().ok()?,
-            predictor_entries: pred.parse().ok()?,
+            issue_width: width(issue, 64)?,
+            retire_width: width(retire, 64)?,
+            rob_entries: width(rob, 4096)?,
+            rs_entries: width(rs, 4096)?,
+            lsq_entries: width(lsq, 4096)?,
+            predictor_entries: width(pred, 1 << 16)?,
         }))
     }
 }
@@ -418,6 +423,30 @@ mod tests {
         assert_eq!(CoreSpec::parse("ooo"), None);
         assert_eq!(CoreSpec::parse("ooo-i2x2"), None);
         assert_eq!(CoreSpec::parse("io2"), None);
+    }
+
+    #[test]
+    fn zero_and_oversized_widths_do_not_parse() {
+        let widest = "ooo-i64x64-r4096s4096l4096b65536";
+        assert!(CoreSpec::parse(widest).is_some(), "every cap is inclusive");
+        for id in [
+            "ooo-i0x2-r32s16l8b256",
+            "ooo-i2x0-r32s16l8b256",
+            "ooo-i2x2-r0s16l8b256",
+            "ooo-i2x2-r32s0l8b256",
+            "ooo-i2x2-r32s16l0b256",
+            "ooo-i2x2-r32s16l8b0",
+            "ooo-i0x0-r0s0l0b0",
+            "ooo-i65x2-r32s16l8b256",
+            "ooo-i2x65-r32s16l8b256",
+            "ooo-i2x2-r4097s16l8b256",
+            "ooo-i2x2-r32s4097l8b256",
+            "ooo-i2x2-r32s16l4097b256",
+            "ooo-i2x2-r32s16l8b65537",
+            "ooo-i2x2-r32s16l8b4294967295",
+        ] {
+            assert_eq!(CoreSpec::parse(id), None, "{id}");
+        }
     }
 
     #[test]

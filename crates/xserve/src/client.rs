@@ -86,8 +86,8 @@ impl Client {
         self.writer.flush().map_err(io_error)
     }
 
-    /// The next response: backlogged job traffic first (see
-    /// [`Client::next_reply`]'s skimming), then the wire.
+    /// The next response: job traffic backlogged while a request/reply
+    /// method skimmed past it first, then the wire.
     ///
     /// # Errors
     ///

@@ -9,6 +9,9 @@ cargo build --release
 cargo test -q --workspace
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Docs gate: any rustdoc warning fails, so an intra-doc link to a
+# deleted or private item cannot rot.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Observability smoke: trace a couple of base-AES blocks and assert the
 # known kernel hot spots show up in the replayed attribution report.
