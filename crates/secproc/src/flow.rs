@@ -162,12 +162,6 @@ impl Degradation {
         }
     }
 
-    /// Replaces the generic flow code with a specific error class.
-    pub fn with_code(mut self, code: u32) -> Self {
-        self.code = code;
-        self
-    }
-
     /// Renders the event as a JSON object (one element of a run
     /// report's `degradations` array).
     pub fn to_json(&self) -> String {
@@ -583,35 +577,7 @@ impl<'a> FlowCtx<'a> {
         let config = self.config;
         let variant = self.variant;
 
-        // Serial planning: the shared RNG is consumed in a fixed order.
-        // The multi-precision kernels keep their historical plan order
-        // (width-major over the registry) and block kernels are
-        // appended afterwards, so their registration does not perturb
-        // the existing stimulus streams (which are part of the cache
-        // identity).
-        let mut rng = StdRng::seed_from_u64(0xC0DE_2002);
-        let mut tasks = Vec::with_capacity(2 * kreg::registry().len());
-        let plan_for = |desc: &'static KernelDescriptor, width: u32, rng: &mut StdRng| {
-            let spec = desc
-                .stimulus
-                .unwrap_or_else(|| panic!("kernel {} has no stimulus space", desc.id));
-            CharactTask {
-                width,
-                desc,
-                basis: spec.basis(),
-                plan: plan_stimuli(&spec.space(max_limbs), options, rng),
-            }
-        };
-        for width in [32u32, 16] {
-            for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
-                tasks.push(plan_for(desc, width, &mut rng));
-            }
-        }
-        for desc in kreg::registry().iter().filter(|d| d.lib != LibKind::Mpn) {
-            for &width in desc.widths() {
-                tasks.push(plan_for(desc, width, &mut rng));
-            }
-        }
+        let tasks = charact_tasks(max_limbs, options);
 
         // Parallel measurement + fit; results return in submission
         // order. Retries and fallbacks are decided inside the unit's
@@ -1658,6 +1624,52 @@ impl CharactTask {
     fn name(&self) -> &'static str {
         self.desc.id.name()
     }
+}
+
+/// Plans every characterization unit at `max_limbs`, serially: the
+/// shared RNG is consumed in a fixed order. The multi-precision kernels
+/// keep their historical plan order (width-major over the registry) and
+/// block kernels are appended afterwards, so their registration does
+/// not perturb the existing stimulus streams (which are part of the
+/// cache identity).
+fn charact_tasks(max_limbs: usize, options: &CharactOptions) -> Vec<CharactTask> {
+    let mut rng = StdRng::seed_from_u64(0xC0DE_2002);
+    let mut tasks = Vec::with_capacity(2 * kreg::registry().len());
+    let plan_for = |desc: &'static KernelDescriptor, width: u32, rng: &mut StdRng| {
+        let spec = desc
+            .stimulus
+            .unwrap_or_else(|| panic!("kernel {} has no stimulus space", desc.id));
+        CharactTask {
+            width,
+            desc,
+            basis: spec.basis(),
+            plan: plan_stimuli(&spec.space(max_limbs), options, rng),
+        }
+    };
+    for width in [32u32, 16] {
+        for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
+            tasks.push(plan_for(desc, width, &mut rng));
+        }
+    }
+    for desc in kreg::registry().iter().filter(|d| d.lib != LibKind::Mpn) {
+        for &width in desc.widths() {
+            tasks.push(plan_for(desc, width, &mut rng));
+        }
+    }
+    tasks
+}
+
+/// The first characterization unit at `max_limbs` whose training
+/// stimuli hold fewer distinct points than its basis has terms, so that
+/// its fit is degenerate, or `None` when every unit can be fitted.
+pub(crate) fn undetermined_unit(max_limbs: usize, options: &CharactOptions) -> Option<String> {
+    charact_tasks(max_limbs, options)
+        .into_iter()
+        .find(|t| {
+            let points: BTreeSet<&Vec<u64>> = t.plan.train.iter().collect();
+            points.len() < t.basis.len()
+        })
+        .map(|t| format!("{}.r{}", t.name(), t.width))
 }
 
 /// Content digest of a stimulus plan (folded into the kernel-cycle

@@ -236,36 +236,31 @@ impl IssMpn {
     }
 
     /// Runs `f` on this provider as a discarded warm-up: its kernel
-    /// calls execute in full and leave the simulated caches (and an
-    /// out-of-order core's branch predictor) exactly as timed calls
-    /// would, but charge no cycles, and the provider's cycle total and
-    /// call counts are restored afterwards. Recorded kernel errors are
-    /// kept. Where a cycle-free warm-up cannot be exact — a fault plan
-    /// armed, a trace sink attached, or an in-order core whose
-    /// multiply latency outlasts a return — the calls run timed and
-    /// their cycles are discarded (see [`Cpu::set_warm_up`]).
+    /// calls run as ordinary timed calls, leaving the simulated caches,
+    /// an out-of-order core's branch predictor and the pipeline where
+    /// the next timed run starts from, and the provider's cycle total
+    /// and call counts are restored afterwards. The cores' own clocks
+    /// ([`IssMpn::core_cycles`]) keep the warm-up's cycles. Recorded
+    /// kernel errors are kept.
     pub fn warm_up<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
         let (cycles, counts) = (self.cycles, self.counts);
-        self.s32.cpu.set_warm_up(true);
-        self.s16.cpu.set_warm_up(true);
         let out = f(self);
-        self.s32.cpu.set_warm_up(false);
-        self.s16.cpu.set_warm_up(false);
         self.cycles = cycles;
         self.counts = counts;
         out
     }
 
-    /// Attaches a call memo to both radix cores: a timed or warm-up call
-    /// of a constant-time kernel whose public inputs were seen before
+    /// Attaches a call memo to both radix cores: a call of a
+    /// constant-time kernel whose public inputs were seen before
     /// replays the in-order model's recorded cost on the functional
     /// executor, with every cycle, cache statistic and later hit or
     /// miss unchanged (see [`xr32::xcore::memo`]). A `div_qhat` call
     /// is timed from a cost table proven for the core's configuration
-    /// on its first call, where the proof holds. The memo declines
-    /// calls on an out-of-order core, with a trace sink attached or a
-    /// fault plan armed. Co-simulation arms it; every other user keeps
-    /// the plain timing model.
+    /// on its first call, where the proof holds. The memo serves
+    /// warm-up and timed calls alike, and declines calls on an
+    /// out-of-order core, with a trace sink attached or a fault plan
+    /// armed. Co-simulation arms it; every other user keeps the plain
+    /// timing model.
     pub(crate) fn memoize_calls(&mut self) {
         self.s32.memoize();
         self.s16.memoize();

@@ -39,7 +39,7 @@ use xr32::xcore::CoreSpec;
 use xr32::Fidelity;
 
 use crate::error::{codes, Error};
-use crate::flow::{self, CosimSample, FlowBuilder, FlowCtx};
+use crate::flow::{self, CosimSample, FlowBuilder, FlowCtx, KernelModels};
 use crate::issops::IssMpn;
 use crate::kcache::{self, KCache};
 
@@ -110,16 +110,20 @@ pub struct JobSpec {
     /// Kernel set for measurement kinds; empty means the whole mpn
     /// registry.
     pub kernels: Vec<KernelId>,
-    /// Modular-exponentiation operand width in bits (exploration).
+    /// Modular-exponentiation operand width in bits (exploration), 1
+    /// to 4096.
     pub bits: usize,
     /// Limb count for characterization/curves/measurement; `0` derives
-    /// `(bits / 32).max(8)` like the bench binaries.
+    /// `(bits / 32).max(8)` like the bench binaries. The effective
+    /// count is 1 to 1024, or to 2^20 for measure and fault-campaign
+    /// jobs.
     pub limbs: usize,
-    /// Candidates re-evaluated by full ISS co-simulation.
+    /// Candidates re-evaluated by full ISS co-simulation, 1 to 450 (the
+    /// whole lattice).
     pub cosim_samples: usize,
-    /// Characterization stimuli per measurement unit.
+    /// Characterization stimuli per measurement unit, 4 to 1024.
     pub train_samples: usize,
-    /// Characterization held-out validation points.
+    /// Characterization held-out validation points, 1 to 1024.
     pub validation_points: usize,
     /// Stimulus seed for measurement kinds.
     pub seed: u64,
@@ -298,10 +302,11 @@ impl JobSpec {
     ///
     /// Returns [`Error::JobSpec`] (code 5002) for a non-object, an
     /// unknown kind, a malformed kernel list, seed, fidelity or fault
-    /// spec, a non-finite glue cost, or an unresolvable core id (a zero
-    /// or oversized width included) or variant tag, and the kernel
-    /// layer's [`KernelError::Unknown`] (code 1001) for an unregistered
-    /// kernel name.
+    /// spec, a non-finite glue cost, a count that is not a whole number
+    /// in its field's range, or an unresolvable core id (a zero or
+    /// oversized width included) or variant tag, and the kernel layer's
+    /// [`KernelError::Unknown`] (code 1001) for an unregistered kernel
+    /// name.
     pub fn from_json(v: &Json) -> Result<JobSpec, Error> {
         let bad = |detail: String| Error::JobSpec { detail };
         let Json::Obj(_) = v else {
@@ -329,16 +334,23 @@ impl JobSpec {
                 })
                 .collect::<Result<_, _>>()?;
         }
-        let usize_field = |name: &str, into: &mut usize| {
-            if let Some(x) = v.get(name).and_then(Json::as_f64) {
+        let count = |name: &str, into: &mut usize| {
+            if let Some(value) = v.get(name) {
+                let x = value.as_f64().unwrap_or(f64::NAN);
+                if !(x >= 0.0 && x.fract() == 0.0) {
+                    let text = value.to_string_compact();
+                    return Err(bad(format!("{name} {text} is not a whole number")));
+                }
+                // Saturates past `usize::MAX`, which no range holds.
                 *into = x as usize;
             }
+            Ok(())
         };
-        usize_field("bits", &mut spec.bits);
-        usize_field("limbs", &mut spec.limbs);
-        usize_field("cosim_samples", &mut spec.cosim_samples);
-        usize_field("train_samples", &mut spec.train_samples);
-        usize_field("validation_points", &mut spec.validation_points);
+        count("bits", &mut spec.bits)?;
+        count("limbs", &mut spec.limbs)?;
+        count("cosim_samples", &mut spec.cosim_samples)?;
+        count("train_samples", &mut spec.train_samples)?;
+        count("validation_points", &mut spec.validation_points)?;
         match v.get("seed") {
             None => {}
             Some(Json::Str(text)) => {
@@ -372,11 +384,46 @@ impl JobSpec {
                 spec.faults = Some(PlanSpec::parse(text).map_err(|e| bad(format!("faults: {e}")))?);
             }
         }
-        // Validate the resolvable ids eagerly so a bad spec fails at
-        // parse time, not mid-run.
+        // Validate the counts and resolvable ids eagerly so a bad spec
+        // fails at parse time, not mid-run.
+        spec.check_counts()?;
         spec.config()?;
         spec.kernel_variant()?;
         Ok(spec)
+    }
+
+    /// Checks each count field against its range (see the field docs).
+    /// The caps bound the work one job can do. Past the kernel operand
+    /// regions a measure job's limb count is the kernel layer's typed
+    /// error, but the model-building kinds would fail inside the flow,
+    /// so their cap is lower.
+    fn check_counts(&self) -> Result<(), Error> {
+        let max_limbs = match self.kind {
+            JobKind::Measure | JobKind::FaultCampaign => 1 << 20,
+            _ => 1024,
+        };
+        for (name, value, range) in [
+            ("bits", self.bits, 1..=4096),
+            ("limbs", self.effective_limbs(), 1..=max_limbs),
+            (
+                "cosim_samples",
+                self.cosim_samples,
+                1..=ModExpConfig::enumerate().len(),
+            ),
+            ("train_samples", self.train_samples, 4..=1024),
+            ("validation_points", self.validation_points, 1..=1024),
+        ] {
+            if !range.contains(&value) {
+                return Err(Error::JobSpec {
+                    detail: format!(
+                        "{name} {value} is outside {}..={}",
+                        range.start(),
+                        range.end()
+                    ),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Parses a spec from JSON text.
@@ -423,11 +470,13 @@ impl JobSpec {
     /// # Errors
     ///
     /// Returns [`Error::JobSpec`]/[`Error::Conflict`] for an
-    /// unbuildable spec, the underlying typed error for genuine
-    /// (fault-free) failures, and the cancellation protocol error
-    /// above.
+    /// unbuildable spec (a count outside its range, or a
+    /// characterization whose stimuli cannot determine a fit, included),
+    /// the underlying typed error for genuine (fault-free) failures,
+    /// and the cancellation protocol error above.
     pub fn run(&self, env: &JobEnv<'_>) -> Result<RunReport, Error> {
         let t0 = Instant::now();
+        self.check_counts()?;
         let local_spans;
         let spans = match env.spans {
             Some(sp) => sp,
@@ -477,7 +526,7 @@ impl JobSpec {
         let flow_span = spans.enter("flow");
         check_cancel(env)?;
         let limbs = self.effective_limbs();
-        let models = ctx.characterize(limbs, &self.charact_options());
+        let models = self.characterize(&ctx)?;
         flow_span.end();
         Ok(RunReport::new("job_characterize")
             .with_fingerprint(config.fingerprint())
@@ -497,7 +546,7 @@ impl JobSpec {
         let ctx = self.into_ctx(&config, env)?;
         let flow_span = spans.enter("flow");
         check_cancel(env)?;
-        let models = ctx.characterize(self.effective_limbs(), &self.charact_options());
+        let models = self.characterize(&ctx)?;
         check_cancel(env)?;
         let result = ctx
             .explore(&models, bits, self.glue_cost)
@@ -566,6 +615,22 @@ impl JobSpec {
             )
             .with_core_configs([core_config_json(&config), core_config_json(&ooo_config)])
             .with_degradations(ctx.degradations_json()))
+    }
+
+    /// Phase 1 at the spec's limb count, or [`Error::JobSpec`] when a
+    /// unit's training stimuli cannot determine its fit (too few limb
+    /// counts to draw two operand sizes from).
+    fn characterize(&self, ctx: &FlowCtx<'_>) -> Result<KernelModels, Error> {
+        let (limbs, options) = (self.effective_limbs(), self.charact_options());
+        if let Some(unit) = flow::undetermined_unit(limbs, &options) {
+            return Err(Error::JobSpec {
+                detail: format!(
+                    "{} training stimuli at {limbs} limbs draw one operand size for {unit}",
+                    self.train_samples
+                ),
+            });
+        }
+        Ok(ctx.characterize(limbs, &options))
     }
 
     /// Phase 3: formulate the area-delay curves.
@@ -910,6 +975,112 @@ mod tests {
             spec.kernels = vec![kreg::id::ADD_N];
             let err = spec.run(&JobEnv::new(&pool)).expect_err(core);
             assert_eq!(err.code(), codes::JOB_SPEC, "{core}: {err}");
+        }
+    }
+
+    #[test]
+    fn counts_parse_at_their_floor_and_cap_and_not_past_them() {
+        // (kind, field, floor, cap); a limb count of 0 derives one.
+        let ranges = [
+            ("explore", "bits", 1, 4096),
+            ("explore", "limbs", 1, 1024),
+            ("curves", "limbs", 1, 1024),
+            ("measure", "limbs", 1, 1 << 20),
+            ("fault_campaign", "limbs", 1, 1 << 20),
+            ("explore", "cosim_samples", 1, 450),
+            ("characterize", "train_samples", 4, 1024),
+            ("characterize", "validation_points", 1, 1024),
+        ];
+        let parse = |kind: &str, field: &str, value: &str| {
+            JobSpec::parse(&format!(r#"{{"kind":"{kind}","{field}":{value}}}"#))
+        };
+        for (kind, field, floor, cap) in ranges {
+            for ok in [floor, cap] {
+                parse(kind, field, &ok.to_string()).expect(field);
+            }
+            let mut outside = vec![
+                (cap + 1).to_string(),
+                "-1".into(),
+                "1.5".into(),
+                "1e300".into(),
+            ];
+            outside.extend(["\"8\"", "null", "[8]"].map(Into::into));
+            if field != "limbs" {
+                outside.push((floor - 1).to_string());
+            }
+            for bad in outside {
+                let err = parse(kind, field, &bad).expect_err(&bad);
+                assert_eq!(err.code(), codes::JOB_SPEC, "{kind} {field} {bad}: {err}");
+            }
+        }
+        assert_eq!(
+            parse("explore", "limbs", "0").unwrap().effective_limbs(),
+            16
+        );
+    }
+
+    #[test]
+    fn jobs_at_every_floor_run_to_a_report() {
+        let pool = Pool::new(1);
+        let env = JobEnv::new(&pool);
+        let floors = JobSpec {
+            bits: 1,
+            limbs: 4,
+            cosim_samples: 1,
+            train_samples: 4,
+            validation_points: 1,
+            ..JobSpec::new(JobKind::Explore)
+        };
+        for kind in [JobKind::Characterize, JobKind::Explore] {
+            let spec = JobSpec {
+                kind,
+                ..floors.clone()
+            };
+            spec.run(&env).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        }
+        for kind in [JobKind::Curves, JobKind::Measure] {
+            let spec = JobSpec {
+                kind,
+                limbs: 1,
+                kernels: vec![kreg::id::ADD_N],
+                ..floors.clone()
+            };
+            spec.run(&env).unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        }
+    }
+
+    #[test]
+    fn counts_without_meaning_are_spec_errors_when_run() {
+        let pool = Pool::new(1);
+        let env = JobEnv::new(&pool);
+        let no_bits = JobSpec {
+            bits: 0,
+            ..JobSpec::explore(64, 1)
+        };
+        let no_training = JobSpec {
+            train_samples: 0,
+            ..JobSpec::new(JobKind::Characterize)
+        };
+        // One limb size, or two drawn alike: no fit is determined.
+        let one_size = JobSpec {
+            limbs: 1,
+            ..JobSpec::new(JobKind::Characterize)
+        };
+        let alike = JobSpec {
+            limbs: 2,
+            train_samples: 4,
+            ..JobSpec::new(JobKind::Characterize)
+        };
+        for spec in [no_bits, no_training, one_size, alike] {
+            let err = spec.run(&env).expect_err("rejected");
+            assert_eq!(err.code(), codes::JOB_SPEC, "{err}");
+        }
+        for text in [
+            r#"{"kind":"explore","bits":0}"#,
+            r#"{"kind":"characterize","train_samples":0}"#,
+        ] {
+            let err = JobSpec::parse(text).expect_err(text);
+            assert_eq!(err.code(), codes::JOB_SPEC, "{text}: {err}");
         }
     }
 

@@ -57,6 +57,20 @@ pub fn shard_of(key: &str) -> usize {
     (checksum(key, &[]) as usize) & (SHARDS - 1)
 }
 
+/// A persisted entry's key and cycles, when the entry is well formed
+/// (a string key, an array of numbers, a hex checksum) and its stored
+/// checksum matches them.
+fn verified(entry: &Json) -> Option<(&str, Vec<f64>)> {
+    let key = entry.get("key")?.as_str()?;
+    let values = entry.get("values")?.as_arr()?;
+    let values = values
+        .iter()
+        .map(Json::as_f64)
+        .collect::<Option<Vec<f64>>>()?;
+    let check = u64::from_str_radix(entry.get("check")?.as_str()?, 16).ok()?;
+    (checksum(key, &values) == check).then_some((key, values))
+}
+
 /// A thread-safe kernel-cycle cache with optional file persistence,
 /// shard-locked for read-mostly service traffic.
 #[derive(Debug)]
@@ -102,9 +116,9 @@ impl KCache {
     }
 
     /// Opens a cache bound to `path`, loading any valid persisted
-    /// entries. Malformed files, malformed entries, and entries whose
-    /// integrity checksum does not match are dropped (counted in
-    /// [`KCache::poisoned_dropped`] when the checksum is the reason).
+    /// entries. A malformed file loads nothing. A malformed entry, or
+    /// one whose integrity checksum does not match, is dropped and
+    /// counted in [`KCache::poisoned_dropped`].
     pub fn open(path: impl Into<PathBuf>) -> Self {
         let path = path.into();
         let mut cache = KCache {
@@ -125,24 +139,13 @@ impl KCache {
             return;
         };
         for entry in entries {
-            let (Some(key), Some(values), Some(check)) = (
-                entry.get("key").and_then(Json::as_str),
-                entry.get("values").and_then(Json::as_arr),
-                entry.get("check").and_then(Json::as_str),
-            ) else {
-                continue;
-            };
-            let values: Vec<f64> = values.iter().filter_map(Json::as_f64).collect();
-            let Ok(stored_check) = u64::from_str_radix(check, 16) else {
-                continue;
-            };
-            if checksum(key, &values) != stored_check {
-                // Poisoned: the stored cycles do not match the entry's
-                // integrity fingerprint. Drop it so it is recomputed.
-                self.poisoned_dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
+            match verified(entry) {
+                Some((key, values)) => self.insert(key, values),
+                // Poisoned: drop it so it is recomputed.
+                None => {
+                    self.poisoned_dropped.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            self.insert(key, values);
         }
     }
 
@@ -155,8 +158,8 @@ impl KCache {
         SHARDS
     }
 
-    /// Entries dropped at load time because their integrity checksum
-    /// did not match (a poisoned cache file).
+    /// Entries dropped at load time because they were malformed or
+    /// their integrity checksum did not match (a poisoned cache file).
     pub fn poisoned_dropped(&self) -> u64 {
         self.poisoned_dropped.load(Ordering::Relaxed)
     }

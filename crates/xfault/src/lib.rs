@@ -165,7 +165,8 @@ impl PlanSpec {
     /// Parses a `WSP_FAULTS`-style spec: comma-separated
     /// `seed=<u64>`, `rate=<ppm>`, `sites=<name+name+...>` fields, e.g.
     /// `seed=7,rate=20000,sites=data+custom`. Omitted fields default to
-    /// seed 1, rate 10000 ppm, all sites.
+    /// seed 1, rate 10000 ppm, all sites. A rate above 1000000 ppm
+    /// (certainty) is an error.
     pub fn parse(spec: &str) -> Result<PlanSpec, String> {
         let mut seed = 1u64;
         let mut rate_ppm = 10_000u32;
@@ -189,7 +190,9 @@ impl PlanSpec {
                     rate_ppm = v
                         .trim()
                         .parse()
-                        .map_err(|_| format!("bad fault rate `{v}` (ppm)"))?;
+                        .ok()
+                        .filter(|&ppm| ppm <= 1_000_000)
+                        .ok_or_else(|| format!("bad fault rate `{v}` (0 to 1000000 ppm)"))?;
                 }
                 "sites" => {
                     sites = v

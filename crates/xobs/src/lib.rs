@@ -67,4 +67,4 @@ pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use report::{RunReport, SCHEMA_VERSION};
 pub use span::{SpanGuard, Spans};
-pub use trace::{CacheSide, OwnedEvent, RingSink, Shared, TraceEvent, TraceSink, VecSink};
+pub use trace::{CacheSide, OwnedEvent, Shared, TraceEvent, TraceSink, VecSink};

@@ -15,7 +15,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 /// Which cache a [`TraceEvent::Cache`] access went through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -338,68 +337,6 @@ impl TraceSink for VecSink {
     }
 }
 
-/// A bounded ring buffer keeping the most recent events — the
-/// "flight recorder" for inspecting the tail of a long simulation
-/// without unbounded memory.
-#[derive(Debug)]
-pub struct RingSink {
-    buf: Vec<OwnedEvent>,
-    capacity: usize,
-    next: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding up to `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-            next: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted to make room (total seen = `len() + dropped()`).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<&OwnedEvent> {
-        let (newer, older) = self.buf.split_at(self.next);
-        older.iter().chain(newer.iter()).collect()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
-        let owned = ev.to_owned_event();
-        if self.buf.len() < self.capacity {
-            self.buf.push(owned);
-        } else {
-            self.buf[self.next] = owned;
-            self.next = (self.next + 1) % self.capacity;
-            self.dropped += 1;
-        }
-    }
-}
-
 /// Fans one event stream out to several sinks.
 #[derive(Default)]
 pub struct TeeSink<'s> {
@@ -433,8 +370,7 @@ impl TraceSink for TeeSink<'_> {
 ///
 /// `Shared` is `Rc`-based and therefore confined to one thread: it is
 /// deliberately `!Send`, so handing a traced component to an
-/// `xpar::Pool` worker is a compile error rather than a data race. Use
-/// [`SyncShared`] when the sink must cross threads.
+/// `xpar::Pool` worker is a compile error rather than a data race.
 ///
 /// ```
 /// use std::cell::RefCell;
@@ -476,48 +412,6 @@ impl<S: TraceSink> TraceSink for Shared<S> {
     }
 }
 
-/// The thread-safe counterpart of [`Shared`]: an `Arc<Mutex<_>>`-backed
-/// handle that is `Send + Sync` whenever the inner sink is `Send`, so
-/// one sink can serve components running on different `xpar::Pool`
-/// workers. Events from different threads interleave at event
-/// granularity (the mutex is held per event, never across events).
-///
-/// Prefer [`Shared`] inside one thread — it skips the lock.
-///
-/// ```
-/// use std::sync::{Arc, Mutex};
-/// use xobs::trace::{SyncShared, TraceSink, TraceEvent, VecSink};
-///
-/// let inner = Arc::new(Mutex::new(VecSink::new()));
-/// let mut handle: Box<dyn TraceSink> = Box::new(SyncShared::new(inner.clone()));
-/// handle.on_event(&TraceEvent::Retire { pc: 0, cycle: 1 });
-/// assert_eq!(inner.lock().unwrap().events().len(), 1);
-/// ```
-pub struct SyncShared<S: TraceSink>(Arc<Mutex<S>>);
-
-impl<S: TraceSink> SyncShared<S> {
-    /// Wraps a shared sink.
-    pub fn new(inner: Arc<Mutex<S>>) -> Self {
-        SyncShared(inner)
-    }
-}
-
-impl<S: TraceSink> Clone for SyncShared<S> {
-    fn clone(&self) -> Self {
-        SyncShared(Arc::clone(&self.0))
-    }
-}
-
-impl<S: TraceSink> TraceSink for SyncShared<S> {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
-        self.0.lock().expect("trace sink poisoned").on_event(ev);
-    }
-
-    fn flush(&mut self) {
-        self.0.lock().expect("trace sink poisoned").flush();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,18 +447,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_sink_keeps_most_recent() {
-        let mut r = RingSink::new(3);
-        for i in 0..5u64 {
-            r.on_event(&retire(i as u32, i));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
-        let cycles: Vec<u64> = r.events().iter().map(|e| e.as_event().cycle()).collect();
-        assert_eq!(cycles, vec![2, 3, 4]);
-    }
-
-    #[test]
     fn tee_duplicates_events() {
         let mut a = VecSink::new();
         let mut b = VecSink::new();
@@ -574,52 +456,5 @@ mod tests {
         }
         assert_eq!(a.events().len(), 1);
         assert_eq!(b.events().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_ring_rejected() {
-        let _ = RingSink::new(0);
-    }
-
-    #[test]
-    fn sync_shared_ring_survives_concurrent_writers() {
-        // Four threads hammer one flight recorder through SyncShared.
-        // Every event must land exactly once: retained + dropped events
-        // account for all sends, and the ring invariants hold.
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 500;
-        const CAPACITY: usize = 64;
-        let ring = Arc::new(Mutex::new(RingSink::new(CAPACITY)));
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let mut handle = SyncShared::new(Arc::clone(&ring));
-                scope.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        handle.on_event(&TraceEvent::Retire {
-                            pc: t as u32,
-                            cycle: t * PER_THREAD + i,
-                        });
-                    }
-                    handle.flush();
-                });
-            }
-        });
-        let ring = ring.lock().unwrap();
-        assert_eq!(ring.len(), CAPACITY, "full ring retains capacity events");
-        assert_eq!(
-            ring.len() as u64 + ring.dropped(),
-            THREADS * PER_THREAD,
-            "no event lost or double-counted under contention"
-        );
-        // Each retained event is one that some thread actually sent.
-        for ev in ring.events() {
-            let TraceEvent::Retire { pc, cycle } = ev.as_event() else {
-                panic!("only retire events were sent");
-            };
-            assert!((pc as u64) < THREADS);
-            assert!(cycle >= pc as u64 * PER_THREAD);
-            assert!(cycle < (pc as u64 + 1) * PER_THREAD);
-        }
     }
 }

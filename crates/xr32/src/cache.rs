@@ -192,17 +192,6 @@ impl Cache {
         false
     }
 
-    /// [`Cache::access`] with the repeat-line hit inlined into the
-    /// caller: the same result and the same state after it.
-    #[inline(always)]
-    pub fn access_inline(&mut self, addr: u64) -> bool {
-        if addr >> self.line_shift == self.last {
-            self.stats.hits += 1;
-            return true;
-        }
-        self.access(addr)
-    }
-
     /// Whether line address `line` is resident.
     pub(crate) fn holds(&self, line: u64) -> bool {
         self.lines[self.set_range(line)]
@@ -586,29 +575,5 @@ mod tests {
         assert!(!c.access(0x100), "corrupted tag forces a refill");
         // Invalidation itself never counts as an access.
         assert_eq!(c.stats().accesses(), 3);
-    }
-
-    #[test]
-    fn inlined_access_is_access() {
-        let config = CacheConfig {
-            size_bytes: 128,
-            line_bytes: 16,
-            ways: 2,
-        };
-        let (mut plain, mut inlined) = (Cache::new(config), Cache::new(config));
-        let mut x = 1u64;
-        for i in 0..2000 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // Mostly short strides, so the repeat-line path is taken.
-            let addr = (x >> 58) * 4 + (i / 8) * 16;
-            if i % 97 == 0 {
-                assert_eq!(plain.invalidate(addr), inlined.invalidate(addr));
-            }
-            assert_eq!(plain.access(addr), inlined.access_inline(addr));
-            assert_eq!(plain, inlined);
-        }
-        assert!(plain.stats().hits > 0 && plain.stats().misses > 0);
     }
 }

@@ -12,9 +12,6 @@
 //!   baseline single-issue in-order 5-stage pipeline abstraction;
 //! - the out-of-order model ([`crate::xcore::ooo`]): a scoreboarded
 //!   family with parameterized structure widths;
-//! - a warm-only model for discarded warm-up runs
-//!   ([`Cpu::set_warm_up`]): the core's cache and predictor updates,
-//!   no cycles;
 //! - no model at all under [`Fidelity::Fast`].
 //!
 //! A core with a [`CallMemo`] attached ([`Cpu::set_call_memo`]) runs
@@ -32,7 +29,7 @@ use crate::ext::{CustomInsnError, ExtensionSet, UserRegFile};
 use crate::isa::Reg;
 use crate::mem::{AccessError, Memory};
 use crate::xcore::memo::MemoCall;
-use crate::xcore::{self, CallMemo, CoreSpec, InOrderCore, OooCore, Timing, Tracer, WarmCore};
+use crate::xcore::{CallMemo, CoreSpec, InOrderCore, OooCore, Timing, Tracer};
 use crate::xjit::{self, Arch, FastProgram, Fidelity, Untimed};
 use std::fmt;
 use xfault::FaultPlan;
@@ -164,9 +161,6 @@ pub struct Cpu {
     fuel: u64,
     fault: Option<FaultPlan>,
     fidelity: Fidelity,
-    /// Cycle-accurate runs are discarded warm-ups (see
-    /// [`Cpu::set_warm_up`]).
-    warm_up: bool,
     /// Cumulative retired-instruction count across all runs (both
     /// engines) — part of the architectural state the dual-fidelity
     /// co-simulation checks compare.
@@ -213,7 +207,6 @@ impl Cpu {
             fuel: 200_000_000,
             fault: None,
             fidelity: Fidelity::CycleAccurate,
-            warm_up: false,
             retired: 0,
             decoded: Vec::new(),
             memo: None,
@@ -289,31 +282,6 @@ impl Cpu {
     /// The currently selected execution engine.
     pub fn fidelity(&self) -> Fidelity {
         self.fidelity
-    }
-
-    /// Marks subsequent cycle-accurate runs as discarded warm-ups (or,
-    /// with `false`, as timed runs again). A warm-up run only prepares
-    /// the timing state a later timed run starts from: it makes the
-    /// same I-/D-cache accesses and tag-fault invalidations as a timed
-    /// run, in the same order, and on an out-of-order core trains the
-    /// branch predictor the same way, but it charges no cycles — its
-    /// summary reports zero — and leaves the cycle counter where it
-    /// was. Architectural state, cache statistics and fault draws are
-    /// those of a timed run.
-    ///
-    /// A later timed run then counts exactly the cycles it would after
-    /// a timed warm-up, provided the warm-up runs end in a return (as
-    /// kernel calls do). Where that cannot be guaranteed, a warm-up run
-    /// takes the timed model instead and advances the cycle counter as
-    /// any timed run does; the caller discards its cycles. That is the
-    /// case with a fault plan armed (a faulted run can end inside a
-    /// latency), with a trace sink attached (the event stream stays
-    /// identical), and on an in-order core whose `mul_latency` exceeds
-    /// `branch_penalty + 2` (a multiply's result could still be pending
-    /// when the run ends). Under [`Fidelity::Fast`] the flag changes
-    /// nothing.
-    pub fn set_warm_up(&mut self, warm_up: bool) {
-        self.warm_up = warm_up;
     }
 
     /// Attaches (or, with `None`, detaches) a call memo. While one is
@@ -529,10 +497,6 @@ impl Cpu {
             }
         };
         let prog = &self.decoded[ix].1;
-        let warm_only = self.warm_up
-            && sink.is_none()
-            && self.fault.is_none()
-            && xcore::warm_only_exact(&self.config);
         let start = self.timing.cycles;
         let (icache, dcache) = (self.timing.icache.stats(), self.timing.dcache.stats());
         let memoizable = call
@@ -549,7 +513,6 @@ impl Cpu {
                 fuel: self.fuel,
                 timing: &mut self.timing,
                 config: &self.config,
-                charge: !warm_only,
             }),
             _ => None,
         };
@@ -557,10 +520,6 @@ impl Cpu {
         let classes = match (served, self.fidelity, self.config.core) {
             (Some(out), _, _) => out,
             (None, Fidelity::Fast, _) => xjit::run(prog, entry, arch, fuel, fault, Untimed),
-            (None, Fidelity::CycleAccurate, _) if warm_only => {
-                let model = WarmCore::new(&mut self.timing, &self.config);
-                xjit::run(prog, entry, arch, fuel, fault, model)
-            }
             (None, Fidelity::CycleAccurate, core) => {
                 let trace = Tracer::new(sink, program, entry, entry_name, start);
                 let (timing, config) = (&mut self.timing, &self.config);
@@ -1115,64 +1074,6 @@ mod tests {
                 ret",
         )
         .unwrap()
-    }
-
-    /// Runs `scale` once as a warm-up (`warm_only`) or timed, then once
-    /// timed. Returns the core, the first run's cycles and the second's.
-    fn warm_then_time(config: CpuConfig, warm_only: bool) -> (Cpu, u64, u64) {
-        let p = scale_kernel();
-        let mut c = Cpu::new(config);
-        c.mem_mut().write_words(0x2000, &[7; 40]).unwrap();
-        c.set_warm_up(warm_only);
-        let first = c.call(&p, "scale", &[0x4000, 0x2000, 40, 3]).unwrap();
-        c.set_warm_up(false);
-        let timed = c.call(&p, "scale", &[0x4000, 0x2000, 40, 5]).unwrap();
-        (c, first.cycles, timed.cycles)
-    }
-
-    #[test]
-    fn warm_only_run_leaves_the_timed_runs_state() {
-        for config in [CpuConfig::default(), CpuConfig::ooo()] {
-            let (warm, warm_cycles, after_warm) = warm_then_time(config.clone(), true);
-            let (timed, timed_cycles, after_timed) = warm_then_time(config, false);
-            assert_eq!(warm_cycles, 0, "a warm-only run charges nothing");
-            assert!(timed_cycles > 0);
-            assert_eq!(after_warm, after_timed, "the timed run sees the same state");
-            assert_eq!(warm.timing.icache, timed.timing.icache);
-            assert_eq!(warm.timing.dcache, timed.timing.dcache);
-            assert_eq!(warm.timing.counters, timed.timing.counters);
-            assert_eq!(warm.arch.regs, timed.arch.regs);
-            assert_eq!(warm.mem().digest(), timed.mem().digest());
-            assert_eq!(warm.retired(), timed.retired());
-        }
-        let (ooo, _, _) = warm_then_time(CpuConfig::ooo(), true);
-        assert!(
-            ooo.timing.counters.iter().any(|&c| c != 0),
-            "predictor trained"
-        );
-    }
-
-    #[test]
-    fn warm_ups_that_cannot_be_exact_run_timed() {
-        let p = scale_kernel();
-        let args = [0x4000, 0x2000, 8, 3];
-        let warm_cycles = |c: &mut Cpu, sink: Option<&mut (dyn TraceSink + '_)>| {
-            c.set_warm_up(true);
-            c.call_traced(&p, "scale", &args, sink).unwrap().cycles
-        };
-        let slow_mul = CpuConfig {
-            mul_latency: 6,
-            ..CpuConfig::default()
-        };
-        assert!(warm_cycles(&mut Cpu::new(slow_mul), None) > 0);
-        let mut faulted = cpu();
-        faulted.set_fault_plan(xfault::PlanSpec::all_sites(1, 0).plan(0));
-        assert!(warm_cycles(&mut faulted, None) > 0);
-        let mut stats = xobs::EventStats::new();
-        let mut traced = cpu();
-        assert!(warm_cycles(&mut traced, Some(&mut stats)) > 0);
-        assert_eq!(stats.last_cycle, traced.cycles());
-        assert_eq!(warm_cycles(&mut cpu(), None), 0);
     }
 
     #[test]

@@ -63,16 +63,14 @@
 //! keeps the plain model on this core.
 //!
 //! **The fast path.** A call of a proven entry, with every I-line the
-//! routine can fetch resident and (for a timed call) a settled
-//! pipeline, runs on the executor with a tiny model that adds each
-//! op's tabled cost and notes the last fetch of each I-line. Every
-//! fetch of the call then hits, and afterwards the hits (one per op)
-//! are counted, the lines re-touched in last-touch order and the cycles
-//! added. The ready times the plain model would have set all lie at or
+//! routine can fetch resident and a settled pipeline, runs on the
+//! executor with a tiny model that adds each op's tabled cost and notes
+//! the last fetch of each I-line. Every fetch of the call then hits,
+//! and afterwards the hits (one per op) are counted, the lines
+//! re-touched in last-touch order and the cycles added. The ready times the plain model would have set all lie at or
 //! before the exit clock, where the model cannot tell them from the
 //! earlier ones left in place: a ready time only ever delays an op to
-//! `max(clock, ready)`. A discarded warm-up applies the cache effects
-//! only. No per-call record or key is kept.
+//! `max(clock, ready)`. No per-call record or key is kept.
 //!
 //! # Why the re-touch is exact
 //!
@@ -84,13 +82,6 @@
 //! miss is the timed run's. The absolute LRU stamps and the tick
 //! counter differ (fewer ticks), and nothing reads them except victim
 //! selection, which compares stamps within a set.
-//!
-//! A discarded warm-up
-//! ([`Cpu::set_warm_up`](crate::cpu::Cpu::set_warm_up)) replays the
-//! same way but charges nothing: it leaves the clock and the ready
-//! times alone, as the warm-only model does. A warm-up call with an
-//! unknown key is recorded on the timed model, after which the clock
-//! and ready times are put back.
 
 use super::{InOrderCore, Timing, Tracer};
 use crate::asm::Program;
@@ -225,9 +216,8 @@ impl Record {
             && self.dlines.iter().all(|&l| t.dcache.holds(l))
     }
 
-    /// Leaves `t` as the recorded call leaves it; a warm-up (`charge`
-    /// false) only touches the caches.
-    fn apply(&self, t: &mut Timing, charge: bool) {
+    /// Leaves `t` as the recorded call leaves it.
+    fn apply(&self, t: &mut Timing) {
         t.icache.add_hits(self.ihits);
         t.dcache.add_hits(self.dhits);
         for &l in self.ilines.iter() {
@@ -236,12 +226,10 @@ impl Record {
         for &l in self.dlines.iter() {
             t.dcache.touch(l);
         }
-        if charge {
-            let entry = t.cycles;
-            t.cycles += self.cycles;
-            for &(r, at) in self.ready.iter() {
-                t.reg_ready[r as usize] = entry + at;
-            }
+        let entry = t.cycles;
+        t.cycles += self.cycles;
+        for &(r, at) in self.ready.iter() {
+            t.reg_ready[r as usize] = entry + at;
         }
     }
 }
@@ -393,7 +381,6 @@ pub fn cost_table_proves(program: &Program, entry: usize, config: &CpuConfig) ->
 struct Tabled<'a> {
     table: &'a CostTable,
     timing: &'a mut Timing,
-    charge: bool,
     cycles: u64,
     fetches: u64,
     /// The line of the previous fetch, as an index into the table's.
@@ -432,9 +419,7 @@ impl TimingModel for Tabled<'_> {
         for &(_, line) in &order[..n] {
             t.icache.touch(line);
         }
-        if self.charge {
-            t.cycles += self.cycles;
-        }
+        t.cycles += self.cycles;
     }
 }
 
@@ -447,8 +432,6 @@ pub(crate) struct MemoCall<'a> {
     pub fuel: u64,
     pub timing: &'a mut Timing,
     pub config: &'a CpuConfig,
-    /// Whether the call is timed (false for a discarded warm-up).
-    pub charge: bool,
 }
 
 impl MemoCall<'_> {
@@ -549,13 +532,12 @@ impl CallMemo {
             Serve::Tabled(table) => {
                 let t = &*call.timing;
                 let resident = table.lines.iter().all(|&l| t.icache.holds(l));
-                if !resident || (call.charge && !call.settled()) {
+                if !resident || !call.settled() {
                     return None;
                 }
                 let model = Tabled {
                     table,
                     timing: call.timing,
-                    charge: call.charge,
                     cycles: 0,
                     fetches: 0,
                     line: usize::MAX,
@@ -612,7 +594,7 @@ impl CallMemo {
             rec.insns,
             "a memoized call took another path: its entry's public inputs are incomplete"
         );
-        rec.apply(call.timing, call.charge);
+        rec.apply(call.timing);
         self.stats.replays += 1;
         self.stats.replayed_insns += rec.insns;
         Ok(classes)
@@ -627,7 +609,6 @@ impl CallMemo {
             fuel,
             timing,
             config,
-            charge,
         } = call;
         let (start, ready) = (timing.cycles, timing.reg_ready);
         let (i0, d0) = (timing.icache.stats(), timing.dcache.stats());
@@ -655,11 +636,6 @@ impl CallMemo {
                 };
                 self.records.insert(key, rec);
             }
-        }
-        if !charge {
-            // A warm-up leaves the clock and the ready times alone.
-            timing.cycles = start;
-            timing.reg_ready = ready;
         }
         out
     }
@@ -864,11 +840,6 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
             self.walk(&targets);
         }
 
-        fn set_warm_up(&mut self, on: bool) {
-            self.memo.set_warm_up(on);
-            self.plain.set_warm_up(on);
-        }
-
         /// `div` of a random numerator by a random divisor with its top
         /// bit set, checked against the host's division.
         fn div(&mut self, rng: &mut Rng) {
@@ -884,16 +855,15 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
             let mut rng = Rng(seed);
             let mut pair = Pair::new(config());
             for _ in 0..400 {
-                match rng.below(10) {
+                match rng.below(9) {
                     0..=5 => {
                         let n = [2, 4, 8][rng.below(3) as usize];
                         pair.add(&mut rng, n);
                     }
-                    6..=8 => {
+                    _ => {
                         let count = 1 + rng.below(6) as usize;
                         pair.random_walk(&mut rng, count);
                     }
-                    _ => pair.set_warm_up(rng.below(2) == 0),
                 }
             }
             let stats = pair.stats();
@@ -1106,17 +1076,16 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
             });
             let mut rng = Rng(seed);
             for _ in 0..300 {
-                match rng.below(10) {
+                match rng.below(9) {
                     0..=4 => pair.div(&mut rng),
                     5..=6 => {
                         let n = [2, 4][rng.below(2) as usize];
                         pair.add(&mut rng, n);
                     }
-                    7..=8 => {
+                    _ => {
                         let count = 1 + rng.below(6) as usize;
                         pair.random_walk(&mut rng, count);
                     }
-                    _ => pair.set_warm_up(rng.below(2) == 0),
                 }
             }
             let stats = pair.stats();

@@ -17,11 +17,12 @@
 //!   register renaming, reservation stations, a load-store queue and a
 //!   2-bit branch predictor, all width-parameterized by [`OooParams`]).
 //!
-//! A third, warm-only model serves discarded warm-up runs: it makes the
-//! core's cache and predictor updates and charges nothing. A call memo
-//! ([`memo`]) lets the in-order core run a known constant-time kernel
-//! call, or a register-only one whose per-op costs it proved constant,
-//! on the functional executor and apply its in-order cost.
+//! A call memo ([`memo`]) lets the in-order core run a known
+//! constant-time kernel call, or a register-only one whose per-op costs
+//! it proved constant, on the functional executor and apply its
+//! in-order cost. Every cycle-accurate run, a discarded warm-up
+//! included, goes through the core's one timed model or through the
+//! memo that serves it.
 //!
 //! Because both observe the same executor, the architectural state
 //! after a run is bit-identical across core models and the fast path
@@ -52,7 +53,7 @@ use crate::asm::Program;
 use crate::cache::Cache;
 use crate::config::CpuConfig;
 use crate::isa::Insn;
-use crate::xjit::{OpClass, Retired, TimingModel};
+use crate::xjit::{OpClass, Retired};
 use xobs::trace::{CacheSide, TraceEvent, TraceSink};
 
 /// Core microarchitecture selection, carried by
@@ -185,59 +186,6 @@ impl Timing {
         };
         mispredicted
     }
-}
-
-/// Whether a warm-only run leaves `config`'s core in exactly the state
-/// a timed run would, for runs that end in a return (as kernel calls
-/// do). The out-of-order core keeps nothing in flight past a run's
-/// last commit. The in-order core carries per-register ready times
-/// across runs, which a warm-only run does not advance; they stay
-/// behind the clock only while a multiply's result arrives before the
-/// return that ends the run retires: `mul_latency <= branch_penalty + 2`.
-pub(crate) fn warm_only_exact(config: &CpuConfig) -> bool {
-    match config.core {
-        CoreSpec::InOrder => config.mul_latency <= config.branch_penalty + 2,
-        CoreSpec::OutOfOrder(_) => true,
-    }
-}
-
-/// The model of a discarded warm-up run. For each op it makes the same
-/// cache accesses and tag-fault invalidations as the core's timed
-/// model, in the same order, and on an out-of-order core trains the
-/// branch predictor as [`OooCore`] does. It charges no cycles and emits
-/// no trace events, so after the run the caches, their statistics and
-/// the predictor equal those after a timed run.
-pub(crate) struct WarmCore<'a> {
-    timing: &'a mut Timing,
-    /// Train the predictor (out-of-order cores only).
-    predict: bool,
-}
-
-impl<'a> WarmCore<'a> {
-    /// A warm-up run of `config`'s core over `timing`.
-    pub fn new(timing: &'a mut Timing, config: &CpuConfig) -> Self {
-        let predict = matches!(config.core, CoreSpec::OutOfOrder(_));
-        WarmCore { timing, predict }
-    }
-}
-
-impl TimingModel for WarmCore<'_> {
-    #[inline(always)]
-    fn retire(&mut self, op: &Retired<'_>) {
-        let t = &mut *self.timing;
-        t.icache.access_inline(op.pc as u64 * 4);
-        if op.class.is_mem() {
-            if op.tag_fault {
-                t.dcache.invalidate(op.addr as u64);
-            }
-            t.dcache.access_inline(op.addr as u64);
-        }
-        if self.predict && !op.faulted && op.class == OpClass::Branch {
-            t.predict(op.pc, op.taken);
-        }
-    }
-
-    fn finish(self, _: Option<usize>) {}
 }
 
 /// Trace-event emission shared by the core models: the synthetic entry

@@ -12,10 +12,13 @@
 //! 3. **Query coherence** — concurrent clients hammering the cached
 //!    kernel-cycle query path all observe the same cycle count per
 //!    key, and the daemon serves ≥ 1000 of them.
-//! 4. **Hostile queries** — on one connection, a variant tag with
-//!    unsupported lane counts gets `5002 JOB_SPEC`, an operand count
-//!    that overruns the kernel operand regions gets `1003
-//!    KERNEL_UNSUPPORTED`, and the next valid query is still answered.
+//! 4. **Hostile requests** — on one connection, a query with a variant
+//!    tag of unsupported lane counts gets `5002 JOB_SPEC`, a query whose
+//!    operand count overruns the kernel operand regions gets `1003
+//!    KERNEL_UNSUPPORTED`, submits of an explore spec with `bits` 0 or
+//!    -1 and of a characterize spec with `train_samples` 0 are refused
+//!    with `5002` (never accepted, never `5003 JOB_PANICKED`), and the
+//!    next valid query is still answered with the cached point.
 //!
 //! Exits 0 and prints `xserve-gate: PASS` on success; exits 1 with a
 //! diagnostic on the first violated invariant.
@@ -161,25 +164,63 @@ fn main() {
     }
     println!("xserve-gate: 8 clients agree on all cached query points");
 
-    // 4. Hostile queries: typed errors, and the connection serves on.
+    // 4. Hostile requests: typed errors, and the connection serves on.
+    // Raw lines: no `JobSpec` holds `"bits":-1`.
+    let stream = TcpStream::connect(addr).unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    let mut writer = stream
+        .try_clone()
+        .unwrap_or_else(|e| fail(&format!("connect: {e}")));
+    let mut replies = BufReader::new(stream).lines();
+    let mut ask = |line: &str| {
+        writeln!(writer, "{line}").unwrap_or_else(|e| fail(&format!("send: {e}")));
+        loop {
+            match replies.next() {
+                Some(Ok(reply)) if reply.trim().is_empty() => {}
+                Some(Ok(reply)) => {
+                    return Response::parse(&reply)
+                        .unwrap_or_else(|e| fail(&format!("reply to {line}: {e}")))
+                }
+                _ => fail(&format!("connection closed after {line}")),
+            }
+        }
+    };
+    let query = |variant: &str, n: usize, seed: u64| {
+        let core = "io".to_owned();
+        let (variant, kernel) = (variant.to_owned(), "mpn_add_n".to_owned());
+        let req = Request::Query {
+            core,
+            variant,
+            kernel,
+            n,
+            seed,
+        };
+        req.to_json().to_string_compact()
+    };
+    let submit = |spec: &str| format!(r#"{{"op":"submit","spec":{spec}}}"#);
     let hostile = [
-        ("accel-a3m1", 4, codes::JOB_SPEC),
-        ("base", 1 << 20, codes::KERNEL_UNSUPPORTED),
+        (query("accel-a3m1", 4, 1), codes::JOB_SPEC),
+        (query("base", 1 << 20, 1), codes::KERNEL_UNSUPPORTED),
+        (submit(r#"{"kind":"explore","bits":0}"#), codes::JOB_SPEC),
+        (submit(r#"{"kind":"explore","bits":-1}"#), codes::JOB_SPEC),
+        (
+            submit(r#"{"kind":"characterize","train_samples":0}"#),
+            codes::JOB_SPEC,
+        ),
     ];
-    for (variant, n, want) in hostile {
-        match client.query("io", variant, "mpn_add_n", n, 1) {
-            Err(e) if e.code() == want => {}
-            Err(e) => fail(&format!("query {variant} n={n}: got {e}, want code {want}")),
-            Ok(cycles) => fail(&format!("query {variant} n={n} answered {cycles}")),
+    for (line, want) in &hostile {
+        match ask(line) {
+            Response::Error { code, .. } if code == *want => {}
+            other => fail(&format!("{line}: got {other:?}, want code {want}")),
         }
     }
-    let answered = client
-        .query("io", "base", "mpn_add_n", 4, 0)
-        .unwrap_or_else(|e| fail(&format!("valid query after hostile ones: {e}")));
-    if Some(answered) != reference.as_ref().and_then(|r| r.get(&0).copied()) {
-        fail("the valid query after hostile ones disagrees with the cached point");
+    let cached = reference.as_ref().and_then(|r| r.get(&0).copied());
+    match ask(&query("base", 4, 0)) {
+        Response::QueryResult { cycles } if Some(cycles) == cached => {}
+        other => fail(&format!(
+            "the valid query after hostile ones got {other:?}, want the cached point {cached:?}"
+        )),
     }
-    println!("xserve-gate: hostile queries get 5002 and 1003, and the connection serves on");
+    println!("xserve-gate: hostile requests get 5002 and 1003, and the connection serves on");
 
     let stats = client
         .stats()
