@@ -125,16 +125,8 @@ fn harness_options() -> macromodel::charact::CharactOptions {
     }
 }
 
-/// Characterizes the base kernels with harness-default options.
-pub fn default_models(max_limbs: usize) -> KernelModels {
-    let config = CpuConfig::default();
-    FlowBuilder::new(&config)
-        .build()
-        .expect("default flow configuration is conflict-free")
-        .characterize(max_limbs, &harness_options())
-}
-
-/// [`default_models`] on an explicit pool and cache (identical models).
+/// Characterizes the base kernels with harness-default options on an
+/// explicit pool and cache.
 pub fn default_models_on(max_limbs: usize, pool: &Pool, cache: Option<&KCache>) -> KernelModels {
     let config = CpuConfig::default();
     let mut b = FlowBuilder::new(&config).pool(pool);

@@ -64,7 +64,7 @@ pub fn sbox(x: u8) -> u8 {
 }
 
 /// The inverse AES S-box value for `x`.
-pub fn inv_sbox(x: u8) -> u8 {
+fn inv_sbox(x: u8) -> u8 {
     sbox_tables().1[x as usize]
 }
 
@@ -145,8 +145,8 @@ pub fn add_round_key(state: &mut [u8; 16], round_key: &[u32; 4]) {
 }
 
 /// AES key size variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KeySize {
+#[derive(Debug, Clone, Copy)]
+enum KeySize {
     /// 128-bit key, 10 rounds.
     Aes128,
     /// 192-bit key, 12 rounds.
@@ -157,7 +157,7 @@ pub enum KeySize {
 
 impl KeySize {
     /// Key length in 32-bit words (Nk).
-    pub fn nk(self) -> usize {
+    fn nk(self) -> usize {
         match self {
             KeySize::Aes128 => 4,
             KeySize::Aes192 => 6,
@@ -166,7 +166,7 @@ impl KeySize {
     }
 
     /// Number of rounds (Nr).
-    pub fn rounds(self) -> usize {
+    fn rounds(self) -> usize {
         match self {
             KeySize::Aes128 => 10,
             KeySize::Aes192 => 12,
@@ -203,16 +203,6 @@ impl Aes {
     /// Expands a 128-bit key.
     pub fn new_128(key: &[u8; 16]) -> Self {
         Self::expand(key, KeySize::Aes128)
-    }
-
-    /// Expands a 192-bit key.
-    pub fn new_192(key: &[u8; 24]) -> Self {
-        Self::expand(key, KeySize::Aes192)
-    }
-
-    /// Expands a 256-bit key.
-    pub fn new_256(key: &[u8; 32]) -> Self {
-        Self::expand(key, KeySize::Aes256)
     }
 
     /// Expands a key whose length selects the variant (16, 24 or 32
@@ -255,11 +245,6 @@ impl Aes {
             .map(|c| [c[0], c[1], c[2], c[3]])
             .collect();
         Aes { round_keys, size }
-    }
-
-    /// The key size variant of this schedule.
-    pub fn key_size(&self) -> KeySize {
-        self.size
     }
 
     /// The expanded round keys (Nr + 1 entries of four words).
@@ -381,7 +366,7 @@ mod tests {
     #[test]
     fn fips197_appendix_c2_aes192() {
         let key: Vec<u8> = (0..24).collect();
-        let aes = Aes::new_192(key[..].try_into().unwrap());
+        let aes = Aes::new(&key);
         let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
         aes.encrypt_block16(&mut block);
         assert_eq!(block.to_vec(), hex("dda97ca4864cdfe06eaf70a0ec0d7191"));
@@ -390,7 +375,7 @@ mod tests {
     #[test]
     fn fips197_appendix_c3_aes256() {
         let key: Vec<u8> = (0..32).collect();
-        let aes = Aes::new_256(key[..].try_into().unwrap());
+        let aes = Aes::new(&key);
         let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
         aes.encrypt_block16(&mut block);
         assert_eq!(block.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));

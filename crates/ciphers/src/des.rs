@@ -37,20 +37,20 @@ pub const P: [u8; 32] = [
 ];
 
 /// Permuted choice 1 (64-bit key → 56 bits).
-pub const PC1: [u8; 56] = [
+const PC1: [u8; 56] = [
     57, 49, 41, 33, 25, 17, 9, 1, 58, 50, 42, 34, 26, 18, 10, 2, 59, 51, 43, 35, 27, 19, 11, 3, 60,
     52, 44, 36, 63, 55, 47, 39, 31, 23, 15, 7, 62, 54, 46, 38, 30, 22, 14, 6, 61, 53, 45, 37, 29,
     21, 13, 5, 28, 20, 12, 4,
 ];
 
 /// Permuted choice 2 (56 bits → 48-bit round key).
-pub const PC2: [u8; 48] = [
+const PC2: [u8; 48] = [
     14, 17, 11, 24, 1, 5, 3, 28, 15, 6, 21, 10, 23, 19, 12, 4, 26, 8, 16, 7, 27, 20, 13, 2, 41, 52,
     31, 37, 47, 55, 30, 40, 51, 45, 33, 48, 44, 49, 39, 56, 34, 53, 46, 42, 50, 36, 29, 32,
 ];
 
 /// Left-rotation schedule for the 16 rounds.
-pub const SHIFTS: [u32; 16] = [1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1];
+const SHIFTS: [u32; 16] = [1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1];
 
 /// The eight DES S-boxes, each mapping a 6-bit input to a 4-bit output.
 /// Indexed `SBOXES[box][row * 16 + column]` per FIPS 46-3.
@@ -113,7 +113,7 @@ pub fn expand(half: u32) -> u64 {
 }
 
 /// Runs all eight S-boxes over a 48-bit value, producing 32 bits.
-pub fn sbox_substitute(x48: u64) -> u32 {
+fn sbox_substitute(x48: u64) -> u32 {
     let mut out = 0u32;
     for (i, sbox) in SBOXES.iter().enumerate() {
         let six = ((x48 >> (42 - 6 * i)) & 0x3f) as u8;

@@ -1,4 +1,4 @@
-//! Block-cipher modes of operation (ECB, CBC, CTR) with PKCS#7 padding.
+//! Block-cipher modes of operation (CBC, CTR) with PKCS#7 padding.
 //!
 //! The platform's bulk-data path (SSL record encryption in Fig. 8,
 //! real-time video decryption in the prototype demo) runs a block cipher
@@ -73,39 +73,6 @@ pub fn unpad_pkcs7(data: &[u8], block: usize) -> Result<Vec<u8>, CipherError> {
         return Err(CipherError::BadPadding);
     }
     Ok(data[..data.len() - pad].to_vec())
-}
-
-/// Encrypts `data` in ECB mode with PKCS#7 padding.
-pub fn ecb_encrypt<C: BlockCipher + ?Sized>(cipher: &C, data: &[u8]) -> Vec<u8> {
-    let bs = cipher.block_size();
-    let mut out = pad_pkcs7(data, bs);
-    for block in out.chunks_exact_mut(bs) {
-        cipher.encrypt_block(block);
-    }
-    out
-}
-
-/// Decrypts ECB-mode ciphertext and strips PKCS#7 padding.
-///
-/// # Errors
-///
-/// Returns [`CipherError`] on bad length or padding.
-pub fn ecb_decrypt<C: BlockCipher + ?Sized>(
-    cipher: &C,
-    data: &[u8],
-) -> Result<Vec<u8>, CipherError> {
-    let bs = cipher.block_size();
-    if data.is_empty() || !data.len().is_multiple_of(bs) {
-        return Err(CipherError::BadLength {
-            len: data.len(),
-            block: bs,
-        });
-    }
-    let mut out = data.to_vec();
-    for block in out.chunks_exact_mut(bs) {
-        cipher.decrypt_block(block);
-    }
-    unpad_pkcs7(&out, bs)
 }
 
 /// Encrypts `data` in CBC mode with PKCS#7 padding.
@@ -250,17 +217,8 @@ mod tests {
     }
 
     #[test]
-    fn ecb_roundtrip() {
-        let msg = b"attack at dawn -- bring snacks";
-        let ct = ecb_encrypt(&aes(), msg);
-        assert_eq!(ecb_decrypt(&aes(), &ct).unwrap(), msg);
-    }
-
-    #[test]
-    fn ecb_leaks_equal_blocks_cbc_does_not() {
+    fn cbc_hides_equal_blocks() {
         let msg = [0x42u8; 32]; // two identical blocks
-        let e = ecb_encrypt(&aes(), &msg);
-        assert_eq!(e[0..16], e[16..32], "ECB encrypts equal blocks equally");
         let c = cbc_encrypt(&aes(), &[9u8; 16], &msg).unwrap();
         assert_ne!(c[0..16], c[16..32], "CBC chains state across blocks");
     }
@@ -292,9 +250,9 @@ mod tests {
     }
 
     #[test]
-    fn ecb_rejects_ragged_ciphertext() {
+    fn cbc_rejects_ragged_ciphertext() {
         assert!(matches!(
-            ecb_decrypt(&aes(), &[0u8; 17]),
+            cbc_decrypt(&aes(), &[0u8; 16], &[0u8; 17]),
             Err(CipherError::BadLength { len: 17, block: 16 })
         ));
     }

@@ -38,11 +38,6 @@ impl TripleDes {
         }
     }
 
-    /// Two-key variant (`K3 = K1`), common in legacy protocols.
-    pub fn new_two_key(k1: [u8; 8], k2: [u8; 8]) -> Self {
-        Self::new(k1, k2, k1)
-    }
-
     /// Builds the schedule from a single 24-byte key blob.
     pub fn from_key_bytes(key: &[u8; 24]) -> Self {
         let mut k1 = [0u8; 8];
@@ -116,15 +111,6 @@ mod tests {
         let e3 = Des::new(k3).encrypt_u64(d2);
         assert_eq!(c, e3);
         assert_eq!(tdes.decrypt_u64(c), p);
-    }
-
-    #[test]
-    fn two_key_variant_reuses_k1() {
-        let k1 = *b"firstkey";
-        let k2 = *b"secondk!";
-        let two = TripleDes::new_two_key(k1, k2);
-        let three = TripleDes::new(k1, k2, k1);
-        assert_eq!(two.encrypt_u64(42), three.encrypt_u64(42));
     }
 
     #[test]

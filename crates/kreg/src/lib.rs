@@ -517,11 +517,6 @@ impl KernelDescriptor {
         }
     }
 
-    /// Whether the kernel exists at the given radix width.
-    pub fn supports_width(&self, width: u32) -> bool {
-        self.widths().contains(&width)
-    }
-
     /// The kernel-cycle cache tag (the op component of cache keys).
     pub fn cache_tag(&self) -> &'static str {
         self.id.name()

@@ -172,41 +172,6 @@ pub fn characterize<R: Rng + ?Sized>(
     fit_planned(basis, &plan, &cycles)
 }
 
-/// As [`characterize`], additionally publishing progress and fit
-/// quality into a metrics registry when one is supplied:
-/// `charact.stimuli_run` counts every simulator invocation (training
-/// and validation), `charact.last_r_squared` / `charact.last_mae_pct`
-/// hold the most recent fit's quality, and `charact.mae_pct` is a
-/// histogram over all fits observed through the registry.
-///
-/// # Errors
-///
-/// Returns [`RegressError`] under the same conditions as
-/// [`characterize`].
-pub fn characterize_metered<R: Rng + ?Sized>(
-    space: &ParamSpace,
-    basis: &[Monomial],
-    options: &CharactOptions,
-    rng: &mut R,
-    mut measure: impl FnMut(&[u64]) -> f64,
-    metrics: Option<&xobs::Registry>,
-) -> Result<Characterization, RegressError> {
-    let reg = match metrics {
-        Some(reg) => reg,
-        None => return characterize(space, basis, options, rng, measure),
-    };
-    let stimuli = reg.counter("charact.stimuli_run");
-    let ch = characterize(space, basis, options, rng, |p| {
-        stimuli.inc();
-        measure(p)
-    })?;
-    reg.gauge("charact.last_r_squared")
-        .set(ch.quality.r_squared);
-    reg.gauge("charact.last_mae_pct").set(ch.quality.mae_pct);
-    reg.histogram("charact.mae_pct").observe(ch.quality.mae_pct);
-    Ok(ch)
-}
-
 /// Renames a characterized model (the driver fits under a placeholder
 /// name).
 pub fn with_name(ch: Characterization, name: impl Into<String>) -> Characterization {
@@ -323,30 +288,6 @@ mod tests {
             |p| p[0] as f64,
         );
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn metered_characterization_counts_stimuli() {
-        let reg = xobs::Registry::new();
-        let space = ParamSpace::new(vec![(1, 64)]);
-        let opts = CharactOptions {
-            train_samples: 10,
-            validation_points: 4,
-        };
-        let ch = characterize_metered(
-            &space,
-            &[Monomial::constant(1), Monomial::linear(1, 0)],
-            &opts,
-            &mut rng(),
-            |p| 5.0 + 2.0 * p[0] as f64,
-            Some(&reg),
-        )
-        .unwrap();
-        assert!(ch.quality.r_squared > 0.9999);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter("charact.stimuli_run"), Some(14));
-        assert!(snap.get("charact.last_r_squared").is_some());
-        assert!(snap.get("charact.last_mae_pct").is_some());
     }
 
     #[test]

@@ -124,17 +124,6 @@ pub fn gcd_binary(a: &Natural, b: &Natural) -> Natural {
     a << shift
 }
 
-/// Least common multiple.
-///
-/// # Panics
-///
-/// Panics if both inputs are zero.
-pub fn lcm(a: &Natural, b: &Natural) -> Natural {
-    let g = gcd(a, b);
-    assert!(!g.is_zero(), "lcm(0, 0) is undefined");
-    &(a / &g) * b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,11 +182,5 @@ mod tests {
     #[test]
     fn mod_inverse_modulus_one() {
         assert_eq!(mod_inverse(&nat(5), &nat(1)), Some(Natural::zero()));
-    }
-
-    #[test]
-    fn lcm_small() {
-        assert_eq!(lcm(&nat(4), &nat(6)).to_u64(), Some(12));
-        assert_eq!(lcm(&nat(7), &nat(13)).to_u64(), Some(91));
     }
 }

@@ -55,7 +55,7 @@ impl Integer {
 
     /// Builds an integer from a sign and magnitude. A zero magnitude
     /// always yields the zero integer regardless of `sign`.
-    pub fn from_sign_magnitude(sign: Sign, mag: Natural) -> Self {
+    fn from_sign_magnitude(sign: Sign, mag: Natural) -> Self {
         if mag.is_zero() {
             Integer::zero()
         } else {
@@ -68,7 +68,7 @@ impl Integer {
     }
 
     /// Creates an integer from an `i64`.
-    pub fn from_i64(v: i64) -> Self {
+    fn from_i64(v: i64) -> Self {
         match v.cmp(&0) {
             Ordering::Less => Integer {
                 sign: Sign::Negative,
@@ -95,11 +95,6 @@ impl Integer {
     /// True if the value is zero.
     pub fn is_zero(&self) -> bool {
         self.sign == Sign::Zero
-    }
-
-    /// True if the value is strictly negative.
-    pub fn is_negative(&self) -> bool {
-        self.sign == Sign::Negative
     }
 
     /// Converts to a [`Natural`] if non-negative.

@@ -308,7 +308,7 @@ pub fn divrem_1<L: Limb>(q: &mut [L], n: &[L], d: L) -> L {
 /// # Panics
 ///
 /// Panics if the requirements above do not hold.
-pub fn divrem_knuth<L: Limb>(q: &mut [L], n: &mut [L], d: &[L]) {
+fn divrem_knuth<L: Limb>(q: &mut [L], n: &mut [L], d: &[L]) {
     let dn = d.len();
     assert!(dn >= 2, "use divrem_1 for single-limb divisors");
     let d1 = d[dn - 1].to_u64();

@@ -248,7 +248,7 @@ impl Natural {
 
     /// Formats as a lowercase hexadecimal string (no prefix; `"0"` for
     /// zero).
-    pub fn to_hex_string(&self) -> String {
+    fn to_hex_string(&self) -> String {
         if self.is_zero() {
             return "0".to_owned();
         }

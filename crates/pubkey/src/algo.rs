@@ -69,7 +69,7 @@ impl<L: Limb> Work<L> {
     }
 }
 
-/// The temporaries of [`sub_in_place`], [`add_at`] and [`add_full`]:
+/// The temporaries of [`sub_in_place`], [`add_at`] and [`add_full_into`]:
 /// the metered ops take no aliased destination, so an operand is copied
 /// or zero-padded first.
 #[derive(Debug, Clone, Default)]
@@ -251,15 +251,8 @@ fn split_at_limb<L: Limb>(a: &[L], m: usize) -> (&[L], &[L]) {
     }
 }
 
-/// Full-width addition of arbitrary-length vectors, metered as one
-/// `add_n` of the longer length.
-pub fn add_full<L: Limb, O: MpnOps<L> + ?Sized>(ops: &mut O, a: &[L], b: &[L]) -> Vec<L> {
-    let mut r = Vec::new();
-    add_full_into(ops, &mut Temps::default(), &mut r, a, b);
-    r
-}
-
-/// [`add_full`] into `r`.
+/// Full-width addition of arbitrary-length vectors into `r`, metered as
+/// one `add_n` of the longer length.
 fn add_full_into<L: Limb, O: MpnOps<L> + ?Sized>(
     ops: &mut O,
     t: &mut Temps<L>,
@@ -435,7 +428,7 @@ pub(crate) fn divrem_into<L: Limb, O: MpnOps<L> + ?Sized>(
 
 /// Computes the negated inverse of the odd limb `n0` modulo the limb
 /// base (the Montgomery `n0'` constant), by Newton iteration.
-pub fn monty_n0inv<L: Limb>(n0: L) -> L {
+fn monty_n0inv<L: Limb>(n0: L) -> L {
     debug_assert!(n0.to_u64() & 1 == 1, "montgomery modulus must be odd");
     let mask = L::MAX.to_u64();
     let x = n0.to_u64();
@@ -795,11 +788,12 @@ mod tests {
     }
 
     #[test]
-    fn add_full_handles_carry_growth() {
+    fn add_full_into_handles_carry_growth() {
         let mut ops = NativeMpn::new();
         let a = [u32::MAX, u32::MAX];
         let b = [1u32];
-        let r = add_full(&mut ops, &a, &b);
+        let mut r = Vec::new();
+        add_full_into(&mut ops, &mut Temps::default(), &mut r, &a, &b);
         assert_eq!(to_nat(&r), nat("10000000000000000"));
     }
 }

@@ -23,7 +23,7 @@ const SMALL_PRIMES: [u32; 54] = [
 
 /// Number of Miller–Rabin rounds used by the convenience functions; gives
 /// an error probability below 4^-32.
-pub const DEFAULT_ROUNDS: u32 = 32;
+const DEFAULT_ROUNDS: u32 = 32;
 
 /// The exponentiation each witness runs: Montgomery products over
 /// 32-bit limbs with a 4-bit window. A witness is used once, so
@@ -123,7 +123,7 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &Natural, rounds: u32, rng: &mut R)
 /// environment-sized [`xpar::Pool`] in waves with early exit between
 /// waves. The verdict is a pure function of `(n, rounds,
 /// witness_seed)` — identical for any thread count.
-pub fn is_probable_prime_seeded(n: &Natural, rounds: u32, witness_seed: u64) -> bool {
+fn is_probable_prime_seeded(n: &Natural, rounds: u32, witness_seed: u64) -> bool {
     if let Some(answer) = trial_division(n) {
         return answer;
     }

@@ -16,7 +16,7 @@ use rand::Rng;
 use std::fmt;
 
 /// The conventional public exponent.
-pub const E_65537: u64 = 65_537;
+const E_65537: u64 = 65_537;
 
 /// An RSA public key `(n, e)`.
 #[derive(Debug, Clone, PartialEq, Eq)]

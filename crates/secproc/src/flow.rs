@@ -418,7 +418,7 @@ impl<'a> FlowCtx<'a> {
     }
 
     /// Whether `kernel` is quarantined.
-    pub fn is_quarantined(&self, kernel: &str) -> bool {
+    fn is_quarantined(&self, kernel: &str) -> bool {
         self.state().quarantined.contains(kernel)
     }
 

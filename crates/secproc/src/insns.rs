@@ -126,7 +126,7 @@ pub fn add_k(k: u32) -> CustomInsnDef {
 }
 
 /// Builds the `sub<k>` family member (borrow-chained k-lane subtract).
-pub fn sub_k(k: u32) -> CustomInsnDef {
+fn sub_k(k: u32) -> CustomInsnDef {
     let name = format!("sub{k}");
     let area = AreaModel::new()
         .adders32(k as u64)
@@ -184,7 +184,7 @@ pub fn mac_k(k: u32) -> CustomInsnDef {
 
 /// Builds the `msub<k>` family member: `ur_r -= ur_a * a_b + borrow`,
 /// borrow limb in/out through a GPR (the division inner loop).
-pub fn msub_k(k: u32) -> CustomInsnDef {
+fn msub_k(k: u32) -> CustomInsnDef {
     let name = format!("msub{k}");
     let area = AreaModel::new()
         .muls32(k as u64)
@@ -370,17 +370,6 @@ pub fn cipher_extension_set() -> ExtensionSet {
     let mut ext = ExtensionSet::new();
     ext.register(ldur());
     ext.register(stur());
-    ext.register(desperm());
-    ext.register(desround());
-    ext.register(aesround());
-    ext.register(xorur());
-    ext
-}
-
-/// The fully optimized platform extension set used for Table 1: widest
-/// explored datapaths for public-key work plus the cipher instructions.
-pub fn full_extension_set() -> ExtensionSet {
-    let mut ext = mpn_extension_set(16, 4);
     ext.register(desperm());
     ext.register(desround());
     ext.register(aesround());
@@ -577,14 +566,5 @@ mod tests {
         assert!(add_k(16).area > add_k(2).area);
         assert!(mac_k(4).area > mac_k(1).area);
         assert!(mac_k(1).area > add_k(16).area, "multipliers dominate");
-    }
-
-    #[test]
-    fn extension_sets_compose() {
-        let full = full_extension_set();
-        for name in ["ldur", "stur", "add16", "mac4", "desround", "aesround"] {
-            assert!(full.get(name).is_some(), "{name} missing");
-        }
-        assert!(full.total_area() > 0);
     }
 }

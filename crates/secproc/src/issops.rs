@@ -335,11 +335,6 @@ impl IssMpn {
         self.sink = sink;
     }
 
-    /// Detaches and returns the current trace sink.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
-    }
-
     /// Raw cycle counters of the two radix cores, `(cpu32, cpu16)`.
     /// Their sum is the total simulated cycles an attached
     /// [`xobs::Attribution`] sink must account for exactly.

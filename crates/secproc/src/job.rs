@@ -300,30 +300,30 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::JobSpec`] (code 5002) for a non-object, an
-    /// unknown kind, a malformed kernel list, seed, fidelity or fault
-    /// spec, a non-finite glue cost, a count that is not a whole number
-    /// in its field's range, or an unresolvable core id (a zero or
-    /// oversized width included) or variant tag, and the kernel layer's
-    /// [`KernelError::Unknown`] (code 1001) for an unregistered kernel
-    /// name.
+    /// Returns [`Error::JobSpec`] (code 5002) for a non-object, a field
+    /// of the wrong JSON type, an unknown kind, a malformed kernel list,
+    /// seed, fidelity or fault spec, a non-finite glue cost, a count
+    /// that is not a whole number in its field's range, or an
+    /// unresolvable core id (a zero or oversized width included) or
+    /// variant tag, and the kernel layer's [`KernelError::Unknown`]
+    /// (code 1001) for an unregistered kernel name.
     pub fn from_json(v: &Json) -> Result<JobSpec, Error> {
         let bad = |detail: String| Error::JobSpec { detail };
         let Json::Obj(_) = v else {
             return Err(bad("spec must be a JSON object".into()));
         };
-        let kind = match v.get("kind").and_then(Json::as_str) {
-            Some(name) => JobKind::parse(name)?,
-            None => return Err(bad("missing job kind".into())),
+        let Some(kind) = Self::typed(v, "kind", "a string", Json::as_str)? else {
+            return Err(bad("missing job kind".into()));
         };
+        let kind = JobKind::parse(kind)?;
         let mut spec = JobSpec::new(kind);
-        if let Some(core) = v.get("core").and_then(Json::as_str) {
+        if let Some(core) = Self::typed(v, "core", "a string", Json::as_str)? {
             spec.core = core.to_owned();
         }
-        if let Some(tag) = v.get("variant").and_then(Json::as_str) {
+        if let Some(tag) = Self::typed(v, "variant", "a string", Json::as_str)? {
             spec.variant = tag.to_owned();
         }
-        if let Some(Json::Arr(names)) = v.get("kernels") {
+        if let Some(names) = Self::typed(v, "kernels", "an array", Json::as_arr)? {
             spec.kernels = names
                 .iter()
                 .map(|n| {
@@ -363,7 +363,7 @@ impl JobSpec {
             Some(Json::Num(x)) => spec.seed = *x as u64,
             Some(_) => return Err(bad("seed must be a u64 string or number".into())),
         }
-        if let Some(x) = v.get("glue_cost").and_then(Json::as_f64) {
+        if let Some(x) = Self::typed(v, "glue_cost", "a number", Json::as_f64)? {
             // JSON text carries no NaN or infinity; a built value could,
             // and would print as `null`.
             if !x.is_finite() {
@@ -371,7 +371,7 @@ impl JobSpec {
             }
             spec.glue_cost = x;
         }
-        match v.get("fidelity").and_then(Json::as_str) {
+        match Self::typed(v, "fidelity", "a string", Json::as_str)? {
             None | Some("accurate") => {}
             Some("fast") => spec.fidelity = Fidelity::Fast,
             Some(other) => return Err(bad(format!("unknown fidelity {other:?}"))),
@@ -390,6 +390,23 @@ impl JobSpec {
         spec.config()?;
         spec.kernel_variant()?;
         Ok(spec)
+    }
+
+    /// `v`'s field `name` read through `get`: `None` when absent, and a
+    /// `5002` when present with another JSON type, never the default.
+    fn typed<'v, T>(
+        v: &'v Json,
+        name: &str,
+        want: &str,
+        get: fn(&'v Json) -> Option<T>,
+    ) -> Result<Option<T>, Error> {
+        v.get(name)
+            .map(|x| {
+                get(x).ok_or_else(|| Error::JobSpec {
+                    detail: format!("{name} must be {want}"),
+                })
+            })
+            .transpose()
     }
 
     /// Checks each count field against its range (see the field docs).
@@ -448,7 +465,7 @@ impl JobSpec {
     /// produces: kind, digest, and the canonical spec itself — only
     /// spec-derived fields, so CLI and daemon runs emit identical
     /// bytes.
-    pub fn job_json(&self) -> Json {
+    fn job_json(&self) -> Json {
         Json::obj()
             .set("kind", self.kind.as_str())
             .set("digest", format!("{:016x}", self.digest()))
@@ -829,11 +846,14 @@ mod tests {
     fn specs_round_trip_through_canonical_json() {
         let mut spec = JobSpec::explore(128, 2);
         spec.kernels = vec![kreg::id::ADD_N, kreg::id::SHA1];
-        spec.faults = Some(PlanSpec::all_sites(7, 20_000));
-        let text = spec.to_json().to_string_compact();
-        let back = JobSpec::parse(&text).expect("round-trips");
-        assert_eq!(back, spec);
-        assert_eq!(back.digest(), spec.digest());
+        // A plan with no sites prints an empty `sites=`.
+        for plan in [PlanSpec::all_sites(7, 20_000), PlanSpec::new(7, 200, &[])] {
+            spec.faults = Some(plan);
+            let text = spec.to_json().to_string_compact();
+            let back = JobSpec::parse(&text).expect("round-trips");
+            assert_eq!(back, spec);
+            assert_eq!(back.digest(), spec.digest());
+        }
     }
 
     #[test]
@@ -864,6 +884,21 @@ mod tests {
                 err.code() == codes::JOB_SPEC || err.code() == codes::KERNEL_UNKNOWN,
                 "{text}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn mistyped_fields_are_spec_errors_not_defaults() {
+        for field in [
+            r#""core":7"#,
+            r#""variant":["base"]"#,
+            r#""kernels":"mpn_add_n""#,
+            r#""glue_cost":"1.5""#,
+            r#""fidelity":true"#,
+        ] {
+            let text = format!(r#"{{"kind":"measure",{field}}}"#);
+            let err = JobSpec::parse(&text).expect_err(&text);
+            assert_eq!(err.code(), codes::JOB_SPEC, "{text}: {err}");
         }
     }
 

@@ -36,7 +36,7 @@ use xobs::Json;
 use xpar::memo::checksum;
 
 /// Version of the on-disk cache file format.
-pub const KCACHE_SCHEMA_VERSION: u64 = 1;
+const KCACHE_SCHEMA_VERSION: u64 = 1;
 
 /// Number of independent lock shards. A power of two so the router is
 /// a mask; 16 comfortably exceeds the worker counts the xpar pool
@@ -53,7 +53,7 @@ pub fn key(config_fp: u64, variant: &str, op: &str, n: u64, seed: u64) -> String
 }
 
 /// The shard index `key` routes to: the FNV-1a hash of its bytes.
-pub fn shard_of(key: &str) -> usize {
+fn shard_of(key: &str) -> usize {
     (checksum(key, &[]) as usize) & (SHARDS - 1)
 }
 
@@ -102,7 +102,7 @@ impl KCache {
 
     /// The default cache location: `$WSP_KCACHE` when set, else
     /// `target/kcache.json`.
-    pub fn default_path() -> PathBuf {
+    fn default_path() -> PathBuf {
         match std::env::var_os("WSP_KCACHE") {
             Some(p) => PathBuf::from(p),
             None => PathBuf::from("target/kcache.json"),
@@ -151,11 +151,6 @@ impl KCache {
 
     fn shard(&self, key: &str) -> &RwLock<HashMap<String, Vec<f64>>> {
         &self.shards[shard_of(key)]
-    }
-
-    /// Number of lock shards the store is split into.
-    pub fn shard_count(&self) -> usize {
-        SHARDS
     }
 
     /// Entries dropped at load time because they were malformed or
@@ -318,7 +313,7 @@ impl KCache {
     ///
     /// Returns any filesystem error from the write or the rename; the
     /// temporary file is removed and `path` is left as it was.
-    pub fn save_to(&self, path: &Path) -> io::Result<()> {
+    fn save_to(&self, path: &Path) -> io::Result<()> {
         static SAVES: AtomicU64 = AtomicU64::new(0);
         let mut tmp = path.as_os_str().to_owned();
         let save = SAVES.fetch_add(1, Ordering::Relaxed);

@@ -48,7 +48,7 @@ impl Default for MemoryMap {
 }
 
 /// The fused S-box + P tables (`SP[i][six]` = `P(sbox_i(six) << (28 - 4i))`).
-pub fn sp_tables() -> [[u32; 64]; 8] {
+fn sp_tables() -> [[u32; 64]; 8] {
     let mut out = [[0u32; 64]; 8];
     for (i, sbox) in des::SBOXES.iter().enumerate() {
         for six in 0..64 {

@@ -101,7 +101,7 @@ pub fn measure_tdes(config: &CpuConfig, blocks: usize, cache: Option<&KCache>) -
 }
 
 /// Measures the AES-128 row (cache unit `table1:aes`).
-pub fn measure_aes(config: &CpuConfig, blocks: usize, cache: Option<&KCache>) -> SymmetricRow {
+fn measure_aes(config: &CpuConfig, blocks: usize, cache: Option<&KCache>) -> SymmetricRow {
     sym_row(config, "table1:aes", blocks, cache, "AES enc./dec.", || {
         let key: [u8; 16] = *b"paper-aes-key128";
         let mut base = SimAes::new(config.clone(), Variant::Base, &key);

@@ -93,7 +93,7 @@ impl SecurityProcessor {
 
     /// The modular-exponentiation configuration this platform's software
     /// library uses.
-    pub fn modexp_config(&self) -> ModExpConfig {
+    fn modexp_config(&self) -> ModExpConfig {
         match self.kind {
             PlatformKind::Baseline => ModExpConfig::baseline(),
             PlatformKind::Optimized => ModExpConfig::optimized(),
@@ -130,13 +130,9 @@ impl SecurityProcessor {
         self.config.clock_hz as f64 / cpb * 8.0 / 1.0e6
     }
 
-    /// Estimated cycles to process `bytes` with `algorithm`.
-    pub fn symmetric_cycles(&mut self, algorithm: Algorithm, bytes: u64) -> f64 {
-        self.symmetric_cycles_per_byte(algorithm) * bytes as f64
-    }
-
     /// Encrypts bulk data in CBC mode (functional host computation; use
-    /// [`SecurityProcessor::symmetric_cycles`] for the platform cost).
+    /// [`SecurityProcessor::symmetric_cycles_per_byte`] for the platform
+    /// cost).
     ///
     /// # Errors
     ///

@@ -227,7 +227,7 @@ impl SimSha1 {
 
     /// As [`Self::compress`], streaming trace events into `sink` when
     /// one is attached.
-    pub fn compress_traced(
+    fn compress_traced(
         &mut self,
         state: [u32; 5],
         block: &[u8; 64],

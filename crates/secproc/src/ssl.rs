@@ -45,7 +45,7 @@ impl Breakdown {
     }
 
     /// Percentage shares `(pk, sym, misc)`.
-    pub fn percentages(&self) -> (f64, f64, f64) {
+    fn percentages(&self) -> (f64, f64, f64) {
         let t = self.total();
         (
             100.0 * self.public_key / t,

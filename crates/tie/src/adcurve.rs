@@ -128,8 +128,8 @@ impl AdCurve {
     /// distinct reduced set. Cycle counts add.
     ///
     /// Products of [`PAR_COMBINE_THRESHOLD`] points or more are formed
-    /// on an environment-sized worker pool (see [`AdCurve::combine_on`]);
-    /// the result is identical either way.
+    /// on an environment-sized worker pool, a row per task; the result
+    /// is identical either way.
     pub fn combine(&self, other: &AdCurve) -> AdCurve {
         if self.len() * other.len() >= PAR_COMBINE_THRESHOLD {
             return self.combine_on(other, &xpar::Pool::from_env());
@@ -151,7 +151,7 @@ impl AdCurve {
     /// in order. The dedup-by-instruction-set merge keeps the minimum
     /// cycles per set (order-independent), so the combined curve is
     /// bit-identical to the serial product for any thread count.
-    pub fn combine_on(&self, other: &AdCurve, pool: &xpar::Pool) -> AdCurve {
+    fn combine_on(&self, other: &AdCurve, pool: &xpar::Pool) -> AdCurve {
         let rows = pool.par_map(&self.points, |_, a| {
             other
                 .points

@@ -96,11 +96,6 @@ impl CallGraph {
         self.nodes.contains_key(name)
     }
 
-    /// All node names (sorted).
-    pub fn node_names(&self) -> impl Iterator<Item = &str> {
-        self.nodes.keys().map(String::as_str)
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -12,25 +12,13 @@ use crate::adcurve::{AdCurve, AdPoint};
 use crate::callgraph::{CallGraph, CallGraphError};
 use std::collections::BTreeMap;
 
-/// Controls point-count growth during propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SelectOptions {
-    /// If a node's composite curve exceeds this many points after
-    /// dedup, it is Pareto-pruned early. Sharing across *siblings* can
-    /// in principle make an internally-dominated point globally useful,
-    /// so early pruning is a heuristic — the paper similarly "contains
-    /// the potential explosion using several techniques". `usize::MAX`
-    /// disables it.
-    pub max_points_per_node: usize,
-}
-
-impl Default for SelectOptions {
-    fn default() -> Self {
-        SelectOptions {
-            max_points_per_node: 4096,
-        }
-    }
-}
+/// Controls point-count growth during propagation: a node's composite
+/// curve with more points than this after dedup is Pareto-pruned early.
+/// Sharing across *siblings* can in principle make an
+/// internally-dominated point globally useful, so early pruning is a
+/// heuristic — the paper similarly "contains the potential explosion
+/// using several techniques".
+const MAX_POINTS_PER_NODE: usize = 4096;
 
 /// Bottom-up A-D-curve propagation and selection over a call graph.
 ///
@@ -62,7 +50,6 @@ impl Default for SelectOptions {
 pub struct Selector {
     graph: CallGraph,
     leaf_curves: BTreeMap<String, AdCurve>,
-    options: SelectOptions,
 }
 
 impl Selector {
@@ -71,13 +58,7 @@ impl Selector {
         Selector {
             graph,
             leaf_curves: BTreeMap::new(),
-            options: SelectOptions::default(),
         }
-    }
-
-    /// Sets propagation options.
-    pub fn set_options(&mut self, options: SelectOptions) {
-        self.options = options;
     }
 
     /// The underlying call graph.
@@ -114,7 +95,7 @@ impl Selector {
                         .expect("postorder guarantees children first")
                         .map_cycles(|c| calls * c);
                     acc = acc.combine(&child_curve);
-                    if acc.len() > self.options.max_points_per_node {
+                    if acc.len() > MAX_POINTS_PER_NODE {
                         acc = acc.pareto();
                     }
                 }
@@ -281,9 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn explosion_contained_by_options() {
-        // A node with many children each having many points; the cap
-        // keeps the point count bounded.
+    fn explosion_contained_by_early_pruning() {
+        // A node with many children each having many points: 6^6
+        // combinations, all with distinct instruction sets; the cap
+        // keeps the composite curve bounded.
         let mut g = CallGraph::new();
         g.add_node("root", 0.0);
         let mut sel_points = Vec::new();
@@ -310,11 +292,7 @@ mod tests {
         for (name, curve) in sel_points {
             sel.set_leaf_curve(name, curve);
         }
-        sel.set_options(SelectOptions {
-            max_points_per_node: 50,
-        });
-        let curve = sel.root_curve("root").unwrap();
-        assert!(!curve.is_empty());
-        assert!(curve.len() <= 50 + 1);
+        let n = sel.propagate().unwrap()["root"].len();
+        assert!((1..=MAX_POINTS_PER_NODE).contains(&n), "{n} points");
     }
 }

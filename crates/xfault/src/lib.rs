@@ -165,8 +165,8 @@ impl PlanSpec {
     /// Parses a `WSP_FAULTS`-style spec: comma-separated
     /// `seed=<u64>`, `rate=<ppm>`, `sites=<name+name+...>` fields, e.g.
     /// `seed=7,rate=20000,sites=data+custom`. Omitted fields default to
-    /// seed 1, rate 10000 ppm, all sites. A rate above 1000000 ppm
-    /// (certainty) is an error.
+    /// seed 1, rate 10000 ppm, all sites; an empty `sites=` enables
+    /// none. A rate above 1000000 ppm (certainty) is an error.
     pub fn parse(spec: &str) -> Result<PlanSpec, String> {
         let mut seed = 1u64;
         let mut rate_ppm = 10_000u32;
@@ -194,6 +194,7 @@ impl PlanSpec {
                         .filter(|&ppm| ppm <= 1_000_000)
                         .ok_or_else(|| format!("bad fault rate `{v}` (0 to 1000000 ppm)"))?;
                 }
+                "sites" if v.trim().is_empty() => sites.clear(),
                 "sites" => {
                     sites = v
                         .split('+')
@@ -333,7 +334,7 @@ impl FaultPlan {
 /// Default bound on reseeded retries after a divergent measurement.
 pub const DEFAULT_MAX_RETRIES: u32 = 2;
 /// Default number of failed units before a kernel is quarantined.
-pub const DEFAULT_QUARANTINE_AFTER: u32 = 2;
+const DEFAULT_QUARANTINE_AFTER: u32 = 2;
 /// Default cycle budget for a single kernel call under fault injection
 /// (a corrupted loop must time out, not hang the pool).
 pub const DEFAULT_CYCLE_BUDGET: u64 = 50_000_000;

@@ -26,6 +26,7 @@ const SEEDS: &[&str] = &[
     "rate=1000000",
     " seed = 18446744073709551615 , rate = 300000 , sites = reg + tag + custom + data ",
     "sites=custom+data+custom,",
+    "seed=3,rate=100,sites=",
 ];
 
 /// Hostile fragments spliced into spec strings.
@@ -115,6 +116,10 @@ fn the_seed_specs_parse_and_round_trip() {
         PlanSpec::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
         check(text);
     }
+    // A spec built with no sites prints an empty `sites=`.
+    let none = PlanSpec::new(3, 100, &[]);
+    assert_eq!(none.to_string(), "seed=3,rate=100,sites=");
+    assert_eq!(PlanSpec::parse(&none.to_string()), Ok(none));
 }
 
 #[test]

@@ -21,7 +21,7 @@ use crate::cfg::Cfg;
 use crate::spec::SecretSpec;
 
 /// Bit index used for the carry flag in [`RegSet`].
-pub const CARRY_BIT: u32 = 16;
+const CARRY_BIT: u32 = 16;
 
 /// Synthetic definition site meaning "defined before entry" in
 /// [`ReachingDefs`].
@@ -121,7 +121,7 @@ pub fn insn_dests(insn: &Insn, spec: &SecretSpec) -> Vec<Reg> {
 }
 
 /// Instruction-level predecessor lists for the whole program.
-pub fn build_preds(cfg: &Cfg, insns: &[Insn]) -> Vec<Vec<usize>> {
+fn build_preds(cfg: &Cfg, insns: &[Insn]) -> Vec<Vec<usize>> {
     let mut preds = vec![Vec::new(); insns.len()];
     for pc in 0..insns.len() {
         for s in cfg.insn_succs(pc, insns) {

@@ -171,7 +171,7 @@ pub fn analyze_source(src: &str) -> Result<Report, AnalyzeError> {
 /// file-absolute, so diagnostics for units sliced out of a library
 /// (e.g. one kernel's section of a `kreg-audit --dump` unit) point at
 /// the real source line instead of the slice-relative one.
-pub fn analyze_source_at(src: &str, first_line: usize) -> Result<Report, AnalyzeError> {
+fn analyze_source_at(src: &str, first_line: usize) -> Result<Report, AnalyzeError> {
     let program = assemble(src)?;
     let spec = SecretSpec::from_source(src)?;
     for entry in spec.entries() {

@@ -190,11 +190,6 @@ impl Report {
     pub fn no_errors(&self) -> bool {
         self.errors().next().is_none()
     }
-
-    /// Findings for a specific rule.
-    pub fn by_rule(&self, rule: Rule) -> impl Iterator<Item = &Finding> {
-        self.findings.iter().filter(move |f| f.rule == rule)
-    }
 }
 
 impl fmt::Display for Report {

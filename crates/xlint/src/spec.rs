@@ -125,28 +125,10 @@ impl EntrySpec {
             secret_ptr: RegSet::EMPTY,
         }
     }
-
-    /// Marks registers as secret values.
-    pub fn with_secret(mut self, regs: &[Reg]) -> EntrySpec {
-        for &r in regs {
-            self.secret.insert(r);
-            self.inputs.insert(r);
-        }
-        self
-    }
-
-    /// Marks registers as pointers to secret data.
-    pub fn with_secret_ptr(mut self, regs: &[Reg]) -> EntrySpec {
-        for &r in regs {
-            self.secret_ptr.insert(r);
-            self.inputs.insert(r);
-        }
-        self
-    }
 }
 
 /// The default entry input set: argument registers plus `sp` and `ra`.
-pub fn default_inputs() -> RegSet {
+fn default_inputs() -> RegSet {
     let mut s = RegSet::EMPTY;
     for i in 0..6 {
         s.insert(Reg::new(i));
@@ -293,24 +275,6 @@ impl SecretSpec {
     /// Adds an entry point.
     pub fn add_entry(&mut self, entry: EntrySpec) -> &mut Self {
         self.entries.push(entry);
-        self
-    }
-
-    /// Adds a secret memory range.
-    pub fn add_secret_mem(&mut self, base: u32, len: u32) -> &mut Self {
-        self.secret_mem.push(MemRange { base, len });
-        self
-    }
-
-    /// Registers a custom-instruction signature.
-    pub fn add_sig(&mut self, name: impl Into<String>, sig: CustomSig) -> &mut Self {
-        self.sigs.insert(name.into(), sig);
-        self
-    }
-
-    /// Suppresses `rule` findings on 1-based source `line`.
-    pub fn add_allow(&mut self, line: usize, rule: Rule) -> &mut Self {
-        self.allows.entry(line).or_default().insert(rule);
         self
     }
 

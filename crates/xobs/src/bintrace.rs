@@ -28,9 +28,9 @@ use std::io::{self, Read, Write};
 use crate::trace::{CacheSide, OwnedEvent, TraceEvent, TraceSink};
 
 /// File magic, first four bytes of every trace.
-pub const MAGIC: [u8; 4] = *b"XTRC";
+const MAGIC: [u8; 4] = *b"XTRC";
 /// Current format version.
-pub const VERSION: u16 = 1;
+const VERSION: u16 = 1;
 
 const TAG_NAMEDEF: u8 = 0x01;
 const TAG_RETIRE: u8 = 0x02;

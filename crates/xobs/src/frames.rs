@@ -126,11 +126,6 @@ impl Assembler {
         }
         Ok(None)
     }
-
-    /// Whether the document completed.
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +180,6 @@ mod tests {
         asm.push(&frames[0]).unwrap();
         asm.push(&frames[1]).unwrap();
         assert_eq!(asm.push(&frames[2]), Ok(Some("abcdef".to_owned())));
-        assert!(asm.is_done());
         assert_eq!(asm.push(&frames[2]), Err(FrameError::AfterLast));
     }
 }

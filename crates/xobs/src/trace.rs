@@ -118,8 +118,8 @@ impl TraceEvent<'_> {
     }
 
     /// An owning copy of the event.
-    pub fn to_owned_event(&self) -> OwnedEvent {
-        match *self {
+    fn to_owned_event(self) -> OwnedEvent {
+        match self {
             TraceEvent::Retire { pc, cycle } => OwnedEvent::Retire { pc, cycle },
             TraceEvent::Stall { pc, cycles, cycle } => OwnedEvent::Stall { pc, cycles, cycle },
             TraceEvent::TakenBranch {

@@ -203,23 +203,6 @@ pub fn generate(
     })
 }
 
-/// Generates every level of `desc`'s family, cheapest first.
-///
-/// # Errors
-///
-/// The first failing level's [`OptError`].
-pub fn generate_all(
-    desc: &KernelDescriptor,
-    config: &CpuConfig,
-) -> Result<Vec<GeneratedVariant>, OptError> {
-    let family = desc.family.ok_or(OptError::NoFamily(desc.id))?;
-    family
-        .levels
-        .iter()
-        .map(|level| generate(desc, level, config))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,9 +219,8 @@ mod tests {
         for kid in [id::ADD_N, id::ADDMUL_1] {
             let d = desc(kid);
             assert_eq!(d.variants, VariantSource::Generated);
-            let variants = generate_all(d, &config).unwrap();
-            assert_eq!(variants.len(), d.family.unwrap().levels.len());
-            for v in &variants {
+            for level in d.family.unwrap().levels {
+                let v = generate(d, level, &config).unwrap();
                 let prog = assemble(&v.source).unwrap();
                 assert!(prog.label(&v.entry).is_some());
                 assert!(v.tag.starts_with("gen-a"));
@@ -271,7 +253,8 @@ mod tests {
         let d = desc(id::SUB_N);
         assert_eq!(d.variants, VariantSource::HandWritten);
         // sub_n has no registered family, so generation refuses.
-        let err = generate_all(d, &config).unwrap_err();
+        let level = desc(id::ADD_N).family.unwrap().levels[0];
+        let err = generate(d, &level, &config).unwrap_err();
         assert!(matches!(err, OptError::NoFamily(_)), "{err}");
     }
 }

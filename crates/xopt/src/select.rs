@@ -84,7 +84,7 @@ impl PatternMatch {
 /// Finds the entry's single counted loop: a conditional back-branch
 /// `bne counter, zero, head` with `head <= back`, where the counter is
 /// decremented in the body and `zero` is a `movi 0` from the prologue.
-pub fn find_loop(ssa: &SsaView<'_>) -> Result<LoopShape, OptError> {
+fn find_loop(ssa: &SsaView<'_>) -> Result<LoopShape, OptError> {
     let insns = ssa.ir().program.insns();
     let mut found = None;
     for (pc, insn) in insns.iter().enumerate() {

@@ -351,7 +351,7 @@ impl Pool {
 /// The worker count [`Pool::from_env`] resolves: `WSP_THREADS` when set
 /// to a positive integer, else the host's available parallelism (1 if
 /// unknown).
-pub fn threads_from_env() -> usize {
+fn threads_from_env() -> usize {
     if let Ok(v) = std::env::var("WSP_THREADS") {
         if let Ok(t) = v.trim().parse::<usize>() {
             if t >= 1 {

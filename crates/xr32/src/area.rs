@@ -9,34 +9,32 @@
 //! the plausible range for 0.18 µm-era standard-cell implementations.
 
 /// Gate-equivalent cost of one 32-bit carry-lookahead adder.
-pub const ADDER32_GE: u64 = 350;
-/// Gate-equivalent cost of one 16×16 multiplier.
-pub const MUL16_GE: u64 = 1_800;
+const ADDER32_GE: u64 = 350;
 /// Gate-equivalent cost of one 32×32 multiplier (with 64-bit product).
-pub const MUL32_GE: u64 = 6_500;
+const MUL32_GE: u64 = 6_500;
 /// Gate equivalents per register (flip-flop) bit.
-pub const REG_BIT_GE: u64 = 8;
+const REG_BIT_GE: u64 = 8;
 /// Gate equivalents per lookup-table bit (ROM).
-pub const LUT_BIT_GE: u64 = 2;
+const LUT_BIT_GE: u64 = 2;
 /// Gate equivalents per 2:1 mux bit.
-pub const MUX_BIT_GE: u64 = 3;
+const MUX_BIT_GE: u64 = 3;
 /// Gate equivalents per XOR bit.
-pub const XOR_BIT_GE: u64 = 3;
+const XOR_BIT_GE: u64 = 3;
 /// Fixed decode/control overhead charged once per custom instruction.
-pub const DECODE_GE: u64 = 150;
+const DECODE_GE: u64 = 150;
 /// Gate equivalents per reorder-buffer entry (PC + result tag + status
 /// flip-flops plus the commit-port wiring share).
-pub const ROB_ENTRY_GE: u64 = 520;
+const ROB_ENTRY_GE: u64 = 520;
 /// Gate equivalents per reservation-station entry (two operand/tag
 /// fields plus wake-up comparators — CAM-dominated, hence pricier than
 /// a ROB slot).
-pub const RS_ENTRY_GE: u64 = 680;
+const RS_ENTRY_GE: u64 = 680;
 /// Gate equivalents per load-store-queue entry (address + data fields
 /// plus the disambiguation comparators).
-pub const LSQ_ENTRY_GE: u64 = 740;
+const LSQ_ENTRY_GE: u64 = 740;
 /// Gate equivalents per 2-bit branch-predictor counter (two flip-flops
 /// plus the indexed-array wiring share).
-pub const PREDICTOR_COUNTER_GE: u64 = 22;
+const PREDICTOR_COUNTER_GE: u64 = 22;
 
 /// Builder for the structural area of one custom-instruction datapath.
 ///
@@ -67,11 +65,6 @@ impl AreaModel {
     /// Adds `n` 32-bit adders.
     pub fn adders32(self, n: u64) -> Self {
         self.fixed(n * ADDER32_GE)
-    }
-
-    /// Adds `n` 16×16 multipliers.
-    pub fn muls16(self, n: u64) -> Self {
-        self.fixed(n * MUL16_GE)
     }
 
     /// Adds `n` 32×32 multipliers.

@@ -103,8 +103,7 @@ impl std::error::Error for SimError {
     }
 }
 
-/// Executed-instruction counts by class (for the energy model and
-/// workload analysis).
+/// Executed-instruction counts by class, for workload analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassCounts {
     /// ALU and move instructions.
@@ -139,17 +138,6 @@ pub struct RunSummary {
     pub icache: CacheStats,
     /// Data-cache statistics.
     pub dcache: CacheStats,
-}
-
-impl RunSummary {
-    /// Cycles per instruction for the run.
-    pub fn cpi(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.cycles as f64 / self.instructions as f64
-        }
-    }
 }
 
 /// A simulated XR32 core.
@@ -392,7 +380,7 @@ impl Cpu {
     /// # Errors
     ///
     /// Returns [`SimError`] on faults or fuel exhaustion.
-    pub fn run_from_traced(
+    fn run_from_traced(
         &mut self,
         program: &Program,
         entry: usize,
@@ -788,11 +776,24 @@ mod tests {
     }
 
     #[test]
-    fn cpi_reported() {
-        let p = assemble("nop\n nop\n nop\n halt").unwrap();
-        let mut c = cpu();
-        let s = c.run(&p).unwrap();
-        assert!(s.cpi() >= 1.0);
+    fn classes_are_counted() {
+        let p = assemble(
+            "main:
+                movi a0, 0x100
+                lw   a1, a0, 0
+                sw   a1, a0, 4
+                mul  a2, a1, a1
+                j    end
+             end:
+                halt",
+        )
+        .unwrap();
+        let s = cpu().run(&p).unwrap();
+        assert_eq!(s.classes.mem, 2);
+        assert_eq!(s.classes.mul, 1);
+        assert_eq!(s.classes.control, 1);
+        assert!(s.classes.alu >= 1);
+        assert_eq!(s.classes.total(), s.instructions);
     }
 
     fn nested_program() -> crate::asm::Program {

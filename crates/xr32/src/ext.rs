@@ -195,12 +195,6 @@ impl ExtensionSet {
     pub fn is_empty(&self) -> bool {
         self.insns.is_empty()
     }
-
-    /// Total area of all registered instructions in gate equivalents
-    /// (the hardware overhead the paper's selection phase constrains).
-    pub fn total_area(&self) -> u64 {
-        self.insns.values().map(|d| d.area).sum()
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +223,6 @@ mod tests {
         ext.register(nop_def("add4", 1000));
         ext.register(nop_def("mac1", 7000));
         assert_eq!(ext.len(), 2);
-        assert_eq!(ext.total_area(), 8000);
         assert!(ext.get("add4").is_some());
         assert!(ext.get("missing").is_none());
         assert_eq!(ext.names().collect::<Vec<_>>(), vec!["add4", "mac1"]);
@@ -241,7 +234,7 @@ mod tests {
         ext.register(nop_def("x", 10));
         let old = ext.register(nop_def("x", 20));
         assert_eq!(old.expect("previous def").area, 10);
-        assert_eq!(ext.total_area(), 20);
+        assert_eq!(ext.get("x").map(|d| d.area), Some(20));
     }
 
     #[test]

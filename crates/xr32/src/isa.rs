@@ -416,7 +416,7 @@ impl Insn {
     }
 
     /// True for the six conditional branches.
-    pub fn is_cond_branch(&self) -> bool {
+    fn is_cond_branch(&self) -> bool {
         use Insn::*;
         matches!(
             self,

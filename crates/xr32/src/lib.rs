@@ -64,7 +64,6 @@ pub mod asm;
 pub mod cache;
 pub mod config;
 pub mod cpu;
-pub mod energy;
 pub mod ext;
 pub mod isa;
 pub mod mem;

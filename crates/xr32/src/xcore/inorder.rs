@@ -35,7 +35,7 @@ pub(crate) struct InOrderCore<'a> {
 
 impl<'a> InOrderCore<'a> {
     /// A run charging `timing` under `config`'s latencies.
-    pub fn new(timing: &'a mut Timing, config: &'a CpuConfig, trace: Tracer<'a>) -> Self {
+    pub(crate) fn new(timing: &'a mut Timing, config: &'a CpuConfig, trace: Tracer<'a>) -> Self {
         InOrderCore {
             timing,
             config,

@@ -149,7 +149,7 @@ pub(crate) struct Timing {
 impl Timing {
     /// Cold timing state for `config`'s core: all caches invalid and
     /// every predictor counter strongly-not-taken.
-    pub fn new(config: &CpuConfig) -> Self {
+    pub(crate) fn new(config: &CpuConfig) -> Self {
         let entries = match config.core {
             CoreSpec::InOrder => 0,
             CoreSpec::OutOfOrder(p) => p.predictor_entries.max(1) as usize,
@@ -164,7 +164,7 @@ impl Timing {
     }
 
     /// Returns to the cold state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.cycles = 0;
         self.reg_ready = [0; 16];
         self.icache.reset();
@@ -175,7 +175,7 @@ impl Timing {
     /// Consults and trains the 2-bit counter of the conditional branch
     /// at `pc`; returns whether it mispredicted `taken`.
     #[inline(always)]
-    pub fn predict(&mut self, pc: usize, taken: bool) -> bool {
+    pub(crate) fn predict(&mut self, pc: usize, taken: bool) -> bool {
         let ix = pc % self.counters.len();
         let counter = &mut self.counters[ix];
         let mispredicted = (*counter >= 2) != taken;
@@ -202,7 +202,7 @@ pub(crate) struct Tracer<'a> {
 
 impl<'a> Tracer<'a> {
     /// Opens the synthetic entry frame at `cycle`.
-    pub fn new(
+    pub(crate) fn new(
         sink: Option<&'a mut (dyn TraceSink + '_)>,
         program: &'a Program,
         entry: usize,
@@ -227,7 +227,7 @@ impl<'a> Tracer<'a> {
 
     /// One cache access: a miss adds `miss_latency` to `cycles`, and a
     /// traced access emits its `Cache` event. Returns whether it hit.
-    pub fn access(
+    pub(crate) fn access(
         &mut self,
         cache: &mut Cache,
         side: CacheSide,
@@ -252,7 +252,7 @@ impl<'a> Tracer<'a> {
     }
 
     /// Emits a `Stall` event for `op`.
-    pub fn stall(&mut self, op: &Retired<'_>, cycles: u64, cycle: u64) {
+    pub(crate) fn stall(&mut self, op: &Retired<'_>, cycles: u64, cycle: u64) {
         if let Some(s) = self.sink.as_deref_mut() {
             s.on_event(&TraceEvent::Stall {
                 pc: op.pc as u32,
@@ -264,7 +264,7 @@ impl<'a> Tracer<'a> {
 
     /// Opens a frame if `op` is a call, and emits a `Custom` event if
     /// it is a custom instruction.
-    pub fn call_or_custom(&mut self, op: &Retired<'_>, cycle: u64) {
+    pub(crate) fn call_or_custom(&mut self, op: &Retired<'_>, cycle: u64) {
         let Some(s) = self.sink.as_deref_mut() else {
             return;
         };
@@ -290,7 +290,7 @@ impl<'a> Tracer<'a> {
     }
 
     /// Emits a `TakenBranch` event charging `penalty` refill cycles.
-    pub fn branch(&mut self, op: &Retired<'_>, penalty: u32, cycle: u64) {
+    pub(crate) fn branch(&mut self, op: &Retired<'_>, penalty: u32, cycle: u64) {
         if let Some(s) = self.sink.as_deref_mut() {
             s.on_event(&TraceEvent::TakenBranch {
                 pc: op.pc as u32,
@@ -302,7 +302,7 @@ impl<'a> Tracer<'a> {
     }
 
     /// Closes a frame if `op` is a return, then emits its `Retire`.
-    pub fn retire(&mut self, op: &Retired<'_>, cycle: u64) {
+    pub(crate) fn retire(&mut self, op: &Retired<'_>, cycle: u64) {
         if let Some(s) = self.sink.as_deref_mut() {
             let pc = op.pc as u32;
             if op.class == OpClass::Ret && self.depth > 0 {
@@ -315,7 +315,7 @@ impl<'a> Tracer<'a> {
 
     /// Ends a completed run at `pc`: closes the frames left open (the
     /// entry frame, plus any callees a `halt` ended inside) and flushes.
-    pub fn finish(mut self, pc: usize, cycle: u64) {
+    pub(crate) fn finish(mut self, pc: usize, cycle: u64) {
         if let Some(s) = self.sink.as_deref_mut() {
             for _ in 0..self.depth {
                 s.on_event(&TraceEvent::Ret {

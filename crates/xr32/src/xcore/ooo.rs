@@ -134,7 +134,7 @@ pub(crate) struct OooCore<'a> {
 impl<'a> OooCore<'a> {
     /// A run of the `p` family member charging `timing` under
     /// `config`'s latencies.
-    pub fn new(
+    pub(crate) fn new(
         timing: &'a mut Timing,
         config: &'a CpuConfig,
         p: OooParams,

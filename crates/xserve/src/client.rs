@@ -3,9 +3,7 @@
 //! The client is synchronous and single-connection: requests go out as
 //! one line each, responses come back in arrival order. Job reports
 //! arrive as interleaved frames; [`Client::run_job`] hides the
-//! reassembly for the common submit-and-wait case, while
-//! [`Client::send`]/[`Client::next_response`] expose the raw stream
-//! for pipelined harnesses that keep many jobs or queries in flight.
+//! reassembly for the submit-and-wait case.
 //!
 //! Transport failures surface as the protocol's `4001` code so every
 //! client-visible failure — local or remote — carries one stable
@@ -14,7 +12,6 @@
 //! unbounded buffering.
 
 use crate::proto::{read_line, Line, Request, Response, StatsBody, MAX_LINE};
-use crate::server::Bind;
 use secproc::error::{codes, Error};
 use secproc::job::JobSpec;
 use std::collections::VecDeque;
@@ -64,24 +61,12 @@ impl Client {
         })
     }
 
-    /// Connects to either transport.
-    ///
-    /// # Errors
-    ///
-    /// `4001` on connection failure.
-    pub fn connect(bind: &Bind) -> Result<Client, Error> {
-        match bind {
-            Bind::Tcp(addr) => Client::connect_tcp(addr.as_str()),
-            Bind::Unix(path) => Client::connect_unix(path),
-        }
-    }
-
     /// Writes one request line (flushed immediately).
     ///
     /// # Errors
     ///
     /// `4001` on write failure.
-    pub fn send(&mut self, req: &Request) -> Result<(), Error> {
+    fn send(&mut self, req: &Request) -> Result<(), Error> {
         writeln!(self.writer, "{}", req.to_json().to_string_compact()).map_err(io_error)?;
         self.writer.flush().map_err(io_error)
     }
@@ -92,7 +77,7 @@ impl Client {
     /// # Errors
     ///
     /// `4001` on read failure, EOF, or an unparseable line.
-    pub fn next_response(&mut self) -> Result<Response, Error> {
+    fn next_response(&mut self) -> Result<Response, Error> {
         if let Some(resp) = self.backlog.pop_front() {
             return Ok(resp);
         }

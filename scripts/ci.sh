@@ -50,7 +50,7 @@ for run in "sec43_exploration --json 128 2" "fig5_adcurves --json 8" "fig8_ssl -
   echo "ci: $name deterministic across thread counts"
 done
 
-# Span-smoke gate: schema-5 reports must carry a populated span tree
+# Span-smoke gate: schema-8 reports must carry a populated span tree
 # (`xr32-trace spans` exits non-zero on an empty or missing one) whose
 # Chrome export converts cleanly.
 SPANS=$(target/release/fig5_adcurves --json 8)
@@ -98,11 +98,12 @@ target/release/xopt_gate 32
 target/release/xopt_gate 37
 echo "ci: xopt variant-generation gate ok"
 
-# Deprecation gate: nothing in the workspace (bins, benches, tests,
-# examples) may introduce or use deprecated items — the legacy flow
-# shims are gone and must stay gone.
-RUSTFLAGS="-D deprecated" cargo check -q --workspace --all-targets
-echo "ci: deprecation gate ok (workspace is deprecation-free)"
+# Deprecation and visibility gate: nothing in the workspace (bins,
+# benches, tests, examples) may introduce or use deprecated items — the
+# legacy flow shims are gone and must stay gone — and no item may be
+# `pub` where no other crate can reach it.
+RUSTFLAGS="-D deprecated -D unreachable_pub" cargo check -q --workspace --all-targets
+echo "ci: deprecation and visibility gate ok (no deprecated items, no unreachable pub)"
 
 # Serving-layer gate: a job run through the xserve daemon must produce
 # a byte-identical normalized report to the same JobSpec run directly
