@@ -2030,11 +2030,17 @@ mod tests {
     /// agree bit for bit: the timed run's cycles and both cores'
     /// architectural state. Returns the memo's summed statistics.
     fn memo_equals_plain(variant: KernelVariant, bits: &[usize]) -> MemoStats {
+        memo_equals_plain_every(variant, bits, 1)
+    }
+
+    /// [`memo_equals_plain`] on every `step`th candidate.
+    fn memo_equals_plain_every(variant: KernelVariant, bits: &[usize], step: usize) -> MemoStats {
         let config = CpuConfig::default();
         let budget = FaultPolicy::default().cycle_budget;
         let pool = xpar::Pool::new(2);
         let candidates = ModExpConfig::enumerate();
         assert_eq!(candidates.len(), 450);
+        let candidates: Vec<ModExpConfig> = candidates.into_iter().step_by(step).collect();
         let mut total = MemoStats::default();
         for &bits in bits {
             let work = Workload::new(bits);
@@ -2080,6 +2086,31 @@ mod tests {
         };
         let stats = memo_equals_plain(variant, &[64]);
         assert!(stats.replays > 0 && stats.tabled > 0, "{stats:?}");
+    }
+
+    /// Thirty candidates at the paper's 512 bits, whose calls take more
+    /// limbs and D-lines. CI runs it in release mode.
+    #[test]
+    #[ignore = "slow in a debug build; scripts/ci.sh runs it in release mode"]
+    fn memoized_cosimulation_equals_the_plain_model_at_512_bits() {
+        let stats = memo_equals_plain_every(KernelVariant::Base, &[512], 15);
+        assert!(stats.replays > 0 && stats.tabled > 0, "{stats:?}");
+    }
+
+    #[test]
+    fn a_cosimulation_that_reads_no_state_reexecutes_nothing() {
+        let work = Workload::new(128);
+        let budget = FaultPolicy::default().cycle_budget;
+        for candidate in ModExpConfig::enumerate().into_iter().step_by(45) {
+            let mut iss = armed(IssMpn::base(CpuConfig::default()), budget, None);
+            iss.memoize_calls();
+            cosim_run(&mut iss, &work, &candidate).expect("co-simulates");
+            let stats = iss.memo_stats();
+            assert!(stats.replayed_insns > 0, "{candidate}: {stats:?}");
+            assert_eq!(stats.reexecuted_insns, 0, "{candidate}: {stats:?}");
+            let _ = (iss.arch_state32(), iss.arch_state16());
+            assert!(iss.memo_stats().reexecuted_insns > 0, "{candidate}: a read");
+        }
     }
 
     fn quick_options() -> CharactOptions {

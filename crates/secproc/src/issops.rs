@@ -49,12 +49,8 @@ pub struct ArchState {
 
 impl ArchState {
     fn of(cpu: &Cpu) -> Self {
-        let mut regs = [0u32; 16];
-        for (i, slot) in regs.iter_mut().enumerate() {
-            *slot = cpu.reg(i);
-        }
         ArchState {
-            regs,
+            regs: cpu.regs(),
             mem_digest: cpu.mem().digest(),
             retired: cpu.retired(),
         }
@@ -82,22 +78,22 @@ fn library(slot: usize, source: impl FnOnce() -> String) -> Arc<Program> {
     Arc::clone(prog)
 }
 
-/// The public input registers of each [`id::MPN`] kernel, as indices:
-/// its `;! entry` inputs minus `secret=`. Operand pointers are public
-/// (the limbs they point to are secret), and every entry's inputs
-/// include `sp` (14) and `ra` (15). `None` for `div_qhat`, which is
-/// declared `public` and variable-time: its path depends on all five
+/// The input registers of each [`id::MPN`] kernel, as indices: its
+/// `;! entry` inputs, public ones then `secret=` ones. Operand pointers
+/// are public (the limbs they point to are secret), and every entry's
+/// inputs include `sp` (14) and `ra` (15). `None` for `div_qhat`, which
+/// is declared `public` and variable-time: its path depends on all five
 /// inputs, so a call memo times it from a cost table instead
 /// ([`CallMemo::declare_register_only`]).
-const PUBLIC_INPUTS: [Option<&[u8]>; 8] = [
-    Some(&[0, 1, 2, 3, 14, 15]), // mpn_add_n: rp ap bp n
-    Some(&[0, 1, 2, 3, 14, 15]), // mpn_sub_n: rp ap bp n
-    Some(&[0, 1, 2, 14, 15]),    // mpn_mul_1: rp ap n (b secret)
-    Some(&[0, 1, 2, 14, 15]),    // mpn_addmul_1: rp ap n (b secret)
-    Some(&[0, 1, 2, 14, 15]),    // mpn_submul_1: rp ap n (b secret)
-    Some(&[0, 1, 2, 3, 14, 15]), // mpn_lshift: rp ap n cnt
-    Some(&[0, 1, 2, 3, 14, 15]), // mpn_rshift: rp ap n cnt
-    None,                        // div_qhat
+const INPUTS: [Option<(&[u8], &[u8])>; 8] = [
+    Some((&[0, 1, 2, 3, 14, 15], &[])), // mpn_add_n: rp ap bp n
+    Some((&[0, 1, 2, 3, 14, 15], &[])), // mpn_sub_n: rp ap bp n
+    Some((&[0, 1, 2, 14, 15], &[3])),   // mpn_mul_1: rp ap n, b
+    Some((&[0, 1, 2, 14, 15], &[3])),   // mpn_addmul_1: rp ap n, b
+    Some((&[0, 1, 2, 14, 15], &[3])),   // mpn_submul_1: rp ap n, b
+    Some((&[0, 1, 2, 3, 14, 15], &[])), // mpn_lshift: rp ap n cnt
+    Some((&[0, 1, 2, 3, 14, 15], &[])), // mpn_rshift: rp ap n cnt
+    None,                               // div_qhat
 ];
 
 /// One radix side of the provider: its core, its kernel library, and
@@ -118,15 +114,15 @@ impl Side {
     }
 
     /// Attaches a call memo declaring every constant-time kernel of
-    /// the library with its public inputs, and `div_qhat`
+    /// the library caller-computed with its inputs, and `div_qhat`
     /// register-only.
     fn memoize(&mut self) {
         let mut memo = CallMemo::new();
-        for (&entry, public) in self.entries.iter().zip(PUBLIC_INPUTS) {
-            match (entry, public) {
-                (Some(entry), Some(public)) => {
-                    let public: Vec<Reg> = public.iter().map(|&r| Reg::new(r)).collect();
-                    memo.declare(&self.prog, entry, &public);
+        let regs = |r: &[u8]| r.iter().map(|&r| Reg::new(r)).collect::<Vec<_>>();
+        for (&entry, inputs) in self.entries.iter().zip(INPUTS) {
+            match (entry, inputs) {
+                (Some(entry), Some((public, secret))) => {
+                    memo.declare_computed(&self.prog, entry, &regs(public), &regs(secret));
                 }
                 (Some(entry), None) => memo.declare_register_only(&self.prog, entry),
                 (None, _) => {}
@@ -252,28 +248,37 @@ impl IssMpn {
 
     /// Attaches a call memo to both radix cores: a call of a
     /// constant-time kernel whose public inputs were seen before
-    /// replays the in-order model's recorded cost on the functional
-    /// executor, with every cycle, cache statistic and later hit or
-    /// miss unchanged (see [`xr32::xcore::memo`]). A `div_qhat` call
-    /// is timed from a cost table proven for the core's configuration
-    /// on its first call, where the proof holds. The memo serves
-    /// warm-up and timed calls alike, and declines calls on an
-    /// out-of-order core, with a trace sink attached or a fault plan
-    /// armed. Co-simulation arms it; every other user keeps the plain
-    /// timing model.
+    /// replays the in-order model's recorded cost without executing,
+    /// with every cycle, cache statistic and later hit or miss
+    /// unchanged (see [`xr32::xcore::memo`]). The provider then writes
+    /// the kernel's golden outputs into the simulated result region
+    /// and `a0`, so memory stays exact; the other registers a replay
+    /// wrote are re-executed when read. A `div_qhat` call is timed from
+    /// a cost table proven for the core's configuration on its first
+    /// call, where the proof holds. The memo serves warm-up and timed
+    /// calls alike, and declines calls on an out-of-order core, with a
+    /// trace sink attached or a fault plan armed. Co-simulation arms
+    /// it; every other user keeps the plain timing model.
+    ///
+    /// Only for the bundled kernel libraries: the memo's exactness
+    /// rests on their lint proofs, which
+    /// `memoized_kernels_key_on_their_linted_public_inputs` checks for
+    /// every [`KernelVariant`].
     pub(crate) fn memoize_calls(&mut self) {
         self.s32.memoize();
         self.s16.memoize();
     }
 
     /// How often the two radix cores' call memos were consulted,
-    /// replayed and tabled (all zero unless co-simulation armed them).
+    /// replayed, re-executed and tabled (all zero unless co-simulation
+    /// armed them).
     pub fn memo_stats(&self) -> MemoStats {
         let (a, b) = (self.s32.memo_stats(), self.s16.memo_stats());
         MemoStats {
             calls: a.calls + b.calls,
             replays: a.replays + b.replays,
             replayed_insns: a.replayed_insns + b.replayed_insns,
+            reexecuted_insns: a.reexecuted_insns + b.reexecuted_insns,
             tabled: a.tabled + b.tabled,
             tabled_insns: a.tabled_insns + b.tabled_insns,
         }
@@ -594,11 +599,13 @@ impl IssMpn {
     }
 
     /// Runs the [`id::MPN`] kernel in `slot` on the `L`-radix core and
-    /// returns `a0`. A kernel absent from the library fails with the
-    /// simulator's undefined-label error. A simulator fault or watchdog
-    /// timeout is recorded as a typed error and yields a degraded 0
-    /// result.
-    fn call<L: Limb>(&mut self, slot: usize, args: &[u32]) -> u32 {
+    /// returns `a0`, or `None` when the call memo replayed the call
+    /// without executing it: the caller then writes its golden outputs
+    /// with [`IssMpn::computed`]. A kernel absent from the library
+    /// fails with the simulator's undefined-label error. A simulator
+    /// fault or watchdog timeout is recorded as a typed error and
+    /// yields a degraded 0 result.
+    fn call<L: Limb>(&mut self, slot: usize, args: &[u32]) -> Option<u32> {
         let kernel = id::MPN[slot];
         let side = if L::BITS == 32 {
             &mut self.s32
@@ -615,13 +622,21 @@ impl IssMpn {
         match run {
             Ok(summary) => {
                 self.cycles += summary.cycles as f64;
-                side.cpu.reg(0)
+                (!summary.skipped).then(|| side.cpu.reg(0))
             }
             Err(e) => {
                 self.record_sim_error(kernel, e);
-                0
+                Some(0)
             }
         }
+    }
+
+    /// Writes the golden outputs of a call the memo did not execute:
+    /// `r` into the result region and `a0`.
+    fn computed<L: Limb>(&mut self, r: &[L], a0: u32) {
+        let cpu = self.cpu::<L>();
+        write_limbs(cpu, RP_ADDR, r);
+        cpu.set_reg(0, a0);
     }
 
     /// The core of the `L`-radix side.
@@ -650,7 +665,12 @@ impl IssMpn {
         let cpu = self.cpu::<L>();
         write_limbs(cpu, AP_ADDR, a);
         write_limbs(cpu, BP_ADDR, b);
-        let carry = self.call::<L>(slot, &[RP_ADDR, AP_ADDR, BP_ADDR, n as u32]) != 0;
+        let Some(a0) = self.call::<L>(slot, &[RP_ADDR, AP_ADDR, BP_ADDR, n as u32]) else {
+            let carry = golden()(&mut r[..n], a, b);
+            self.computed(&r[..n], carry as u32);
+            return carry;
+        };
+        let carry = a0 != 0;
         read_limbs(self.cpu::<L>(), RP_ADDR, &mut r[..n]);
         if self.verify {
             let mut expect = vec![L::ZERO; n];
@@ -672,7 +692,7 @@ impl IssMpn {
     fn vec_scalar<L: Limb>(
         &mut self,
         slot: usize,
-        golden: impl FnOnce() -> fn(&mut [L], &[L], L) -> L,
+        golden: impl Fn() -> fn(&mut [L], &[L], L) -> L,
         r: &mut [L],
         a: &[L],
         b: L,
@@ -698,7 +718,18 @@ impl IssMpn {
             write_limbs(cpu, RP_ADDR, &r[..n]);
         }
         let args = [RP_ADDR, AP_ADDR, n as u32, b.to_u64() as u32];
-        let carry = L::from_u64(self.call::<L>(slot, &args) as u64);
+        let Some(a0) = self.call::<L>(slot, &args) else {
+            let carry = match expect {
+                Some((expect, ec)) => {
+                    r[..n].copy_from_slice(&expect);
+                    ec
+                }
+                None => golden()(&mut r[..n], a, b),
+            };
+            self.computed(&r[..n], carry.to_u64() as u32);
+            return carry;
+        };
+        let carry = L::from_u64(a0 as u64);
         read_limbs(self.cpu::<L>(), RP_ADDR, &mut r[..n]);
         if let Some((expect, ec)) = expect {
             if r[..n] != expect[..] || carry != ec {
@@ -729,7 +760,12 @@ impl IssMpn {
         }
         write_limbs(self.cpu::<L>(), AP_ADDR, a);
         let args = [RP_ADDR, AP_ADDR, n as u32, cnt];
-        let out_bits = L::from_u64(self.call::<L>(slot, &args) as u64);
+        let Some(a0) = self.call::<L>(slot, &args) else {
+            let out_bits = golden()(&mut r[..n], a, cnt);
+            self.computed(&r[..n], out_bits.to_u64() as u32);
+            return out_bits;
+        };
+        let out_bits = L::from_u64(a0 as u64);
         read_limbs(self.cpu::<L>(), RP_ADDR, &mut r[..n]);
         if self.verify {
             let mut expect = vec![L::ZERO; n];
@@ -756,7 +792,8 @@ impl IssMpn {
             return golden()(n2, n1, n0, d1, d0);
         }
         let args = [n2, n1, n0, d1, d0].map(|l| l.to_u64() as u32);
-        let q = L::from_u64(self.call::<L>(slot::DIV_QHAT, &args) as u64);
+        let q = self.call::<L>(slot::DIV_QHAT, &args);
+        let q = L::from_u64(q.expect("a register-only call executes") as u64);
         if self.verify {
             let expect = golden()(n2, n1, n0, d1, d0);
             if q != expect {
@@ -814,7 +851,7 @@ fn read_limbs<L: Limb>(cpu: &Cpu, addr: u32, out: &mut [L]) {
 }
 
 /// The registered golden reference of one kernel at the macro's limb
-/// width, looked up only when a call is verified: `$golden` is the
+/// width, looked up only when a call needs it: `$golden` is the
 /// `CallConv` field name (`golden32` or `golden16`) and `$shape` the
 /// convention the kernel must have.
 macro_rules! golden {
@@ -1265,6 +1302,14 @@ mod tests {
                         .iter()
                         .find(|e| e.label == kernel.name())
                         .expect("annotated entry");
+                    // The memo needs no other register exact at entry:
+                    // the must-defined proof above.
+                    let inputs: Vec<Reg> = (0..16)
+                        .map(Reg::new)
+                        .filter(|&r| annotated.inputs.contains(r))
+                        .collect();
+                    let declared = memo.inputs(&side.prog, entry);
+                    assert_eq!(declared, Some(inputs), "{variant:?} {kernel}");
                     let expect: Vec<Reg> = (0..16)
                         .map(Reg::new)
                         .filter(|&r| annotated.inputs.contains(r) && !annotated.secret.contains(r))

@@ -163,15 +163,6 @@ impl From<SpecError> for AnalyzeError {
 /// reported as an [`AnalyzeError::UnknownEntry`] rather than a panic —
 /// the annotation came from the same untrusted source text.
 pub fn analyze_source(src: &str) -> Result<Report, AnalyzeError> {
-    analyze_source_at(src, 1)
-}
-
-/// Like [`analyze_source`], for a unit that starts at 1-based line
-/// `first_line` of a larger file: every finding's line is rebased to be
-/// file-absolute, so diagnostics for units sliced out of a library
-/// (e.g. one kernel's section of a `kreg-audit --dump` unit) point at
-/// the real source line instead of the slice-relative one.
-fn analyze_source_at(src: &str, first_line: usize) -> Result<Report, AnalyzeError> {
     let program = assemble(src)?;
     let spec = SecretSpec::from_source(src)?;
     for entry in spec.entries() {
@@ -179,11 +170,7 @@ fn analyze_source_at(src: &str, first_line: usize) -> Result<Report, AnalyzeErro
             return Err(AnalyzeError::UnknownEntry(entry.label.clone()));
         }
     }
-    let mut report = analyze(&program, &spec);
-    if first_line > 1 {
-        report.rebase_lines(first_line);
-    }
-    Ok(report)
+    Ok(analyze(&program, &spec))
 }
 
 #[cfg(test)]
@@ -219,21 +206,6 @@ mod tests {
         assert_eq!(f.rule, Rule::ReadBeforeWrite);
         assert_eq!(f.line, Some(3));
         assert!(f.message.contains("a7"));
-    }
-
-    #[test]
-    fn analyze_source_at_reports_file_absolute_lines() {
-        let src = ";! entry f inputs=a0,sp,ra
-             f:
-                add a0, a0, a7
-                ret";
-        let rel = analyze_source(src).unwrap();
-        assert_eq!(rel.findings()[0].line, Some(3));
-        // The same unit sliced out of a library starting at line 40:
-        // findings point at the real file line, not the slice line.
-        let abs = analyze_source_at(src, 40).unwrap();
-        assert_eq!(abs.findings()[0].line, Some(42));
-        assert_eq!(abs.findings()[0].rule, rel.findings()[0].rule);
     }
 
     #[test]

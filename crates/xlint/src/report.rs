@@ -157,18 +157,6 @@ impl Report {
         self.findings.dedup();
     }
 
-    /// Rebases every finding's 1-based line so line 1 of the analyzed
-    /// unit reports as `first_line` — used when the unit was sliced out
-    /// of a larger file and diagnostics must be file-absolute.
-    pub(crate) fn rebase_lines(&mut self, first_line: usize) {
-        let delta = first_line.saturating_sub(1);
-        for f in &mut self.findings {
-            if let Some(line) = &mut f.line {
-                *line += delta;
-            }
-        }
-    }
-
     /// All findings in program order.
     pub fn findings(&self) -> &[Finding] {
         &self.findings

@@ -14,10 +14,12 @@
 //!   family with parameterized structure widths;
 //! - no model at all under [`Fidelity::Fast`].
 //!
-//! A core with a [`CallMemo`] attached ([`Cpu::set_call_memo`]) runs
-//! known constant-time kernel calls and proven register-only ones on
-//! the functional executor instead, and applies the in-order model's
-//! cost of each ([`crate::xcore::memo`]).
+//! A core with a [`CallMemo`] attached ([`Cpu::set_call_memo`])
+//! accounts known constant-time kernel calls without executing them,
+//! runs proven register-only ones on the functional executor instead,
+//! and applies the in-order model's cost of each
+//! ([`crate::xcore::memo`]). The registers a call it did not execute
+//! wrote are made exact when read.
 //!
 //! The architectural state after a run is therefore bit-identical
 //! across core models and fidelities; only cycle accounting differs.
@@ -28,9 +30,9 @@ use crate::config::CpuConfig;
 use crate::ext::{CustomInsnError, ExtensionSet, UserRegFile};
 use crate::isa::Reg;
 use crate::mem::{AccessError, Memory};
-use crate::xcore::memo::MemoCall;
+use crate::xcore::memo::{MemoCall, Served};
 use crate::xcore::{CallMemo, CoreSpec, InOrderCore, OooCore, Timing, Tracer};
-use crate::xjit::{self, Arch, FastProgram, Fidelity, Untimed};
+use crate::xjit::{self, Arch, FastProgram, Fidelity, Untimed, ALL};
 use std::fmt;
 use xfault::FaultPlan;
 use xobs::trace::TraceSink;
@@ -138,6 +140,11 @@ pub struct RunSummary {
     pub icache: CacheStats,
     /// Data-cache statistics.
     pub dcache: CacheStats,
+    /// Whether the call memo accounted for the call without executing
+    /// it (see [`CallMemo::declare_computed`]): the call's memory
+    /// outputs and its return value in `a0` are then the caller's to
+    /// write.
+    pub skipped: bool,
 }
 
 /// A simulated XR32 core.
@@ -163,10 +170,11 @@ pub struct Cpu {
 
 impl fmt::Debug for Cpu {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (regs, carry) = self.exact(ALL);
         f.debug_struct("Cpu")
             .field("cycles", &self.timing.cycles)
-            .field("regs", &self.arch.regs)
-            .field("carry", &self.arch.carry)
+            .field("regs", &regs)
+            .field("carry", &carry)
             .finish_non_exhaustive()
     }
 }
@@ -212,13 +220,57 @@ impl Cpu {
         &self.ext
     }
 
-    /// Reads general register `i`.
+    /// Reads general register `i`. If a call the memo did not execute
+    /// wrote it last, that call is re-executed on a scratch copy to
+    /// read it (see [`crate::xcore::memo`]).
     ///
     /// # Panics
     ///
     /// Panics if `i > 15`.
     pub fn reg(&self, i: usize) -> u32 {
-        self.arch.regs[i]
+        let v = self.arch.regs[i];
+        match &self.memo {
+            Some(memo) if memo.is_stale(1 << i) => self.exact(1 << i).0[i],
+            _ => v,
+        }
+    }
+
+    /// Reads all sixteen general registers, re-executing at most once
+    /// each call the memo did not execute that wrote one last.
+    pub fn regs(&self) -> [u32; 16] {
+        self.exact(ALL).0
+    }
+
+    /// The carry flag.
+    #[cfg(test)]
+    pub(crate) fn carry(&self) -> bool {
+        self.exact(xjit::CARRY).1
+    }
+
+    /// The registers and carry, with the stale ones of `want` (bit 16:
+    /// the carry) made exact.
+    fn exact(&self, want: u32) -> ([u32; 16], bool) {
+        let (mut regs, mut carry) = (self.arch.regs, self.arch.carry);
+        if let Some(memo) = &self.memo {
+            memo.exact(&self.decoded, &self.config, want, &mut regs, &mut carry);
+        }
+        (regs, carry)
+    }
+
+    /// Makes the stale registers of `want` exact on the core.
+    fn settle(&mut self, want: u32) {
+        if let Some(memo) = &mut self.memo {
+            let (arch, config) = (&mut self.arch, &self.config);
+            let done = memo.exact(&self.decoded, config, want, &mut arch.regs, &mut arch.carry);
+            memo.forget(done);
+        }
+    }
+
+    /// Marks the registers of `written` exact.
+    fn forget(&mut self, written: u32) {
+        if let Some(memo) = &mut self.memo {
+            memo.forget(written);
+        }
     }
 
     /// Writes general register `i`.
@@ -228,6 +280,7 @@ impl Cpu {
     /// Panics if `i > 15`.
     pub fn set_reg(&mut self, i: usize, v: u32) {
         self.arch.regs[i] = v;
+        self.forget(1 << i);
     }
 
     /// The data memory.
@@ -279,9 +332,14 @@ impl Cpu {
     /// its footprint resident, and recorded otherwise; a call of a
     /// register-only entry is timed from its proven cost table when its
     /// code is resident. Every cycle, cache statistic and later hit or
-    /// miss is the plain model's (see [`crate::xcore::memo`]). Other
-    /// runs ignore the memo.
+    /// miss is the plain model's (see [`crate::xcore::memo`]). A
+    /// replayed call of a keyed entry does not execute: the registers
+    /// it writes are made exact when read, and its caller writes its
+    /// memory outputs and return value ([`RunSummary::skipped`]). Other
+    /// runs ignore the memo, and start from exact registers. Replacing
+    /// a memo makes every register exact first.
     pub fn set_call_memo(&mut self, memo: Option<CallMemo>) {
+        self.settle(ALL);
         self.memo = memo;
     }
 
@@ -331,6 +389,7 @@ impl Cpu {
     /// model's internal timing state such as branch-predictor counters
     /// (memory is preserved).
     pub fn reset_timing(&mut self) {
+        self.forget(ALL);
         self.timing.reset();
         self.arch.regs = [0; 16];
         self.arch.regs[Reg::SP.index()] = self.config.mem_size as u32;
@@ -461,6 +520,7 @@ impl Cpu {
         assert!(args.len() <= 6, "at most 6 register arguments (a0-a5)");
         self.arch.regs[..args.len()].copy_from_slice(args);
         self.arch.regs[Reg::RA.index()] = RETURN_SENTINEL;
+        self.forget(((1 << args.len()) - 1) | (1 << Reg::RA.index()));
         self.execute(program, entry, name, sink, true)
     }
 
@@ -484,7 +544,6 @@ impl Cpu {
                 self.decoded.len() - 1
             }
         };
-        let prog = &self.decoded[ix].1;
         let start = self.timing.cycles;
         let (icache, dcache) = (self.timing.icache.stats(), self.timing.dcache.stats());
         let memoizable = call
@@ -492,26 +551,42 @@ impl Cpu {
             && self.fault.is_none()
             && self.fidelity == Fidelity::CycleAccurate
             && self.config.core == CoreSpec::InOrder;
-        let served = match self.memo.as_mut() {
-            Some(memo) if memoizable => memo.call(MemoCall {
-                program,
-                prog,
-                entry,
-                arch: &mut self.arch,
-                fuel: self.fuel,
-                timing: &mut self.timing,
-                config: &self.config,
-            }),
-            _ => None,
+        let served = loop {
+            let prog = &self.decoded[ix].1;
+            let served = match self.memo.as_mut() {
+                Some(memo) if memoizable => memo.call(MemoCall {
+                    program,
+                    prog,
+                    entry,
+                    arch: &mut self.arch,
+                    fuel: self.fuel,
+                    timing: &mut self.timing,
+                    config: &self.config,
+                }),
+                _ => None,
+            };
+            match served {
+                Some(Served::Settle(want)) => self.settle(want),
+                Some(Served::Ran(out)) => break Some((out, false)),
+                Some(Served::Skipped(classes)) => break Some((Ok(classes), true)),
+                // A run the memo does not serve reads what it likes.
+                None => {
+                    self.settle(ALL);
+                    break None;
+                }
+            }
         };
+        let prog = &self.decoded[ix].1;
         let (arch, fuel, fault) = (&mut self.arch, self.fuel, self.fault.as_mut());
-        let classes = match (served, self.fidelity, self.config.core) {
-            (Some(out), _, _) => out,
-            (None, Fidelity::Fast, _) => xjit::run(prog, entry, arch, fuel, fault, Untimed),
+        let (classes, skipped) = match (served, self.fidelity, self.config.core) {
+            (Some(served), _, _) => served,
+            (None, Fidelity::Fast, _) => {
+                (xjit::run(prog, entry, arch, fuel, fault, Untimed), false)
+            }
             (None, Fidelity::CycleAccurate, core) => {
                 let trace = Tracer::new(sink, program, entry, entry_name, start);
                 let (timing, config) = (&mut self.timing, &self.config);
-                match core {
+                let out = match core {
                     CoreSpec::InOrder => {
                         let model = InOrderCore::new(timing, config, trace);
                         xjit::run(prog, entry, arch, fuel, fault, model)
@@ -520,9 +595,11 @@ impl Cpu {
                         let model = OooCore::new(timing, config, p, trace);
                         xjit::run(prog, entry, arch, fuel, fault, model)
                     }
-                }
+                };
+                (out, false)
             }
-        }?;
+        };
+        let classes = classes?;
         self.retired += classes.total();
         let since = |now: CacheStats, before: CacheStats| CacheStats {
             hits: now.hits - before.hits,
@@ -534,6 +611,7 @@ impl Cpu {
             classes,
             icache: since(self.timing.icache.stats(), icache),
             dcache: since(self.timing.dcache.stats(), dcache),
+            skipped,
         })
     }
 }

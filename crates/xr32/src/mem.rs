@@ -211,9 +211,30 @@ impl Memory {
     ///
     /// Returns [`AccessError`] if the region exceeds memory.
     pub fn read_bytes(&self, addr: u32, len: usize) -> Result<Vec<u8>, AccessError> {
-        self.check_range(addr, len, 1)?;
-        let a = addr as usize;
-        Ok((a..a + len).map(|i| self.read::<1>(i)[0]).collect())
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out)?;
+        Ok(out)
+    }
+
+    /// Fills `out` with the bytes starting at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccessError`] if the region exceeds memory.
+    pub(crate) fn read_into(&self, addr: u32, out: &mut [u8]) -> Result<(), AccessError> {
+        self.check_range(addr, out.len(), 1)?;
+        let (mut a, mut rest) = (addr as usize, out);
+        while !rest.is_empty() {
+            // Up to the end of `a`'s page.
+            let n = rest.len().min(PAGE - a % PAGE);
+            let (head, tail) = rest.split_at_mut(n);
+            match &self.pages[a / PAGE] {
+                Some(page) => head.copy_from_slice(&page[a % PAGE..a % PAGE + n]),
+                None => head.fill(0),
+            }
+            (a, rest) = (a + n, tail);
+        }
+        Ok(())
     }
 
     /// 64-bit FNV-1a-style digest over the full memory contents. Used

@@ -1,10 +1,11 @@
 //! The call memo: constant-time and register-only kernel calls at
 //! functional speed on the in-order core.
 //!
-//! A memo serves two kinds of declared entry. Both run the call on the
-//! functional executor without the in-order timing model and then apply
-//! exactly the effects the model would have had; a call that cannot be
-//! served that way runs the plain model.
+//! A memo serves two kinds of declared entry. It accounts a keyed call
+//! it has seen before without executing it, and runs a register-only
+//! call on the functional executor without the in-order timing model;
+//! either way it applies exactly the effects the model would have had.
+//! Every other call of a declared entry runs the plain timed model.
 //!
 //! # Keyed entries
 //!
@@ -14,18 +15,20 @@
 //! lines it fetches and accesses and every interlock of the in-order
 //! pipeline — is a function of the program, the entry pc and the
 //! values of the call's *public* input registers. The memo keys on
-//! exactly those. Which registers are public is declared per entry
-//! ([`CallMemo::declare`]).
+//! exactly those. Which registers are public, and which other
+//! registers are inputs, is declared per entry
+//! ([`CallMemo::declare_computed`]).
 //!
 //! **Record.** The first call with a key runs the plain timed in-order
 //! model. The record keeps the call's cycles, the distinct lines of
-//! each cache in last-touch order, each cache's hit count, the
-//! instruction count and the exit ready time (relative to entry) of
-//! every register the call wrote. It is kept only if every access hit
-//! and the pipeline was settled at entry (no register ready after the
-//! clock), because only then is the call's timing independent of what
-//! ran before it. The lines come from the caches' LRU stamps: with the
-//! previous access's line forgotten first, every access of the call
+//! each cache in last-touch order, each cache's hit count, its class
+//! counts, the exit ready time (relative to entry) of every register
+//! whose ready time it moved, and its write set: the destinations of
+//! the ops it ran, the carry included. It is kept only if every access
+//! hit and the pipeline was settled at entry (no register ready after
+//! the clock), because only then is the call's timing independent of
+//! what ran before it. The lines come from the caches' LRU stamps: with
+//! the previous access's line forgotten first, every access of the call
 //! ticks its cache's clock, so the lines stamped after the call began
 //! are exactly the lines it touched, and their stamp order is their
 //! last-touch order.
@@ -33,11 +36,35 @@
 //! **Replay.** A later call with a known key is replayed when the
 //! pipeline is settled, every footprint line is resident and the fuel
 //! budget covers the recorded instruction count. Every access of the
-//! call then hits, exactly as recorded. The call runs on the functional
-//! executor with no timing model (it still meters fuel), and the record
-//! is applied: the cycles and hit counts are added, the footprint lines
-//! are re-touched in last-touch order and the written registers' ready
-//! times are set. Otherwise the plain timed model runs.
+//! call then hits, exactly as recorded. The record is applied: the
+//! cycles and hit counts are added, the footprint lines are re-touched
+//! in last-touch order and the written registers' ready times are set.
+//! The call itself does not execute, and the replay adds the record's
+//! class counts. Its entry is *caller-computed*: the caller holds the
+//! kernel's reference, writes the call's memory outputs and sets its
+//! return value. The memo keeps the replay's registers and the
+//! contents of the data lines the call loads from, and marks every
+//! register of the record's write set as last written by this replay.
+//! A record whose path ran a custom op replays by executing instead, on
+//! the functional executor with no timing model: the executor cannot
+//! see which state a custom op's semantics write, nor which memory it
+//! reads. Otherwise the plain timed model runs.
+//!
+//! **Exact state on demand.** Only registers and the carry can be left
+//! behind by a replay that did not execute. Reading one
+//! ([`Cpu::reg`](crate::cpu::Cpu::reg),
+//! [`Cpu::regs`](crate::cpu::Cpu::regs)) re-executes the latest replay
+//! of each record that last wrote a register read, in replay order, on
+//! a scratch copy restored from the kept inputs, and reads off what
+//! each wrote last. The re-execution is the path check: its class
+//! counts must be the record's, or the entry's public inputs are
+//! incomplete. A run the memo does not serve makes every register
+//! exact first. A keyed entry reads no register before writing it but
+//! its declared inputs (`xlint`'s must-defined proof), and a proven
+//! register-only routine none but those live at its entry, so a call
+//! of either needs only those exact; a call that executes clears the
+//! marks of the registers it writes. A custom op may touch the carry,
+//! so a call that may run one needs the carry exact too.
 //!
 //! # Register-only entries: the cost table
 //!
@@ -64,13 +91,15 @@
 //!
 //! **The fast path.** A call of a proven entry, with every I-line the
 //! routine can fetch resident and a settled pipeline, runs on the
-//! executor with a tiny model that adds each op's tabled cost and notes
-//! the last fetch of each I-line. Every fetch of the call then hits,
-//! and afterwards the hits (one per op) are counted, the lines
-//! re-touched in last-touch order and the cycles added. The ready times the plain model would have set all lie at or
-//! before the exit clock, where the model cannot tell them from the
-//! earlier ones left in place: a ready time only ever delays an op to
-//! `max(clock, ready)`. No per-call record or key is kept.
+//! executor with a tiny model that adds each op's tabled cost, notes
+//! the last fetch of each I-line and collects the registers the path
+//! writes. Every fetch of the call then hits, and afterwards the hits
+//! (one per op) are counted, the lines re-touched in last-touch order
+//! and the cycles added. The ready times the plain model would have set
+//! all lie at or before the exit clock, where the model cannot tell
+//! them from the earlier ones left in place: a ready time only ever
+//! delays an op to `max(clock, ready)`. No per-call record or key is
+//! kept.
 //!
 //! # Why the re-touch is exact
 //!
@@ -87,12 +116,16 @@ use super::{InOrderCore, Timing, Tracer};
 use crate::asm::Program;
 use crate::config::CpuConfig;
 use crate::cpu::{ClassCounts, SimError, RETURN_SENTINEL};
-use crate::ext::ExtensionSet;
+use crate::ext::{ExtensionSet, UserRegFile};
 use crate::isa::Reg;
-use crate::xjit::{self, Arch, FastProgram, Flow, Retired, TimingModel, Untimed};
+use crate::mem::Memory;
+use crate::xjit::{
+    self, Arch, FastProgram, Flow, OpClass, Retired, TimingModel, Untimed, ALL, CARRY, CUSTOM,
+};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How often a core's memo was consulted and how it served the calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,10 +134,14 @@ pub struct MemoStats {
     pub calls: u64,
     /// Of those, calls of keyed entries replayed from a record.
     pub replays: u64,
-    /// Instructions executed by replayed calls.
+    /// Instructions replayed calls accounted for without executing
+    /// (a replay of a path with a custom op executes, and is not
+    /// counted here).
     pub replayed_insns: u64,
-    /// Of those, calls of register-only entries timed from their cost
-    /// table.
+    /// Instructions re-executed to make registers exact on demand.
+    pub reexecuted_insns: u64,
+    /// Of the calls, calls of register-only entries timed from their
+    /// cost table.
     pub tabled: u64,
     /// Instructions executed by tabled calls.
     pub tabled_insns: u64,
@@ -120,16 +157,27 @@ pub struct MemoStats {
 #[derive(Debug, Default)]
 pub struct CallMemo {
     declared: Vec<Declared>,
-    records: HashMap<Key, Record, BuildHasherDefault<KeyHasher>>,
+    index: HashMap<Key, usize, BuildHasherDefault<KeyHasher>>,
+    records: Vec<Record>,
+    /// The registers (bit 16: the carry) last written by a replay that
+    /// did not execute: their values on the core are stale.
+    stale: u32,
+    /// Per stale register, the record of the replay that wrote it last.
+    writer: [usize; 17],
+    /// Replays that did not execute so far: orders their kept inputs.
+    skipped: u64,
     stats: MemoStats,
+    /// Re-executed instructions: readers take `&self`.
+    reexecuted: AtomicU64,
 }
 
-/// One declared entry: `program`'s fingerprint, the entry pc and how
-/// the memo serves it.
+/// One declared entry: `program`'s fingerprint, the entry pc, a keyed
+/// entry's input registers as a mask and how the memo serves it.
 #[derive(Debug)]
 struct Declared {
     fp: u64,
     entry: usize,
+    inputs: u32,
     serve: Serve,
 }
 
@@ -195,18 +243,32 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// What one all-hit call from a settled pipeline costs.
+/// What one all-hit call from a settled pipeline costs and writes, and
+/// the inputs of its latest replay that did not execute.
 #[derive(Debug)]
 struct Record {
+    fp: u64,
+    entry: usize,
     cycles: u64,
-    insns: u64,
+    classes: ClassCounts,
     ihits: u64,
     dhits: u64,
     /// Distinct I- and D-line addresses, in last-touch order.
     ilines: Box<[u64]>,
     dlines: Box<[u64]>,
-    /// `(register, ready time - entry clock)` of each register written.
+    /// `(register, ready time - entry clock)` of each register whose
+    /// ready time the call moved.
     ready: Box<[(u8, u64)]>,
+    /// The registers (and [`CARRY`]) the call writes, with [`CUSTOM`]
+    /// if it ran a custom op.
+    writes: u32,
+    /// The distinct D-line addresses the call loads from, ascending.
+    loads: Box<[u64]>,
+    /// The order of the latest replay that did not execute, its
+    /// registers at entry and the contents of the lines it loads from.
+    latest: u64,
+    regs: [u32; 16],
+    lines: Vec<u8>,
 }
 
 impl Record {
@@ -234,6 +296,35 @@ impl Record {
     }
 }
 
+/// The address of data line `line` and its length: `line_bytes`,
+/// clipped to a memory of `size` bytes.
+fn line_span(line: u64, line_bytes: usize, size: usize) -> (u32, usize) {
+    let at = line as usize * line_bytes;
+    (at as u32, line_bytes.min(size - at))
+}
+
+/// The distinct lines of `line_bytes` that hold `addrs`, ascending.
+fn line_set(addrs: &[u32], line_bytes: usize) -> Box<[u64]> {
+    let mut lines: Vec<u64> = addrs
+        .iter()
+        .map(|&a| u64::from(a) / line_bytes as u64)
+        .collect();
+    lines.sort_unstable();
+    lines.dedup();
+    lines.into()
+}
+
+/// The bits set in `mask`, lowest first.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
 /// The most distinct I-lines a cost-tabled routine may fetch.
 const MAX_LINES: usize = 64;
 
@@ -246,12 +337,17 @@ struct CostTable {
     ops: Box<[TabledOp]>,
     /// The distinct I-line addresses the routine can fetch.
     lines: Box<[u64]>,
+    /// The registers (bit 16: the carry) some path reads before
+    /// writing them.
+    inputs: u32,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
 struct TabledOp {
     /// The op's cycles, not taken and taken.
     cost: [u32; 2],
+    /// The registers the op writes.
+    writes: u32,
     /// The index of the op's I-line in `CostTable::lines`.
     line: u8,
 }
@@ -330,6 +426,7 @@ impl CostTable {
         for (&pc, node) in &nodes {
             ops[pc - base] = TabledOp {
                 cost: node.cost,
+                writes: prog.writes(pc),
                 line: lines.binary_search(&line_of(pc)).expect("listed") as u8,
             };
         }
@@ -337,7 +434,31 @@ impl CostTable {
             base,
             ops: ops.into(),
             lines: lines.into(),
+            inputs: live_in(prog, &nodes, entry),
         })
+    }
+}
+
+/// The registers (bit 16: the carry) some path from `entry` through the
+/// walked `nodes` reads before writing them: backward liveness to a
+/// fixed point.
+fn live_in(prog: &FastProgram, nodes: &BTreeMap<usize, Node>, entry: usize) -> u32 {
+    let mut live: BTreeMap<usize, u32> = nodes.keys().map(|&pc| (pc, 0)).collect();
+    loop {
+        let mut changed = false;
+        for &pc in nodes.keys().rev() {
+            let out = match prog.register_flow(pc).expect("walked") {
+                Flow::Next => live[&(pc + 1)],
+                Flow::Branch(t) => live[&(pc + 1)] | live[&t],
+                Flow::Jump(t) => live[&t],
+                Flow::Ret => 0,
+            };
+            let at = prog.reads(pc) | out & !prog.writes(pc);
+            changed |= live.insert(pc, at) != Some(at);
+        }
+        if !changed {
+            return live[&entry];
+        }
     }
 }
 
@@ -374,13 +495,16 @@ pub fn cost_table_proves(program: &Program, entry: usize, config: &CpuConfig) ->
     CostTable::prove(program, &prog, entry, config).is_some()
 }
 
-/// The model of a tabled call: adds each op's tabled cost and notes the
-/// last fetch of each I-line, then applies the call to the core's
-/// timing state when the run ends (in error too, as the plain model
+/// The model of a tabled call: adds each op's tabled cost, notes the
+/// last fetch of each I-line and collects the registers written, then
+/// applies the call to the core's timing state and stores the write set
+/// in `written` when the run ends (in error too, as the plain model
 /// charges every op it retired).
 struct Tabled<'a> {
     table: &'a CostTable,
     timing: &'a mut Timing,
+    written: &'a mut u32,
+    writes: u32,
     cycles: u64,
     fetches: u64,
     /// The line of the previous fetch, as an index into the table's.
@@ -396,6 +520,7 @@ impl TimingModel for Tabled<'_> {
         let at = self.table.ops[op.pc - self.table.base];
         self.cycles += u64::from(at.cost[op.taken as usize]);
         self.fetches += 1;
+        self.writes |= at.writes;
         let line = at.line as usize;
         if line != self.line {
             self.line = line;
@@ -405,6 +530,7 @@ impl TimingModel for Tabled<'_> {
     }
 
     fn finish(self, _: Option<usize>) {
+        *self.written = self.writes;
         let t = self.timing;
         t.icache.add_hits(self.fetches);
         let mut order = [(0u32, 0u64); MAX_LINES];
@@ -420,6 +546,32 @@ impl TimingModel for Tabled<'_> {
             t.icache.touch(line);
         }
         t.cycles += self.cycles;
+    }
+}
+
+/// A timing model that also collects the write sets of the ops it
+/// retires, and the addresses they load from into `loads` if given.
+struct Tracked<'a, M> {
+    model: M,
+    prog: &'a FastProgram,
+    writes: &'a mut u32,
+    loads: Option<&'a mut Vec<u32>>,
+}
+
+impl<M: TimingModel> TimingModel for Tracked<'_, M> {
+    #[inline(always)]
+    fn retire(&mut self, op: &Retired<'_>) {
+        if !op.faulted {
+            *self.writes |= self.prog.writes(op.pc);
+            if let (Some(loads), OpClass::Load) = (&mut self.loads, op.class) {
+                loads.push(op.addr);
+            }
+        }
+        self.model.retire(op);
+    }
+
+    fn finish(self, end: Option<usize>) {
+        self.model.finish(end);
     }
 }
 
@@ -440,6 +592,33 @@ impl MemoCall<'_> {
         let t = &*self.timing;
         t.reg_ready.iter().all(|&r| r <= t.cycles)
     }
+
+    /// Runs the call on the plain timed in-order model, collecting the
+    /// addresses it loads from into `loads` if given. Returns its
+    /// outcome and the registers it wrote.
+    fn timed(&mut self, loads: Option<&mut Vec<u32>>) -> (Result<ClassCounts, SimError>, u32) {
+        let mut writes = 0;
+        let trace = Tracer::new(None, self.program, self.entry, "", self.timing.cycles);
+        let model = Tracked {
+            model: InOrderCore::new(self.timing, self.config, trace),
+            prog: self.prog,
+            writes: &mut writes,
+            loads,
+        };
+        let out = xjit::run(self.prog, self.entry, self.arch, self.fuel, None, model);
+        (out, writes)
+    }
+}
+
+/// How the memo served a call of a declared entry.
+pub(crate) enum Served {
+    /// The call ran.
+    Ran(Result<ClassCounts, SimError>),
+    /// The call was replayed without executing: its caller writes its
+    /// outputs (see [`CallMemo::declare_computed`]).
+    Skipped(ClassCounts),
+    /// The call needs these registers (bit 16: the carry) exact first.
+    Settle(u32),
 }
 
 impl CallMemo {
@@ -449,22 +628,38 @@ impl CallMemo {
     }
 
     /// Declares `program`'s routine at `entry` memoizable, keyed on the
-    /// values of its `public` input registers.
+    /// values of its `public` input registers, with `secret` its other
+    /// input registers. Its calls are caller-computed: a replay that
+    /// does not execute leaves the call's memory outputs and its return
+    /// value in `a0` to the caller, which must write them (see the
+    /// module docs and [`RunSummary::skipped`](crate::cpu::RunSummary::skipped)).
     ///
     /// Declare only routines whose path and addresses depend on nothing
-    /// but those registers' values — constant-time code whose other
-    /// inputs are secret data — and that end in a return.
+    /// but the public registers' values — constant-time code whose
+    /// other inputs are secret data —, that read no register and no
+    /// carry before writing it other than their inputs, that write no
+    /// memory but the outputs their caller computes, and that end in a
+    /// return.
     ///
     /// # Panics
     ///
     /// Panics if more than eight distinct registers are public.
-    pub fn declare(&mut self, program: &Program, entry: usize, public: &[Reg]) {
+    pub fn declare_computed(
+        &mut self,
+        program: &Program,
+        entry: usize,
+        public: &[Reg],
+        secret: &[Reg],
+    ) {
         let mask = public.iter().fold(0u16, |m, r| m | 1 << r.index());
         assert!(
             mask.count_ones() as usize <= MAX_PUBLIC,
             "at most {MAX_PUBLIC} public input registers"
         );
-        self.declare_as(program, entry, Serve::Keyed(mask));
+        let inputs = secret
+            .iter()
+            .fold(u32::from(mask), |m, r| m | 1 << r.index());
+        self.declare_as(program, entry, inputs, Serve::Keyed(mask));
     }
 
     /// Declares `program`'s routine at `entry` register-only: its calls
@@ -472,51 +667,63 @@ impl CallMemo {
     /// module docs). A routine the proof rejects keeps the plain model,
     /// so any routine may be declared.
     pub fn declare_register_only(&mut self, program: &Program, entry: usize) {
-        self.declare_as(program, entry, Serve::Unproven);
+        self.declare_as(program, entry, 0, Serve::Unproven);
     }
 
-    fn declare_as(&mut self, program: &Program, entry: usize, serve: Serve) {
+    fn declare_as(&mut self, program: &Program, entry: usize, inputs: u32, serve: Serve) {
         self.declared.push(Declared {
             fp: program.fingerprint(),
             entry,
+            inputs,
             serve,
         });
+    }
+
+    /// The declaration of `program`'s routine at `entry`, if any.
+    fn declared(&self, program: &Program, entry: usize) -> Option<&Declared> {
+        let fp = program.fingerprint();
+        self.declared
+            .iter()
+            .find(|d| d.fp == fp && d.entry == entry)
     }
 
     /// The public input registers declared for `program`'s keyed
     /// routine at `entry`, or `None` for an entry declared
     /// register-only or not at all.
     pub fn public_inputs(&self, program: &Program, entry: usize) -> Option<Vec<Reg>> {
-        let fp = program.fingerprint();
-        let mask = self.declared.iter().find_map(|d| match d.serve {
-            Serve::Keyed(mask) if d.fp == fp && d.entry == entry => Some(mask),
+        match self.declared(program, entry)?.serve {
+            Serve::Keyed(mask) => Some(regs_of(u32::from(mask))),
             _ => None,
-        })?;
-        Some(
-            (0..16u8)
-                .filter(|i| mask >> i & 1 != 0)
-                .map(Reg::new)
-                .collect(),
-        )
+        }
     }
 
-    /// How often the memo was consulted, replayed and tabled.
+    /// All input registers declared for `program`'s keyed routine at
+    /// `entry`, public and secret, or `None` for an entry declared
+    /// register-only or not at all.
+    pub fn inputs(&self, program: &Program, entry: usize) -> Option<Vec<Reg>> {
+        let declared = self.declared(program, entry)?;
+        matches!(declared.serve, Serve::Keyed(_)).then(|| regs_of(declared.inputs))
+    }
+
+    /// How often the memo was consulted, replayed, re-executed and
+    /// tabled.
     pub fn stats(&self) -> MemoStats {
-        self.stats
+        MemoStats {
+            reexecuted_insns: self.reexecuted.load(Ordering::Relaxed),
+            ..self.stats
+        }
     }
 
     /// Serves `call` from a record or a cost table, or runs it timed
-    /// and records it. `None` when the caller must run the plain model:
-    /// the entry is undeclared, or a known key cannot replay, or a
-    /// register-only entry is rejected or cannot be tabled, or the
-    /// pipeline is not settled.
-    pub(crate) fn call(&mut self, call: MemoCall<'_>) -> Option<Result<ClassCounts, SimError>> {
+    /// (and records it if it is the first call of a keyed entry with
+    /// its key). `None` when the entry is undeclared.
+    pub(crate) fn call(&mut self, call: MemoCall<'_>) -> Option<Served> {
         let fp = call.program.fingerprint();
-        let declared = self
+        let ix = self
             .declared
-            .iter_mut()
-            .find(|d| d.fp == fp && d.entry == call.entry)?;
-        self.stats.calls += 1;
+            .iter()
+            .position(|d| d.fp == fp && d.entry == call.entry)?;
+        let declared = &mut self.declared[ix];
         if let Serve::Unproven = declared.serve {
             declared.serve =
                 match CostTable::prove(call.program, call.prog, call.entry, call.config) {
@@ -524,7 +731,17 @@ impl CallMemo {
                     None => Serve::Rejected,
                 };
         }
-        match &declared.serve {
+        // A rejected routine may read anything.
+        let inputs = match &declared.serve {
+            Serve::Tabled(table) => table.inputs,
+            Serve::Rejected => ALL,
+            _ => declared.inputs,
+        };
+        let stale = inputs & self.stale;
+        if stale != 0 {
+            return Some(Served::Settle(stale));
+        }
+        let served = match &declared.serve {
             Serve::Keyed(mask) => {
                 let mask = *mask;
                 self.keyed(fp, mask, call)
@@ -532,36 +749,42 @@ impl CallMemo {
             Serve::Tabled(table) => {
                 let t = &*call.timing;
                 let resident = table.lines.iter().all(|&l| t.icache.holds(l));
-                if !resident || !call.settled() {
-                    return None;
-                }
-                let model = Tabled {
-                    table,
-                    timing: call.timing,
-                    cycles: 0,
-                    fetches: 0,
-                    line: usize::MAX,
-                    last: [0; MAX_LINES],
-                    runs: 0,
+                let (out, writes) = if resident && call.settled() {
+                    let mut writes = 0;
+                    let model = Tabled {
+                        table,
+                        timing: call.timing,
+                        written: &mut writes,
+                        writes: 0,
+                        cycles: 0,
+                        fetches: 0,
+                        line: usize::MAX,
+                        last: [0; MAX_LINES],
+                        runs: 0,
+                    };
+                    let out = xjit::run(call.prog, call.entry, call.arch, call.fuel, None, model);
+                    self.stats.tabled += 1;
+                    if let Ok(classes) = &out {
+                        self.stats.tabled_insns += classes.total();
+                    }
+                    (out, writes)
+                } else {
+                    let mut call = call;
+                    call.timed(None)
                 };
-                let out = xjit::run(call.prog, call.entry, call.arch, call.fuel, None, model);
-                self.stats.tabled += 1;
-                if let Ok(classes) = &out {
-                    self.stats.tabled_insns += classes.total();
-                }
-                Some(out)
+                self.stale &= !writes;
+                Served::Ran(out)
             }
-            Serve::Unproven | Serve::Rejected => None,
+            Serve::Unproven | Serve::Rejected => self.ran(call),
+        };
+        if !matches!(served, Served::Settle(_)) {
+            self.stats.calls += 1;
         }
+        Some(served)
     }
 
     /// Serves a call of a keyed entry.
-    fn keyed(
-        &mut self,
-        fp: u64,
-        mask: u16,
-        call: MemoCall<'_>,
-    ) -> Option<Result<ClassCounts, SimError>> {
+    fn keyed(&mut self, fp: u64, mask: u16, call: MemoCall<'_>) -> Served {
         let mut inputs = [0u32; MAX_PUBLIC];
         let public = (0..16).filter(|r| mask >> r & 1 != 0);
         for (v, r) in inputs.iter_mut().zip(public) {
@@ -572,73 +795,191 @@ impl CallMemo {
             entry: call.entry,
             inputs,
         };
+        let found = self.index.get(&key).copied();
+        let custom = found.map_or(call.prog.has_custom(), |ix| {
+            self.records[ix].writes & CUSTOM != 0
+        });
+        if custom && self.stale & CARRY != 0 {
+            return Served::Settle(CARRY);
+        }
         if !call.settled() {
-            return None;
+            return self.ran(call);
         }
-        let replayable = self
-            .records
-            .get(&key)
-            .map(|rec| rec.insns <= call.fuel && rec.resident(call.timing));
-        match replayable {
-            Some(true) => Some(self.replay(key, call)),
-            Some(false) => None,
-            None => Some(self.record(key, call)),
+        match found {
+            Some(ix) => {
+                let rec = &self.records[ix];
+                if rec.classes.total() <= call.fuel && rec.resident(call.timing) {
+                    self.replay(ix, call)
+                } else {
+                    self.ran(call)
+                }
+            }
+            None => self.record(key, call),
         }
     }
 
-    fn replay(&mut self, key: Key, call: MemoCall<'_>) -> Result<ClassCounts, SimError> {
-        let rec = &self.records[&key];
-        let classes = xjit::run(call.prog, call.entry, call.arch, call.fuel, None, Untimed)?;
-        assert_eq!(
-            classes.total(),
-            rec.insns,
-            "a memoized call took another path: its entry's public inputs are incomplete"
-        );
-        rec.apply(call.timing);
+    /// Runs `call` on the plain timed model.
+    fn ran(&mut self, mut call: MemoCall<'_>) -> Served {
+        let (out, writes) = call.timed(None);
+        self.stale &= !writes;
+        Served::Ran(out)
+    }
+
+    fn replay(&mut self, ix: usize, call: MemoCall<'_>) -> Served {
+        let rec = &mut self.records[ix];
         self.stats.replays += 1;
-        self.stats.replayed_insns += rec.insns;
-        Ok(classes)
+        if rec.writes & CUSTOM != 0 {
+            let out = xjit::run(call.prog, call.entry, call.arch, call.fuel, None, Untimed);
+            assert_eq!(
+                out.as_ref().ok(),
+                Some(&rec.classes),
+                "a memoized call took another path: its entry's public inputs are incomplete"
+            );
+            rec.apply(call.timing);
+            self.stale &= !rec.writes;
+            return Served::Ran(out);
+        }
+        rec.apply(call.timing);
+        self.skipped += 1;
+        rec.latest = self.skipped;
+        rec.regs = call.arch.regs;
+        let line_bytes = call.config.dcache.line_bytes;
+        rec.lines.resize(rec.loads.len() * line_bytes, 0);
+        let mem = &call.arch.mem;
+        for (i, &line) in rec.loads.iter().enumerate() {
+            let (at, len) = line_span(line, line_bytes, mem.size());
+            let out = &mut rec.lines[i * line_bytes..][..len];
+            mem.read_into(at, out)
+                .expect("a footprint line lies in memory");
+        }
+        for r in bits(rec.writes) {
+            self.writer[r] = ix;
+        }
+        self.stale |= rec.writes;
+        self.stats.replayed_insns += rec.classes.total();
+        Served::Skipped(rec.classes)
     }
 
-    fn record(&mut self, key: Key, call: MemoCall<'_>) -> Result<ClassCounts, SimError> {
-        let MemoCall {
-            program,
-            prog,
-            entry,
-            arch,
-            fuel,
-            timing,
-            config,
-        } = call;
+    fn record(&mut self, key: Key, mut call: MemoCall<'_>) -> Served {
+        let timing = &mut *call.timing;
         let (start, ready) = (timing.cycles, timing.reg_ready);
         let (i0, d0) = (timing.icache.stats(), timing.dcache.stats());
         timing.icache.forget_last();
         timing.dcache.forget_last();
         let clocks = (timing.icache.clock(), timing.dcache.clock());
-        let trace = Tracer::new(None, program, entry, "", start);
-        let model = InOrderCore::new(timing, config, trace);
-        let out = xjit::run(prog, entry, arch, fuel, None, model);
+        let mut loads = Vec::new();
+        let (out, writes) = call.timed(Some(&mut loads));
+        self.stale &= !writes;
+        let timing = &*call.timing;
         let (i1, d1) = (timing.icache.stats(), timing.dcache.stats());
         if let Ok(classes) = &out {
             if i1.misses == i0.misses && d1.misses == d0.misses {
-                let written =
+                let moved =
                     (0..16u8).filter(|&r| timing.reg_ready[r as usize] != ready[r as usize]);
                 let rec = Record {
+                    fp: key.fp,
+                    entry: key.entry,
                     cycles: timing.cycles - start,
-                    insns: classes.total(),
+                    classes: *classes,
                     ihits: i1.hits - i0.hits,
                     dhits: d1.hits - d0.hits,
                     ilines: timing.icache.used_since(clocks.0),
                     dlines: timing.dcache.used_since(clocks.1),
-                    ready: written
+                    ready: moved
                         .map(|r| (r, timing.reg_ready[r as usize] - start))
                         .collect(),
+                    writes,
+                    loads: line_set(&loads, call.config.dcache.line_bytes),
+                    latest: 0,
+                    regs: [0; 16],
+                    lines: Vec::new(),
                 };
-                self.records.insert(key, rec);
+                self.index.insert(key, self.records.len());
+                self.records.push(rec);
             }
         }
-        out
+        Served::Ran(out)
     }
+
+    /// Whether any register `want` names (bit 16: the carry) is stale.
+    pub(crate) fn is_stale(&self, want: u32) -> bool {
+        self.stale & want != 0
+    }
+
+    /// Clears the marks of the registers in `written` (bit 16: the
+    /// carry): the core's values are exact again.
+    pub(crate) fn forget(&mut self, written: u32) {
+        self.stale &= !written;
+    }
+
+    /// Makes the stale registers of `want` (bit 16: the carry) exact in
+    /// `regs` and `carry`: re-executes the latest replay of each record
+    /// that last wrote one, in replay order, on a scratch copy of a
+    /// core under `config` restored from the replay's inputs, and copies
+    /// out every stale register it wrote last. `decoded` holds the
+    /// core's pre-decoded programs. Returns the registers made exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a re-executed call takes another path than its record:
+    /// its entry's public inputs are incomplete.
+    pub(crate) fn exact(
+        &self,
+        decoded: &[(u64, FastProgram)],
+        config: &CpuConfig,
+        want: u32,
+        regs: &mut [u32; 16],
+        carry: &mut bool,
+    ) -> u32 {
+        if want & self.stale == 0 {
+            return 0;
+        }
+        let mut order: Vec<usize> = bits(want & self.stale).map(|r| self.writer[r]).collect();
+        order.sort_unstable_by_key(|&ix| self.records[ix].latest);
+        order.dedup();
+        let mut scratch = Arch {
+            regs: [0; 16],
+            carry: false,
+            mem: Memory::new(config.mem_size),
+            uregs: UserRegFile::new(0, 0),
+        };
+        let line_bytes = config.dcache.line_bytes;
+        let mut done = 0;
+        for ix in order {
+            let rec = &self.records[ix];
+            let prog = decoded
+                .iter()
+                .find_map(|(fp, prog)| (*fp == rec.fp).then_some(prog))
+                .expect("a replayed program stays decoded");
+            scratch.regs = rec.regs;
+            for (i, &line) in rec.loads.iter().enumerate() {
+                let (at, len) = line_span(line, line_bytes, config.mem_size);
+                let bytes = &rec.lines[i * line_bytes..][..len];
+                scratch.mem.write_bytes(at, bytes).expect("in memory");
+            }
+            let insns = rec.classes.total();
+            let out = xjit::run(prog, rec.entry, &mut scratch, insns, None, Untimed);
+            assert_eq!(
+                out.ok(),
+                Some(rec.classes),
+                "a memoized call took another path: its entry's public inputs are incomplete"
+            );
+            self.reexecuted.fetch_add(insns, Ordering::Relaxed);
+            for r in bits(self.stale).filter(|&r| self.writer[r] == ix) {
+                match regs.get_mut(r) {
+                    Some(reg) => *reg = scratch.regs[r],
+                    None => *carry = scratch.carry,
+                }
+                done |= 1 << r;
+            }
+        }
+        done
+    }
+}
+
+/// The registers of a mask.
+fn regs_of(mask: u32) -> Vec<Reg> {
+    bits(mask & 0xffff).map(|r| Reg::new(r as u8)).collect()
 }
 
 #[cfg(test)]
@@ -647,13 +988,18 @@ mod tests {
     use crate::asm::assemble;
     use crate::cache::CacheConfig;
     use crate::cpu::{Cpu, RunSummary};
+    use crate::ext::CustomInsnDef;
+    use crate::isa::UserReg;
     use xobs::trace::{OwnedEvent, VecSink};
 
-    /// A constant-time kernel (`add`: `rp[i] = ap[i] + bp[i]`, keyed on
-    /// its four arguments, `sp` and `ra`), a routine loading through a table of
-    /// addresses, one that returns with a multiply still in flight
-    /// on a slow multiplier, and a register-only one (`div`, a
-    /// bit-serial restoring division whose path depends on its data).
+    /// Three constant-time kernels — `add` (`rp[i] = ap[i] + bp[i]`,
+    /// keyed on its four arguments, `sp` and `ra`), `sum` (`s` plus the
+    /// sum of `ap`'s limbs, with `s` secret) and `twice` (one limb
+    /// doubled by a custom op through a user register) —, a routine
+    /// loading through a table of addresses, one that returns with a
+    /// multiply still in flight on a slow multiplier, and a
+    /// register-only one (`div`, a bit-serial restoring division whose
+    /// path depends on its data).
     const SOURCE: &str = "
 add:                       ; a0=rp a1=ap a2=bp a3=n -> a0=carry
     movi a6, 0
@@ -683,6 +1029,25 @@ walk:                      ; a0=table a1=count
     ret
 slow:
     mul  a5, a0, a0
+    ret
+sum:                       ; a0=ap a1=n a2=s -> a0=s+sum, a8=xor
+    movi a6, 0
+    movi a8, 0
+    mov  a9, a2
+.sum_loop:
+    lw   a4, a0, 0
+    add  a9, a9, a4
+    xor  a8, a8, a4
+    addi a0, a0, 4
+    addi a1, a1, -1
+    bne  a1, a6, .sum_loop
+    mov  a0, a9
+    ret
+twice:                     ; a0=ap a1=rp -> rp[0] = a0 = 2*ap[0]
+    lw   a4, a0, 0
+    cust dbl ur1, a4
+    sw   a4, a1, 0
+    mov  a0, a4
     ret
 div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
     movi a6, 0
@@ -752,32 +1117,61 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
         (s.cycles, s.instructions, s.classes, s.icache, s.dcache)
     }
 
+    /// `cust dbl urN, aM`: `aM *= 2`, and `urN[0]` keeps the product.
+    fn extensions() -> ExtensionSet {
+        let mut ext = ExtensionSet::new();
+        ext.register(CustomInsnDef::new("dbl", 1, 0, |ctx, op| {
+            let r = op.regs[0].index();
+            ctx.regs[r] = ctx.regs[r].wrapping_mul(2);
+            ctx.uregs.get_mut(op.uregs[0])[0] = ctx.regs[r];
+            Ok(())
+        }));
+        ext
+    }
+
     /// The same program on a core with the memo attached and on a plain
-    /// one, checked equal after every step.
+    /// one, checked equal after every call, and their whole state too
+    /// when `snapshots` is set.
     struct Pair {
         prog: Program,
         memo: Cpu,
         plain: Cpu,
+        snapshots: bool,
     }
 
     impl Pair {
         fn new(config: CpuConfig) -> Self {
             let prog = assemble(SOURCE).unwrap();
-            let mut memo = Cpu::new(config.clone());
+            let mut memo = Cpu::with_extensions(config.clone(), extensions());
             let mut table = CallMemo::new();
-            let public = [0, 1, 2, 3, 14, 15].map(Reg::new);
-            table.declare(&prog, prog.label("add").unwrap(), &public);
+            let regs = |r: &[u8]| r.iter().map(|&r| Reg::new(r)).collect::<Vec<_>>();
+            let add = prog.label("add").unwrap();
+            table.declare_computed(&prog, add, &regs(&[0, 1, 2, 3, 14, 15]), &[]);
+            let sum = prog.label("sum").unwrap();
+            table.declare_computed(&prog, sum, &regs(&[0, 1, 14, 15]), &regs(&[2]));
+            let twice = prog.label("twice").unwrap();
+            table.declare_computed(&prog, twice, &regs(&[0, 1, 14, 15]), &[]);
             table.declare_register_only(&prog, prog.label("div").unwrap());
             memo.set_call_memo(Some(table));
             Pair {
                 prog,
                 memo,
-                plain: Cpu::new(config),
+                plain: Cpu::with_extensions(config, extensions()),
+                snapshots: true,
             }
         }
 
         fn stats(&self) -> MemoStats {
             self.memo.call_memo().unwrap().stats()
+        }
+
+        /// The statistics of how the memo served calls, without the
+        /// re-executions reads cost.
+        fn served(&self) -> MemoStats {
+            MemoStats {
+                reexecuted_insns: 0,
+                ..self.stats()
+            }
         }
 
         fn write(&mut self, addr: u32, words: &[u32]) {
@@ -804,15 +1198,76 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
                 (m, self.plain.call_at(&self.prog, entry, label, args, None))
             };
             let (m, p) = (m.unwrap(), p.unwrap());
+            assert!(!p.skipped);
+            if m.skipped {
+                self.compute(label, args);
+            }
             assert_eq!(summary(&m), summary(&p), "{label} {args:x?}");
             assert_eq!(self.memo.cycles(), self.plain.cycles());
-            for i in 0..16 {
-                assert_eq!(self.memo.reg(i), self.plain.reg(i), "a{i}");
-            }
             assert_eq!(self.memo.mem().digest(), self.plain.mem().digest());
             assert_eq!(self.memo.retired(), self.plain.retired());
             assert_eq!(sinks.0.events(), sinks.1.events(), "traced {label}");
+            if self.snapshots {
+                self.check_state();
+            }
             sinks.0.into_events()
+        }
+
+        /// Writes the outputs of a call of `label` the memo core did not
+        /// execute, computed on the host from its inputs in memory.
+        fn compute(&mut self, label: &str, args: &[u32]) {
+            let cpu = &mut self.memo;
+            let limbs = |cpu: &Cpu, at: u32, n: u32| cpu.mem().read_words(at, n as usize).unwrap();
+            let a0 = match (label, args) {
+                ("add", &[rp, ap, bp, n]) => {
+                    let (a, b) = (limbs(cpu, ap, n), limbs(cpu, bp, n));
+                    let mut carry = 0u64;
+                    let r: Vec<u32> = a
+                        .iter()
+                        .zip(&b)
+                        .map(|(&x, &y)| {
+                            let t = u64::from(x) + u64::from(y) + carry;
+                            carry = t >> 32;
+                            t as u32
+                        })
+                        .collect();
+                    cpu.mem_mut().write_words(rp, &r).unwrap();
+                    carry as u32
+                }
+                ("sum", &[ap, n, s]) => limbs(cpu, ap, n)
+                    .iter()
+                    .fold(s, |acc, &x| acc.wrapping_add(x)),
+                _ => panic!("{label} replays by executing"),
+            };
+            cpu.set_reg(0, a0);
+        }
+
+        /// Checks the two cores' registers (one at a time and all at
+        /// once), carry and user registers equal.
+        fn check_state(&self) {
+            let (memo, plain) = (&self.memo, &self.plain);
+            for i in 0..16 {
+                assert_eq!(memo.reg(i), plain.reg(i), "a{i}");
+            }
+            assert_eq!(memo.regs(), plain.regs());
+            assert_eq!(memo.carry(), plain.carry());
+            for u in 0..plain.uregs().len() {
+                let ur = UserReg::new(u as u8);
+                assert_eq!(memo.uregs().get(ur), plain.uregs().get(ur), "ur{u}");
+            }
+        }
+
+        /// `sum` over `n` fresh random limbs plus a random secret.
+        fn sum(&mut self, rng: &mut Rng, n: u32) {
+            let limbs: Vec<u32> = (0..n).map(|_| rng.next() as u32).collect();
+            self.write(AP, &limbs);
+            self.call("sum", &[AP, n, rng.next() as u32], false);
+        }
+
+        /// `twice` on a fresh random limb.
+        fn twice(&mut self, rng: &mut Rng) {
+            self.write(AP, &[rng.next() as u32]);
+            self.call("twice", &[AP, RP], false);
         }
 
         /// `add` on `n` fresh random limbs.
@@ -873,6 +1328,87 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
     }
 
     #[test]
+    fn state_is_exact_on_demand_under_random_interleavings() {
+        for seed in 1..=4 {
+            let mut rng = Rng(seed);
+            let mut pair = Pair::new(config());
+            pair.snapshots = false;
+            for _ in 0..500 {
+                match rng.below(14) {
+                    0..=3 => {
+                        let n = [2, 4, 8][rng.below(3) as usize];
+                        pair.add(&mut rng, n);
+                    }
+                    4..=6 => {
+                        let n = [1, 3][rng.below(2) as usize];
+                        pair.sum(&mut rng, n);
+                    }
+                    7 => pair.twice(&mut rng),
+                    8..=9 => pair.div(&mut rng),
+                    10 => {
+                        let count = 1 + rng.below(6) as usize;
+                        pair.random_walk(&mut rng, count);
+                    }
+                    11..=12 => {
+                        let i = rng.below(16) as usize;
+                        assert_eq!(pair.memo.reg(i), pair.plain.reg(i), "seed {seed}: a{i}");
+                    }
+                    _ => pair.check_state(),
+                }
+            }
+            pair.check_state();
+            let stats = pair.stats();
+            assert!(stats.replayed_insns > 0, "seed {seed}: {stats:?}");
+            assert!(stats.reexecuted_insns > 0, "seed {seed}: {stats:?}");
+            assert!(stats.tabled > 0, "seed {seed}: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_read_re_executes_the_last_writer_of_each_register() {
+        let mut rng = Rng(14);
+        let mut pair = Pair::new(config());
+        pair.snapshots = false;
+        for _ in 0..3 {
+            pair.sum(&mut rng, 3);
+        }
+        for _ in 0..3 {
+            pair.add(&mut rng, 4);
+        }
+        let stats = pair.stats();
+        assert_eq!(stats.replays, 2, "{stats:?}");
+        assert_eq!(stats.reexecuted_insns, 0, "nothing read yet");
+        let (add, sum) = (2 + 4 * 9 + 4, 3 + 3 * 6 + 2);
+        // `sum` last wrote a8 and a9; `add` a1 to a6 and the carry; the
+        // caller set a0.
+        let reexecuted = |pair: &Pair| pair.stats().reexecuted_insns;
+        assert_eq!(pair.memo.reg(0), pair.plain.reg(0));
+        assert_eq!(reexecuted(&pair), 0, "a0 is exact");
+        assert_eq!(pair.memo.reg(3), pair.plain.reg(3));
+        assert_eq!(reexecuted(&pair), add);
+        assert_eq!(pair.memo.reg(8), pair.plain.reg(8));
+        assert_eq!(reexecuted(&pair), add + sum);
+        assert_eq!(pair.memo.regs(), pair.plain.regs());
+        assert_eq!(reexecuted(&pair), 2 * (add + sum), "each writer once");
+        assert_eq!(pair.memo.carry(), pair.plain.carry());
+        assert_eq!(reexecuted(&pair), 3 * add + 2 * sum);
+        // An undeclared run makes every register exact on the core.
+        pair.random_walk(&mut rng, 4);
+        assert_eq!(reexecuted(&pair), 4 * add + 3 * sum);
+        pair.check_state();
+        assert_eq!(reexecuted(&pair), 4 * add + 3 * sum, "nothing stale");
+        // A call of a program with a custom op needs the carry exact:
+        // making it so makes all `add` wrote exact.
+        pair.add(&mut rng, 4);
+        pair.add(&mut rng, 4);
+        assert_eq!(pair.stats().replays, 3, "the walk evicted a line");
+        pair.twice(&mut rng);
+        assert_eq!(reexecuted(&pair), 5 * add + 3 * sum);
+        pair.check_state();
+        assert_eq!(reexecuted(&pair), 5 * add + 3 * sum);
+    }
+
+    #[test]
     fn a_record_replays_on_a_core_in_the_same_state() {
         let mut rng = Rng(7);
         let mut pair = Pair::new(config());
@@ -930,16 +1466,16 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
         for _ in 0..3 {
             pair.add(&mut rng, 4);
         }
-        let before = pair.stats();
+        let before = pair.served();
         assert_eq!(before.replays, 1);
         let args = [RP, AP, BP, 4];
         pair.call("add", &args, true);
-        assert_eq!(pair.stats(), before, "a sink is attached");
+        assert_eq!(pair.served(), before, "a sink is attached");
         let quiet = xfault::PlanSpec::all_sites(1, 0);
         pair.memo.set_fault_plan(quiet.plan(0));
         pair.plain.set_fault_plan(quiet.plan(0));
         pair.call("add", &args, false);
-        assert_eq!(pair.stats(), before, "a plan is armed");
+        assert_eq!(pair.served(), before, "a plan is armed");
         pair.memo.take_fault_plan();
         pair.plain.take_fault_plan();
         pair.call("add", &args, false);
@@ -978,7 +1514,7 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
     fn keys_hold_at_most_eight_registers() {
         let prog = assemble(SOURCE).unwrap();
         let nine: Vec<Reg> = (0..9).map(Reg::new).collect();
-        CallMemo::new().declare(&prog, 0, &nine);
+        CallMemo::new().declare_computed(&prog, 0, &nine, &[]);
     }
 
     /// Whether the cost-table walk proves `label` in `source` under

@@ -161,6 +161,16 @@ struct OpInfo {
     srcs: Range<u32>,
 }
 
+/// The carry flag's bit in a write set; bits 0–15 are the general
+/// registers.
+pub(crate) const CARRY: u32 = 1 << 16;
+
+/// Every general register and the carry, as a register mask.
+pub(crate) const ALL: u32 = 0xffff | CARRY;
+
+/// The bit that marks a write set holding a custom op's.
+pub(crate) const CUSTOM: u32 = 1 << 17;
+
 /// The timing facts of one op, streamed by the executor to the
 /// [`TimingModel`] after the op's functional effects.
 pub(crate) struct Retired<'a> {
@@ -248,6 +258,8 @@ pub(crate) struct FastProgram {
     srcs: Vec<u8>,
     /// Exclusive end of the basic block containing each pc.
     block_end: Vec<u32>,
+    /// Whether any op is a custom instruction.
+    has_custom: bool,
 }
 
 impl FastProgram {
@@ -366,11 +378,47 @@ impl FastProgram {
         }
 
         FastProgram {
+            has_custom: info.iter().any(|i| i.class == C::Custom),
             ops,
             info,
             srcs,
             block_end,
         }
+    }
+
+    /// The registers the op at `pc` writes, as a mask: bits 0–15 the
+    /// general registers, [`CARRY`] the carry flag. A custom op's set
+    /// holds [`CUSTOM`], every register operand and the carry: a
+    /// superset of what its semantics write.
+    pub(crate) fn writes(&self, pc: usize) -> u32 {
+        let dest = self.info[pc].dest.map_or(0, |d| 1 << d);
+        match &self.ops[pc] {
+            // The executor cannot see which of its operands a custom
+            // op's semantics write, nor whether they touch the carry.
+            FastOp::Custom { op, .. } => op
+                .regs
+                .iter()
+                .fold(CARRY | CUSTOM, |m, r| m | 1 << r.index()),
+            FastOp::Addc(..) | FastOp::Subc(..) | FastOp::Clc => CARRY | dest,
+            _ => dest,
+        }
+    }
+
+    /// The registers the op at `pc` reads, as a mask like
+    /// [`FastProgram::writes`]'s.
+    pub(crate) fn reads(&self, pc: usize) -> u32 {
+        let info = &self.info[pc];
+        let srcs = &self.srcs[info.srcs.start as usize..info.srcs.end as usize];
+        let carry = match self.ops[pc] {
+            FastOp::Addc(..) | FastOp::Subc(..) | FastOp::Custom { .. } => CARRY,
+            _ => 0,
+        };
+        srcs.iter().fold(carry, |m, &r| m | 1 << r)
+    }
+
+    /// Whether the program has a custom op.
+    pub(crate) fn has_custom(&self) -> bool {
+        self.has_custom
     }
 
     /// How control leaves the op at `pc` when it touches only registers
