@@ -28,19 +28,13 @@
 //! `fidelity_summary` envelope field, whose accurate side carries the
 //! call-memo tallies (`memo_calls`, `tabled`; both zero on a pass).
 
-use bench::{Cli, Harness};
-use kreg::LibKind;
+use bench::{Cli, Harness, SIZES};
 use secproc::issops::{ArchState, IssMpn};
 use std::process::ExitCode;
 use std::time::Instant;
 use xobs::{Json, Registry, RunReport};
 use xr32::config::CpuConfig;
 use xr32::Fidelity;
-
-/// The verification lattice: operand sizes crossing lane boundaries
-/// (1..=4), typical mpn operand lengths, and two larger points where
-/// the interpreter overhead dominates.
-const SIZES: [usize; 10] = [1, 2, 3, 4, 8, 16, 64, 128, 256, 512];
 
 /// Interleaved (fast, accurate) timing samples per gate run.
 const PAIRS: usize = 9;
@@ -91,22 +85,8 @@ impl Engine {
     /// capturing per-kernel states when asked. Returns the kernel
     /// sweeps that succeeded.
     fn sweep(&mut self, pass: usize, capture: bool) -> u64 {
-        let iss = &mut self.iss;
-        let mut sweeps = 0;
-        for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
-            for (i, &n) in SIZES.iter().enumerate() {
-                let seed = 0x600D_5EED ^ ((pass as u64) << 32) ^ (i as u64);
-                sweeps += iss.verify32(desc.id, n, seed).is_ok() as u64;
-                sweeps += iss.verify16(desc.id, n, seed).is_ok() as u64;
-            }
-            self.errors
-                .extend(iss.take_kernel_errors().iter().map(|e| e.to_string()));
-            if capture {
-                self.states
-                    .push((desc.id.name(), iss.arch_state32(), iss.arch_state16()));
-            }
-        }
-        sweeps
+        let states = capture.then_some(&mut self.states);
+        bench::verify_lattice(&mut self.iss, pass, &mut self.errors, states)
     }
 
     /// Takes one timing sample of `passes` passes. The first completes

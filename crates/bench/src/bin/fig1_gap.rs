@@ -25,10 +25,11 @@ fn main() {
     }
 
     let tdes = measure::measure_tdes(&config, 4, harness.cache());
-    let sha_cpb = harness.kcache.scalar(
+    let sha_cpb = harness.kcache.get_or_compute(
         &kcache::key(config.fingerprint(), "sim", "fig1:sha1", 4, 0),
-        || SimSha1::new(config.clone()).cycles_per_byte(4),
-    );
+        1,
+        || vec![SimSha1::new(config.clone()).cycles_per_byte(4)],
+    )[0];
     let cpb = tdes.base_cpb + sha_cpb;
     let rows = gap::trend(cpb);
 

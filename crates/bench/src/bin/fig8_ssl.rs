@@ -37,10 +37,11 @@ fn main() {
     // Bulk and MAC costs from the ISS, served from the kernel-cycle
     // cache on re-runs.
     let tdes = measure::measure_tdes(&config, 6, harness.cache());
-    let sha_cpb = harness.kcache.scalar(
+    let sha_cpb = harness.kcache.get_or_compute(
         &kcache::key(config.fingerprint(), "sim", "fig8:sha1", 6, 0),
-        || SimSha1::new(config.clone()).cycles_per_byte(6),
-    );
+        1,
+        || vec![SimSha1::new(config.clone()).cycles_per_byte(6)],
+    )[0];
 
     // Handshake: RSA private-key op, macro-model metered.
     let models =
@@ -156,7 +157,7 @@ fn main() {
         eprintln!("fig8_ssl: kernel error: {e}");
     }
     for d in ctx.degradations() {
-        eprintln!("fig8_ssl: degraded: {}", d.to_json());
+        eprintln!("fig8_ssl: degraded: {}", d.to_json().to_string_compact());
     }
 
     println!("measured components:");

@@ -26,18 +26,12 @@
 //! entry per swept core model) and per-core `*_cycles` / `*_ipc`
 //! results.
 
-use bench::{Cli, Harness};
-use kreg::LibKind;
+use bench::{Cli, Harness, SIZES};
 use secproc::issops::{ArchState, IssMpn};
 use std::process::ExitCode;
 use xobs::{Json, Registry, RunReport};
 use xr32::config::CpuConfig;
 use xr32::{Fidelity, OooParams};
-
-/// The verification lattice: operand sizes crossing lane boundaries
-/// (1..=4), typical mpn operand lengths, and two larger points where
-/// out-of-order overlap has room to show.
-const SIZES: [usize; 10] = [1, 2, 3, 4, 8, 16, 64, 128, 256, 512];
 
 /// One engine's pass over the whole workload.
 struct EngineRun {
@@ -62,25 +56,11 @@ fn run_workload(config: &CpuConfig, fidelity: Fidelity, passes: usize) -> Engine
     let mut iss = IssMpn::base(config.clone());
     iss.set_fidelity(fidelity);
     let mut states = Vec::new();
-    let mut sweeps = 0u64;
     let mut errors = Vec::new();
+    let mut sweeps = 0;
     for pass in 0..passes {
-        let last = pass + 1 == passes;
-        for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
-            for (i, &n) in SIZES.iter().enumerate() {
-                let seed = 0x600D_5EED ^ ((pass as u64) << 32) ^ (i as u64);
-                if iss.verify32(desc.id, n, seed).is_ok() {
-                    sweeps += 1;
-                }
-                if iss.verify16(desc.id, n, seed).is_ok() {
-                    sweeps += 1;
-                }
-            }
-            errors.extend(iss.take_kernel_errors().iter().map(|e| e.to_string()));
-            if last {
-                states.push((desc.id.name(), iss.arch_state32(), iss.arch_state16()));
-            }
-        }
+        let last = (pass + 1 == passes).then_some(&mut states);
+        sweeps += bench::verify_lattice(&mut iss, pass, &mut errors, last);
     }
     let (c32, c16) = iss.core_cycles();
     EngineRun {

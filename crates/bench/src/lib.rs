@@ -1,7 +1,9 @@
 //! Shared helpers for the benchmark harnesses that regenerate the
 //! paper's tables and figures (see `src/bin/*` and `benches/*`).
 
+use kreg::LibKind;
 use secproc::flow::{FlowBuilder, FlowCtx, KernelModels};
+use secproc::issops::{ArchState, IssMpn};
 use secproc::job::JobEnv;
 use secproc::kcache::KCache;
 use std::time::Instant;
@@ -136,6 +138,40 @@ pub fn default_models_on(max_limbs: usize, pool: &Pool, cache: Option<&KCache>) 
     b.build()
         .expect("default flow configuration is conflict-free")
         .characterize(max_limbs, &harness_options())
+}
+
+/// The golden-verification lattice's operand sizes: sizes crossing
+/// lane boundaries (1..=4), typical mpn operand lengths, and larger
+/// points where interpreter overhead dominates and out-of-order overlap
+/// has room to show.
+pub const SIZES: [usize; 10] = [1, 2, 3, 4, 8, 16, 64, 128, 256, 512];
+
+/// Runs pass `pass` of the golden-verification lattice on `iss`: every
+/// register-convention mpn kernel at every [`SIZES`] size on both
+/// radices, each verified against its golden reference on the
+/// pass-and-size seeded stimulus. Appends each kernel's rendered kernel
+/// errors to `errors` and, when `states` is given, the kernel's
+/// end-of-sweep `(kernel, arch32, arch16)` state. Returns the kernel
+/// sweeps that passed.
+pub fn verify_lattice(
+    iss: &mut IssMpn,
+    pass: usize,
+    errors: &mut Vec<String>,
+    mut states: Option<&mut Vec<(&'static str, ArchState, ArchState)>>,
+) -> u64 {
+    let mut sweeps = 0;
+    for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
+        for (i, &n) in SIZES.iter().enumerate() {
+            let seed = 0x600D_5EED ^ ((pass as u64) << 32) ^ (i as u64);
+            sweeps += iss.verify32(desc.id, n, seed).is_ok() as u64;
+            sweeps += iss.verify16(desc.id, n, seed).is_ok() as u64;
+        }
+        errors.extend(iss.take_kernel_errors().iter().map(|e| e.to_string()));
+        if let Some(states) = states.as_deref_mut() {
+            states.push((desc.id.name(), iss.arch_state32(), iss.arch_state16()));
+        }
+    }
+    sweeps
 }
 
 /// Command-line options shared by every harness binary: `--json`

@@ -123,22 +123,6 @@ pub struct Degradation {
     pub code: u32,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Degradation {
     /// An externally observed event (a bench harness degrading on its
     /// own authority, outside the flow's retry machinery): no attempts
@@ -164,25 +148,17 @@ impl Degradation {
 
     /// Renders the event as a JSON object (one element of a run
     /// report's `degradations` array).
-    pub fn to_json(&self) -> String {
-        let seeds = self
-            .retry_seeds
-            .iter()
-            .map(|s| s.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"phase\":\"{}\",\"unit\":\"{}\",\"kernel\":\"{}\",\"action\":\"{}\",\
-             \"code\":{},\"attempts\":{},\"retry_seeds\":[{}],\"error\":\"{}\"}}",
-            self.phase,
-            json_escape(&self.unit),
-            json_escape(&self.kernel),
-            self.action,
-            self.code,
-            self.attempts,
-            seeds,
-            json_escape(&self.error)
-        )
+    pub fn to_json(&self) -> Json {
+        let seeds: Vec<Json> = self.retry_seeds.iter().map(|&s| Json::from(s)).collect();
+        Json::obj()
+            .set("phase", self.phase)
+            .set("unit", self.unit.as_str())
+            .set("kernel", self.kernel.as_str())
+            .set("action", self.action)
+            .set("code", self.code)
+            .set("attempts", self.attempts)
+            .set("retry_seeds", seeds)
+            .set("error", self.error.as_str())
     }
 }
 
@@ -404,7 +380,7 @@ impl<'a> FlowCtx<'a> {
 
     /// The recorded resilience events rendered as JSON objects (the
     /// run-report `degradations` array).
-    pub fn degradations_json(&self) -> Vec<String> {
+    pub fn degradations_json(&self) -> Vec<Json> {
         self.state()
             .degradations
             .iter()
@@ -1345,10 +1321,11 @@ impl<'a> FlowCtx<'a> {
                 total
             };
             match cache {
-                Some(kc) => kc.scalar(
+                Some(kc) => kc.get_or_compute(
                     &kcache::key(fp, &v.tag(), &format!("xprod@{core_id}"), n as u64, 0x0708),
-                    measure,
-                ),
+                    1,
+                    || vec![measure()],
+                )[0],
                 None => measure(),
             }
         });
@@ -2515,17 +2492,18 @@ mod tests {
             phase: "measure",
             unit: "mpn_add_n@base".to_owned(),
             kernel: "mpn_add_n".to_owned(),
-            error: "diverged: \"x\"".to_owned(),
+            error: "diverged: \"x\"\u{1}".to_owned(),
             attempts: 3,
             retry_seeds: vec![10, 20],
             action: "fallback-fault-free",
             code: codes::KERNEL_DIVERGENCE,
         };
-        let json = d.to_json();
+        let json = d.to_json().to_string_compact();
         assert!(json.contains("\"phase\":\"measure\""), "{json}");
         assert!(json.contains("\"retry_seeds\":[10,20]"), "{json}");
         assert!(json.contains("\"code\":1002"), "{json}");
         assert!(json.contains("\\\"x\\\""), "escapes quotes: {json}");
+        assert!(json.contains("\\u0001"), "escapes controls: {json}");
     }
 
     #[test]

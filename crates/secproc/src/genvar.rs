@@ -3,21 +3,28 @@
 //! This module is the platform-side face of the `xopt` pipeline. For a
 //! kernel whose [`kreg::KernelDescriptor`] opts in with
 //! [`kreg::VariantSource::Generated`], it generates one variant per
-//! family resource level, runs both halves of the admission gate (the
-//! constant-time lint differential inside `xopt::generate`, the
-//! golden-reference sweep here, under this platform's actual custom
-//! instruction semantics from [`crate::insns`]), and packages the
-//! outcome — including the hand-written baseline cycles measured
-//! side-by-side by the flow — as [`GeneratedVariantRecord`]s for run
-//! reports (schema 4's `generated_variants` array).
+//! family resource level, runs both halves of the admission gate, and
+//! packages the outcome — including the hand-written baseline cycles
+//! measured side-by-side by the flow — as [`GeneratedVariantRecord`]s
+//! for run reports (schema 4's `generated_variants` array).
+//!
+//! The lint half, a constant-time differential, runs inside
+//! `xopt::generate`. The golden half runs here, on the kernel harness
+//! every other kernel is verified on: the variant's unit becomes the
+//! 32-bit library of an [`IssMpn`] on the fast path, under this
+//! platform's custom instruction semantics from [`crate::insns`], and
+//! [`IssMpn::verify32`] checks its limbs and carry against the
+//! registry's golden reference at every [`xopt::sweep_sizes`] size.
 
 use kreg::{AccelLevel, KernelDescriptor, KernelId};
 use xobs::json::Json;
 use xopt::{GeneratedVariant, OptError};
 use xr32::config::CpuConfig;
 use xr32::ext::ExtensionSet;
+use xr32::Fidelity;
 
 use crate::insns;
+use crate::issops::IssMpn;
 
 /// A generated variant that passed both gate halves, with the
 /// extension set it must run under.
@@ -44,12 +51,40 @@ pub fn admitted_variants(
         .map(|level| {
             let outcome = xopt::generate(desc, level, config).and_then(|gen| {
                 let ext = insns::mpn_extension_set(level.add_lanes, level.mac_lanes);
-                gen.verify_golden(&desc.conv, config, &ext)?;
+                let lanes = match gen.family {
+                    "mac" => level.mac_lanes,
+                    _ => level.add_lanes,
+                };
+                verify_golden(&gen.source, desc.id, lanes, config, &ext)?;
                 Ok(AdmittedVariant { gen, ext })
             });
             (*level, outcome)
         })
         .collect()
+}
+
+/// The golden half of the admission gate: runs `kernel` from the unit
+/// `source` under `ext` on the fast path once per
+/// [`xopt::sweep_sizes`]`(lanes)` size, each on fresh stimuli seeded
+/// by the size, and returns the provider that ran the sweep. `source` has passed the
+/// lint gate, which assembles it.
+fn verify_golden(
+    source: &str,
+    kernel: KernelId,
+    lanes: u32,
+    config: &CpuConfig,
+    ext: &ExtensionSet,
+) -> Result<IssMpn, OptError> {
+    let mut iss = IssMpn::with_library(config.clone(), source, ext.clone());
+    iss.set_fidelity(Fidelity::Fast);
+    for n in xopt::sweep_sizes(lanes) {
+        iss.verify32(kernel, n as usize, u64::from(n))
+            .map_err(|e| OptError::GoldenRejected {
+                n,
+                detail: e.to_string(),
+            })?;
+    }
+    Ok(iss)
 }
 
 /// One level's generated-vs-hand-written outcome, as recorded in run
@@ -115,7 +150,7 @@ pub fn gate_verdicts(err: &OptError) -> (bool, bool) {
     match err {
         // Lint gate runs first inside generate(): reaching the golden
         // gate implies lint passed.
-        OptError::GoldenRejected { .. } | OptError::Sim(_) => (true, false),
+        OptError::GoldenRejected { .. } => (true, false),
         OptError::LintRejected { .. } => (false, false),
         _ => (false, false),
     }
@@ -125,6 +160,7 @@ pub fn gate_verdicts(err: &OptError) -> (bool, bool) {
 mod tests {
     use super::*;
     use kreg::id;
+    use pubkey::ops::MpnOps;
 
     fn desc(kid: KernelId) -> &'static KernelDescriptor {
         kreg::registry().iter().find(|d| d.id == kid).unwrap()
@@ -144,6 +180,66 @@ mod tests {
                     )
                 });
                 assert_eq!(adm.gen.tag, level.generated_tag());
+            }
+        }
+    }
+
+    #[test]
+    fn the_canonical_kernels_pass_the_golden_sweep() {
+        for kid in [id::ADD_N, id::ADDMUL_1] {
+            let src = kreg::kernels::mpn::canonical_source32(kid).unwrap();
+            verify_golden(src, kid, 1, &CpuConfig::default(), &ExtensionSet::new()).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_golden_sweep_rejects_a_wrong_kernel() {
+        // "add" that drops the carry chain: wrong for carrying inputs.
+        let wrong = "
+;! entry mpn_add_n inputs=a0-a3 secret-ptr=a1,a2
+mpn_add_n:
+    movi a6, 0
+.lp:
+    lw   a4, a1, 0
+    lw   a5, a2, 0
+    add  a4, a4, a5
+    sw   a4, a0, 0
+    addi a0, a0, 4
+    addi a1, a1, 4
+    addi a2, a2, 4
+    addi a3, a3, -1
+    bne  a3, a6, .lp
+    movi a0, 0
+    ret
+";
+        let config = CpuConfig::default();
+        let err = verify_golden(wrong, id::ADD_N, 1, &config, &ExtensionSet::new())
+            .err()
+            .expect("a carry-dropping add is rejected");
+        assert!(matches!(err, OptError::GoldenRejected { .. }), "{err}");
+        assert_eq!(gate_verdicts(&err), (true, false));
+    }
+
+    #[test]
+    fn the_golden_sweep_verifies_once_per_sweep_size() {
+        let config = CpuConfig::default();
+        for kid in [id::ADD_N, id::ADDMUL_1] {
+            let d = desc(kid);
+            let fam = d.family.unwrap();
+            for level in fam.levels {
+                let lanes = match fam.family {
+                    "mac" => level.mac_lanes,
+                    _ => level.add_lanes,
+                };
+                let gen = xopt::generate(d, level, &config).unwrap();
+                let ext = insns::mpn_extension_set(level.add_lanes, level.mac_lanes);
+                let iss = verify_golden(&gen.source, kid, lanes, &config, &ext).unwrap();
+                assert_eq!(
+                    MpnOps::<u32>::call_count(&iss, kid),
+                    xopt::sweep_sizes(lanes).len() as u64,
+                    "{kid} {}",
+                    gen.tag
+                );
             }
         }
     }

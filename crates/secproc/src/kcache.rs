@@ -222,8 +222,8 @@ impl KCache {
     }
 
     /// Returns the cached cycle vector for `key`, measuring via
-    /// `compute` on a miss. Entries of the wrong arity are recomputed;
-    /// pass `expected_len == 0` to accept any arity.
+    /// `compute` on a miss. Entries of another arity than
+    /// `expected_len` are recomputed.
     ///
     /// The computation must be deterministic in `key`: concurrent
     /// misses on the same key may compute twice, and either (equal)
@@ -251,7 +251,7 @@ impl KCache {
         {
             let shard = self.shard(key).read().expect("kcache shard poisoned");
             if let Some(v) = shard.get(key) {
-                if expected_len == 0 || v.len() == expected_len {
+                if v.len() == expected_len {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(v.clone());
                 }
@@ -261,11 +261,6 @@ impl KCache {
         let v = compute()?;
         self.insert(key, v.clone());
         Ok(v)
-    }
-
-    /// Scalar convenience over [`KCache::get_or_compute`].
-    pub fn scalar(&self, key: &str, compute: impl FnOnce() -> f64) -> f64 {
-        self.get_or_compute(key, 1, || vec![compute()])[0]
     }
 
     /// Every `(key, values)` pair, globally sorted by key. Snapshots
@@ -657,12 +652,12 @@ mod tests {
         let path = tmpfile("valid");
         let cache = KCache::open(&path);
         let k = key(0x77, "accel-a16m4", kreg::opname::ADDMUL_1, 32, 8);
-        cache.get_or_compute(&k, 0, || vec![100.25, 7.0, -1.5]);
+        cache.get_or_compute(&k, 3, || vec![100.25, 7.0, -1.5]);
         cache.save().unwrap();
         let warm = KCache::open(&path);
         assert_eq!(warm.poisoned_dropped(), 0);
         assert_eq!(
-            warm.get_or_compute(&k, 0, || panic!("persisted entry must round-trip")),
+            warm.get_or_compute(&k, 3, || panic!("persisted entry must round-trip")),
             vec![100.25, 7.0, -1.5]
         );
         let _ = std::fs::remove_file(&path);

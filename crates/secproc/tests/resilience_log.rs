@@ -14,7 +14,7 @@ use kreg::{id, KernelError};
 use macromodel::charact::CharactOptions;
 use pubkey::space::{CacheMode, CrtMode, ModExpConfig, Radix};
 use pubkey::MulAlgo;
-use secproc::flow::FlowBuilder;
+use secproc::flow::{Degradation, FlowBuilder};
 use secproc::issops::KernelVariant;
 use xfault::{FaultPolicy, PlanSpec};
 use xpar::Pool;
@@ -43,6 +43,22 @@ impl Digest {
     fn cycles(&mut self, c: f64) {
         self.bytes(&c.to_bits().to_le_bytes());
     }
+}
+
+/// `deg` as the digest folds it: its compact report object, with the
+/// retry seeds in full (the report's numbers are doubles, exact only
+/// below 2^53).
+fn folded(deg: Degradation) -> String {
+    let seeds: Vec<String> = deg.retry_seeds.iter().map(u64::to_string).collect();
+    let bare = Degradation {
+        retry_seeds: Vec::new(),
+        ..deg
+    };
+    bare.to_json().to_string_compact().replacen(
+        "\"retry_seeds\":[]",
+        &format!("\"retry_seeds\":[{}]", seeds.join(",")),
+        1,
+    )
 }
 
 /// Runs every ISS-backed step on one faulted context at `threads`
@@ -126,7 +142,7 @@ fn flow_digest(threads: usize) -> u64 {
 
     for c in [&ctx, &fresh] {
         for deg in c.degradations() {
-            d.str(&deg.to_json());
+            d.str(&folded(deg));
         }
         for kernel in c.quarantined() {
             d.str(&kernel);

@@ -152,21 +152,15 @@ impl RunReport {
     }
 
     /// Records the flow's resilience events (retries, fault-free
-    /// fallbacks, quarantine substitutions). Each entry is a rendered
-    /// JSON object, as produced by the flow's degradation log; entries
-    /// that fail to parse are kept as JSON strings rather than dropped.
-    /// Serialized as the `degradations` array when non-empty; a run
-    /// that degraded nothing omits the field (schema 3).
-    pub fn with_degradations<I, S>(mut self, events: I) -> Self
+    /// fallbacks, quarantine substitutions), one JSON object each, as
+    /// produced by the flow's degradation log. Serialized as the
+    /// `degradations` array when non-empty; a run that degraded nothing
+    /// omits the field (schema 3).
+    pub fn with_degradations<I>(mut self, events: I) -> Self
     where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
+        I: IntoIterator<Item = Json>,
     {
-        self.degradations.extend(
-            events
-                .into_iter()
-                .map(|e| crate::json::parse(e.as_ref()).unwrap_or_else(|_| Json::from(e.as_ref()))),
-        );
+        self.degradations.extend(events);
         self
     }
 
@@ -547,14 +541,15 @@ mod tests {
 
     #[test]
     fn degradations_and_fault_campaign_serialize_and_validate() {
-        let healthy = RunReport::new("r").with_degradations(Vec::<String>::new());
+        let healthy = RunReport::new("r").with_degradations(Vec::new());
         assert!(healthy.to_json().get("degradations").is_none());
         assert!(healthy.to_json().get("fault_campaign").is_none());
 
         let report = RunReport::new("r")
-            .with_degradations([
-                r#"{"phase":"curves","kernel":"mpn_add_n","action":"fallback-fault-free"}"#,
-            ])
+            .with_degradations([Json::obj()
+                .set("phase", "curves")
+                .set("kernel", "mpn_add_n")
+                .set("action", "fallback-fault-free")])
             .with_fault_campaign([Json::obj()
                 .set("seed", 7u64)
                 .set("site", "data_mem")

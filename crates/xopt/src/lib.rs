@@ -17,13 +17,16 @@
 //!    [`xr32::config::CostModel`] ([`sched`]),
 //! 5. cleans up with liveness-backed DCE and a peephole ([`peep`]),
 //!    and
-//! 6. refuses to admit any variant that fails the constant-time lint
-//!    gate or golden-reference verification ([`gate`]).
+//! 6. refuses any variant that fails the constant-time lint gate
+//!    ([`gate`]).
 //!
 //! The pipeline's outputs are complete annotated units: they carry the
 //! canonical entry/secret annotations plus generated custom-instruction
 //! signatures, so the same `xlint` checks that gate hand-written
-//! libraries gate generated ones.
+//! libraries gate generated ones. The crate is source to source: it
+//! simulates nothing. The golden half of admission runs the variant
+//! through the platform's kernel harness at every [`sweep_sizes`] size,
+//! under the custom-instruction semantics that live there.
 
 use std::fmt;
 
@@ -32,7 +35,6 @@ use xlint::ir::UnitIr;
 use xlint::AnalyzeError;
 use xr32::asm::AssembleError;
 use xr32::config::CpuConfig;
-use xr32::ext::ExtensionSet;
 
 pub mod emit;
 pub mod gate;
@@ -42,7 +44,7 @@ pub mod select;
 pub mod ssa;
 pub mod unit;
 
-pub use gate::{golden_gate, lint_gate, sweep_sizes};
+pub use gate::{lint_gate, sweep_sizes};
 pub use select::{match_pattern, PatternMatch};
 pub use ssa::{SsaView, Value};
 pub use unit::{Item, Unit};
@@ -73,8 +75,6 @@ pub enum OptError {
         /// What diverged.
         detail: String,
     },
-    /// A simulation fault while running the golden gate.
-    Sim(String),
     /// The construct is outside the rewriter's scope.
     Unsupported(String),
 }
@@ -99,7 +99,6 @@ impl fmt::Display for OptError {
             OptError::GoldenRejected { n, detail } => {
                 write!(f, "golden gate rejected the variant at n={n}: {detail}")
             }
-            OptError::Sim(d) => write!(f, "simulation fault: {d}"),
             OptError::Unsupported(d) => write!(f, "unsupported: {d}"),
         }
     }
@@ -129,33 +128,9 @@ pub struct GeneratedVariant {
     pub cleaned: usize,
 }
 
-impl GeneratedVariant {
-    /// Runs the golden-reference half of the admission gate on this
-    /// variant, under the caller's core configuration and custom
-    /// instruction set (the half that needs hardware semantics, which
-    /// live above this crate).
-    ///
-    /// # Errors
-    ///
-    /// See [`gate::golden_gate`].
-    pub fn verify_golden(
-        &self,
-        conv: &kreg::CallConv,
-        config: &CpuConfig,
-        ext: &ExtensionSet,
-    ) -> Result<(), OptError> {
-        let lanes = match self.family {
-            "mac" => self.level.mac_lanes,
-            _ => self.level.add_lanes,
-        };
-        gate::golden_gate(&self.source, &self.entry, conv, lanes, config, ext)
-    }
-}
-
 /// Generates the variant of `desc` at `level`, running every rewrite
 /// pass and the lint half of the admission gate. The golden half needs
-/// the custom instructions' execution semantics, so it is a separate
-/// step: [`GeneratedVariant::verify_golden`].
+/// the custom instructions' execution semantics, so the caller runs it.
 ///
 /// # Errors
 ///

@@ -294,7 +294,8 @@ impl Cpu {
     }
 
     /// The user (wide) register file.
-    pub fn uregs(&self) -> &UserRegFile {
+    #[cfg(test)]
+    pub(crate) fn uregs(&self) -> &UserRegFile {
         &self.arch.uregs
     }
 
