@@ -51,7 +51,7 @@ use rand::SeedableRng;
 use secproc::issops::{IssMpn, KernelVariant};
 use secproc::simcipher::{SimAes, SimDes, Variant};
 use xobs::trace::Shared;
-use xobs::{read_trace, Attribution, BinaryTraceWriter, EventStats, OwnedEvent};
+use xobs::{read_trace, Attribution, BinaryTraceWriter, EventStats, TraceEvent};
 use xr32::config::CpuConfig;
 
 fn usage() -> ExitCode {
@@ -141,7 +141,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn load(path: &str) -> Vec<OwnedEvent> {
+fn load(path: &str) -> Vec<TraceEvent<String>> {
     let file = File::open(path).unwrap_or_else(|e| {
         eprintln!("xr32-trace: cannot open {path}: {e}");
         std::process::exit(1);
@@ -237,7 +237,7 @@ fn run_rsa_crt(iss: &mut IssMpn, bits: usize) -> (u64, u64) {
     iss.core_cycles()
 }
 
-fn summary(events: &[OwnedEvent], top: usize) -> ExitCode {
+fn summary(events: &[TraceEvent<String>], top: usize) -> ExitCode {
     let mut attr = Attribution::new();
     let mut stats = EventStats::new();
     xobs::bintrace::replay(events, &mut attr);

@@ -149,7 +149,14 @@ impl Degradation {
     /// Renders the event as a JSON object (one element of a run
     /// report's `degradations` array).
     pub fn to_json(&self) -> Json {
-        let seeds: Vec<Json> = self.retry_seeds.iter().map(|&s| Json::from(s)).collect();
+        // Decimal strings: seeds use the full u64 range, which JSON
+        // numbers (f64 here and in most peers) cannot carry exactly.
+        let seeds: Vec<Json> = self
+            .retry_seeds
+            .iter()
+            .map(u64::to_string)
+            .map(Json::from)
+            .collect();
         Json::obj()
             .set("phase", self.phase)
             .set("unit", self.unit.as_str())
@@ -2494,13 +2501,16 @@ mod tests {
             kernel: "mpn_add_n".to_owned(),
             error: "diverged: \"x\"\u{1}".to_owned(),
             attempts: 3,
-            retry_seeds: vec![10, 20],
+            retry_seeds: vec![10, 20, (1 << 53) + 1],
             action: "fallback-fault-free",
             code: codes::KERNEL_DIVERGENCE,
         };
         let json = d.to_json().to_string_compact();
         assert!(json.contains("\"phase\":\"measure\""), "{json}");
-        assert!(json.contains("\"retry_seeds\":[10,20]"), "{json}");
+        assert!(
+            json.contains("\"retry_seeds\":[\"10\",\"20\",\"9007199254740993\"]"),
+            "seeds are exact: {json}"
+        );
         assert!(json.contains("\"code\":1002"), "{json}");
         assert!(json.contains("\\\"x\\\""), "escapes quotes: {json}");
         assert!(json.contains("\\u0001"), "escapes controls: {json}");

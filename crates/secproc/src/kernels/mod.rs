@@ -7,8 +7,7 @@
 //!
 //! The multi-precision and SHA-1 libraries live in the kernel registry
 //! crate ([`kreg::kernels`]) so every methodology phase shares one
-//! source of truth; they are re-exported here for compatibility.
+//! source of truth.
 
 pub mod aes;
 pub mod des;
-pub use kreg::kernels::{mpn, sha};

@@ -6,8 +6,9 @@
 //! machinery behind Table 1's DES/3DES/AES rows.
 
 use crate::insns;
-use crate::kernels::{aes as kaes, des as kdes, sha as ksha};
+use crate::kernels::{aes as kaes, des as kdes};
 use ciphers::{aes::Aes, des::Des, sha1};
+use kreg::kernels::sha as ksha;
 use xobs::trace::TraceSink;
 use xr32::asm::{assemble, Program};
 use xr32::config::CpuConfig;
@@ -29,7 +30,6 @@ pub struct SimDes {
     program: Program,
     map: kdes::MemoryMap,
     reference: Des,
-    verify: bool,
 }
 
 impl SimDes {
@@ -50,13 +50,7 @@ impl SimDes {
             program,
             map,
             reference,
-            verify: true,
         }
-    }
-
-    /// Disables per-block verification against the software DES.
-    pub fn set_verify(&mut self, verify: bool) {
-        self.verify = verify;
     }
 
     /// Encrypts (`decrypt = false`) or decrypts one 64-bit block on the
@@ -84,14 +78,12 @@ impl SimDes {
             )
             .expect("des kernel runs");
         let out = kdes::read_block(&self.cpu, &self.map);
-        if self.verify {
-            let expect = if decrypt {
-                self.reference.decrypt_u64(block)
-            } else {
-                self.reference.encrypt_u64(block)
-            };
-            assert_eq!(out, expect, "DES kernel diverged from software reference");
-        }
+        let expect = if decrypt {
+            self.reference.decrypt_u64(block)
+        } else {
+            self.reference.encrypt_u64(block)
+        };
+        assert_eq!(out, expect, "DES kernel diverged from software reference");
         (out, summary.cycles)
     }
 
@@ -117,7 +109,6 @@ pub struct SimAes {
     program: Program,
     map: kaes::MemoryMap,
     reference: Aes,
-    verify: bool,
 }
 
 impl SimAes {
@@ -138,13 +129,7 @@ impl SimAes {
             program,
             map,
             reference,
-            verify: true,
         }
-    }
-
-    /// Disables per-block verification.
-    pub fn set_verify(&mut self, verify: bool) {
-        self.verify = verify;
     }
 
     /// Encrypts one block on the simulator, returning
@@ -166,11 +151,9 @@ impl SimAes {
             .call_traced(&self.program, "aes_block", &[], sink)
             .expect("aes kernel runs");
         let out = kaes::read_state(&self.cpu, &self.map);
-        if self.verify {
-            let mut expect = *block;
-            self.reference.encrypt_block16(&mut expect);
-            assert_eq!(out, expect, "AES kernel diverged from software reference");
-        }
+        let mut expect = *block;
+        self.reference.encrypt_block16(&mut expect);
+        assert_eq!(out, expect, "AES kernel diverged from software reference");
         (out, summary.cycles)
     }
 
@@ -222,22 +205,11 @@ impl SimSha1 {
     /// Runs one compression on the simulator, returning
     /// `(new_state, cycles)`.
     pub fn compress(&mut self, state: [u32; 5], block: &[u8; 64]) -> ([u32; 5], u64) {
-        self.compress_traced(state, block, None)
-    }
-
-    /// As [`Self::compress`], streaming trace events into `sink` when
-    /// one is attached.
-    fn compress_traced(
-        &mut self,
-        state: [u32; 5],
-        block: &[u8; 64],
-        sink: Option<&mut dyn TraceSink>,
-    ) -> ([u32; 5], u64) {
         ksha::write_state(&mut self.cpu, &self.map, &state);
         ksha::write_block(&mut self.cpu, &self.map, block);
         let summary = self
             .cpu
-            .call_traced(&self.program, kreg::id::SHA1.name(), &[], sink)
+            .call(&self.program, kreg::id::SHA1.name(), &[])
             .expect("sha1 kernel runs");
         let out = ksha::read_state(&self.cpu, &self.map);
         if self.verify {

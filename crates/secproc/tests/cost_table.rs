@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secproc::insns::mpn_extension_set;
 use std::collections::BTreeSet;
-use xobs::trace::{OwnedEvent, VecSink};
+use xobs::trace::{TraceEvent, VecSink};
 use xr32::cpu::RunSummary;
 use xr32::xcore::memo::cost_table_proves;
 use xr32::xcore::CallMemo;
@@ -311,7 +311,7 @@ fn retired_pcs(library: &Library, case: u32) -> BTreeSet<u32> {
         assert_eq!(cpu.reg(0), reference(library.bits, args), "{args:x?}");
     }
     let retired = sink.events().iter().filter_map(|e| match e {
-        OwnedEvent::Retire { pc, .. } => Some(*pc),
+        TraceEvent::Retire { pc, .. } => Some(*pc),
         _ => None,
     });
     retired.collect()

@@ -46,8 +46,8 @@ impl Digest {
 }
 
 /// `deg` as the digest folds it: its compact report object, with the
-/// retry seeds in full (the report's numbers are doubles, exact only
-/// below 2^53).
+/// retry seeds as bare integers rather than the report's decimal
+/// strings, the form the pinned digest was taken with.
 fn folded(deg: Degradation) -> String {
     let seeds: Vec<String> = deg.retry_seeds.iter().map(u64::to_string).collect();
     let bare = Degradation {

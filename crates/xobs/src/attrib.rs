@@ -251,7 +251,7 @@ impl Attribution {
 }
 
 impl TraceSink for Attribution {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
+    fn on_event(&mut self, ev: &TraceEvent<&str>) {
         match *ev {
             TraceEvent::Call { callee, cycle, .. } => self.on_call(callee, cycle),
             TraceEvent::Ret { cycle, .. } => self.on_ret(cycle),
@@ -350,7 +350,7 @@ impl EventStats {
 }
 
 impl TraceSink for EventStats {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
+    fn on_event(&mut self, ev: &TraceEvent<&str>) {
         self.last_cycle = self.last_cycle.max(ev.cycle());
         match *ev {
             TraceEvent::Retire { .. } => self.retires += 1,
@@ -385,7 +385,7 @@ impl TraceSink for EventStats {
 mod tests {
     use super::*;
 
-    fn call(callee: &'static str, cycle: u64) -> TraceEvent<'static> {
+    fn call(callee: &'static str, cycle: u64) -> TraceEvent<&'static str> {
         TraceEvent::Call {
             pc: 0,
             callee,
@@ -393,11 +393,11 @@ mod tests {
         }
     }
 
-    fn ret(cycle: u64) -> TraceEvent<'static> {
+    fn ret(cycle: u64) -> TraceEvent<&'static str> {
         TraceEvent::Ret { pc: 0, cycle }
     }
 
-    fn feed(attr: &mut Attribution, events: &[TraceEvent<'static>]) {
+    fn feed(attr: &mut Attribution, events: &[TraceEvent<&'static str>]) {
         for ev in events {
             attr.on_event(ev);
         }

@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 
-use crate::trace::{CacheSide, OwnedEvent, TraceEvent, TraceSink};
+use crate::trace::{CacheSide, TraceEvent, TraceSink};
 
 /// File magic, first four bytes of every trace.
 const MAGIC: [u8; 4] = *b"XTRC";
@@ -95,7 +95,7 @@ impl<W: Write> BinaryTraceWriter<W> {
         Ok(id)
     }
 
-    fn encode(&mut self, ev: &TraceEvent<'_>) -> io::Result<()> {
+    fn encode(&mut self, ev: &TraceEvent<&str>) -> io::Result<()> {
         match *ev {
             TraceEvent::Retire { pc, cycle } => {
                 self.out.write_all(&[TAG_RETIRE])?;
@@ -169,7 +169,7 @@ impl<W: Write> BinaryTraceWriter<W> {
 }
 
 impl<W: Write> TraceSink for BinaryTraceWriter<W> {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
+    fn on_event(&mut self, ev: &TraceEvent<&str>) {
         if self.error.is_some() {
             return;
         }
@@ -251,14 +251,14 @@ impl<'a> Decoder<'a> {
 }
 
 /// Reads an entire trace into owned events.
-pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<OwnedEvent>, TraceReadError> {
+pub fn read_trace<R: Read>(mut r: R) -> Result<Vec<TraceEvent<String>>, TraceReadError> {
     let mut buf = Vec::new();
     r.read_to_end(&mut buf)?;
     decode_trace(&buf)
 }
 
 /// Decodes a trace held in memory.
-pub fn decode_trace(buf: &[u8]) -> Result<Vec<OwnedEvent>, TraceReadError> {
+pub fn decode_trace(buf: &[u8]) -> Result<Vec<TraceEvent<String>>, TraceReadError> {
     let mut d = Decoder { buf, pos: 0 };
     if d.take(4)? != MAGIC {
         return Err(TraceReadError::Malformed("bad magic".into()));
@@ -288,16 +288,16 @@ pub fn decode_trace(buf: &[u8]) -> Result<Vec<OwnedEvent>, TraceReadError> {
                 })?;
                 names.push(s.to_owned());
             }
-            TAG_RETIRE => events.push(OwnedEvent::Retire {
+            TAG_RETIRE => events.push(TraceEvent::Retire {
                 pc: d.u32()?,
                 cycle: d.u64()?,
             }),
-            TAG_STALL => events.push(OwnedEvent::Stall {
+            TAG_STALL => events.push(TraceEvent::Stall {
                 pc: d.u32()?,
                 cycles: d.u32()?,
                 cycle: d.u64()?,
             }),
-            TAG_TAKEN_BRANCH => events.push(OwnedEvent::TakenBranch {
+            TAG_TAKEN_BRANCH => events.push(TraceEvent::TakenBranch {
                 pc: d.u32()?,
                 target: d.u32()?,
                 penalty: d.u32()?,
@@ -305,7 +305,7 @@ pub fn decode_trace(buf: &[u8]) -> Result<Vec<OwnedEvent>, TraceReadError> {
             }),
             TAG_CACHE => {
                 let flags = d.u8()?;
-                events.push(OwnedEvent::Cache {
+                events.push(TraceEvent::Cache {
                     side: if flags & 1 != 0 {
                         CacheSide::Data
                     } else {
@@ -324,7 +324,7 @@ pub fn decode_trace(buf: &[u8]) -> Result<Vec<OwnedEvent>, TraceReadError> {
                 let name = names.get(id).ok_or_else(|| {
                     TraceReadError::Malformed(format!("undefined name id {id} at byte {at}"))
                 })?;
-                events.push(OwnedEvent::Custom {
+                events.push(TraceEvent::Custom {
                     pc,
                     name: name.clone(),
                     latency,
@@ -338,13 +338,13 @@ pub fn decode_trace(buf: &[u8]) -> Result<Vec<OwnedEvent>, TraceReadError> {
                 let callee = names.get(id).ok_or_else(|| {
                     TraceReadError::Malformed(format!("undefined name id {id} at byte {at}"))
                 })?;
-                events.push(OwnedEvent::Call {
+                events.push(TraceEvent::Call {
                     pc,
                     callee: callee.clone(),
                     cycle,
                 });
             }
-            TAG_RET => events.push(OwnedEvent::Ret {
+            TAG_RET => events.push(TraceEvent::Ret {
                 pc: d.u32()?,
                 cycle: d.u64()?,
             }),
@@ -359,9 +359,9 @@ pub fn decode_trace(buf: &[u8]) -> Result<Vec<OwnedEvent>, TraceReadError> {
 }
 
 /// Replays decoded events into any sink.
-pub fn replay(events: &[OwnedEvent], sink: &mut dyn TraceSink) {
+pub fn replay(events: &[TraceEvent<String>], sink: &mut dyn TraceSink) {
     for ev in events {
-        sink.on_event(&ev.as_event());
+        sink.on_event(&ev.map_names(String::as_str));
     }
     sink.flush();
 }
@@ -371,7 +371,7 @@ mod tests {
     use super::*;
     use crate::attrib::Attribution;
 
-    fn sample_events() -> Vec<TraceEvent<'static>> {
+    fn sample_events() -> Vec<TraceEvent<&'static str>> {
         vec![
             TraceEvent::Call {
                 pc: 0,
@@ -412,7 +412,7 @@ mod tests {
         ]
     }
 
-    fn encode(events: &[TraceEvent<'static>]) -> Vec<u8> {
+    fn encode(events: &[TraceEvent<&'static str>]) -> Vec<u8> {
         let mut w = BinaryTraceWriter::new(Vec::new()).unwrap();
         for ev in events {
             w.on_event(ev);
@@ -427,7 +427,7 @@ mod tests {
         let decoded = decode_trace(&bytes).unwrap();
         assert_eq!(decoded.len(), events.len());
         for (d, e) in decoded.iter().zip(&events) {
-            assert_eq!(&d.as_event(), e);
+            assert_eq!(&d.map_names(String::as_str), e);
         }
     }
 

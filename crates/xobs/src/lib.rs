@@ -4,13 +4,13 @@
 //! profiles feed macro-models, annotated call graphs feed A-D
 //! propagation, and the §4.3 accuracy claims compare estimators against
 //! ISS ground truth. This crate turns the simulator from a number
-//! printer into an inspectable instrument, in four layers:
+//! printer into an inspectable instrument, in five layers:
 //!
 //! - **Event tracing** ([`trace`]): the [`TraceSink`] trait the XR32
-//!   executor feeds (instruction retire, interlock stalls, taken
-//!   branches, I/D-cache hit/miss, custom-instruction dispatch,
-//!   call/ret), plus in-memory sinks — a recorder, a bounded flight
-//!   recorder, a tee, and a shared handle.
+//!   executor feeds with [`TraceEvent`]s (instruction retire, interlock
+//!   stalls, taken branches, I/D-cache hit/miss, custom-instruction
+//!   dispatch, call/ret), plus an in-memory recorder ([`VecSink`]) and
+//!   a shared handle ([`Shared`]).
 //! - **Binary traces** ([`bintrace`]): a streaming compact `.xtrace`
 //!   writer and its reader, with interned names and a versioned header.
 //! - **Cycle attribution** ([`attrib`]): call-stack reconstruction into
@@ -67,4 +67,4 @@ pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use report::{RunReport, SCHEMA_VERSION};
 pub use span::{SpanGuard, Spans};
-pub use trace::{CacheSide, OwnedEvent, Shared, TraceEvent, TraceSink, VecSink};
+pub use trace::{CacheSide, Shared, TraceEvent, TraceSink, VecSink};

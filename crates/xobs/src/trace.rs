@@ -4,13 +4,12 @@
 //! stalls, taken branches, cache accesses, custom-instruction dispatch,
 //! call/return) behind an `Option<&mut dyn TraceSink>`: with no sink
 //! attached the hot interpreter loop pays one predictable branch per
-//! hook site, so tracing is zero-overhead-when-disabled in the sense
-//! that matters (< 2 % on kernel throughput, pinned by the bench
-//! harness).
+//! hook site.
 //!
-//! Events borrow label names from the running program
-//! ([`TraceEvent`]); sinks that outlive the run own their copies
-//! ([`OwnedEvent`]). The streaming binary format lives in
+//! One event type, [`TraceEvent`], is generic over how it holds its
+//! names: sinks receive `TraceEvent<&str>`, borrowing label names from
+//! the running program; recorded and decoded traces hold
+//! `TraceEvent<String>`. The streaming binary format lives in
 //! [`crate::bintrace`]; call-tree reconstruction in [`crate::attrib`].
 
 use std::cell::RefCell;
@@ -27,9 +26,10 @@ pub enum CacheSide {
 
 /// One simulator event. `cycle` stamps are the core's cumulative cycle
 /// counter at the instant the event was produced, so a sink observing a
-/// whole co-simulation sees a single non-decreasing timeline.
+/// whole co-simulation sees a single non-decreasing timeline. `N` holds
+/// the names: `&str` as sinks see them, `String` once recorded.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceEvent<'a> {
+pub enum TraceEvent<N> {
     /// An instruction finished executing. `pc` is the instruction
     /// index; `cycle` the counter *after* the instruction's cost.
     Retire {
@@ -77,7 +77,7 @@ pub enum TraceEvent<'a> {
         /// Instruction index.
         pc: u32,
         /// The custom instruction's registered name.
-        name: &'a str,
+        name: N,
         /// Its registered latency.
         latency: u32,
         /// Cycle counter at dispatch.
@@ -89,7 +89,7 @@ pub enum TraceEvent<'a> {
         /// Call-site instruction index (entry frames use the entry pc).
         pc: u32,
         /// Callee label (`<anon>` for unlabeled targets).
-        callee: &'a str,
+        callee: N,
         /// Cycle counter at entry.
         cycle: u64,
     },
@@ -103,7 +103,7 @@ pub enum TraceEvent<'a> {
     },
 }
 
-impl TraceEvent<'_> {
+impl<N> TraceEvent<N> {
     /// The event's cycle stamp.
     pub fn cycle(&self) -> u64 {
         match *self {
@@ -117,17 +117,19 @@ impl TraceEvent<'_> {
         }
     }
 
-    /// An owning copy of the event.
-    fn to_owned_event(self) -> OwnedEvent {
-        match self {
-            TraceEvent::Retire { pc, cycle } => OwnedEvent::Retire { pc, cycle },
-            TraceEvent::Stall { pc, cycles, cycle } => OwnedEvent::Stall { pc, cycles, cycle },
+    /// The same event with its name (`Custom::name` or `Call::callee`)
+    /// passed through `f`: `String::as_str` borrows a recorded event
+    /// back for a sink, `|&n| n.to_owned()` records a borrowed one.
+    pub fn map_names<'s, M>(&'s self, f: impl FnOnce(&'s N) -> M) -> TraceEvent<M> {
+        match *self {
+            TraceEvent::Retire { pc, cycle } => TraceEvent::Retire { pc, cycle },
+            TraceEvent::Stall { pc, cycles, cycle } => TraceEvent::Stall { pc, cycles, cycle },
             TraceEvent::TakenBranch {
                 pc,
                 target,
                 penalty,
                 cycle,
-            } => OwnedEvent::TakenBranch {
+            } => TraceEvent::TakenBranch {
                 pc,
                 target,
                 penalty,
@@ -138,7 +140,7 @@ impl TraceEvent<'_> {
                 addr,
                 hit,
                 cycle,
-            } => OwnedEvent::Cache {
+            } => TraceEvent::Cache {
                 side,
                 addr,
                 hit,
@@ -146,151 +148,25 @@ impl TraceEvent<'_> {
             },
             TraceEvent::Custom {
                 pc,
-                name,
-                latency,
-                cycle,
-            } => OwnedEvent::Custom {
-                pc,
-                name: name.to_owned(),
-                latency,
-                cycle,
-            },
-            TraceEvent::Call { pc, callee, cycle } => OwnedEvent::Call {
-                pc,
-                callee: callee.to_owned(),
-                cycle,
-            },
-            TraceEvent::Ret { pc, cycle } => OwnedEvent::Ret { pc, cycle },
-        }
-    }
-}
-
-/// An owning mirror of [`TraceEvent`] for sinks and trace files.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedEvent {
-    /// See [`TraceEvent::Retire`].
-    Retire {
-        /// Instruction index.
-        pc: u32,
-        /// Cycle stamp.
-        cycle: u64,
-    },
-    /// See [`TraceEvent::Stall`].
-    Stall {
-        /// Instruction index.
-        pc: u32,
-        /// Cycles lost.
-        cycles: u32,
-        /// Cycle stamp.
-        cycle: u64,
-    },
-    /// See [`TraceEvent::TakenBranch`].
-    TakenBranch {
-        /// Branch instruction index.
-        pc: u32,
-        /// Destination instruction index.
-        target: u32,
-        /// Refill cycles charged.
-        penalty: u32,
-        /// Cycle stamp.
-        cycle: u64,
-    },
-    /// See [`TraceEvent::Cache`].
-    Cache {
-        /// Instruction or data side.
-        side: CacheSide,
-        /// Byte address accessed.
-        addr: u64,
-        /// Whether the access hit.
-        hit: bool,
-        /// Cycle stamp.
-        cycle: u64,
-    },
-    /// See [`TraceEvent::Custom`].
-    Custom {
-        /// Instruction index.
-        pc: u32,
-        /// Custom instruction name.
-        name: String,
-        /// Registered latency.
-        latency: u32,
-        /// Cycle stamp.
-        cycle: u64,
-    },
-    /// See [`TraceEvent::Call`].
-    Call {
-        /// Call-site instruction index.
-        pc: u32,
-        /// Callee label.
-        callee: String,
-        /// Cycle stamp.
-        cycle: u64,
-    },
-    /// See [`TraceEvent::Ret`].
-    Ret {
-        /// Return instruction index.
-        pc: u32,
-        /// Cycle stamp.
-        cycle: u64,
-    },
-}
-
-impl OwnedEvent {
-    /// Borrows the event back as a [`TraceEvent`] (for replay into any
-    /// sink).
-    pub fn as_event(&self) -> TraceEvent<'_> {
-        match self {
-            OwnedEvent::Retire { pc, cycle } => TraceEvent::Retire {
-                pc: *pc,
-                cycle: *cycle,
-            },
-            OwnedEvent::Stall { pc, cycles, cycle } => TraceEvent::Stall {
-                pc: *pc,
-                cycles: *cycles,
-                cycle: *cycle,
-            },
-            OwnedEvent::TakenBranch {
-                pc,
-                target,
-                penalty,
-                cycle,
-            } => TraceEvent::TakenBranch {
-                pc: *pc,
-                target: *target,
-                penalty: *penalty,
-                cycle: *cycle,
-            },
-            OwnedEvent::Cache {
-                side,
-                addr,
-                hit,
-                cycle,
-            } => TraceEvent::Cache {
-                side: *side,
-                addr: *addr,
-                hit: *hit,
-                cycle: *cycle,
-            },
-            OwnedEvent::Custom {
-                pc,
-                name,
+                ref name,
                 latency,
                 cycle,
             } => TraceEvent::Custom {
-                pc: *pc,
-                name,
-                latency: *latency,
-                cycle: *cycle,
+                pc,
+                name: f(name),
+                latency,
+                cycle,
             },
-            OwnedEvent::Call { pc, callee, cycle } => TraceEvent::Call {
-                pc: *pc,
-                callee,
-                cycle: *cycle,
+            TraceEvent::Call {
+                pc,
+                ref callee,
+                cycle,
+            } => TraceEvent::Call {
+                pc,
+                callee: f(callee),
+                cycle,
             },
-            OwnedEvent::Ret { pc, cycle } => TraceEvent::Ret {
-                pc: *pc,
-                cycle: *cycle,
-            },
+            TraceEvent::Ret { pc, cycle } => TraceEvent::Ret { pc, cycle },
         }
     }
 }
@@ -302,7 +178,7 @@ impl OwnedEvent {
 /// sink is attached.
 pub trait TraceSink {
     /// Handles one event.
-    fn on_event(&mut self, ev: &TraceEvent<'_>);
+    fn on_event(&mut self, ev: &TraceEvent<&str>);
 
     /// Flushes any buffered output (binary writers). Default: no-op.
     fn flush(&mut self) {}
@@ -311,7 +187,7 @@ pub trait TraceSink {
 /// A sink that records every event in memory (tests, small traces).
 #[derive(Debug, Default)]
 pub struct VecSink {
-    events: Vec<OwnedEvent>,
+    events: Vec<TraceEvent<String>>,
 }
 
 impl VecSink {
@@ -321,46 +197,19 @@ impl VecSink {
     }
 
     /// The recorded events, in arrival order.
-    pub fn events(&self) -> &[OwnedEvent] {
+    pub fn events(&self) -> &[TraceEvent<String>] {
         &self.events
     }
 
     /// Consumes the sink, returning the events.
-    pub fn into_events(self) -> Vec<OwnedEvent> {
+    pub fn into_events(self) -> Vec<TraceEvent<String>> {
         self.events
     }
 }
 
 impl TraceSink for VecSink {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
-        self.events.push(ev.to_owned_event());
-    }
-}
-
-/// Fans one event stream out to several sinks.
-#[derive(Default)]
-pub struct TeeSink<'s> {
-    sinks: Vec<&'s mut dyn TraceSink>,
-}
-
-impl<'s> TeeSink<'s> {
-    /// Builds a tee over the given sinks.
-    pub fn new(sinks: Vec<&'s mut dyn TraceSink>) -> Self {
-        TeeSink { sinks }
-    }
-}
-
-impl TraceSink for TeeSink<'_> {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
-        for s in &mut self.sinks {
-            s.on_event(ev);
-        }
-    }
-
-    fn flush(&mut self) {
-        for s in &mut self.sinks {
-            s.flush();
-        }
+    fn on_event(&mut self, ev: &TraceEvent<&str>) {
+        self.events.push(ev.map_names(|&n| n.to_owned()));
     }
 }
 
@@ -403,7 +252,7 @@ impl<S: TraceSink> Shared<S> {
 }
 
 impl<S: TraceSink> TraceSink for Shared<S> {
-    fn on_event(&mut self, ev: &TraceEvent<'_>) {
+    fn on_event(&mut self, ev: &TraceEvent<&str>) {
         self.0.borrow_mut().on_event(ev);
     }
 
@@ -416,25 +265,48 @@ impl<S: TraceSink> TraceSink for Shared<S> {
 mod tests {
     use super::*;
 
-    fn retire(pc: u32, cycle: u64) -> TraceEvent<'static> {
+    fn retire(pc: u32, cycle: u64) -> TraceEvent<&'static str> {
         TraceEvent::Retire { pc, cycle }
     }
 
     #[test]
     fn owned_round_trip_preserves_event() {
-        let call = TraceEvent::Call {
-            pc: 3,
-            callee: "feistel",
-            cycle: 99,
-        };
-        assert_eq!(call.to_owned_event().as_event(), call);
-        let cache = TraceEvent::Cache {
-            side: CacheSide::Data,
-            addr: 0x104,
-            hit: false,
-            cycle: 7,
-        };
-        assert_eq!(cache.to_owned_event().as_event(), cache);
+        let events = [
+            retire(0, 1),
+            TraceEvent::Stall {
+                pc: 1,
+                cycles: 2,
+                cycle: 4,
+            },
+            TraceEvent::TakenBranch {
+                pc: 2,
+                target: 0,
+                penalty: 2,
+                cycle: 7,
+            },
+            TraceEvent::Cache {
+                side: CacheSide::Data,
+                addr: 0x104,
+                hit: false,
+                cycle: 27,
+            },
+            TraceEvent::Custom {
+                pc: 3,
+                name: "sbox8",
+                latency: 1,
+                cycle: 28,
+            },
+            TraceEvent::Call {
+                pc: 4,
+                callee: "feistel",
+                cycle: 99,
+            },
+            TraceEvent::Ret { pc: 5, cycle: 120 },
+        ];
+        for ev in events {
+            let owned: TraceEvent<String> = ev.map_names(|&n| n.to_owned());
+            assert_eq!(owned.map_names(String::as_str), ev);
+        }
     }
 
     #[test]
@@ -443,18 +315,6 @@ mod tests {
         s.on_event(&retire(0, 1));
         s.on_event(&retire(1, 2));
         assert_eq!(s.events().len(), 2);
-        assert_eq!(s.events()[1].as_event().cycle(), 2);
-    }
-
-    #[test]
-    fn tee_duplicates_events() {
-        let mut a = VecSink::new();
-        let mut b = VecSink::new();
-        {
-            let mut tee = TeeSink::new(vec![&mut a, &mut b]);
-            tee.on_event(&retire(0, 5));
-        }
-        assert_eq!(a.events().len(), 1);
-        assert_eq!(b.events().len(), 1);
+        assert_eq!(s.events()[1].cycle(), 2);
     }
 }

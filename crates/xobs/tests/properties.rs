@@ -8,7 +8,7 @@ use xobs::attrib::Attribution;
 use xobs::bintrace::{decode_trace, BinaryTraceWriter};
 use xobs::json::{self, Json};
 use xobs::span::{validate_span_json, Spans};
-use xobs::trace::{CacheSide, OwnedEvent, TraceSink};
+use xobs::trace::{CacheSide, TraceEvent, TraceSink};
 
 /// A strategy producing arbitrary JSON trees of bounded depth.
 fn arb_json() -> impl Strategy<Value = Json> {
@@ -37,7 +37,7 @@ fn arb_json() -> impl Strategy<Value = Json> {
 
 /// A strategy for well-nested Call/Ret sequences with monotone cycles.
 /// Returns the events plus the final cycle stamp.
-fn arb_callret() -> impl Strategy<Value = (Vec<OwnedEvent>, u64)> {
+fn arb_callret() -> impl Strategy<Value = (Vec<TraceEvent<String>>, u64)> {
     prop::collection::vec((any::<u8>(), 1u64..50), 1..60).prop_map(|ops| {
         let names = ["modexp", "mul", "redc", "sq", "helper"];
         let mut events = Vec::new();
@@ -49,14 +49,14 @@ fn arb_callret() -> impl Strategy<Value = (Vec<OwnedEvent>, u64)> {
             // both trees and towers occur.
             let do_call = depth == 0 || (!(sel as usize).is_multiple_of(3) && depth < 12);
             if do_call {
-                events.push(OwnedEvent::Call {
+                events.push(TraceEvent::Call {
                     pc: depth as u32,
                     callee: names[sel as usize % names.len()].to_owned(),
                     cycle,
                 });
                 depth += 1;
             } else {
-                events.push(OwnedEvent::Ret {
+                events.push(TraceEvent::Ret {
                     pc: depth as u32,
                     cycle,
                 });
@@ -66,7 +66,7 @@ fn arb_callret() -> impl Strategy<Value = (Vec<OwnedEvent>, u64)> {
         // Close every open frame.
         while depth > 0 {
             cycle += 1;
-            events.push(OwnedEvent::Ret {
+            events.push(TraceEvent::Ret {
                 pc: depth as u32,
                 cycle,
             });
@@ -206,10 +206,10 @@ proptest! {
         let (events, _) = events;
         let mut w = BinaryTraceWriter::new(Vec::new()).unwrap();
         for ev in &events {
-            w.on_event(&ev.as_event());
+            w.on_event(&ev.map_names(String::as_str));
         }
         // Mix in non-call events to cover every record tag.
-        w.on_event(&xobs::trace::TraceEvent::Cache {
+        w.on_event(&TraceEvent::Cache {
             side: CacheSide::Data,
             addr: 0x40,
             hit: false,
@@ -219,7 +219,7 @@ proptest! {
         let decoded = decode_trace(&bytes).unwrap();
         prop_assert_eq!(decoded.len(), events.len() + 1);
         for (d, e) in decoded.iter().zip(&events) {
-            prop_assert_eq!(&d.as_event(), &e.as_event());
+            prop_assert_eq!(d, e);
         }
     }
 
@@ -236,13 +236,13 @@ proptest! {
         let mut start = 0u64;
         for ev in &events {
             match ev {
-                OwnedEvent::Call { cycle, .. } => {
+                TraceEvent::Call { cycle, .. } => {
                     if depth == 0 {
                         start = *cycle;
                     }
                     depth += 1;
                 }
-                OwnedEvent::Ret { cycle, .. } => {
+                TraceEvent::Ret { cycle, .. } => {
                     depth -= 1;
                     if depth == 0 {
                         expected_total += cycle - start;
@@ -250,7 +250,7 @@ proptest! {
                 }
                 _ => {}
             }
-            attr.on_event(&ev.as_event());
+            attr.on_event(&ev.map_names(String::as_str));
         }
         prop_assert_eq!(attr.open_frames(), 0);
         prop_assert_eq!(attr.unmatched_rets(), 0);

@@ -4,8 +4,6 @@
 //! cache. Only timing is modeled (hit/miss); data always comes from the
 //! backing [`crate::mem::Memory`].
 
-use xobs::trace::{CacheSide, TraceEvent, TraceSink};
-
 /// Geometry of one cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -260,33 +258,6 @@ impl Cache {
             }
             None => false,
         }
-    }
-
-    /// Performs one access like [`Cache::access`], charging
-    /// `miss_latency` extra cycles on a miss and emitting a
-    /// [`TraceEvent::Cache`] stamped with the post-access cycle counter.
-    /// Returns `(hit, cycle_after)`.
-    pub fn access_traced(
-        &mut self,
-        addr: u64,
-        side: CacheSide,
-        cycle: u64,
-        miss_latency: u32,
-        sink: &mut dyn TraceSink,
-    ) -> (bool, u64) {
-        let hit = self.access(addr);
-        let cycle = if hit {
-            cycle
-        } else {
-            cycle + miss_latency as u64
-        };
-        sink.on_event(&TraceEvent::Cache {
-            side,
-            addr,
-            hit,
-            cycle,
-        });
-        (hit, cycle)
     }
 }
 

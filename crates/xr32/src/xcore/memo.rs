@@ -990,7 +990,7 @@ mod tests {
     use crate::cpu::{Cpu, RunSummary};
     use crate::ext::CustomInsnDef;
     use crate::isa::UserReg;
-    use xobs::trace::{OwnedEvent, VecSink};
+    use xobs::trace::{TraceEvent, VecSink};
 
     /// Three constant-time kernels — `add` (`rp[i] = ap[i] + bp[i]`,
     /// keyed on its four arguments, `sp` and `ra`), `sum` (`s` plus the
@@ -1182,7 +1182,7 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
 
         /// Calls `label` on both cores, each with its own sink when
         /// `traced`, and checks they agree.
-        fn call(&mut self, label: &str, args: &[u32], traced: bool) -> Vec<OwnedEvent> {
+        fn call(&mut self, label: &str, args: &[u32], traced: bool) -> Vec<TraceEvent<String>> {
             let entry = self.prog.label(label).unwrap();
             let mut sinks = (VecSink::new(), VecSink::new());
             let (m, p) = if traced {
@@ -1283,7 +1283,7 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
         fn walk(&mut self, targets: &[u32]) {
             self.write(TABLE, targets);
             let events = self.call("walk", &[TABLE, targets.len() as u32], true);
-            assert!(events.iter().any(|e| matches!(e, OwnedEvent::Cache { .. })));
+            assert!(events.iter().any(|e| matches!(e, TraceEvent::Cache { .. })));
         }
 
         /// A walk over `count` random word addresses near the kernel's

@@ -244,8 +244,16 @@ impl<'a> Tracer<'a> {
                 hit
             }
             Some(s) => {
-                let (hit, after) = cache.access_traced(addr, side, *cycles, miss_latency, s);
-                *cycles = after;
+                let hit = cache.access(addr);
+                if !hit {
+                    *cycles += miss_latency as u64;
+                }
+                s.on_event(&TraceEvent::Cache {
+                    side,
+                    addr,
+                    hit,
+                    cycle: *cycles,
+                });
                 hit
             }
         }

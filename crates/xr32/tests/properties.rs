@@ -217,12 +217,12 @@ proptest! {
     ) {
         let p = random_program(&values, n);
         let mut cpu = Cpu::new(CpuConfig::default());
+        let mut sink = VecSink::new();
+        cpu.run_traced(&p, Some(&mut sink)).expect("halts");
         let mut attr = Attribution::new();
         let mut stats = EventStats::new();
-        {
-            let mut tee = xobs::trace::TeeSink::new(vec![&mut attr, &mut stats]);
-            cpu.run_traced(&p, Some(&mut tee)).expect("halts");
-        }
+        xobs::bintrace::replay(sink.events(), &mut attr);
+        xobs::bintrace::replay(sink.events(), &mut stats);
         let total = cpu.cycles();
         prop_assert_eq!(attr.open_frames(), 0);
         prop_assert_eq!(attr.unmatched_rets(), 0);

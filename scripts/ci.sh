@@ -30,6 +30,11 @@ for hot in subshift mixcols addkey; do
     exit 1
   fi
 done
+# Custom-instruction names survive write, read and replay, and the RSA
+# attribution root equals the total ISS cycles through IssMpn's shared sink.
+target/release/xr32-trace record aes-accel "$TRACE" 2
+target/release/xr32-trace summary "$TRACE" | awk '/^custom dispatches/ { c = 1 } c && $1 == "aesround" { f = 1 } END { exit !f }'
+target/release/xr32-trace rsa-attrib 256 >/dev/null
 
 # Determinism gate: the parallel methodology engine must produce
 # byte-identical reports (modulo host-timing fields, stripped by

@@ -154,9 +154,9 @@ mpn_add_n:
 // fault draw fails here.
 
 mod golden {
+    use wsp::kreg::kernels::mpn;
     use wsp::kreg::{self, id, KernelId, LibKind};
     use wsp::secproc::insns::mpn_extension_set;
-    use wsp::secproc::kernels::mpn;
     use wsp::xr32::asm::{assemble, Program};
     use wsp::xr32::config::CpuConfig;
     use wsp::xr32::{Cpu, ExtensionSet, Fidelity, RunSummary};

@@ -4,8 +4,9 @@
 
 use std::collections::BTreeSet;
 
+use wsp::kreg::kernels::{mpn, sha};
 use wsp::secproc::insns::{cipher_extension_set, mpn_extension_set};
-use wsp::secproc::kernels::{aes, des, mpn, sha};
+use wsp::secproc::kernels::{aes, des};
 use wsp::tie::insn::CustomInsn;
 use wsp::xlint::{analyze_source, Report, Rule, SecretSpec};
 use wsp::xr32::asm::assemble;
