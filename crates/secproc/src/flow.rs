@@ -2045,9 +2045,7 @@ mod tests {
                 stats
             });
             for s in runs {
-                total.calls += s.calls;
-                total.replays += s.replays;
-                total.tabled += s.tabled;
+                total += s;
             }
         }
         total
@@ -2069,6 +2067,19 @@ mod tests {
             mac_lanes: 2,
         };
         let stats = memo_equals_plain(variant, &[64]);
+        assert!(stats.replays > 0 && stats.tabled > 0, "{stats:?}");
+    }
+
+    /// Every candidate at 128 bits on another accelerated library. CI
+    /// runs it in release mode.
+    #[test]
+    #[ignore = "slow in a debug build; scripts/ci.sh runs it in release mode"]
+    fn memoized_accelerated_cosimulation_equals_the_plain_model_at_128_bits() {
+        let variant = KernelVariant::Accelerated {
+            add_lanes: 8,
+            mac_lanes: 1,
+        };
+        let stats = memo_equals_plain(variant, &[128]);
         assert!(stats.replays > 0 && stats.tabled > 0, "{stats:?}");
     }
 
@@ -2095,6 +2106,37 @@ mod tests {
             let _ = (iss.arch_state32(), iss.arch_state16());
             assert!(iss.memo_stats().reexecuted_insns > 0, "{candidate}: a read");
         }
+    }
+
+    /// The timed run repeats every `div_qhat` call of the warm-up with
+    /// the same five inputs on the same core, so it applies them from
+    /// their records instead of executing them.
+    #[test]
+    fn the_timed_run_replays_the_warm_ups_div_qhat_calls() {
+        use pubkey::space::MulAlgo;
+        let Workload { m, base, exp } = Workload::new(128);
+        let budget = FaultPolicy::default().cycle_budget;
+        let candidate = ModExpConfig::enumerate()
+            .into_iter()
+            .find(|c| c.mul == MulAlgo::MulDiv)
+            .expect("a muldiv candidate");
+        let mut iss = armed(IssMpn::base(CpuConfig::default()), budget, None);
+        iss.memoize_calls();
+        let mut cache = ExpCache::new();
+        iss.warm_up(|iss| mod_exp(iss, &base, &exp, &m, &candidate, &mut cache))
+            .expect("warms up");
+        let warm = iss.memo_stats();
+        mod_exp(&mut iss, &base, &exp, &m, &candidate, &mut cache).expect("runs");
+        let all = iss.memo_stats();
+        let calls = MpnOps::<u32>::call_count(&iss, kreg::id::DIV_QHAT);
+        assert!(calls > 100, "{candidate}: {calls} div_qhat calls");
+        // Every timed call consulted the memo; those not replayed ran.
+        let executed = (all.calls - warm.calls) - (all.replays - warm.replays);
+        assert!(
+            10 * executed < calls,
+            "{candidate}: {executed} calls of {calls} executed: {warm:?} then {all:?}"
+        );
+        assert_eq!(all.reexecuted_insns, 0, "{candidate}: {all:?}");
     }
 
     fn quick_options() -> CharactOptions {

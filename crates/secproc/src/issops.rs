@@ -255,10 +255,17 @@ impl IssMpn {
     /// and `a0`, so memory stays exact; the other registers a replay
     /// wrote are re-executed when read. A `div_qhat` call is timed from
     /// a cost table proven for the core's configuration on its first
-    /// call, where the proof holds. The memo serves warm-up and timed
-    /// calls alike, and declines calls on an out-of-order core, with a
-    /// trace sink attached or a fault plan armed. Co-simulation arms
-    /// it; every other user keeps the plain timing model.
+    /// call, where the proof holds, and a call whose five inputs an
+    /// earlier tabled call on the same core had is applied from that
+    /// call's record without executing. Such a replay writes the
+    /// recorded registers, so `a0` is exact and read (and verified) as
+    /// after an executed call. The timed run of a co-simulation repeats
+    /// its warm-up's `div_qhat` calls, so it executes almost none of
+    /// them; the records die with the provider. The memo serves
+    /// warm-up and timed calls alike, and declines calls on an
+    /// out-of-order core, with a trace sink attached or a fault plan
+    /// armed. Co-simulation arms it; every other user keeps the plain
+    /// timing model.
     ///
     /// Only for the bundled kernel libraries: the memo's exactness
     /// rests on their lint proofs, which
@@ -273,15 +280,9 @@ impl IssMpn {
     /// replayed, re-executed and tabled (all zero unless co-simulation
     /// armed them).
     pub fn memo_stats(&self) -> MemoStats {
-        let (a, b) = (self.s32.memo_stats(), self.s16.memo_stats());
-        MemoStats {
-            calls: a.calls + b.calls,
-            replays: a.replays + b.replays,
-            replayed_insns: a.replayed_insns + b.replayed_insns,
-            reexecuted_insns: a.reexecuted_insns + b.reexecuted_insns,
-            tabled: a.tabled + b.tabled,
-            tabled_insns: a.tabled_insns + b.tabled_insns,
-        }
+        let mut stats = self.s32.memo_stats();
+        stats += self.s16.memo_stats();
+        stats
     }
 
     /// Makes the first recorded kernel error end the simulation: the
@@ -793,7 +794,7 @@ impl IssMpn {
         }
         let args = [n2, n1, n0, d1, d0].map(|l| l.to_u64() as u32);
         let q = self.call::<L>(slot::DIV_QHAT, &args);
-        let q = L::from_u64(q.expect("a register-only call executes") as u64);
+        let q = L::from_u64(q.expect("a register-only call is never skipped") as u64);
         if self.verify {
             let expect = golden()(n2, n1, n0, d1, d0);
             if q != expect {

@@ -1,9 +1,11 @@
 //! The call memo's cost table times `div_qhat` without the in-order
-//! timing model. The walk must prove every bundled library's
-//! `div_qhat` on the default core, and a tabled call must leave every
-//! cycle, register, retired count, cache statistic and later hit or
-//! miss exactly where the plain model leaves it — on every core
-//! configuration, the ones the walk rejects included.
+//! timing model, and replays a call whose inputs an earlier tabled call
+//! had from that call's record. The walk must prove every bundled
+//! library's `div_qhat` on the default core, and a tabled or replayed
+//! call must leave every cycle, register, retired count, cache
+//! statistic and later hit or miss exactly where the plain model leaves
+//! it — on every core configuration, the ones the walk rejects
+//! included.
 
 use kreg::kernels::mpn as kmpn;
 use kreg::KernelVariant;
@@ -15,7 +17,7 @@ use std::collections::BTreeSet;
 use xobs::trace::{TraceEvent, VecSink};
 use xr32::cpu::RunSummary;
 use xr32::xcore::memo::cost_table_proves;
-use xr32::xcore::CallMemo;
+use xr32::xcore::{CallMemo, MemoStats};
 use xr32::{assemble, CacheConfig, Cpu, CpuConfig, ExtensionSet, Program};
 
 /// A library: its source, limb width and extension set.
@@ -123,8 +125,8 @@ impl Pair {
         }
     }
 
-    fn tabled(&self) -> u64 {
-        self.memo.call_memo().unwrap().stats().tabled
+    fn stats(&self) -> MemoStats {
+        self.memo.call_memo().unwrap().stats()
     }
 
     /// Calls `label` of the library (or of the walk) on both cores,
@@ -167,11 +169,10 @@ impl Pair {
         }
     }
 
-    /// `div_qhat` on inputs of class `case` (see [`operands`]); checks
-    /// the quotient against the reference. Returns the instruction
-    /// count, or `None` if the call failed.
-    fn div_qhat(&mut self, rng: &mut StdRng, case: u32, traced: bool) -> Option<u64> {
-        let args = operands(rng, self.bits, case);
+    /// `div_qhat` on `args`; checks the quotient against the
+    /// reference. Returns the instruction count, or `None` if the call
+    /// failed.
+    fn div_qhat(&mut self, args: [u32; 5], traced: bool) -> Option<u64> {
         let summary = self.call(false, "div_qhat", &args, traced)?;
         assert_eq!(self.memo.reg(0), reference(self.bits, args), "{args:x?}");
         Some(summary.instructions)
@@ -268,30 +269,42 @@ fn tabled_div_qhat_calls_equal_the_plain_model() {
             assert_eq!(proven, config.has_mul, "{} on config {c}", library.name);
             let mut rng = StdRng::seed_from_u64(c as u64);
             let mut paths = BTreeSet::new();
-            for _ in 0..240 {
-                match rng.random_range(0..11) {
+            // The operand sets of earlier calls, which later calls repeat.
+            let mut used = Vec::new();
+            for _ in 0..300 {
+                match rng.random_range(0..14) {
                     0..=5 => {
                         let case = rng.random_range(0..4);
-                        paths.extend(pair.div_qhat(&mut rng, case, false));
+                        let args = operands(&mut rng, pair.bits, case);
+                        used.push(args);
+                        paths.extend(pair.div_qhat(args, false));
                     }
-                    6..=7 => {
+                    6..=8 if !used.is_empty() => {
+                        let args = used[rng.random_range(0..used.len())];
+                        pair.div_qhat(args, false);
+                    }
+                    9..=10 => {
                         let n = rng.random_range(1..6);
                         pair.add_n(&mut rng, n);
                     }
-                    8..=9 => {
+                    11..=12 => {
                         let count = rng.random_range(1..8);
                         pair.walk(&mut rng, count);
                     }
                     _ => {
-                        pair.div_qhat(&mut rng, 3, true);
+                        let args = operands(&mut rng, pair.bits, 3);
+                        pair.div_qhat(args, true);
                     }
                 }
             }
             let what = format!("{} on config {c}", library.name);
-            assert_eq!(pair.tabled() > 0, proven, "{what}");
+            let stats = pair.stats();
+            assert_eq!(stats.tabled > 0, proven, "{what}: {stats:?}");
+            assert_eq!(stats.replays > 0, proven, "{what}: {stats:?}");
             assert_eq!(paths.len() > 4, proven, "{what}: {paths:?}");
             pair.walk(&mut rng, 32);
-            pair.div_qhat(&mut rng, 3, true);
+            let args = operands(&mut rng, pair.bits, 3);
+            pair.div_qhat(args, true);
         }
     }
 }

@@ -16,8 +16,9 @@
 //!
 //! A core with a [`CallMemo`] attached ([`Cpu::set_call_memo`])
 //! accounts known constant-time kernel calls without executing them,
-//! runs proven register-only ones on the functional executor instead,
-//! and applies the in-order model's cost of each
+//! runs proven register-only ones on the functional executor instead
+//! (or applies a record of an earlier call with the same live-in
+//! registers), and applies the in-order model's cost of each
 //! ([`crate::xcore::memo`]). The registers a call it did not execute
 //! wrote are made exact when read.
 //!
@@ -106,7 +107,7 @@ impl std::error::Error for SimError {
 }
 
 /// Executed-instruction counts by class, for workload analysis.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct ClassCounts {
     /// ALU and move instructions.
     pub alu: u64,
@@ -332,7 +333,9 @@ impl Cpu {
     /// fault plan, is replayed from the memo when its key is known and
     /// its footprint resident, and recorded otherwise; a call of a
     /// register-only entry is timed from its proven cost table when its
-    /// code is resident. Every cycle, cache statistic and later hit or
+    /// code is resident, or applied from the record of an earlier
+    /// tabled call with the same live-in registers, which writes the
+    /// registers it wrote. Every cycle, cache statistic and later hit or
     /// miss is the plain model's (see [`crate::xcore::memo`]). A
     /// replayed call of a keyed entry does not execute: the registers
     /// it writes are made exact when read, and its caller writes its

@@ -3,7 +3,8 @@
 //!
 //! A memo serves two kinds of declared entry. It accounts a keyed call
 //! it has seen before without executing it, and runs a register-only
-//! call on the functional executor without the in-order timing model;
+//! call on the functional executor without the in-order timing model,
+//! or applies the record of an earlier one with the same inputs;
 //! either way it applies exactly the effects the model would have had.
 //! Every other call of a declared entry runs the plain timed model.
 //!
@@ -98,8 +99,28 @@
 //! and the cycles added. The ready times the plain model would have set
 //! all lie at or before the exit clock, where the model cannot tell
 //! them from the earlier ones left in place: a ready time only ever
-//! delays an op to `max(clock, ready)`. No per-call record or key is
-//! kept.
+//! delays an op to `max(clock, ready)`.
+//!
+//! **Records.** The walk proves more than constant costs: a tabled
+//! call's cycles, fetches and I-lines are a function of its path, and a
+//! register-only routine's path and outputs are a function of its
+//! live-in registers (the registers, and the carry, some path reads
+//! before writing them). So each tabled call that returns is recorded,
+//! keyed on those values: its cycles, its fetch count, its I-lines in
+//! last-touch order, its class counts, its write set and the exit
+//! values of the registers and carry it wrote. A later call with the
+//! same live-ins, under the fast path's conditions and with fuel for
+//! the record's count, does not execute: the record is applied exactly
+//! as a tabled call's effects are (hits counted, lines re-touched,
+//! cycles added), the recorded registers and carry are written and
+//! their stale marks cleared. Unlike a keyed replay, the registers are
+//! exact at once, so nothing is left for the caller to compute or for
+//! a read to re-execute. A routine may meet thousands of distinct
+//! inputs on one core, and their paths are far fewer, so the records
+//! are packed: each keeps its live-in values, the number of its path,
+//! whose effects are kept once, and the exit values of the registers
+//! the routine can write. A memo keeps every record for as long as it
+//! lives.
 //!
 //! # Why the re-touch is exact
 //!
@@ -125,6 +146,7 @@ use crate::xjit::{
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::AddAssign;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How often a core's memo was consulted and how it served the calls.
@@ -132,7 +154,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct MemoStats {
     /// Calls of declared entries that consulted the memo.
     pub calls: u64,
-    /// Of those, calls of keyed entries replayed from a record.
+    /// Of those, calls replayed from a record: calls of keyed entries
+    /// with a known key, and calls of tabled register-only entries with
+    /// known live-in values.
     pub replays: u64,
     /// Instructions replayed calls accounted for without executing
     /// (a replay of a path with a custom op executes, and is not
@@ -140,11 +164,22 @@ pub struct MemoStats {
     pub replayed_insns: u64,
     /// Instructions re-executed to make registers exact on demand.
     pub reexecuted_insns: u64,
-    /// Of the calls, calls of register-only entries timed from their
-    /// cost table.
+    /// Of the calls, calls of register-only entries that executed,
+    /// timed from their cost table (replays are not counted here).
     pub tabled: u64,
     /// Instructions executed by tabled calls.
     pub tabled_insns: u64,
+}
+
+impl AddAssign for MemoStats {
+    fn add_assign(&mut self, other: MemoStats) {
+        self.calls += other.calls;
+        self.replays += other.replays;
+        self.replayed_insns += other.replayed_insns;
+        self.reexecuted_insns += other.reexecuted_insns;
+        self.tabled += other.tabled;
+        self.tabled_insns += other.tabled_insns;
+    }
 }
 
 /// A per-core memo of constant-time and register-only kernel calls (see
@@ -187,8 +222,8 @@ enum Serve {
     Keyed(u16),
     /// Register-only, not yet walked.
     Unproven,
-    /// Register-only and proven.
-    Tabled(CostTable),
+    /// Register-only and proven, with the records of its calls.
+    Tabled(CostTable, Records),
     /// Register-only, but its costs are not constant on this core.
     Rejected,
 }
@@ -340,6 +375,8 @@ struct CostTable {
     /// The registers (bit 16: the carry) some path reads before
     /// writing them.
     inputs: u32,
+    /// The registers (bit 16: the carry) some op writes.
+    outputs: u32,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -430,11 +467,13 @@ impl CostTable {
                 line: lines.binary_search(&line_of(pc)).expect("listed") as u8,
             };
         }
+        let outputs = ops.iter().fold(0, |m, op| m | op.writes);
         Some(CostTable {
             base,
             ops: ops.into(),
             lines: lines.into(),
             inputs: live_in(prog, &nodes, entry),
+            outputs,
         })
     }
 }
@@ -495,15 +534,124 @@ pub fn cost_table_proves(program: &Program, entry: usize, config: &CpuConfig) ->
     CostTable::prove(program, &prog, entry, config).is_some()
 }
 
+/// What a tabled call does: its cycles, its fetches (every one a hit),
+/// the distinct I-lines it fetched in last-touch order and the
+/// registers (bit 16: the carry) it writes.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+struct TabledRun {
+    cycles: u64,
+    fetches: u64,
+    lines: Box<[u64]>,
+    writes: u32,
+}
+
+impl TabledRun {
+    /// Leaves `t` as the call leaves it: counts the hits, re-touches the
+    /// lines in last-touch order and adds the cycles.
+    fn apply(&self, t: &mut Timing) {
+        t.icache.add_hits(self.fetches);
+        for &line in self.lines.iter() {
+            t.icache.touch(line);
+        }
+        t.cycles += self.cycles;
+    }
+}
+
+/// The records of a proven routine's calls that returned (see the
+/// module docs), packed into one flat table: a routine may be called
+/// with thousands of distinct inputs on one core, and a call's path
+/// is one of far fewer.
+#[derive(Debug)]
+struct Records {
+    /// The routine's live-in registers and the registers it can write
+    /// (bit 16: the carry).
+    inputs: u32,
+    outputs: u32,
+    /// Per record, `stride` words: the live-in values in register
+    /// order (the carry as 0 or 1), the number of the record's path and
+    /// the exit values of the registers the routine can write.
+    words: Vec<u32>,
+    stride: usize,
+    /// A record's number by a hash of its live-in values; of records
+    /// whose live-ins hash alike, the latest.
+    index: HashMap<u64, u32, BuildHasherDefault<KeyHasher>>,
+    /// The distinct paths, by number.
+    paths: Vec<Path>,
+    numbers: HashMap<Path, u32>,
+}
+
+/// What a tabled call that returned did, and its class counts.
+type Path = (TabledRun, ClassCounts);
+
+/// A call's live-in values (as many as the routine has, then zeros)
+/// and their hash.
+type LiveIns = ([u32; 17], u64);
+
+/// The values of the registers of `mask` (bit 16: the carry, as 0 or
+/// 1) in `arch`, in register order.
+fn values(mask: u32, arch: &Arch) -> impl Iterator<Item = u32> + '_ {
+    bits(mask).map(|r| arch.regs.get(r).copied().unwrap_or(u32::from(arch.carry)))
+}
+
+impl Records {
+    fn new(table: &CostTable) -> Self {
+        let (inputs, outputs) = (table.inputs, table.outputs);
+        Records {
+            inputs,
+            outputs,
+            words: Vec::new(),
+            stride: (inputs.count_ones() + 1 + outputs.count_ones()) as usize,
+            index: HashMap::default(),
+            paths: Vec::new(),
+            numbers: HashMap::new(),
+        }
+    }
+
+    /// The live-in values of a call on `arch`.
+    fn key(&self, arch: &Arch) -> LiveIns {
+        let mut live = [0; 17];
+        let mut hasher = KeyHasher::default();
+        for (v, value) in live.iter_mut().zip(values(self.inputs, arch)) {
+            *v = value;
+            hasher.write_u32(value);
+        }
+        (live, hasher.finish())
+    }
+
+    /// The record of a call with live-in values `live`: its path and
+    /// its exit values.
+    fn find(&self, (live, hash): &LiveIns) -> Option<(&Path, &[u32])> {
+        let n = self.inputs.count_ones() as usize;
+        let at = *self.index.get(hash)? as usize * self.stride;
+        let rec = &self.words[at..at + self.stride];
+        (rec[..n] == live[..n]).then(|| (&self.paths[rec[n] as usize], &rec[n + 1..]))
+    }
+
+    /// Records a call with live-in values `live` that took `path` and
+    /// left `arch`.
+    fn insert(&mut self, (live, hash): LiveIns, path: Path, arch: &Arch) {
+        let paths = &mut self.paths;
+        let number = *self.numbers.entry(path).or_insert_with_key(|path| {
+            paths.push(path.clone());
+            paths.len() as u32 - 1
+        });
+        let record =
+            u32::try_from(self.words.len() / self.stride).expect("fewer than 2^32 records");
+        let n = self.inputs.count_ones() as usize;
+        self.words.extend_from_slice(&live[..n]);
+        self.words.push(number);
+        self.words.extend(values(self.outputs, arch));
+        self.index.insert(hash, record);
+    }
+}
+
 /// The model of a tabled call: adds each op's tabled cost, notes the
 /// last fetch of each I-line and collects the registers written, then
-/// applies the call to the core's timing state and stores the write set
-/// in `written` when the run ends (in error too, as the plain model
-/// charges every op it retired).
+/// stores the call's [`TabledRun`] in `out` when the run ends (in error
+/// too, as the plain model charges every op it retired).
 struct Tabled<'a> {
     table: &'a CostTable,
-    timing: &'a mut Timing,
-    written: &'a mut u32,
+    out: &'a mut TabledRun,
     writes: u32,
     cycles: u64,
     fetches: u64,
@@ -530,9 +678,6 @@ impl TimingModel for Tabled<'_> {
     }
 
     fn finish(self, _: Option<usize>) {
-        *self.written = self.writes;
-        let t = self.timing;
-        t.icache.add_hits(self.fetches);
         let mut order = [(0u32, 0u64); MAX_LINES];
         let mut n = 0;
         for (&run, &line) in self.last.iter().zip(self.table.lines.iter()) {
@@ -542,10 +687,74 @@ impl TimingModel for Tabled<'_> {
             }
         }
         order[..n].sort_unstable();
-        for &(_, line) in &order[..n] {
-            t.icache.touch(line);
+        *self.out = TabledRun {
+            cycles: self.cycles,
+            fetches: self.fetches,
+            lines: order[..n].iter().map(|&(_, line)| line).collect(),
+            writes: self.writes,
+        };
+    }
+}
+
+impl CostTable {
+    /// Serves a call of the routine: replays its record when the
+    /// pipeline is settled, every line the routine can fetch is
+    /// resident, its live-ins are known and the fuel covers the
+    /// record's count; runs it tabled under the first two conditions
+    /// (and records it if it returns), else on the plain timed model.
+    /// Returns the outcome and the registers written.
+    fn serve(
+        &self,
+        records: &mut Records,
+        stats: &mut MemoStats,
+        mut call: MemoCall<'_>,
+    ) -> (Result<ClassCounts, SimError>, u32) {
+        let t = &*call.timing;
+        if !(self.lines.iter().all(|&l| t.icache.holds(l)) && call.settled()) {
+            return call.timed(None);
         }
-        t.cycles += self.cycles;
+        let key = records.key(call.arch);
+        let known = records.find(&key);
+        if let Some(((run, classes), exits)) = known {
+            if classes.total() <= call.fuel {
+                run.apply(call.timing);
+                let arch = &mut *call.arch;
+                for (r, &v) in bits(records.outputs).zip(exits) {
+                    if run.writes >> r & 1 != 0 {
+                        match arch.regs.get_mut(r) {
+                            Some(reg) => *reg = v,
+                            None => arch.carry = v != 0,
+                        }
+                    }
+                }
+                stats.replays += 1;
+                stats.replayed_insns += classes.total();
+                return (Ok(*classes), run.writes);
+            }
+        }
+        let known = known.is_some();
+        let mut run = TabledRun::default();
+        let model = Tabled {
+            table: self,
+            out: &mut run,
+            writes: 0,
+            cycles: 0,
+            fetches: 0,
+            line: usize::MAX,
+            last: [0; MAX_LINES],
+            runs: 0,
+        };
+        let out = xjit::run(call.prog, call.entry, call.arch, call.fuel, None, model);
+        run.apply(call.timing);
+        let writes = run.writes;
+        stats.tabled += 1;
+        if let Ok(classes) = out {
+            stats.tabled_insns += classes.total();
+            if !known {
+                records.insert(key, (run, classes), call.arch);
+            }
+        }
+        (out, writes)
     }
 }
 
@@ -663,9 +872,10 @@ impl CallMemo {
     }
 
     /// Declares `program`'s routine at `entry` register-only: its calls
-    /// are timed from a cost table, proven on the first call (see the
-    /// module docs). A routine the proof rejects keeps the plain model,
-    /// so any routine may be declared.
+    /// are timed from a cost table, proven on the first call, or
+    /// replayed from the record of an earlier call with the same
+    /// live-in registers (see the module docs). A routine the proof
+    /// rejects keeps the plain model, so any routine may be declared.
     pub fn declare_register_only(&mut self, program: &Program, entry: usize) {
         self.declare_as(program, entry, 0, Serve::Unproven);
     }
@@ -714,9 +924,10 @@ impl CallMemo {
         }
     }
 
-    /// Serves `call` from a record or a cost table, or runs it timed
-    /// (and records it if it is the first call of a keyed entry with
-    /// its key). `None` when the entry is undeclared.
+    /// Serves `call` from a record or a cost table, or runs it timed,
+    /// and records it if it is the first call of a keyed entry with
+    /// its key or a tabled call that returns. `None` when the entry is
+    /// undeclared.
     pub(crate) fn call(&mut self, call: MemoCall<'_>) -> Option<Served> {
         let fp = call.program.fingerprint();
         let ix = self
@@ -727,13 +938,16 @@ impl CallMemo {
         if let Serve::Unproven = declared.serve {
             declared.serve =
                 match CostTable::prove(call.program, call.prog, call.entry, call.config) {
-                    Some(table) => Serve::Tabled(table),
+                    Some(table) => {
+                        let records = Records::new(&table);
+                        Serve::Tabled(table, records)
+                    }
                     None => Serve::Rejected,
                 };
         }
         // A rejected routine may read anything.
         let inputs = match &declared.serve {
-            Serve::Tabled(table) => table.inputs,
+            Serve::Tabled(table, _) => table.inputs,
             Serve::Rejected => ALL,
             _ => declared.inputs,
         };
@@ -741,37 +955,13 @@ impl CallMemo {
         if stale != 0 {
             return Some(Served::Settle(stale));
         }
-        let served = match &declared.serve {
+        let served = match &mut declared.serve {
             Serve::Keyed(mask) => {
                 let mask = *mask;
                 self.keyed(fp, mask, call)
             }
-            Serve::Tabled(table) => {
-                let t = &*call.timing;
-                let resident = table.lines.iter().all(|&l| t.icache.holds(l));
-                let (out, writes) = if resident && call.settled() {
-                    let mut writes = 0;
-                    let model = Tabled {
-                        table,
-                        timing: call.timing,
-                        written: &mut writes,
-                        writes: 0,
-                        cycles: 0,
-                        fetches: 0,
-                        line: usize::MAX,
-                        last: [0; MAX_LINES],
-                        runs: 0,
-                    };
-                    let out = xjit::run(call.prog, call.entry, call.arch, call.fuel, None, model);
-                    self.stats.tabled += 1;
-                    if let Ok(classes) = &out {
-                        self.stats.tabled_insns += classes.total();
-                    }
-                    (out, writes)
-                } else {
-                    let mut call = call;
-                    call.timed(None)
-                };
+            Serve::Tabled(table, records) => {
+                let (out, writes) = table.serve(records, &mut self.stats, call);
                 self.stale &= !writes;
                 Served::Ran(out)
             }
@@ -997,9 +1187,10 @@ mod tests {
     /// sum of `ap`'s limbs, with `s` secret) and `twice` (one limb
     /// doubled by a custom op through a user register) —, a routine
     /// loading through a table of addresses, one that returns with a
-    /// multiply still in flight on a slow multiplier, and a
-    /// register-only one (`div`, a bit-serial restoring division whose
-    /// path depends on its data).
+    /// multiply still in flight on a slow multiplier, and two
+    /// register-only ones: `div`, a bit-serial restoring division whose
+    /// path depends on its data, and `pick`, whose two paths write
+    /// different registers, one of them the carry.
     const SOURCE: &str = "
 add:                       ; a0=rp a1=ap a2=bp a3=n -> a0=carry
     movi a6, 0
@@ -1072,6 +1263,14 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
     mul  a5, a2, a1
     mov  a0, a2
     mov  a1, a3
+    ret
+pick:                      ; a0=x a1=y -> a2=x+y, carry out if x < y; else a3=x
+    bltu a0, a1, .pick_add
+    mov  a3, a0
+    ret
+.pick_add:
+    clc
+    addc a2, a0, a1
     ret
 ";
 
@@ -1152,6 +1351,7 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
             let twice = prog.label("twice").unwrap();
             table.declare_computed(&prog, twice, &regs(&[0, 1, 14, 15]), &[]);
             table.declare_register_only(&prog, prog.label("div").unwrap());
+            table.declare_register_only(&prog, prog.label("pick").unwrap());
             memo.set_call_memo(Some(table));
             Pair {
                 prog,
@@ -1296,11 +1496,21 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
         }
 
         /// `div` of a random numerator by a random divisor with its top
-        /// bit set, checked against the host's division.
+        /// bit set.
         fn div(&mut self, rng: &mut Rng) {
-            let (n, d) = (rng.next() as u32, rng.next() as u32 | 1 << 31);
+            self.div_of(rng.next() as u32, rng.next() as u32 | 1 << 31);
+        }
+
+        /// `div` of `n` by `d`, checked against the host's division.
+        fn div_of(&mut self, n: u32, d: u32) {
             self.call("div", &[n, d], false);
             assert_eq!((self.memo.reg(0), self.memo.reg(1)), (n / d, n % d));
+        }
+
+        /// The memo's (tabled, replays) counts.
+        fn tabled(&self) -> (u64, u64) {
+            let stats = self.stats();
+            (stats.tabled, stats.replays)
         }
     }
 
@@ -1639,24 +1849,31 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
             branch_penalty: 0,
             ..config()
         });
-        pair.div(&mut rng);
-        assert_eq!(pair.stats().tabled, 0, "cold lines: plain model");
-        pair.div(&mut rng);
-        assert_eq!(pair.stats().tabled, 1);
+        let known = (0x9e37_79b9, 0x8765_4321);
+        pair.div_of(known.0, known.1);
+        assert_eq!(pair.tabled(), (0, 0), "cold lines: plain model");
+        pair.div_of(known.0, known.1);
+        assert_eq!(pair.tabled(), (1, 0), "tabled and recorded");
+        pair.div_of(known.0, known.1);
+        assert_eq!(pair.tabled(), (1, 1), "replayed");
         // `slow` leaves its product in flight on this multiplier.
         pair.call("slow", &[3], false);
         assert!(!pair.memo.settled());
+        pair.div_of(known.0, known.1);
+        assert_eq!(pair.tabled(), (1, 1), "unsettled: plain model");
         pair.div(&mut rng);
-        assert_eq!(pair.stats().tabled, 1, "unsettled: plain model");
-        pair.div(&mut rng);
-        assert_eq!(pair.stats().tabled, 2);
+        assert_eq!(pair.tabled(), (2, 1));
+        pair.div_of(known.0, known.1);
+        assert_eq!(pair.tabled(), (2, 2));
         // `div` fills both ways of two I-cache sets, and `add`'s code
         // evicts a line from each.
         pair.add(&mut rng, 2);
+        pair.div_of(known.0, known.1);
+        assert_eq!(pair.tabled(), (2, 2), "evicted lines: plain model");
+        pair.div_of(known.0, known.1);
+        assert_eq!(pair.tabled(), (2, 3));
         pair.div(&mut rng);
-        assert_eq!(pair.stats().tabled, 2, "evicted lines: plain model");
-        pair.div(&mut rng);
-        assert_eq!(pair.stats().tabled, 3);
+        assert_eq!(pair.tabled(), (3, 3));
         pair.random_walk(&mut rng, 24);
     }
 
@@ -1668,10 +1885,12 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
             pair.div(&mut rng);
         }
         let entry = pair.prog.label("div").unwrap();
+        let args = [7, 1 << 31];
+        pair.div_of(args[0], args[1]);
+        assert_eq!(pair.tabled(), (2, 0), "recorded");
         for cpu in [&mut pair.memo, &mut pair.plain] {
             cpu.set_fuel(100);
         }
-        let args = [7, 1 << 31];
         let m = pair.memo.call_at(&pair.prog, entry, "div", &args, None);
         let p = pair.plain.call_at(&pair.prog, entry, "div", &args, None);
         assert!(
@@ -1682,12 +1901,62 @@ div:                       ; a0=n a1=d -> a0=n/d a1=n%d (d >= 2^31)
             matches!(p, Err(SimError::OutOfFuel { executed: 100 })),
             "{p:?}"
         );
-        assert_eq!(pair.stats().tabled, 2);
+        assert_eq!(pair.tabled(), (3, 0), "short of fuel: no replay");
         assert_eq!(pair.memo.cycles(), pair.plain.cycles());
+        pair.check_state();
         for cpu in [&mut pair.memo, &mut pair.plain] {
             cpu.set_fuel(u64::MAX);
         }
+        pair.div_of(args[0], args[1]);
+        assert_eq!(pair.tabled(), (3, 1), "fuelled: replayed");
         pair.random_walk(&mut rng, 24);
         pair.div(&mut rng);
+    }
+
+    #[test]
+    fn a_tabled_replay_writes_its_records_registers_and_clears_their_marks() {
+        let mut rng = Rng(15);
+        // An I-cache that holds every routine: nothing is evicted.
+        let mut pair = Pair::new(CpuConfig {
+            icache: CacheConfig {
+                size_bytes: 4096,
+                line_bytes: 16,
+                ways: 2,
+            },
+            ..config()
+        });
+        pair.snapshots = false;
+        fn memo(pair: &Pair) -> &CallMemo {
+            pair.memo.call_memo().unwrap()
+        }
+        // `pick` writes a2 and the carry on one path, a3 on the other.
+        let (sums, copies) = ([1, 2], [5, 3]);
+        for _ in 0..2 {
+            pair.call("pick", &sums, false);
+            pair.call("pick", &copies, false);
+        }
+        assert_eq!(pair.tabled(), (2, 1), "one cold call, two recorded");
+        // A replayed `add` leaves a1 to a6 and the carry stale, and an
+        // executed `div` makes a0 to a7 exact.
+        for _ in 0..3 {
+            pair.add(&mut rng, 4);
+        }
+        pair.div(&mut rng);
+        assert_eq!(memo(&pair).stale, CARRY);
+        pair.call("pick", &sums, false);
+        assert_eq!(pair.tabled(), (2, 3), "`add` and `pick` replayed");
+        assert_eq!(memo(&pair).stale, 0, "the replay wrote the carry");
+        pair.check_state();
+        // The other path writes a3 alone: the carry stays stale.
+        pair.add(&mut rng, 4);
+        pair.div(&mut rng);
+        pair.call("pick", &copies, false);
+        assert_eq!(pair.tabled(), (3, 5));
+        assert_eq!(memo(&pair).stale, CARRY);
+        assert_eq!(memo(&pair).stats().reexecuted_insns, 0);
+        assert_eq!(pair.memo.carry(), pair.plain.carry());
+        let add = 2 + 4 * 9 + 4;
+        assert_eq!(memo(&pair).stats().reexecuted_insns, add, "`add` re-ran");
+        pair.check_state();
     }
 }

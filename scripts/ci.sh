@@ -7,10 +7,12 @@ cargo build --release
 # The root `wsp` package is a workspace member, so this one run covers
 # its tests too.
 cargo test -q --workspace
-# The memo-vs-plain co-simulation sweep at 512 bits is ignored in the
-# debug run above: run it here in release mode.
+# The memo-vs-plain co-simulation sweeps at 512 bits and on a 128-bit
+# accelerated library are ignored in the debug run above: run them here
+# in release mode.
 cargo test --release -q -p secproc --lib -- --include-ignored \
-  memoized_cosimulation_equals_the_plain_model_at_512_bits
+  memoized_cosimulation_equals_the_plain_model_at_512_bits \
+  memoized_accelerated_cosimulation_equals_the_plain_model_at_128_bits
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Docs gate: any rustdoc warning fails, so an intra-doc link to a
