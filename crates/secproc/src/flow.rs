@@ -1105,8 +1105,7 @@ impl<'a> FlowCtx<'a> {
                     None => IssMpn::with_variant(config.clone(), t.variant),
                 };
                 let mut iss = armed(iss, policy.cycle_budget, arm);
-                let _ = iss.warm_up(|iss| iss.measure32(t.kernel, n, 7));
-                iss.measure32(t.kernel, n, seed).map(|c| vec![c])
+                warmed32(&mut iss, t.kernel, n, 7, seed).map(|c| vec![c])
             };
             let report = if policy.injecting() && quarantined.contains(t.kernel.name()) {
                 UnitReport {
@@ -1205,10 +1204,7 @@ impl<'a> FlowCtx<'a> {
                 self.policy.cycle_budget,
                 arm,
             );
-            let mut leaf = |kernel| {
-                let _ = iss.warm_up(|iss| iss.measure32(kernel, k, 3));
-                iss.measure32(kernel, k, seed)
-            };
+            let mut leaf = |kernel| warmed32(&mut iss, kernel, k, 3, seed);
             Ok::<_, KernelError>(vec![leaf(kreg::id::ADD_N)?, leaf(kreg::id::ADDMUL_1)?])
         };
         let key = kcache::key(
@@ -1320,9 +1316,7 @@ impl<'a> FlowCtx<'a> {
                 iss.set_verify(false);
                 let mut total = 0.0;
                 for desc in kreg::registry().iter().filter(|d| d.lib == LibKind::Mpn) {
-                    let _ = iss.warm_up(|iss| iss.measure32(desc.id, n, 7));
-                    total += iss
-                        .measure32(desc.id, n, 8)
+                    total += warmed32(&mut iss, desc.id, n, 7, 8)
                         .expect("registry kernels use register conventions");
                 }
                 total
@@ -1423,8 +1417,7 @@ impl<'a> FlowCtx<'a> {
             |seed, arm| {
                 let iss = IssMpn::with_variant(self.config.clone(), variant);
                 let mut iss = armed(iss, self.policy.cycle_budget, arm);
-                let _ = iss.warm_up(|iss| iss.measure32(kernel, n, warm_seed));
-                iss.measure32(kernel, n, seed)
+                warmed32(&mut iss, kernel, n, warm_seed, seed)
             },
         )?;
         let cycles = self.absorb(report);
@@ -1593,6 +1586,19 @@ fn armed(mut iss: IssMpn, cycle_budget: u64, arm: Option<(PlanSpec, u64)>) -> Is
     iss
 }
 
+/// Measures `kernel` at `n` limbs with `seed` on the 32-bit side, after
+/// a discarded warm-up with `warm_seed` whose error is dropped.
+fn warmed32(
+    iss: &mut IssMpn,
+    kernel: KernelId,
+    n: usize,
+    warm_seed: u64,
+    seed: u64,
+) -> Result<f64, KernelError> {
+    let _ = iss.warm_up(|iss| iss.measure32(kernel, n, warm_seed));
+    iss.measure32(kernel, n, seed)
+}
+
 /// One phase-1 measurement unit: a registered kernel characterized at
 /// one radix width against a pre-drawn stimulus plan. The stimulus
 /// space, monomial basis and cache-key unit all come from the kernel's
@@ -1678,7 +1684,9 @@ fn plan_digest(plan: &StimulusPlan) -> u64 {
 /// dedicated engine. `seed_base` is the pre-advance stimulus seed
 /// (`1` is the canonical stream; retries reseed it), and `arm`
 /// attaches a fault plan on the given stream — block kernels have no
-/// fault ports and always measure clean.
+/// fault ports and always measure clean. A fault-free attempt arms the
+/// call memo, as co-simulation does: a unit's stimuli repeat keys, and
+/// SHA-1's chained compressions share one, so all but two replay.
 fn measure_charact_task(
     config: &CpuConfig,
     variant: KernelVariant,
@@ -1690,46 +1698,31 @@ fn measure_charact_task(
     // Characterization measures timing only, and one warm-up stimulus
     // is discarded so every task starts from the same (warm) cache
     // state regardless of which worker runs it.
+    let mut seed = seed_base;
+    let stimuli = t.plan.points().map(move |params| {
+        seed = seed.wrapping_add(SEED_STEP);
+        (params[0] as usize, seed)
+    });
     if matches!(t.desc.conv, CallConv::BlockMem { .. }) {
         let mut sim = SimSha1::new(config.clone());
-        sim.set_verify(false);
         sim.measure_blocks(1, 0x5EED);
-        let mut seed = seed_base;
-        Ok(t.plan
-            .points()
-            .map(|params| {
-                seed = seed.wrapping_add(SEED_STEP);
-                sim.measure_blocks(params[0] as usize, seed)
-            })
-            .collect())
-    } else {
-        let kernel = t.desc.id;
-        let mut iss = armed(
-            IssMpn::with_variant(config.clone(), variant),
-            cycle_budget,
-            arm,
-        );
-        iss.warm_up(|iss| {
-            if t.width == 32 {
-                iss.measure32(kernel, 1, 0x5EED)
-            } else {
-                iss.measure16(kernel, 1, 0x5EED)
-            }
-        })?;
-        let mut seed = seed_base;
-        let mut out = Vec::with_capacity(t.plan.len());
-        for params in t.plan.points() {
-            seed = seed.wrapping_add(SEED_STEP);
-            let n = params[0] as usize;
-            let cycles = if t.width == 32 {
-                iss.measure32(kernel, n, seed)
-            } else {
-                iss.measure16(kernel, n, seed)
-            };
-            out.push(cycles?);
-        }
-        Ok(out)
+        return Ok(stimuli
+            .map(|(n, seed)| sim.measure_blocks(n, seed))
+            .collect());
     }
+    let mut iss = IssMpn::with_variant(config.clone(), variant);
+    if arm.is_none() {
+        iss.memoize_calls();
+    }
+    let mut iss = armed(iss, cycle_budget, arm);
+    let measure = |iss: &mut IssMpn, n, seed| match t.width {
+        32 => iss.measure32(t.desc.id, n, seed),
+        _ => iss.measure16(t.desc.id, n, seed),
+    };
+    iss.warm_up(|iss| measure(iss, 1, 0x5EED))?;
+    stimuli
+        .map(|(n, seed)| measure(&mut iss, n, seed))
+        .collect()
 }
 
 /// One evaluated design-space candidate.
@@ -2005,9 +1998,10 @@ struct CurveTask {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobSpec;
     use pubkey::ops::opname;
     use xfault::FaultSite;
-    use xr32::xcore::MemoStats;
+    use xr32::xcore::{CallMemo, MemoStats};
 
     /// Co-simulates every candidate on `variant`'s kernels at each of
     /// `bits` with the call memo armed and without, and checks they
@@ -2090,6 +2084,96 @@ mod tests {
     fn memoized_cosimulation_equals_the_plain_model_at_512_bits() {
         let stats = memo_equals_plain_every(KernelVariant::Base, &[512], 15);
         assert!(stats.replays > 0 && stats.tabled > 0, "{stats:?}");
+    }
+
+    /// Runs `t`'s fault-free warm-up and stimuli as
+    /// [`measure_charact_task`] does, on a core with the call memo
+    /// (`memo`) or without. Returns the cycles and the memo's
+    /// statistics.
+    fn charact_run(t: &CharactTask, memo: bool) -> (Vec<f64>, MemoStats) {
+        let config = CpuConfig::default();
+        let mut seed = 1u64;
+        let stimuli = t.plan.points().map(|params| {
+            seed = seed.wrapping_add(SEED_STEP);
+            (params[0] as usize, seed)
+        });
+        if matches!(t.desc.conv, CallConv::BlockMem { .. }) {
+            let mut sim = SimSha1::new(config);
+            if !memo {
+                sim.core().set_call_memo(None);
+            }
+            sim.measure_blocks(1, 0x5EED);
+            let cycles = stimuli
+                .map(|(n, seed)| sim.measure_blocks(n, seed))
+                .collect();
+            let stats = sim.core().call_memo().map(CallMemo::stats);
+            return (cycles, stats.unwrap_or_default());
+        }
+        let base = IssMpn::with_variant(config, KernelVariant::Base);
+        let budget = FaultPolicy::default().cycle_budget;
+        let mut iss = armed(base, budget, None);
+        if memo {
+            iss.memoize_calls();
+        }
+        let measure = |iss: &mut IssMpn, n, seed| {
+            let cycles = match t.width {
+                32 => iss.measure32(t.desc.id, n, seed),
+                _ => iss.measure16(t.desc.id, n, seed),
+            };
+            cycles.expect("measures")
+        };
+        iss.warm_up(|iss| measure(iss, 1, 0x5EED));
+        let cycles = stimuli
+            .map(|(n, seed)| measure(&mut iss, n, seed))
+            .collect();
+        (cycles, iss.memo_stats())
+    }
+
+    /// Every phase-1 unit of a `bits`-bit job, measured memo-armed by
+    /// [`measure_charact_task`], takes the plain model's cycles bit for
+    /// bit, and the SHA-1 unit replays nearly every measured
+    /// compression without re-executing any.
+    fn charact_memo_equals_plain(bits: usize) {
+        let spec = JobSpec::explore(bits, 1);
+        let tasks = charact_tasks(spec.effective_limbs(), &spec.charact_options());
+        assert_eq!(tasks.len(), 2 * 8 + 1, "16 mpn units and SHA-1");
+        let budget = FaultPolicy::default().cycle_budget;
+        let config = CpuConfig::default();
+        let pool = xpar::Pool::new(2);
+        let runs = pool.par_map(&tasks, |_, t| {
+            let measured = measure_charact_task(&config, KernelVariant::Base, t, 1, None, budget)
+                .expect("measures");
+            let ((memo, stats), (plain, _)) = (charact_run(t, true), charact_run(t, false));
+            let unit = format!("{}.r{} at {bits} bits", t.name(), t.width);
+            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&measured), bits(&plain), "{unit}");
+            assert_eq!(bits(&memo), bits(&plain), "{unit}");
+            stats
+        });
+        for (t, stats) in tasks.iter().zip(runs) {
+            assert!(stats.calls > 0, "{}.r{}: {stats:?}", t.name(), t.width);
+            if matches!(t.desc.conv, CallConv::BlockMem { .. }) {
+                let compressions: u64 = t.plan.points().map(|p| p[0]).sum();
+                assert!(
+                    100 * stats.replays >= 95 * compressions,
+                    "{compressions}: {stats:?}"
+                );
+                assert_eq!(stats.reexecuted_insns, 0, "{stats:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn memoized_characterization_equals_the_plain_model_for_every_unit() {
+        charact_memo_equals_plain(128);
+    }
+
+    /// The same at the paper's 512 bits, whose stimuli take more limbs.
+    /// CI runs it in release mode.
+    #[test]
+    #[ignore = "slow in a debug build; scripts/ci.sh runs it in release mode"]
+    fn memoized_characterization_equals_the_plain_model_at_512_bits() {
+        charact_memo_equals_plain(512);
     }
 
     #[test]

@@ -264,8 +264,9 @@ impl IssMpn {
     /// them; the records die with the provider. The memo serves
     /// warm-up and timed calls alike, and declines calls on an
     /// out-of-order core, with a trace sink attached or a fault plan
-    /// armed. Co-simulation arms it; every other user keeps the plain
-    /// timing model.
+    /// armed. Co-simulation and fault-free phase-1 characterization,
+    /// whose calls repeat keys, arm it; every other user keeps the
+    /// plain timing model.
     ///
     /// Only for the bundled kernel libraries: the memo's exactness
     /// rests on their lint proofs, which
@@ -278,7 +279,7 @@ impl IssMpn {
 
     /// How often the two radix cores' call memos were consulted,
     /// replayed, re-executed and tabled (all zero unless co-simulation
-    /// armed them).
+    /// or phase-1 characterization armed them).
     pub fn memo_stats(&self) -> MemoStats {
         let mut stats = self.s32.memo_stats();
         stats += self.s16.memo_stats();
@@ -1324,6 +1325,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn the_sha1_engine_keys_on_its_linted_public_inputs() {
+        use kreg::kernels::sha as ksha;
+        let src = ksha::source(&ksha::MemoryMap::default());
+        let report = xlint::analyze_source(&src).unwrap();
+        assert!(report.is_clean(), "{:?}", report.findings());
+        let section = entry_section(&src, id::SHA1);
+        assert!(section.iter().all(|l| !l.contains("allow(")));
+        let spec = xlint::SecretSpec::from_source(&src).unwrap();
+        let annotated = spec
+            .entries()
+            .iter()
+            .find(|e| e.label == id::SHA1.name())
+            .expect("annotated entry");
+        let prog = assemble(&src).unwrap();
+        let entry = prog.label(id::SHA1.name()).unwrap();
+        let mut sim = crate::simcipher::SimSha1::new(CpuConfig::default());
+        let memo = sim.core().call_memo().expect("memo attached");
+        let linted = |with_secret: bool| {
+            let keep = |r| with_secret || !annotated.secret.contains(r);
+            let regs = (0..16).map(Reg::new);
+            regs.filter(|&r| annotated.inputs.contains(r) && keep(r))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(memo.inputs(&prog, entry), Some(linted(true)));
+        assert_eq!(memo.public_inputs(&prog, entry), Some(linted(false)));
+        assert_eq!(linted(false), [Reg::SP, Reg::RA]);
     }
 
     #[test]

@@ -9,11 +9,14 @@ use crate::insns;
 use crate::kernels::{aes as kaes, des as kdes};
 use ciphers::{aes::Aes, des::Des, sha1};
 use kreg::kernels::sha as ksha;
+use std::sync::OnceLock;
 use xobs::trace::TraceSink;
 use xr32::asm::{assemble, Program};
 use xr32::config::CpuConfig;
 use xr32::cpu::Cpu;
 use xr32::ext::ExtensionSet;
+use xr32::xcore::CallMemo;
+use xr32::Reg;
 
 /// Kernel flavor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,49 +177,58 @@ impl SimAes {
 }
 
 /// A SHA-1 compression engine running on the simulator (base kernel
-/// only — hashing is the platform's unaccelerated "misc" work).
+/// only — hashing is the platform's unaccelerated "misc" work). The
+/// kernel is constant-time: its core's call memo keys it on `sp` and
+/// `ra`, its `;! entry` inputs, and replays warm compressions.
 pub struct SimSha1 {
     cpu: Cpu,
-    program: Program,
+    program: &'static Program,
     map: ksha::MemoryMap,
-    verify: bool,
 }
+
+/// The SHA-1 kernel, assembled on first use and shared by every engine.
+static SHA1_KERNEL: OnceLock<Program> = OnceLock::new();
 
 impl SimSha1 {
     /// Builds the engine.
     pub fn new(config: CpuConfig) -> Self {
         let map = ksha::MemoryMap::default();
-        let program = assemble(&ksha::source(&map)).expect("bundled SHA-1 kernel must assemble");
+        let program =
+            SHA1_KERNEL.get_or_init(|| assemble(&ksha::source(&map)).expect("SHA-1 assembles"));
+        let entry = program.label(kreg::id::SHA1.name()).expect("sha1 entry");
+        let mut memo = CallMemo::new();
+        memo.declare_computed(program, entry, &[Reg::SP, Reg::RA], &[]);
         let mut cpu = Cpu::new(config);
         cpu.set_fuel(u64::MAX);
-        SimSha1 {
-            cpu,
-            program,
-            map,
-            verify: true,
-        }
+        cpu.set_call_memo(Some(memo));
+        SimSha1 { cpu, program, map }
     }
 
-    /// Disables verification against the software compression function.
-    pub fn set_verify(&mut self, verify: bool) {
-        self.verify = verify;
-    }
-
-    /// Runs one compression on the simulator, returning
-    /// `(new_state, cycles)`.
+    /// Runs one compression on the simulator, verified against the
+    /// software compression function, returning `(new_state, cycles)`.
+    /// A call the memo replayed gets its memory outputs from the host.
     pub fn compress(&mut self, state: [u32; 5], block: &[u8; 64]) -> ([u32; 5], u64) {
         ksha::write_state(&mut self.cpu, &self.map, &state);
         ksha::write_block(&mut self.cpu, &self.map, block);
         let summary = self
             .cpu
-            .call(&self.program, kreg::id::SHA1.name(), &[])
+            .call(self.program, kreg::id::SHA1.name(), &[])
             .expect("sha1 kernel runs");
-        let out = ksha::read_state(&self.cpu, &self.map);
-        if self.verify {
-            let mut expect = state;
-            sha1::compress(&mut expect, block);
-            assert_eq!(out, expect, "SHA-1 kernel diverged from software reference");
+        let mut expect = state;
+        sha1::compress(&mut expect, block);
+        if summary.skipped {
+            ksha::write_state(&mut self.cpu, &self.map, &expect);
+            // The expanded schedule: the block's words, then
+            // `w[i] = rotl1(w[i-3] ^ w[i-8] ^ w[i-14] ^ w[i-16])`.
+            let mem = self.cpu.mem_mut();
+            let mut w = mem.read_words(self.map.block, 16).expect("in memory");
+            for i in 16..80 {
+                w.push((w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1));
+            }
+            mem.write_words(self.map.sched, &w).expect("in memory");
         }
+        let out = ksha::read_state(&self.cpu, &self.map);
+        assert_eq!(out, expect, "SHA-1 kernel diverged from software reference");
         (out, summary.cycles)
     }
 
@@ -247,31 +259,26 @@ impl SimSha1 {
         total as f64
     }
 
-    /// Average cycles per byte over `count` compressions.
+    /// Average cycles per byte over `count` chained compressions
+    /// (steady state: the first is excluded). The kernel's timing does
+    /// not depend on the data it hashes, so any stimulus serves.
     pub fn cycles_per_byte(&mut self, count: usize) -> f64 {
         assert!(count >= 2);
-        let mut state = [
-            0x6745_2301,
-            0xefcd_ab89,
-            0x98ba_dcfe,
-            0x1032_5476,
-            0xc3d2_e1f0,
-        ];
-        let block = [0x61u8; 64];
-        self.compress(state, &block); // warm
-        let mut total = 0u64;
-        for _ in 0..count - 1 {
-            let (s, cycles) = self.compress(state, &block);
-            state = s;
-            total += cycles;
-        }
-        total as f64 / ((count - 1) as f64 * 64.0)
+        self.measure_blocks(1, 0); // warm caches
+        self.measure_blocks(count - 1, 0) / ((count - 1) as f64 * 64.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimSha1 {
+        /// The engine's core, to detach its memo or read its statistics.
+        pub(crate) fn core(&mut self) -> &mut Cpu {
+            &mut self.cpu
+        }
+    }
 
     #[test]
     fn des_base_kernel_encrypts_correctly() {
@@ -372,5 +379,35 @@ mod tests {
         let (state, cycles) = sim.compress(init, &block);
         assert_eq!(state[0], 0xa999_3e36, "SHA-1(abc) first word");
         assert!(cycles > 800);
+    }
+
+    /// Chained compressions on a memo-armed engine and on a plain core
+    /// agree after every call: cycles, the state, block and schedule
+    /// regions, and the registers, whose read re-executes a replay.
+    #[test]
+    fn a_memoized_sha1_engine_equals_the_plain_model_call_by_call() {
+        let mut memo = SimSha1::new(CpuConfig::default());
+        let mut plain = SimSha1::new(CpuConfig::default());
+        plain.core().set_call_memo(None);
+        let map = memo.map;
+        let regions = |sim: &mut SimSha1| {
+            let mem = sim.core().mem();
+            [(map.state, 5), (map.block, 16), (map.sched, 80)]
+                .map(|(at, words)| mem.read_words(at, words).expect("in memory"))
+        };
+        let mut state = [1, 2, 3, 4, 5];
+        for i in 0..64u32 {
+            let block: [u8; 64] =
+                std::array::from_fn(|j| (i * 64 + j as u32).wrapping_mul(0x9e) as u8);
+            let (out, cycles) = memo.compress(state, &block);
+            assert_eq!(plain.compress(state, &block), (out, cycles), "call {i}");
+            assert_eq!(regions(&mut memo), regions(&mut plain), "call {i}");
+            assert_eq!(memo.core().regs(), plain.core().regs(), "call {i}");
+            state = out;
+        }
+        let stats = memo.core().call_memo().expect("memo attached").stats();
+        // The cold first call misses and the second records.
+        assert_eq!((stats.calls, stats.replays), (64, 62), "{stats:?}");
+        assert!(stats.reexecuted_insns > 0, "{stats:?}");
     }
 }

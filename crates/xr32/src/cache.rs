@@ -232,7 +232,9 @@ impl Cache {
         let mut used: Vec<Line> = self
             .lines
             .iter()
-            .filter(|w| w.tag != INVALID && w.lru > since)
+            // The stamp first: it rarely passes, and a memo scans both
+            // caches on every call it records.
+            .filter(|w| w.lru > since && w.tag != INVALID)
             .copied()
             .collect();
         used.sort_unstable_by_key(|w| w.lru);

@@ -12,10 +12,10 @@
 //!
 //! A constant-time kernel never branches or forms an address from its
 //! secret operands (the property `xlint`'s taint checker proves for the
-//! annotated `mpn` kernels), so the path a call takes — and with it the
-//! lines it fetches and accesses and every interlock of the in-order
-//! pipeline — is a function of the program, the entry pc and the
-//! values of the call's *public* input registers. The memo keys on
+//! annotated `mpn` and SHA-1 kernels), so the path a call takes — and
+//! with it the lines it fetches and accesses and every interlock of the
+//! in-order pipeline — is a function of the program, the entry pc and
+//! the values of the call's *public* input registers. The memo keys on
 //! exactly those. Which registers are public, and which other
 //! registers are inputs, is declared per entry
 //! ([`CallMemo::declare_computed`]).

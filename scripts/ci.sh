@@ -10,9 +10,11 @@ cargo test -q --workspace
 # The memo-vs-plain co-simulation sweeps at 512 bits and on a 128-bit
 # accelerated library are ignored in the debug run above: run them here
 # in release mode.
+# So is the 512-bit memo-vs-plain check of every phase-1 unit.
 cargo test --release -q -p secproc --lib -- --include-ignored \
   memoized_cosimulation_equals_the_plain_model_at_512_bits \
-  memoized_accelerated_cosimulation_equals_the_plain_model_at_128_bits
+  memoized_accelerated_cosimulation_equals_the_plain_model_at_128_bits \
+  memoized_characterization_equals_the_plain_model_at_512_bits
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 # Docs gate: any rustdoc warning fails, so an intra-doc link to a

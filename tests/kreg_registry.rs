@@ -114,8 +114,8 @@ proptest! {
 
     /// The block-memory SHA-1 kernel matches the golden reference the
     /// registry carries in its calling convention, compared explicitly
-    /// here (engine verification disabled so the registry's own
-    /// function pointer is what decides).
+    /// here against the registry's own function pointer (the engine
+    /// also verifies every compression against `ciphers::sha1`).
     #[test]
     fn registered_sha1_kernel_matches_its_registry_golden(
         state in any::<[u32; 5]>(),
@@ -126,7 +126,6 @@ proptest! {
             panic!("sha1 must use the block-memory convention");
         };
         let mut sim = SimSha1::new(CpuConfig::default());
-        sim.set_verify(false);
         let (out, cycles) = sim.compress(state, &block);
         let mut expect = state;
         golden_sha1(&mut expect, &block);
